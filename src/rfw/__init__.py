@@ -11,16 +11,10 @@ from .balls import (GeodesicBall, LmoResult, alpha_phi_sphere,
                     boundary_section_grid, lmo_brute_force,
                     lmo_constant_curvature_ball, lmo_sphere_ball,
                     random_boundary_best)
-from .convexity import (CheckReport, ConvexSet, ConvexityCertificate,
-                        DistanceEquivalence, SmoothStronglyConvexFn,
-                        ball_set, ball_strong_convexity_alpha,
-                        certificate_from_dict,
-                        check_approx_scaling_inequality,
-                        check_double_geodesic_strong_convexity,
+from .convexity import (ConvexSet, ConvexityCertificate, DistanceEquivalence,
+                        SmoothStronglyConvexFn, ball_set,
+                        ball_strong_convexity_alpha, certificate_from_dict,
                         check_gconvexity_of_function,
-                        check_geodesic_strong_convexity,
-                        check_riemannian_strong_convexity,
-                        check_scaling_inequality,
                         check_smoothness_gradient_bound, delta, double_exp,
                         estimate_alpha, exp_map_operator, levelset_alpha,
                         residual, riemannian_strong_convexity_radius,

@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from .balls import (GeodesicBall, lmo_brute_force,
 from .convexity import NOTIONS, ball_set, run_checker
 from .errors import ConfigError, RfwError
 from .manifolds import Sphere, make_manifold
-from .objectives import QuadraticOnEmbedded
+from .objectives import QuadraticOnEmbedded, gram_matrix
 from .solver import RfwProblem, rfw_run
 
 log = logging.getLogger("rfw")
@@ -93,10 +92,8 @@ def build_experiment(config):
         d0 = k.dist(xc, xs)
         if 1e-3 <= d0 <= 0.5 * np.pi:
             break
-    g = rng.standard_normal((config.gram_rows, config.ambient_dim))
-    a = g.T @ g
-    a /= np.linalg.norm(a, 2)
-    objective = QuadraticOnEmbedded(k, a, xs)
+    objective = QuadraticOnEmbedded(
+        k, gram_matrix(rng, config.gram_rows, config.ambient_dim), xs)
     ball = GeodesicBall(k, xc, config.radius_ratio * d0)
     problem = RfwProblem(k, objective, ball_set(ball), L=objective.L, x0=xc)
     return problem, ball, {"dist_center_target": d0, "radius": ball.radius}
@@ -179,10 +176,9 @@ def cmd_run_experiment(args):
 
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
-        configs = [replace(config, seed=s) for s in seeds]
-        paths = [_seed_out_path(out, s) for s in seeds]
-        with ThreadPoolExecutor(max_workers=min(8, len(seeds))) as pool:
-            summaries = list(pool.map(run_single_experiment, configs, paths))
+        summaries = [run_single_experiment(replace(config, seed=s),
+                                           _seed_out_path(out, s))
+                     for s in seeds]
         for s, summary in zip(seeds, summaries):
             print(f"seed {s}: status={summary['status']} "
                   f"final_gap={summary['final_dual_gap']:.3e}")

@@ -1,6 +1,6 @@
 """Numerical certifiers for strong convexity of sets.
 
-Four notions are checked by sampling, each returning a certificate with
+Five notions are checked by sampling, each returning a certificate with
 the worst margin seen:
 
 * geodesic: the metric ball of radius alpha*t*(1-t)*d(x,y)^2 around
@@ -8,16 +8,18 @@ the worst margin seen:
 * riemannian: the pullback log_x(C) is strongly convex in the tangent
   space, uniformly over base points x in C;
 * double geodesic: every tangent perturbation z at gamma(t) with
-  norm(z) <= alpha*t*(1-t)*d(x,y)^2 exponentiates into the set;
+  norm(z) <= alpha*t*(1-t)*d(x,y)^2 exponentiates into the set, with d
+  any distance equivalent to the Riemannian one;
 * scaling inequality: at the oracle vertex v for direction w,
-  <w, log_x(v)> >= alpha * norm(w) * dist(x,v)^2, plus an approximate
-  variant that subtracts a curvature residual term built from the
-  double exponential map.
+  <w, log_x(v)> >= alpha * norm(w) * dist(x,v)^2;
+* approximate scaling inequality: the same with a curvature residual
+  term built from the double exponential map subtracted.
 
 Margins for the membership-based notions are measured as the gap
 between the admissible travel distance along the sampled direction and
 the required one (bisection on membership); the scaling notions have
-analytic margins.
+analytic margins.  run_checker is the entry point; the function-class
+checks return the same ConvexityCertificate with alpha_tested None.
 """
 
 import json
@@ -30,9 +32,6 @@ from .manifolds import CurvatureInfo, Euclidean, Hyperboloid, Manifold, Sphere
 from .balls import GeodesicBall
 
 DEFAULT_CERT_TOL = 1e-8
-
-NOTIONS = ("geodesic", "riemannian", "double_geodesic", "scaling",
-           "approx_scaling")
 
 
 @dataclass
@@ -90,7 +89,7 @@ class DistanceEquivalence:
 @dataclass
 class ConvexityCertificate:
     notion: str
-    alpha_tested: float
+    alpha_tested: Optional[float]  # None for the function-class checks
     samples: int
     worst_margin: float
     witness: dict = field(default_factory=dict)
@@ -144,68 +143,79 @@ def _sup_member(member_at, hi_cap, resolution):
     return 0.5 * (lo + hi)
 
 
-def _ray_margin(member_at, required, cap, refine):
-    """Margin of the admissible travel distance over the required one.
-    required is shrunk by 1e-6 relatively before the pass probe so that
-    boundary-tight constants survive roundoff."""
+def _ray_margin(cset, point_at, required, refine):
+    """Margin of the admissible travel distance along the ray s ->
+    point_at(s) over the required one.  point_at calls exp, and leaving
+    the exp domain counts as a violation.  required is shrunk by 1e-6
+    relatively before the pass probe so that boundary-tight constants
+    survive roundoff."""
+    def member_at(s):
+        try:
+            z = point_at(s)
+        except DomainError:
+            return False
+        return bool(cset.membership(z))
+
     ok = member_at(required * (1.0 - 1e-6))
     if not refine:
         return 0.0 if ok else -max(required, 1e-12)
+    cap = cset.diameter if cset.diameter is not None else 1.0
     hi_cap = max(cap, 2.0 * required, 1e-9)
     clearance = _sup_member(member_at, hi_cap, 1e-11 * max(1.0, hi_cap))
     return clearance - required
 
 
-def _guarded(membership, kernel, base, direction):
-    def member_at(s):
-        try:
-            z = kernel.exp(base, s * direction)
-        except DomainError:
-            return False  # leaving the exp domain counts as a violation
-        return bool(membership(z))
-    return member_at
-
-
-def _cap_for(cset):
-    return cset.diameter if cset.diameter is not None else 1.0
-
-
 # ---------------------------------------------------------------------------
-# the four checkers
+# the sampling loop and the five notions
 # ---------------------------------------------------------------------------
 
-def check_geodesic_strong_convexity(cset, alpha, n_samples, rng, refine=True,
-                                    tolerance=DEFAULT_CERT_TOL):
-    """Sample chords (x, y) and times t; require the metric ball of
-    radius alpha*t*(1-t)*d(x,y)^2 around gamma(t) to stay in the set,
-    probing the worst direction drawn uniformly on the tangent sphere."""
-    k = cset.kernel
+def _worst_case(notion, alpha, n_samples, rng, draw, tolerance):
+    """Lowest margin over n_samples calls of draw(rng), which returns
+    (margin, witness) or None for a sample with nothing to certify."""
     worst, witness = np.inf, {}
     for _ in range(n_samples):
-        x, y = cset.sampler(rng), cset.sampler(rng)
-        t = rng.uniform()
-        d = k.dist(x, y)
-        m = k.geodesic(x, y, t)
-        rho = alpha * t * (1.0 - t) * d * d
-        u = k.random_unit_tangent(m, rng)
-        margin = _ray_margin(_guarded(cset.membership, k, m, u), rho,
-                             _cap_for(cset), refine)
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "y": y, "t": t, "direction": u,
-                       "required": rho, "margin": margin}
-    return ConvexityCertificate("geodesic", alpha, n_samples, float(worst),
+        sample = draw(rng)
+        if sample is not None and sample[0] < worst:
+            worst, witness = sample
+    return ConvexityCertificate(notion, alpha, n_samples, float(worst),
                                 witness, tolerance)
 
 
-def check_riemannian_strong_convexity(cset, alpha, n_samples, rng,
-                                      refine=True,
-                                      tolerance=DEFAULT_CERT_TOL):
+def _double_geodesic(cset, alpha, dist_eq, refine):
+    """Sample chords (x, y) and times t; every z at gamma(t) with
+    norm(z) <= alpha*t*(1-t)*d(x,y)^2 must exponentiate into the set (a
+    missing exp counts as failure), probing the worst direction drawn
+    uniformly on the tangent sphere, with d given by dist_eq rather than
+    pinned to the Riemannian distance."""
+    dist_eq = dist_eq or DistanceEquivalence.riemannian()
+    k = cset.kernel
+
+    def draw(rng):
+        x, y = cset.sampler(rng), cset.sampler(rng)
+        t = rng.uniform()
+        d = dist_eq.distance(k, x, y)
+        m = k.geodesic(x, y, t)
+        rho = alpha * t * (1.0 - t) * d * d
+        u = k.random_unit_tangent(m, rng)
+        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, refine)
+        return margin, {"x": x, "y": y, "t": t, "direction": u,
+                        "required": rho, "margin": margin}
+    return draw
+
+
+def _geodesic(cset, alpha, dist_eq, refine):
+    """The metric ball of radius alpha*t*(1-t)*d(x,y)^2 around gamma(t)
+    stays in the set: the double geodesic notion with the Riemannian
+    distance, whatever dist_eq the caller passes."""
+    return _double_geodesic(cset, alpha, None, refine)
+
+
+def _riemannian(cset, alpha, dist_eq, refine):
     """Strong convexity of the tangent-space pullback log_x(C),
     uniformly over sampled base points x in C."""
     k = cset.kernel
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
+
+    def draw(rng):
         x = cset.sampler(rng)
         p = k.log(x, cset.sampler(rng))
         q = k.log(x, cset.sampler(rng))
@@ -214,128 +224,76 @@ def check_riemannian_strong_convexity(cset, alpha, n_samples, rng,
         combo = (1.0 - t) * p + t * q
         rho = alpha * t * (1.0 - t) * dpq2
         zdir = k.random_unit_tangent(x, rng)
-
-        def member_at(s):
-            try:
-                z = k.exp(x, combo + s * zdir)
-            except DomainError:
-                return False
-            return bool(cset.membership(z))
-
-        margin = _ray_margin(member_at, rho, _cap_for(cset), refine)
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
-                       "required": rho, "margin": margin}
-    return ConvexityCertificate("riemannian", alpha, n_samples, float(worst),
-                                witness, tolerance)
+        margin = _ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
+                             rho, refine)
+        return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
+                        "required": rho, "margin": margin}
+    return draw
 
 
-def check_double_geodesic_strong_convexity(cset, alpha, dist_eq=None,
-                                           n_samples=1000, rng=None,
-                                           refine=True,
-                                           tolerance=DEFAULT_CERT_TOL):
-    """Like the geodesic notion but phrased through exp at gamma(t):
-    every z with norm(z) <= alpha*t*(1-t)*d(x,y)^2 must exponentiate
-    into the set (a missing exp counts as failure), with d given by
-    dist_eq rather than pinned to the Riemannian distance."""
-    if dist_eq is None:
-        dist_eq = DistanceEquivalence.riemannian()
-    if rng is None:
-        rng = np.random.default_rng()
-    k = cset.kernel
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
-        x, y = cset.sampler(rng), cset.sampler(rng)
-        t = rng.uniform()
-        d = dist_eq.distance(k, x, y)
-        m = k.geodesic(x, y, t)
-        rho = alpha * t * (1.0 - t) * d * d
-        u = k.random_unit_tangent(m, rng)
-        margin = _ray_margin(_guarded(cset.membership, k, m, u), rho,
-                             _cap_for(cset), refine)
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "y": y, "t": t, "direction": u,
-                       "required": rho, "margin": margin}
-    return ConvexityCertificate("double_geodesic", alpha, n_samples,
-                                float(worst), witness, tolerance)
-
-
-def check_scaling_inequality(cset, alpha, n_samples, rng,
-                             tolerance=DEFAULT_CERT_TOL):
+def _scaling(cset, alpha, dist_eq, refine):
     """At the oracle vertex v for a unit direction w at x in C, require
     <w, log_x(v)> >= alpha * norm(w) * dist(x, v)^2."""
     if cset.lmo is None:
-        raise ConfigError("check_scaling_inequality: set has no oracle")
+        raise ConfigError("scaling: set has no oracle")
     k = cset.kernel
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
+
+    def draw(rng):
         x = cset.sampler(rng)
         w = k.random_unit_tangent(x, rng)
         v = cset.lmo(w, x)
         lx = k.log(x, v)
         lhs = k.inner(x, w, lx)
         margin = lhs - alpha * k.inner(x, lx, lx)
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "w": w, "vertex": v, "lhs": lhs,
-                       "margin": margin}
-    return ConvexityCertificate("scaling", alpha, n_samples, float(worst),
-                                witness, tolerance)
+        return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
+                        "margin": margin}
+    return draw
 
 
-def check_approx_scaling_inequality(cset, alpha, n_samples, rng,
-                                    tolerance=DEFAULT_CERT_TOL):
+def _approx_scaling(cset, alpha, dist_eq, refine):
     """Scaling inequality with the curvature correction term: the lower
     bound alpha*norm(w)*dist(x,v)^2 is offset by <w, r(x)> where r(x) is
     the residual of the double exponential map along the half chord,
     evaluated with the transported normalized direction."""
     if cset.lmo is None:
-        raise ConfigError("check_approx_scaling_inequality: set has no oracle")
+        raise ConfigError("approx_scaling: set has no oracle")
     k = cset.kernel
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
+
+    def draw(rng):
         x = cset.sampler(rng)
         w = k.random_unit_tangent(x, rng)
         v = cset.lmo(w, x)
         lx = k.log(x, v)
         d = k.dist(x, v)
         if d < 1e-12:
-            continue  # degenerate set; nothing to certify at this point
+            return None  # degenerate set; nothing to certify at this point
         mid = k.geodesic(x, v, 0.5)
         zstar = k.transport(x, mid, w)  # unit: transport is an isometry
         omega = k.transport(mid, x, (0.25 * alpha * d * d) * zstar)
         r_x = residual(k, x, 0.5 * lx, omega)
         lhs = k.inner(x, w, lx)
         margin = lhs - alpha * d * d - k.inner(x, w, r_x)
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "w": w, "vertex": v, "lhs": lhs,
-                       "residual": r_x, "margin": margin}
-    return ConvexityCertificate("approx_scaling", alpha, n_samples,
-                                float(worst), witness, tolerance)
+        return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
+                        "residual": r_x, "margin": margin}
+    return draw
+
+
+_DRAWS = {"geodesic": _geodesic, "riemannian": _riemannian,
+          "double_geodesic": _double_geodesic, "scaling": _scaling,
+          "approx_scaling": _approx_scaling}
+
+NOTIONS = tuple(_DRAWS)
 
 
 def run_checker(notion, cset, alpha, n_samples, rng, dist_eq=None,
                 refine=True, tolerance=DEFAULT_CERT_TOL):
-    """Dispatch by notion name (see NOTIONS)."""
-    if notion == "geodesic":
-        return check_geodesic_strong_convexity(cset, alpha, n_samples, rng,
-                                               refine, tolerance)
-    if notion == "riemannian":
-        return check_riemannian_strong_convexity(cset, alpha, n_samples, rng,
-                                                 refine, tolerance)
-    if notion == "double_geodesic":
-        return check_double_geodesic_strong_convexity(
-            cset, alpha, dist_eq or DistanceEquivalence.riemannian(),
-            n_samples, rng, refine, tolerance)
-    if notion == "scaling":
-        return check_scaling_inequality(cset, alpha, n_samples, rng, tolerance)
-    if notion == "approx_scaling":
-        return check_approx_scaling_inequality(cset, alpha, n_samples, rng,
-                                               tolerance)
-    raise ConfigError(f"unknown notion '{notion}'")
+    """Certificate for one notion (see NOTIONS) by sampling.  dist_eq
+    only matters to double_geodesic, refine (bisect the clearance
+    instead of one pass probe) only to the membership notions."""
+    if notion not in _DRAWS:
+        raise ConfigError(f"unknown notion '{notion}'")
+    draw = _DRAWS[notion](cset, alpha, dist_eq, refine)
+    return _worst_case(notion, alpha, n_samples, rng, draw, tolerance)
 
 
 def estimate_alpha(cset, notion, n_samples, rng, rel_tol=0.02, dist_eq=None):
@@ -489,26 +447,6 @@ class SmoothStronglyConvexFn:
                     "SmoothStronglyConvexFn: grad(xstar) is not zero")
 
 
-@dataclass
-class CheckReport:
-    name: str
-    samples: int
-    worst_margin: float
-    witness: dict = field(default_factory=dict)
-    tolerance: float = DEFAULT_CERT_TOL
-
-    @property
-    def passed(self):
-        return self.worst_margin >= -self.tolerance
-
-    def to_dict(self):
-        return {"name": self.name, "samples": self.samples,
-                "worst_margin": self.worst_margin,
-                "tolerance": self.tolerance, "passed": bool(self.passed),
-                "witness": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                            for k, v in self.witness.items()}}
-
-
 def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
                                     tolerance=DEFAULT_CERT_TOL):
     """Self-bounding property of smooth functions: norm(grad f(x)) <=
@@ -516,16 +454,14 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
     if fn.fstar is None:
         raise ConfigError("check_smoothness_gradient_bound: fstar required")
     k = cset.kernel
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
+
+    def draw(rng):
         x = cset.sampler(rng)
         gap = max(fn.value(x) - fn.fstar, 0.0)
         margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, fn.grad(x))
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "margin": margin}
-    return CheckReport("smoothness_gradient_bound", n_samples, float(worst),
-                       witness, tolerance)
+        return margin, {"x": x, "margin": margin}
+    return _worst_case("smoothness_gradient_bound", None, n_samples, rng,
+                       draw, tolerance)
 
 
 def check_gconvexity_of_function(fn, cset, n_samples, rng,
@@ -534,8 +470,8 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng,
     along sampled chords of the set; the worst of the two margins is
     reported."""
     k = cset.kernel
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
+
+    def draw(rng):
         x, y = cset.sampler(rng), cset.sampler(rng)
         t = rng.uniform()
         d = k.dist(x, y)
@@ -545,10 +481,7 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng,
                      - 0.5 * fn.mu * t * (1.0 - t) * d * d - fn.value(mid))
         lin = fy - fx - k.inner(x, fn.grad(x), k.log(x, y))
         smooth = 0.5 * fn.L * d * d - abs(lin)
-        margin = min(convexity, smooth)
-        if margin < worst:
-            worst = margin
-            witness = {"x": x, "y": y, "t": t, "convexity": convexity,
-                       "smoothness": smooth}
-    return CheckReport("gconvexity", n_samples, float(worst), witness,
-                       tolerance)
+        return min(convexity, smooth), {"x": x, "y": y, "t": t,
+                                        "convexity": convexity,
+                                        "smoothness": smooth}
+    return _worst_case("gconvexity", None, n_samples, rng, draw, tolerance)

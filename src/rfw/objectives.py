@@ -9,6 +9,14 @@ from .errors import ConfigError
 from .manifolds import Euclidean, Manifold, Sphere
 
 
+def gram_matrix(rng, rows, n):
+    """Gram matrix of a rows x n Gaussian draw, spectral norm 1."""
+    g = rng.standard_normal((rows, n))
+    a = g.T @ g
+    a /= np.linalg.norm(a, 2)
+    return a
+
+
 @dataclass
 class QuadraticOnEmbedded:
     """f(x) = scale * 0.5 (x - target)' A (x - target) restricted to an
@@ -39,11 +47,9 @@ class QuadraticOnEmbedded:
 
     @classmethod
     def random(cls, kernel, rows, rng, scale=1.0):
-        """Gram matrix of a rows x n Gaussian draw, spectral norm 1."""
-        g = rng.standard_normal((rows, kernel.n))
-        a = g.T @ g
-        a /= np.linalg.norm(a, 2)
-        return cls(kernel, a, kernel.random_point(rng), scale)
+        """Random Gram matrix (see gram_matrix), then a random target."""
+        return cls(kernel, gram_matrix(rng, rows, kernel.n),
+                   kernel.random_point(rng), scale)
 
     @property
     def L(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 
 from rfw import ConfigError
 from rfw.cli import (PRESETS, ExperimentConfig, _parse_seeds, _seed_out_path,
-                     build_experiment, main, run_single_experiment, tail_fit)
+                     build_experiment, build_parser, main,
+                     run_single_experiment, tail_fit)
+from rfw.convexity import NOTIONS
 from rfw.solver import load_trace_csv
 
 SMALL = {"ambient_dim": 10, "gram_rows": 5, "max_iter": 2000, "seed": 3}
@@ -181,6 +184,14 @@ def test_certify_pass_and_artifact(tmp_path, capsys):
         cert = json.load(fh)
     assert cert["passed"] is True
     assert cert["notion"] == "riemannian"
+
+
+def test_certify_notion_choices_are_the_checker_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    notion = next(a for a in sub.choices["certify"]._actions
+                  if a.dest == "notion")
+    assert tuple(notion.choices) == NOTIONS
 
 
 def test_certify_fail_exit_code(capsys):

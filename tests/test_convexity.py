@@ -7,11 +7,7 @@ from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
                  DistanceEquivalence, DomainError, Euclidean, GeodesicBall,
                  Hyperboloid, SmoothStronglyConvexFn, Spd, Sphere, ball_set,
                  ball_strong_convexity_alpha, certificate_from_dict,
-                 check_approx_scaling_inequality,
-                 check_double_geodesic_strong_convexity,
                  check_gconvexity_of_function,
-                 check_geodesic_strong_convexity,
-                 check_riemannian_strong_convexity, check_scaling_inequality,
                  check_smoothness_gradient_bound, delta, double_exp,
                  estimate_alpha, exp_map_operator, levelset_alpha, residual,
                  riemannian_strong_convexity_radius, run_checker,
@@ -107,16 +103,15 @@ def test_ball_alpha_at_fixed_point_radius():
 
 def test_geodesic_disk_passes_at_half_inverse_radius():
     _, cs = disk(1.0)
-    cert = check_geodesic_strong_convexity(cs, 0.5 * (1 - 1e-3), 300,
-                                           np.random.default_rng(0))
+    cert = run_checker("geodesic", cs, 0.5 * (1 - 1e-3), 300,
+                       np.random.default_rng(0))
     assert cert.passed
     assert cert.worst_margin >= 0.0
 
 
 def test_geodesic_disk_fails_at_two_over_radius():
     _, cs = disk(1.0)
-    cert = check_geodesic_strong_convexity(cs, 2.0, 400,
-                                           np.random.default_rng(3))
+    cert = run_checker("geodesic", cs, 2.0, 400, np.random.default_rng(3))
     assert not cert.passed
     assert cert.worst_margin < -0.1
     for key in ("x", "y", "t", "direction", "required", "margin"):
@@ -125,10 +120,9 @@ def test_geodesic_disk_fails_at_two_over_radius():
 
 def test_riemannian_reduces_to_geodesic_on_flat_space():
     _, cs = disk(1.0)
-    good = check_riemannian_strong_convexity(cs, 0.5 * (1 - 1e-3), 300,
-                                             np.random.default_rng(1))
-    bad = check_riemannian_strong_convexity(cs, 2.0, 300,
-                                            np.random.default_rng(1))
+    good = run_checker("riemannian", cs, 0.5 * (1 - 1e-3), 300,
+                       np.random.default_rng(1))
+    bad = run_checker("riemannian", cs, 2.0, 300, np.random.default_rng(1))
     assert good.passed and not bad.passed
 
 
@@ -174,13 +168,13 @@ def test_halfspace_truncation_kills_alpha():
 def test_flat_space_scaling_equals_approx_scaling():
     _, cs = disk(1.0)
     a = 0.5 * (1 - 1e-3)
-    m_sc = check_scaling_inequality(cs, a, 300,
-                                    np.random.default_rng(14)).worst_margin
-    m_ap = check_approx_scaling_inequality(
-        cs, a, 300, np.random.default_rng(14)).worst_margin
+    m_sc = run_checker("scaling", cs, a, 300,
+                       np.random.default_rng(14)).worst_margin
+    m_ap = run_checker("approx_scaling", cs, a, 300,
+                       np.random.default_rng(14)).worst_margin
     assert m_sc == pytest.approx(m_ap, abs=1e-14)
-    m_dd = check_double_geodesic_strong_convexity(
-        cs, a, None, 300, np.random.default_rng(14)).worst_margin
+    m_dd = run_checker("double_geodesic", cs, a, 300,
+                       np.random.default_rng(14)).worst_margin
     assert m_dd >= 0.0
 
 
@@ -194,10 +188,10 @@ def test_cap_chain_at_critical_radius():
     a = ball_strong_convexity_alpha(curv, r)
     _, cs = cap(r, seed=2)
     rng = np.random.default_rng(30)
-    assert check_riemannian_strong_convexity(cs, a, 250, rng).passed
-    assert check_scaling_inequality(cs, a, 250, rng).passed
-    assert check_geodesic_strong_convexity(cs, a, 250, rng).passed
-    assert check_approx_scaling_inequality(cs, a, 250, rng).passed
+    assert run_checker("riemannian", cs, a, 250, rng).passed
+    assert run_checker("scaling", cs, a, 250, rng).passed
+    assert run_checker("geodesic", cs, a, 250, rng).passed
+    assert run_checker("approx_scaling", cs, a, 250, rng).passed
 
 
 def test_double_geodesic_under_homothetic_distance():
@@ -205,12 +199,12 @@ def test_double_geodesic_under_homothetic_distance():
     # ball is then identical, so the margins agree exactly
     k, cs = cap(0.2, seed=0)
     ag = 0.5 / np.tan(0.2) * (1 - 1e-3)
-    base = check_double_geodesic_strong_convexity(
-        cs, ag, None, 400, np.random.default_rng(13))
+    base = run_checker("double_geodesic", cs, ag, 400,
+                       np.random.default_rng(13))
     deq = DistanceEquivalence(2.0, 2.0,
                               lambda kk, x, y: 2.0 * kk.dist(x, y))
-    scaled = check_double_geodesic_strong_convexity(
-        cs, ag / 4.0, deq, 400, np.random.default_rng(13))
+    scaled = run_checker("double_geodesic", cs, ag / 4.0, 400,
+                         np.random.default_rng(13), dist_eq=deq)
     assert base.passed and scaled.passed
     assert base.worst_margin == scaled.worst_margin
 
@@ -219,8 +213,8 @@ def test_double_geodesic_exp_existence_counts():
     # alpha so large the tangent ball leaves the sphere's exp domain:
     # the missing point is a violation, not an error
     _, cs = cap(1.2, seed=1)
-    cert = check_double_geodesic_strong_convexity(
-        cs, 50.0, None, 200, np.random.default_rng(8))
+    cert = run_checker("double_geodesic", cs, 50.0, 200,
+                       np.random.default_rng(8))
     assert not cert.passed
 
 
@@ -231,8 +225,7 @@ def test_sublevel_route_matches_cap_constant():
     a = levelset_alpha(delta(r, 1.0), zeta(r, 1.0), 0.5 * r * r, 1.0)
     assert a == pytest.approx(0.5 / np.tan(r), abs=1e-12)
     _, cs = cap(r, seed=0)
-    cert = check_geodesic_strong_convexity(cs, a, 500,
-                                           np.random.default_rng(12))
+    cert = run_checker("geodesic", cs, a, 500, np.random.default_rng(12))
     assert cert.passed
     assert cert.worst_margin >= 0.0
 
@@ -242,8 +235,7 @@ def test_riemannian_fails_at_inflated_alpha():
     r = strong_convexity_radius(curv)
     a = 1000.0 * ball_strong_convexity_alpha(curv, r)
     _, cs = cap(r, seed=2)
-    cert = check_riemannian_strong_convexity(cs, a, 200,
-                                             np.random.default_rng(31))
+    cert = run_checker("riemannian", cs, a, 200, np.random.default_rng(31))
     assert not cert.passed
 
 
@@ -363,6 +355,20 @@ def test_certificate_pass_tolerance():
     assert not ConvexityCertificate("geodesic", 1.0, 1, -2e-8, {}, 1e-8).passed
 
 
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("kernel, radius", [
+    (Euclidean(2), 1.0), (Sphere(3), 0.4), (Spd(3), 1.0)])
+def test_geodesic_is_double_geodesic_with_riemannian_distance(kernel, radius,
+                                                              refine):
+    cs = ball_set(GeodesicBall(kernel, kernel.base_point(), radius))
+    certs = [run_checker(notion, cs, 1.5, 40, np.random.default_rng(17),
+                         refine=refine).to_dict()
+             for notion in ("geodesic", "double_geodesic")]
+    for cert in certs:
+        cert.pop("notion")
+    assert certs[0] == certs[1]
+
+
 def test_run_checker_dispatch_and_unknown_notion():
     _, cs = disk(1.0)
     rng = np.random.default_rng(0)
@@ -379,7 +385,20 @@ def test_scaling_needs_oracle():
     cs = ConvexSet(k, lambda x, tol=1e-9: np.linalg.norm(x) <= 1 + tol,
                    lambda rng: np.zeros(2))
     with pytest.raises(ConfigError):
-        check_scaling_inequality(cs, 0.5, 10, np.random.default_rng(0))
+        run_checker("scaling", cs, 0.5, 10, np.random.default_rng(0))
+
+
+def test_membership_domain_error_propagates():
+    # only a failing exp counts as a violation; a failing membership
+    # test is a bug in the set and must surface
+    def member(x, tol=1e-9):
+        raise DomainError("membership outside its domain")
+
+    cs = ConvexSet(Euclidean(2), member, lambda rng: rng.uniform(-1, 1, 2),
+                   diameter=2.0)
+    for notion in ("geodesic", "riemannian", "double_geodesic"):
+        with pytest.raises(DomainError):
+            run_checker(notion, cs, 0.5, 5, np.random.default_rng(0))
 
 
 def test_convex_set_requires_sampler():
@@ -400,9 +419,8 @@ def test_distance_equivalence_validation():
 def test_zero_alpha_always_passes():
     _, cs = cap(0.5, seed=4)
     rng = np.random.default_rng(7)
-    assert check_geodesic_strong_convexity(cs, 0.0, 50, rng).passed
-    assert check_double_geodesic_strong_convexity(cs, 0.0, None, 50,
-                                                  rng).passed
+    assert run_checker("geodesic", cs, 0.0, 50, rng).passed
+    assert run_checker("double_geodesic", cs, 0.0, 50, rng).passed
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +456,18 @@ def test_gconvexity_flags_wrong_constants():
                            fstar=0.0, xstar=target)
     rep = check_gconvexity_of_function(fn, cs, 300, np.random.default_rng(44))
     assert rep.worst_margin < -1e-4
+
+
+def test_function_check_certificate_roundtrip():
+    quad, cs, target = quadratic_fn()
+    fn = quad.as_smooth_fn(fstar=0.0, xstar=target)
+    for check in (check_gconvexity_of_function,
+                  check_smoothness_gradient_bound):
+        cert = check(fn, cs, 50, np.random.default_rng(46))
+        assert isinstance(cert, ConvexityCertificate)
+        back = certificate_from_dict(json.loads(cert.to_json()))
+        assert back.alpha_tested is None
+        assert back.to_dict() == cert.to_dict()
 
 
 def test_gradient_bound_needs_fstar():
