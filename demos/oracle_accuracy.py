@@ -31,15 +31,18 @@ for n, r in ((3, 0.3), (3, 1.0), (10, 0.3), (10, 1.0)):
           f"bisection gap {worst_cross:.2e}")
 
 print()
-print("hyperboloid balls: bisection oracle vs boundary grid")
+print("hyperboloid balls: closed-form oracle vs boundary grid and bisection")
 k = Hyperboloid(3)
 for r in (0.5, 1.5):
     ball = GeodesicBall(k, k.base_point(), r)
-    worst = 0.0
+    worst_gap, worst_cross = 0.0, 0.0
     for _ in range(10):
         x = ball.sample(rng)
         w = k.random_unit_tangent(x, rng)
         res = ball.lmo(w, x)
         _, brute = lmo_brute_force(ball, w, x, 100_000)
-        worst = max(worst, brute - res.objective)
-    print(f"   r={r:<4} grid gap {worst:+.2e}")
+        gen = lmo_constant_curvature_ball(w, x, ball)
+        worst_gap = max(worst_gap, brute - res.objective)
+        worst_cross = max(worst_cross, abs(gen.objective - res.objective))
+    print(f"   r={r:<4} grid gap {worst_gap:+.2e}   "
+          f"bisection gap {worst_cross:.2e}")

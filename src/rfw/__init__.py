@@ -9,7 +9,7 @@ from .manifolds import (CurvatureInfo, Euclidean, Hyperboloid, Manifold,
 from .scalars import bisect_root, minimize_1d
 from .balls import (GeodesicBall, LmoResult, alpha_phi_sphere,
                     boundary_section_grid, lmo_brute_force,
-                    lmo_constant_curvature_ball, lmo_sphere_ball,
+                    lmo_ball, lmo_constant_curvature_ball,
                     random_boundary_best)
 from .convexity import (ConvexSet, ConvexityCertificate, DistanceEquivalence,
                         SmoothStronglyConvexFn, ball_set,

@@ -5,9 +5,9 @@ direction w at a feasible point x.  On constant-curvature manifolds the
 maximizer lies on the ball boundary inside the totally geodesic surface
 spanned by log_x(center) and w, which reduces the problem to one angle
 phi: the vertex is exp_x(alpha(phi) p(phi)) with p(phi) a unit vector in
-that plane and alpha(phi) the travel distance to the boundary.  On the
-sphere alpha(phi) has a closed form; the generic solver recovers it by
-bisection on the boundary-crossing equation.
+that plane and alpha(phi) the travel distance to the boundary.  `lmo_ball`
+has it in closed form on the sphere and the hyperboloid; the reference
+`lmo_constant_curvature_ball` finds it by bisection, with the same search.
 """
 
 import numpy as np
@@ -17,10 +17,12 @@ from typing import Optional
 from .errors import (BracketError, ConfigError, ContractError,
                      NoIntersectionError, NumericsError)
 from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere
-from .scalars import bisect_root, minimize_1d
+from .scalars import bisect_root
 
 MEMBERSHIP_TOL = 1e-9
 DEFAULT_TOL = 1e-12
+# points per grid of the oracles' phi search, and per zoom round
+PHI_GRID = 33
 
 
 @dataclass
@@ -71,23 +73,18 @@ class GeodesicBall:
         return self.kernel.exp(self.center, rho * u)
 
     def lmo(self, w, x, tol=DEFAULT_TOL):
-        k = self.kernel
-        if isinstance(k, Sphere):
-            return lmo_sphere_ball(w, x, self, tol)
-        if isinstance(k, Euclidean):
+        if isinstance(self.kernel, Euclidean):
             nw = np.linalg.norm(w)
             if nw < 1e-15:
                 raise ContractError("lmo: zero direction")
             v = self.center + self.radius * (w / nw)
             return LmoResult(v, float(np.dot(w, v - x)))
-        if isinstance(k, Hyperboloid):
-            return lmo_constant_curvature_ball(w, x, self, tol)
-        raise ConfigError(
-            f"GeodesicBall.lmo: no oracle for kernel {k.name}")
+        return lmo_ball(w, x, self, tol)
 
 
 def alpha_phi_sphere(a, b, c):
-    """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c.
+    """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c,
+    elementwise over an array b.
 
     This is the travel distance from a point x in a spherical cap to the
     cap boundary along a unit direction p, with a = <center, x>,
@@ -95,23 +92,32 @@ def alpha_phi_sphere(a, b, c):
     half-angle substitution; the singular branch a + c ~ 0 falls back to
     a scan-and-bisect root search.
     """
+    b = np.asarray(b, dtype=float)
     disc = a * a + b * b - c * c
-    if disc < 0.0:
+    if np.any(disc < 0.0):
         raise NoIntersectionError(
-            f"alpha_phi_sphere: ray misses the boundary (disc={disc:.3g})")
+            f"alpha_phi_sphere: ray misses the boundary "
+            f"(disc={np.min(disc):.3g})")
     den = a + c
     if abs(den) < 1e-13 * max(1.0, abs(a), abs(c)):
-        return _alpha_phi_bisect(a, b, c)
-    num = b + np.sqrt(disc)
-    if a >= c and num < 0.0:
-        # inside the cap sqrt(disc) >= |b|, so a negative numerator is
-        # boundary roundoff; the exit root is 0, not a 2pi wrap
-        num = 0.0
-    alpha = 2.0 * np.arctan(num / den)
-    if alpha < 0.0:
+        alpha = np.vectorize(lambda bi: _alpha_phi_bisect(a, bi, c))(b)
+    else:
+        num = b + np.sqrt(disc)
+        if a >= c:
+            # inside the cap sqrt(disc) >= |b|, so a negative numerator
+            # is boundary roundoff; the exit root is 0, not a 2pi wrap
+            num = np.maximum(num, 0.0)
         # the + branch only goes negative when x is outside the cap
-        alpha += 2.0 * np.pi
-    return float(alpha)
+        alpha = np.mod(2.0 * np.arctan(num / den), 2.0 * np.pi)
+    return float(alpha) if alpha.ndim == 0 else alpha
+
+
+def _alpha_phi_hyperboloid(a, b, c):
+    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, over an
+    array b: t = e^s solves (a - b) t^2 - 2c t + (a + b) = 0 with
+    a - b > 0; t < 1 is roundoff on an outward ray from the boundary."""
+    t = (c + np.sqrt(c * c - a * a + b * b)) / (a - b)
+    return np.log(np.maximum(t, 1.0))
 
 
 def _alpha_phi_bisect(a, b, c, n_scan=720):
@@ -140,52 +146,60 @@ def _section_frame(kernel, ball, x, w, norm_w):
     return u1, g_perp / n_perp
 
 
-def _phi_search(neg_obj, tol):
-    """Minimize neg_obj over [-pi, pi] from three bracketing starts;
-    the objective can have two local optima near +-pi/2."""
-    best = None
-    for lo, hi in ((-np.pi, 0.0), (-0.5 * np.pi, 0.5 * np.pi), (0.0, np.pi)):
-        cand = minimize_1d(neg_obj, lo, hi, tol=tol)
-        if best is None or cand[1] < best[1]:
-            best = cand
-    return best
-
-
-def lmo_sphere_ball(w, x, ball, tol=DEFAULT_TOL):
-    """Closed-form oracle for balls on the unit sphere."""
+def _plane_search(w, x, ball, tol, exit_along):
+    """Oracle vertex given exit_along, the travel distances alpha along
+    rows of unit directions at x: maximize alpha cos(phi) over
+    p = cos(phi) u1 + sin(phi) u2 on a grid of phi in [-pi/2, pi/2] and
+    one over its inward half-plane (from a boundary point only that
+    wedge is feasible, and it can be narrower than the first grid's
+    spacing), then zoom the best bracket down to width tol."""
     k = ball.kernel
-    if not isinstance(k, Sphere):
-        raise ConfigError("lmo_sphere_ball: kernel must be a sphere")
     norm_w = k.norm(x, w)
     if norm_w < 1e-15:
-        raise ContractError("lmo_sphere_ball: zero direction")
+        raise ContractError("lmo: zero direction")
     if not ball.membership(x):
-        raise ContractError("lmo_sphere_ball: x is outside the ball")
-
-    x0, r = ball.center, ball.radius
-    c = np.cos(r)
-    # snap a membership-tolerance boundary point back onto the cap so the
-    # half-angle discriminant stays nonnegative
-    a = max(float(np.dot(x0, x)), c)
-
+        raise ContractError("lmo: x is outside the ball")
     u1, u2 = _section_frame(k, ball, x, w, norm_w)
-    b1 = float(np.dot(x0, u1))
     if u2 is None:
         # center, or center aligned with w: optimum is along w itself
-        alpha = alpha_phi_sphere(a, b1, c)
-        v = k.exp(x, alpha * u1)
-        return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=0.0)
-    b2 = float(np.dot(x0, u2))
+        u2, phi = np.zeros_like(u1), np.zeros(1)
+    else:
+        g = k.log(x, ball.center)
+        psi = np.arctan2(k.inner(x, g, u2), k.inner(x, g, u1))
+        half = 0.5 * np.pi
+        phi = np.sort(np.concatenate((
+            np.linspace(-half, half, PHI_GRID),
+            np.linspace(max(-half, psi - half), half, PHI_GRID))))
+    while True:
+        p = np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2
+        alpha = exit_along(p)
+        i = int(np.argmax(alpha * np.cos(phi)))
+        lo, hi = phi[max(i - 1, 0)], phi[min(i + 1, len(phi) - 1)]
+        if hi - lo <= tol:
+            break
+        phi = np.linspace(lo, hi, PHI_GRID)
+    v = k.exp(x, alpha[i] * p[i])
+    return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=float(phi[i]))
 
-    def neg_obj(phi):
-        b = np.cos(phi) * b1 + np.sin(phi) * b2
-        return -alpha_phi_sphere(a, b, c) * np.cos(phi)
 
-    phi, neg = _phi_search(neg_obj, tol)
-    alpha = alpha_phi_sphere(a, np.cos(phi) * b1 + np.sin(phi) * b2, c)
-    p = np.cos(phi) * u1 + np.sin(phi) * u2
-    v = k.exp(x, alpha * p)
-    return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=float(phi))
+def lmo_ball(w, x, ball, tol=DEFAULT_TOL):
+    """Closed-form oracle for balls on the sphere and the hyperboloid:
+    the ray from x along p leaves the ball where a cos(s) + b sin(s) =
+    cos r, resp. a cosh(s) - b sinh(s) = cosh r, with a and b the
+    (Minkowski) inner products of the center with x and p.  a is
+    snapped so that a point within the membership tolerance outside
+    the ball counts as on its boundary: outward rays exit at 0."""
+    k, x0, r = ball.kernel, ball.center, ball.radius
+    if isinstance(k, Sphere):
+        a = max(float(np.dot(x0, x)), np.cos(r))
+        exit_along = lambda p: alpha_phi_sphere(a, p @ x0, np.cos(r))
+    elif isinstance(k, Hyperboloid):
+        a = min(-k.minkowski(x0, x), np.cosh(r))
+        exit_along = lambda p: _alpha_phi_hyperboloid(
+            a, p[:, 1:] @ x0[1:] - p[:, 0] * x0[0], np.cosh(r))
+    else:
+        raise ConfigError(f"lmo_ball: no oracle for kernel {k.name}")
+    return _plane_search(w, x, ball, tol, exit_along)
 
 
 def _exit_distance(ball, x, p, hi, tol):
@@ -210,38 +224,16 @@ def _exit_distance(ball, x, p, hi, tol):
 
 
 def lmo_constant_curvature_ball(w, x, ball, tol=DEFAULT_TOL):
-    """Oracle for balls on constant-curvature kernels (sphere,
-    hyperboloid, Euclidean).  Same plane reduction as the sphere closed
-    form, with the travel distance found by bisection instead of the
-    half-angle formula; used as a slower cross-check and as the primary
-    oracle on the hyperboloid.
-    """
+    """Reference oracle for balls on constant-curvature kernels (sphere,
+    hyperboloid, Euclidean): `lmo_ball` with travel distances found by
+    bisection.  Slow; the tests and `rfw lmo-test` cross-check with it."""
     k = ball.kernel
     if not isinstance(k, (Sphere, Hyperboloid, Euclidean)):
         raise ConfigError(
             "lmo_constant_curvature_ball: kernel must have constant curvature")
-    norm_w = k.norm(x, w)
-    if norm_w < 1e-15:
-        raise ContractError("lmo_constant_curvature_ball: zero direction")
-    if not ball.membership(x):
-        raise ContractError("lmo_constant_curvature_ball: x is outside the ball")
-
     hi = k.dist(x, ball.center) + ball.radius
-    u1, u2 = _section_frame(k, ball, x, w, norm_w)
-    if u2 is None:
-        alpha = _exit_distance(ball, x, u1, hi, tol)
-        v = k.exp(x, alpha * u1)
-        return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=0.0)
-
-    def neg_obj(phi):
-        p = np.cos(phi) * u1 + np.sin(phi) * u2
-        return -_exit_distance(ball, x, p, hi, tol) * np.cos(phi)
-
-    phi, neg = _phi_search(neg_obj, max(tol, 1e-12))
-    p = np.cos(phi) * u1 + np.sin(phi) * u2
-    alpha = _exit_distance(ball, x, p, hi, tol)
-    v = k.exp(x, alpha * p)
-    return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=float(phi))
+    return _plane_search(w, x, ball, max(tol, 1e-12), lambda ps: np.array(
+        [_exit_distance(ball, x, p, hi, tol) for p in ps]))
 
 
 # ---------------------------------------------------------------------------

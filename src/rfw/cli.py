@@ -227,10 +227,8 @@ def cmd_lmo_test(args):
                                                 args.random_points, rng))
         scale = max(1.0, abs(brute))
         worst_gap = max(worst_gap, (brute - res.objective) / scale)
-        if isinstance(kernel, Sphere):
-            gen = lmo_constant_curvature_ball(w, x, ball)
-            worst_cross = max(worst_cross,
-                              abs(gen.objective - res.objective) / scale)
+        gen = lmo_constant_curvature_ball(w, x, ball).objective
+        worst_cross = max(worst_cross, abs(gen - res.objective) / scale)
     ok = worst_gap <= args.tol and worst_cross <= args.tol
     print(f"lmo-test: manifold={args.manifold}({args.dim}) r={args.radius} "
           f"instances={args.instances} max_rel_gap={worst_gap:.3e} "

@@ -4,8 +4,7 @@ import pytest
 from rfw import (ConfigError, Euclidean, GeodesicBall, Hyperboloid,
                  NoIntersectionError, Spd, Sphere, alpha_phi_sphere,
                  boundary_section_grid, lmo_brute_force,
-                 lmo_constant_curvature_ball, lmo_sphere_ball,
-                 random_boundary_best)
+                 lmo_constant_curvature_ball, random_boundary_best)
 from rfw.balls import _alpha_phi_bisect, _section_frame, grid_objectives
 
 
@@ -96,14 +95,17 @@ def test_sphere_lmo_degenerate_section():
 
 
 def test_generic_lmo_matches_sphere_closed_form():
-    k, ball = sphere_ball(n=3, r=1.0, seed=11)
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        x = ball.sample(rng)
-        w = k.random_unit_tangent(x, rng)
-        closed = lmo_sphere_ball(w, x, ball)
-        generic = lmo_constant_curvature_ball(w, x, ball)
-        assert abs(closed.objective - generic.objective) <= 1e-6
+    # the bisection reference against the closed form, on both kernels
+    hk = Hyperboloid(3)
+    for k, ball in (sphere_ball(n=3, r=1.0, seed=11),
+                    (hk, GeodesicBall(hk, hk.base_point(), 1.0))):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            x = ball.sample(rng)
+            w = k.random_unit_tangent(x, rng)
+            closed = ball.lmo(w, x)
+            generic = lmo_constant_curvature_ball(w, x, ball)
+            assert abs(closed.objective - generic.objective) <= 1e-6
 
 
 def test_hyperboloid_lmo():
@@ -118,6 +120,26 @@ def test_hyperboloid_lmo():
             ball.radius, abs=1e-7)
         best = random_boundary_best(ball, w, x, 2000, rng)
         assert res.objective >= best - 1e-6
+
+
+@pytest.mark.parametrize("k,radius", [(Sphere(3), 0.5), (Sphere(10), 1.0),
+                                      (Hyperboloid(3), 1.0)],
+                         ids=["sphere3", "sphere10", "hyperboloid3"])
+def test_lmo_finds_boundary_wedge(k, radius):
+    # x on the boundary and w just off the outward normal: only a narrow
+    # wedge of directions is feasible, and the vertex lies inside it
+    rng = np.random.default_rng(22)
+    ball = GeodesicBall(k, k.random_point(rng), radius)
+    for _ in range(20):
+        x = k.exp(ball.center, radius * k.random_unit_tangent(ball.center,
+                                                              rng))
+        g = k.log(x, ball.center)
+        normal = -g / k.norm(x, g)
+        t = k.random_tangent(x, rng)
+        t = t - k.inner(x, normal, t) * normal
+        w = normal + 1e-2 * t / k.norm(x, t)
+        _, brute = lmo_brute_force(ball, w, x, 20000)
+        assert ball.lmo(w, x).objective >= brute - 1e-9
 
 
 def test_spd_ball_has_no_oracle():
@@ -204,5 +226,5 @@ def test_lmo_result_records_phi_for_planar_search():
     rng = np.random.default_rng(21)
     x = ball.sample(rng)
     w = k.random_unit_tangent(x, rng)
-    res = lmo_sphere_ball(w, x, ball)
+    res = ball.lmo(w, x)
     assert res.phi is None or -np.pi <= res.phi <= np.pi

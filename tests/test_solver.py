@@ -6,8 +6,8 @@ import pytest
 from rfw import (ConfigError, ContractError, ConvexSet, Euclidean,
                  GeodesicBall, QuadraticOnEmbedded, RfwProblem, Sphere,
                  StepRule, ball_set, contraction_check, estimate_alpha,
-                 fw_vertex, load_trace_csv, min_gradient_norm, rfw_run,
-                 short_step)
+                 fw_vertex, lmo_brute_force, load_trace_csv,
+                 min_gradient_norm, rfw_run, short_step)
 from helpers import ball_quadratic_fstar
 
 # Exterior-optimum quadratic over the unit ball in R^3; the dual
@@ -189,6 +189,32 @@ def test_sphere_problem_runs():
     assert trace.status == "converged"
     assert ball.membership(x)
     assert np.diff(trace.f).max() <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_boundary_regime_convergence_is_real(seed):
+    # full-rank Gram quadratic with its optimum outside the ball, so the
+    # iterates reach the boundary; a reported convergence there must
+    # survive an exhaustive search of the section boundary
+    k = Sphere(5)
+    rng = np.random.default_rng(seed)
+    center = np.ones(5) / np.sqrt(5.0)
+    while True:
+        target = k.random_point(rng)
+        d0 = k.dist(center, target)
+        if 1e-3 <= d0 <= 0.5 * np.pi:
+            break
+    g = rng.standard_normal((10, 5))
+    a = g.T @ g
+    a /= np.linalg.norm(a, 2)
+    obj = QuadraticOnEmbedded(k, a, target)
+    ball = GeodesicBall(k, center, 0.9 * d0)
+    problem = RfwProblem(k, obj, ball_set(ball), obj.L, center)
+    trace, x = rfw_run(problem, max_iter=1000, gap_tol=1e-10)
+    assert trace.status == "converged"
+    _, grad = obj.value_grad(x)
+    _, gap = lmo_brute_force(ball, -grad, x, 20000)
+    assert gap <= 1e-8
 
 
 def test_adversarial_oracle_sets_error_status():
