@@ -16,13 +16,14 @@ from typing import Optional
 
 from .errors import (BracketError, ConfigError, ContractError,
                      NoIntersectionError, NumericsError)
-from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere
+from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _norm
 from .scalars import bisect_root
 
 MEMBERSHIP_TOL = 1e-9
 DEFAULT_TOL = 1e-12
 # points per grid of the oracles' phi search, and per zoom round
 PHI_GRID = 33
+_PHI_STEPS = np.arange(PHI_GRID, dtype=float)
 
 
 @dataclass
@@ -74,7 +75,7 @@ class GeodesicBall:
 
     def lmo(self, w, x, tol=DEFAULT_TOL):
         if isinstance(self.kernel, Euclidean):
-            nw = np.linalg.norm(w)
+            nw = _norm(w)
             if nw < 1e-15:
                 raise ContractError("lmo: zero direction")
             v = self.center + self.radius * (w / nw)
@@ -132,12 +133,14 @@ def _alpha_phi_bisect(a, b, c, n_scan=720):
     raise NumericsError("alpha_phi_sphere: no root located on (0, 2pi]")
 
 
-def _section_frame(kernel, ball, x, w, norm_w):
+def _section_frame(kernel, ball, x, w, norm_w, g=None):
     """Orthonormal pair (u1, u2) at x spanning the oracle's search
-    plane: u1 along w, u2 the component of log_x(center) orthogonal to
-    it.  Returns (u1, None) when the plane degenerates to a line."""
+    plane: u1 along w, u2 the component of g = log_x(center) orthogonal
+    to it (g is computed when not given).  Returns (u1, None) when the
+    plane degenerates to a line."""
     u1 = w / norm_w
-    g = kernel.log(x, ball.center)
+    if g is None:
+        g = kernel.log(x, ball.center)
     g_perp = g - kernel.inner(x, u1, g) * u1
     n_perp = np.sqrt(max(kernel.inner(x, g_perp, g_perp), 0.0))
     scale = max(np.sqrt(max(kernel.inner(x, g, g), 0.0)), 1.0)
@@ -159,12 +162,12 @@ def _plane_search(w, x, ball, tol, exit_along):
         raise ContractError("lmo: zero direction")
     if not ball.membership(x):
         raise ContractError("lmo: x is outside the ball")
-    u1, u2 = _section_frame(k, ball, x, w, norm_w)
+    g = k.log(x, ball.center)
+    u1, u2 = _section_frame(k, ball, x, w, norm_w, g)
     if u2 is None:
         # center, or center aligned with w: optimum is along w itself
         u2, phi = np.zeros_like(u1), np.zeros(1)
     else:
-        g = k.log(x, ball.center)
         psi = np.arctan2(k.inner(x, g, u2), k.inner(x, g, u1))
         half = 0.5 * np.pi
         phi = np.sort(np.concatenate((
@@ -177,7 +180,9 @@ def _plane_search(w, x, ball, tol, exit_along):
         lo, hi = phi[max(i - 1, 0)], phi[min(i + 1, len(phi) - 1)]
         if hi - lo <= tol:
             break
-        phi = np.linspace(lo, hi, PHI_GRID)
+        # np.linspace(lo, hi, PHI_GRID), bit for bit, without its overhead
+        phi = _PHI_STEPS * ((hi - lo) / (PHI_GRID - 1)) + lo
+        phi[-1] = hi
     v = k.exp(x, alpha[i] * p[i])
     return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=float(phi[i]))
 

@@ -18,7 +18,11 @@ the worst margin seen:
 Margins for the membership-based notions are measured as the gap
 between the admissible travel distance along the sampled direction and
 the required one (bisection on membership); the scaling notions have
-analytic margins.  run_checker is the entry point; the function-class
+analytic margins.  A certificate keeps only the lowest margin and its
+witness, so a sample is refined by bisection only when one membership
+probe shows that it can lower the worst margin seen so far; the others
+are dropped, and the certificate is the one that refining every sample
+would give.  run_checker is the entry point; the function-class
 checks return the same ConvexityCertificate with alpha_tested None.
 """
 
@@ -143,12 +147,21 @@ def _sup_member(member_at, hi_cap, resolution):
     return 0.5 * (lo + hi)
 
 
-def _ray_margin(cset, point_at, required, refine):
+def _ray_margin(cset, point_at, required, refine, worst):
     """Margin of the admissible travel distance along the ray s ->
-    point_at(s) over the required one.  point_at calls exp, and leaving
-    the exp domain counts as a violation.  required is shrunk by 1e-6
-    relatively before the pass probe so that boundary-tight constants
-    survive roundoff."""
+    point_at(s) over the required one, or None when it cannot fall
+    below worst, the lowest margin seen so far.  point_at calls exp, and
+    leaving the exp domain counts as a violation.
+
+    Without refine there is one pass probe, at required shrunk by 1e-6
+    relatively so that boundary-tight constants survive roundoff; the
+    margin is 0 or -required.  With refine the clearance is bisected,
+    but only for a sample that can lower worst: the margin is at least
+    -required, and when the point at s = required + worst + resolution
+    is a member, the bisection would end above s - resolution/2 (its
+    non-member end stays beyond s), a margin above worst either way.
+    Both hold wherever the bisection itself is right: membership along
+    the ray is an initial interval."""
     def member_at(s):
         try:
             z = point_at(s)
@@ -156,13 +169,16 @@ def _ray_margin(cset, point_at, required, refine):
             return False
         return bool(cset.membership(z))
 
-    ok = member_at(required * (1.0 - 1e-6))
     if not refine:
+        ok = member_at(required * (1.0 - 1e-6))
         return 0.0 if ok else -max(required, 1e-12)
     cap = cset.diameter if cset.diameter is not None else 1.0
     hi_cap = max(cap, 2.0 * required, 1e-9)
-    clearance = _sup_member(member_at, hi_cap, 1e-11 * max(1.0, hi_cap))
-    return clearance - required
+    resolution = 1e-11 * max(1.0, hi_cap)
+    s = required + worst + resolution
+    if s <= 0.0 or (s < hi_cap and member_at(s)):
+        return None
+    return _sup_member(member_at, hi_cap, resolution) - required
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +186,12 @@ def _ray_margin(cset, point_at, required, refine):
 # ---------------------------------------------------------------------------
 
 def _worst_case(notion, alpha, n_samples, rng, draw, tolerance):
-    """Lowest margin over n_samples calls of draw(rng), which returns
-    (margin, witness) or None for a sample with nothing to certify."""
+    """Lowest margin over n_samples calls of draw(rng, worst), which
+    returns (margin, witness), or None for a sample with nothing to
+    certify or whose margin cannot fall below worst, the lowest so far."""
     worst, witness = np.inf, {}
     for _ in range(n_samples):
-        sample = draw(rng)
+        sample = draw(rng, worst)
         if sample is not None and sample[0] < worst:
             worst, witness = sample
     return ConvexityCertificate(notion, alpha, n_samples, float(worst),
@@ -190,14 +207,17 @@ def _double_geodesic(cset, alpha, dist_eq, refine):
     dist_eq = dist_eq or DistanceEquivalence.riemannian()
     k = cset.kernel
 
-    def draw(rng):
+    def draw(rng, worst):
         x, y = cset.sampler(rng), cset.sampler(rng)
         t = rng.uniform()
         d = dist_eq.distance(k, x, y)
         m = k.geodesic(x, y, t)
         rho = alpha * t * (1.0 - t) * d * d
         u = k.random_unit_tangent(m, rng)
-        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, refine)
+        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, refine,
+                             worst)
+        if margin is None:
+            return None
         return margin, {"x": x, "y": y, "t": t, "direction": u,
                         "required": rho, "margin": margin}
     return draw
@@ -215,7 +235,7 @@ def _riemannian(cset, alpha, dist_eq, refine):
     uniformly over sampled base points x in C."""
     k = cset.kernel
 
-    def draw(rng):
+    def draw(rng, worst):
         x = cset.sampler(rng)
         p = k.log(x, cset.sampler(rng))
         q = k.log(x, cset.sampler(rng))
@@ -225,7 +245,9 @@ def _riemannian(cset, alpha, dist_eq, refine):
         rho = alpha * t * (1.0 - t) * dpq2
         zdir = k.random_unit_tangent(x, rng)
         margin = _ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
-                             rho, refine)
+                             rho, refine, worst)
+        if margin is None:
+            return None
         return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
                         "required": rho, "margin": margin}
     return draw
@@ -238,7 +260,7 @@ def _scaling(cset, alpha, dist_eq, refine):
         raise ConfigError("scaling: set has no oracle")
     k = cset.kernel
 
-    def draw(rng):
+    def draw(rng, worst):
         x = cset.sampler(rng)
         w = k.random_unit_tangent(x, rng)
         v = cset.lmo(w, x)
@@ -254,12 +276,14 @@ def _approx_scaling(cset, alpha, dist_eq, refine):
     """Scaling inequality with the curvature correction term: the lower
     bound alpha*norm(w)*dist(x,v)^2 is offset by <w, r(x)> where r(x) is
     the residual of the double exponential map along the half chord,
-    evaluated with the transported normalized direction."""
+    evaluated with the transported normalized direction.  A residual
+    that leaves the exp domain counts as a violation (margin -inf), as a
+    missing exp does for the membership notions."""
     if cset.lmo is None:
         raise ConfigError("approx_scaling: set has no oracle")
     k = cset.kernel
 
-    def draw(rng):
+    def draw(rng, worst):
         x = cset.sampler(rng)
         w = k.random_unit_tangent(x, rng)
         v = cset.lmo(w, x)
@@ -270,7 +294,11 @@ def _approx_scaling(cset, alpha, dist_eq, refine):
         mid = k.geodesic(x, v, 0.5)
         zstar = k.transport(x, mid, w)  # unit: transport is an isometry
         omega = k.transport(mid, x, (0.25 * alpha * d * d) * zstar)
-        r_x = residual(k, x, 0.5 * lx, omega)
+        try:
+            r_x = residual(k, x, 0.5 * lx, omega)
+        except DomainError as exc:
+            return -np.inf, {"x": x, "w": w, "vertex": v,
+                             "domain_error": str(exc), "margin": -np.inf}
         lhs = k.inner(x, w, lx)
         margin = lhs - alpha * d * d - k.inner(x, w, r_x)
         return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
@@ -455,7 +483,7 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
         raise ConfigError("check_smoothness_gradient_bound: fstar required")
     k = cset.kernel
 
-    def draw(rng):
+    def draw(rng, worst):
         x = cset.sampler(rng)
         gap = max(fn.value(x) - fn.fstar, 0.0)
         margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, fn.grad(x))
@@ -471,7 +499,7 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng,
     reported."""
     k = cset.kernel
 
-    def draw(rng):
+    def draw(rng, worst):
         x, y = cset.sampler(rng), cset.sampler(rng)
         t = rng.uniform()
         d = k.dist(x, y)

@@ -15,6 +15,8 @@ sphere log rejects near-antipodal pairs, where the minimizing geodesic
 stops being unique.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -25,6 +27,14 @@ SERIES_EPS = 1e-12
 # tolerance for base-point / tangency contract checks (loose on purpose,
 # accumulated roundoff in transported vectors sits far below this)
 TANGENT_TOL = 1e-6
+
+
+def _norm(a):
+    """Euclidean (Frobenius) norm of a flattened array, as a float: the
+    arithmetic of np.linalg.norm(a) without its dispatch on ord and
+    axis, so the result is bitwise the same."""
+    a = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,8 @@ class Manifold:
         """Raise ContractError unless v is tangent at x within tol
         (relative to norm(v)); catches mismatched base points."""
         w = self.project_tangent(x, v)
-        scale = max(float(np.linalg.norm(np.asarray(v).ravel())), 1.0)
-        if np.linalg.norm(np.asarray(w - v).ravel()) > tol * scale:
+        scale = max(_norm(v), 1.0)
+        if _norm(w - v) > tol * scale:
             raise ContractError(
                 f"{self.name}: vector is not tangent at the given base point")
 
@@ -138,7 +148,7 @@ class Euclidean(Manifold):
         return y - x
 
     def dist(self, x, y):
-        return float(np.linalg.norm(y - x))
+        return _norm(y - x)
 
     def transport(self, x, y, u):
         return np.array(u, copy=True)
@@ -194,11 +204,11 @@ class Sphere(Manifold):
     def _angle(self, x, y):
         c = float(np.dot(x, y))
         if c >= 0.0:
-            return 2.0 * np.arcsin(min(float(np.linalg.norm(y - x)) / 2.0, 1.0))
+            return 2.0 * np.arcsin(min(_norm(y - x) / 2.0, 1.0))
         return float(np.arccos(max(c, -1.0)))
 
     def exp(self, x, v):
-        theta = float(np.linalg.norm(v))
+        theta = _norm(v)
         if theta >= np.pi:
             raise DomainError(
                 f"sphere exp: norm(v)={theta:.6g} >= pi (injectivity radius)")
@@ -206,7 +216,7 @@ class Sphere(Manifold):
             z = x + v
         else:
             z = np.cos(theta) * x + (np.sin(theta) / theta) * v
-        return z / np.linalg.norm(z)
+        return z / _norm(z)
 
     def log(self, x, y):
         theta = self._angle(x, y)
@@ -214,7 +224,7 @@ class Sphere(Manifold):
             raise DomainError(
                 f"sphere log: dist={theta:.6g} too close to pi (cut locus)")
         u = y - float(np.dot(x, y)) * x
-        nu = float(np.linalg.norm(u))
+        nu = _norm(u)
         if theta < SERIES_EPS or nu < SERIES_EPS:
             return np.zeros_like(x)
         return (theta / nu) * u
@@ -225,7 +235,7 @@ class Sphere(Manifold):
     def transport(self, x, y, u):
         self.check_tangent(x, u)
         v = self.log(x, y)
-        theta = float(np.linalg.norm(v))
+        theta = _norm(v)
         if theta < SERIES_EPS:
             return np.array(u, copy=True)
         e = v / theta
@@ -236,13 +246,13 @@ class Sphere(Manifold):
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if abs(float(np.linalg.norm(x)) - 1.0) > tol:
+        if abs(_norm(x) - 1.0) > tol:
             raise ContractError(f"{self.name}: point is not unit norm")
 
     def random_point(self, rng):
         while True:
             g = rng.standard_normal(self.n)
-            n = np.linalg.norm(g)
+            n = _norm(g)
             if n > 1e-8:
                 return g / n
 
@@ -411,7 +421,7 @@ class Spd(Manifold):
         w = np.linalg.eigvalsh(_sym(si @ y @ si))
         if w[0] <= 0.0:
             raise DomainError("spd dist: target is not positive definite")
-        return float(np.linalg.norm(np.log(w)))
+        return _norm(np.log(w))
 
     def transport(self, x, y, u):
         self.check_tangent(x, u)
@@ -424,7 +434,7 @@ class Spd(Manifold):
         x = np.asarray(x)
         if x.shape != (self.n, self.n):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if np.linalg.norm(x - x.T) > tol * max(np.linalg.norm(x), 1.0):
+        if _norm(x - x.T) > tol * max(_norm(x), 1.0):
             raise ContractError(f"{self.name}: point is not symmetric")
         if np.linalg.eigvalsh(_sym(x))[0] <= 0.0:
             raise ContractError(f"{self.name}: point is not positive definite")
@@ -433,8 +443,8 @@ class Spd(Manifold):
         v = np.asarray(v)
         if v.shape != (self.n, self.n):
             raise ContractError(f"{self.name}: tangent has wrong shape")
-        scale = max(float(np.linalg.norm(v)), 1.0)
-        if np.linalg.norm(v - v.T) > tol * scale:
+        scale = max(_norm(v), 1.0)
+        if _norm(v - v.T) > tol * scale:
             raise ContractError(f"{self.name}: tangent is not symmetric")
 
     def random_point(self, rng):

@@ -203,6 +203,16 @@ def test_certify_fail_exit_code(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_certify_approx_scaling_domain_error_fails(capsys):
+    # the residual's exp leaves its domain on this cap: a violation
+    # (exit 1), not an error (exit 2)
+    rc = main(["certify", "--manifold", "sphere", "--radius", "1.0",
+               "--notion", "approx_scaling", "--alpha", "4",
+               "--samples", "200"])
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_lmo_test_passes(capsys):
     rc = main(["lmo-test", "--manifold", "sphere", "--dim", "3",
                "--radius", "1.0", "--instances", "5", "--grid", "4000",

@@ -12,6 +12,7 @@ from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
                  estimate_alpha, exp_map_operator, levelset_alpha, residual,
                  riemannian_strong_convexity_radius, run_checker,
                  strong_convexity_radius, zeta)
+from rfw.convexity import _DRAWS, _ray_margin
 from rfw.manifolds import CurvatureInfo
 
 
@@ -399,6 +400,93 @@ def test_membership_domain_error_propagates():
     for notion in ("geodesic", "riemannian", "double_geodesic"):
         with pytest.raises(DomainError):
             run_checker(notion, cs, 0.5, 5, np.random.default_rng(0))
+
+
+PRUNE_BALLS = [  # kernel, radius, a passing alpha, a failing alpha
+    (Euclidean(2), 1.0, 0.45, 2.0), (Sphere(3), 0.3, 1.5, 10.0),
+    (Hyperboloid(3), 1.0, 0.05, 4.0), (Spd(3), 1.0, 0.05, 2.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("notion", ["geodesic", "riemannian",
+                                    "double_geodesic"])
+@pytest.mark.parametrize("kernel, radius, good, bad", PRUNE_BALLS,
+                         ids=[type(b[0]).__name__ for b in PRUNE_BALLS])
+def test_pruned_certificate_equals_full_refinement(kernel, radius, good, bad,
+                                                   notion, seed):
+    # replay the sample stream with every sample refined (worst = inf):
+    # the lowest margin and its witness are those of the pruned run
+    cs = ball_set(GeodesicBall(kernel, kernel.base_point(), radius))
+    n = 40
+    for alpha, passes in ((good, True), (bad, False)):
+        rng = np.random.default_rng(seed)
+        draw = _DRAWS[notion](cs, alpha, None, True)
+        worst, witness = np.inf, {}
+        for _ in range(n):
+            margin, wit = draw(rng, np.inf)
+            if margin < worst:
+                worst, witness = margin, wit
+        full = ConvexityCertificate(notion, alpha, n, float(worst), witness)
+        pruned = run_checker(notion, cs, alpha, n,
+                             np.random.default_rng(seed))
+        assert pruned.passed == passes
+        assert pruned.to_dict() == full.to_dict()
+
+
+def test_ray_margin_prunes_only_samples_that_cannot_lower_worst():
+    # the ray s -> s into {s <= c}: for worst around the full margin, a
+    # pruned sample's full margin is never below worst, and a refined
+    # one is the full margin itself
+    res = 1e-11 * 2.0
+    offsets = np.array([-1e-9, -res, -res / 2, -res / 4, 0.0, res / 4,
+                        res / 2, res, 1e-9])
+    for c, required in ((0.7, 0.3), (0.3, 0.7), (1.3, 0.0), (0.0, 0.2),
+                        (5.0, 0.3)):
+        cs = ConvexSet(Euclidean(2), lambda z, c=c: z <= c,
+                       lambda rng: 0.0, diameter=2.0)
+        full = _ray_margin(cs, lambda s: s, required, True, np.inf)
+        for worst in list(full + offsets) + [-required - 1.0, np.inf]:
+            margin = _ray_margin(cs, lambda s: s, required, True, worst)
+            if margin is None:
+                assert not full < worst
+            else:
+                assert margin == full
+
+
+def test_pruning_bounds_membership_probes():
+    # one probe for most samples; every sample refined takes ~39
+    k, cs = cap(0.3)
+    probes = [0]
+
+    def member(x, tol=1e-9):
+        probes[0] += 1
+        return cs.membership(x, tol)
+
+    counted = ConvexSet(k, member, cs.sampler, cs.lmo, cs.diameter)
+    n = 400
+    cert = run_checker("geodesic", counted, 1.5, n, np.random.default_rng(0))
+    assert cert.passed
+    assert probes[0] / n <= 4.0
+
+
+def test_approx_scaling_domain_error_is_a_violation():
+    # on a cap of radius 1 at alpha = 4 the residual's exp leaves its
+    # domain: the certificate fails with the message in its witness
+    k = Sphere(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 1.0))
+    cert = run_checker("approx_scaling", cs, 4.0, 200,
+                       np.random.default_rng(0))
+    assert not cert.passed
+    assert cert.worst_margin == -np.inf
+    assert "exp" in cert.witness["domain_error"]
+
+
+def test_estimate_alpha_approx_scaling_survives_domain_errors():
+    # the first probe, alpha = 10/diameter, leaves the residual's domain
+    k = Sphere(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 1.0))
+    a = estimate_alpha(cs, "approx_scaling", 100, np.random.default_rng(4))
+    assert np.isfinite(a) and 0.0 < a < 10.0 / cs.diameter
 
 
 def test_convex_set_requires_sampler():

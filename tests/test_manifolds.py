@@ -3,6 +3,7 @@ import pytest
 
 from rfw import (ConfigError, ContractError, DomainError, Euclidean,
                  Hyperboloid, Manifold, Spd, Sphere, make_manifold)
+from rfw.manifolds import _norm
 from helpers import geometry_invariant_worst
 
 KERNELS = [Euclidean(5), Sphere(4), Hyperboloid(3), Spd(3)]
@@ -205,3 +206,15 @@ def test_base_points_are_on_manifold():
     for k in KERNELS:
         k.check_point(k.base_point())
         assert isinstance(k, Manifold)
+
+
+def test_norm_is_bitwise_numpy_norm():
+    rng = np.random.default_rng(0)
+    for shape in [(1,), (3,), (50,), (3, 3), (7, 4)]:
+        for _ in range(20):
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
+            assert _norm(a) == float(np.linalg.norm(a))
+            assert _norm(a.T) == float(np.linalg.norm(a.T))
+    m = rng.standard_normal((5, 6))
+    assert _norm(m.T) == float(np.linalg.norm(m.T))
+    assert _norm(m[::2, 1:]) == float(np.linalg.norm(m[::2, 1:]))
