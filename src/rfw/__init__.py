@@ -9,8 +9,7 @@ from .manifolds import (CurvatureInfo, Euclidean, Hyperboloid, Manifold,
 from .scalars import bisect_root, minimize_1d
 from .balls import (GeodesicBall, LmoResult, alpha_phi_sphere,
                     boundary_section_grid, lmo_brute_force,
-                    lmo_ball, lmo_constant_curvature_ball,
-                    random_boundary_best)
+                    lmo_constant_curvature_ball, random_boundary_best)
 from .convexity import (ConvexSet, ConvexityCertificate, DistanceEquivalence,
                         SmoothStronglyConvexFn, ball_set,
                         ball_strong_convexity_alpha, certificate_from_dict,

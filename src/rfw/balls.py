@@ -5,9 +5,9 @@ direction w at a feasible point x.  On constant-curvature manifolds the
 maximizer lies on the ball boundary inside the totally geodesic surface
 spanned by log_x(center) and w, which reduces the problem to one angle
 phi: the vertex is exp_x(alpha(phi) p(phi)) with p(phi) a unit vector in
-that plane and alpha(phi) the travel distance to the boundary.  `lmo_ball`
-has it in closed form on the sphere and the hyperboloid; the reference
-`lmo_constant_curvature_ball` finds it by bisection, with the same search.
+that plane and alpha(phi) the travel distance to the boundary.  The
+oracle `GeodesicBall.lmo` has it in closed form on the ORACLE_KERNELS;
+the reference `lmo_constant_curvature_ball` finds it by bisection.
 """
 
 import numpy as np
@@ -20,10 +20,11 @@ from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _norm
 from .scalars import bisect_root
 
 MEMBERSHIP_TOL = 1e-9
-DEFAULT_TOL = 1e-12
+LMO_TOL = 1e-12  # final phi bracket, and the reference's bisection
 # points per grid of the oracles' phi search, and per zoom round
 PHI_GRID = 33
 _PHI_STEPS = np.arange(PHI_GRID, dtype=float)
+ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 
 @dataclass
@@ -73,14 +74,30 @@ class GeodesicBall:
         rho = self.radius * rng.uniform() ** (1.0 / self.kernel.dim)
         return self.kernel.exp(self.center, rho * u)
 
-    def lmo(self, w, x, tol=DEFAULT_TOL):
-        if isinstance(self.kernel, Euclidean):
+    def lmo(self, w, x):
+        """The ray from x along p leaves the ball where a cos(s) +
+        b sin(s) = cos r, resp. a cosh(s) - b sinh(s) = cosh r, with a
+        and b the (Minkowski) inner products of the center with x and p.
+        a is snapped so that a point within the membership tolerance
+        outside the ball counts as on its boundary: outward rays exit at
+        0.  Euclidean balls have the vertex in closed form."""
+        k, x0, r = self.kernel, self.center, self.radius
+        if isinstance(k, Euclidean):
             nw = _norm(w)
             if nw < 1e-15:
                 raise ContractError("lmo: zero direction")
-            v = self.center + self.radius * (w / nw)
+            v = x0 + r * (w / nw)
             return LmoResult(v, float(np.dot(w, v - x)))
-        return lmo_ball(w, x, self, tol)
+        if isinstance(k, Sphere):
+            a = max(float(np.dot(x0, x)), np.cos(r))
+            exit_along = lambda p: alpha_phi_sphere(a, p @ x0, np.cos(r))
+        elif isinstance(k, Hyperboloid):
+            a = min(-k.minkowski(x0, x), np.cosh(r))
+            exit_along = lambda p: _alpha_phi_hyperboloid(
+                a, p[:, 1:] @ x0[1:] - p[:, 0] * x0[0], np.cosh(r))
+        else:
+            raise ConfigError(f"lmo: no oracle for kernel {k.name}")
+        return _plane_search(w, x, self, exit_along)
 
 
 def alpha_phi_sphere(a, b, c):
@@ -121,11 +138,11 @@ def _alpha_phi_hyperboloid(a, b, c):
     return np.log(np.maximum(t, 1.0))
 
 
-def _alpha_phi_bisect(a, b, c, n_scan=720):
+def _alpha_phi_bisect(a, b, c):
     f = lambda t: a * np.cos(t) + b * np.sin(t) - c
-    grid = np.linspace(0.0, 2.0 * np.pi, n_scan + 1)
+    grid = np.linspace(0.0, 2.0 * np.pi, 721)
     vals = f(grid)
-    for i in range(n_scan):
+    for i in range(720):
         if vals[i] == 0.0:
             return float(grid[i])
         if vals[i] * vals[i + 1] <= 0.0:
@@ -133,14 +150,11 @@ def _alpha_phi_bisect(a, b, c, n_scan=720):
     raise NumericsError("alpha_phi_sphere: no root located on (0, 2pi]")
 
 
-def _section_frame(kernel, ball, x, w, norm_w, g=None):
+def _section_frame(kernel, x, w, norm_w, g):
     """Orthonormal pair (u1, u2) at x spanning the oracle's search
     plane: u1 along w, u2 the component of g = log_x(center) orthogonal
-    to it (g is computed when not given).  Returns (u1, None) when the
-    plane degenerates to a line."""
+    to it.  Returns (u1, None) when the plane degenerates to a line."""
     u1 = w / norm_w
-    if g is None:
-        g = kernel.log(x, ball.center)
     g_perp = g - kernel.inner(x, u1, g) * u1
     n_perp = np.sqrt(max(kernel.inner(x, g_perp, g_perp), 0.0))
     scale = max(np.sqrt(max(kernel.inner(x, g, g), 0.0)), 1.0)
@@ -149,13 +163,13 @@ def _section_frame(kernel, ball, x, w, norm_w, g=None):
     return u1, g_perp / n_perp
 
 
-def _plane_search(w, x, ball, tol, exit_along):
+def _plane_search(w, x, ball, exit_along):
     """Oracle vertex given exit_along, the travel distances alpha along
     rows of unit directions at x: maximize alpha cos(phi) over
     p = cos(phi) u1 + sin(phi) u2 on a grid of phi in [-pi/2, pi/2] and
     one over its inward half-plane (from a boundary point only that
     wedge is feasible, and it can be narrower than the first grid's
-    spacing), then zoom the best bracket down to width tol."""
+    spacing), then zoom the best bracket down to width LMO_TOL."""
     k = ball.kernel
     norm_w = k.norm(x, w)
     if norm_w < 1e-15:
@@ -163,7 +177,7 @@ def _plane_search(w, x, ball, tol, exit_along):
     if not ball.membership(x):
         raise ContractError("lmo: x is outside the ball")
     g = k.log(x, ball.center)
-    u1, u2 = _section_frame(k, ball, x, w, norm_w, g)
+    u1, u2 = _section_frame(k, x, w, norm_w, g)
     if u2 is None:
         # center, or center aligned with w: optimum is along w itself
         u2, phi = np.zeros_like(u1), np.zeros(1)
@@ -178,7 +192,7 @@ def _plane_search(w, x, ball, tol, exit_along):
         alpha = exit_along(p)
         i = int(np.argmax(alpha * np.cos(phi)))
         lo, hi = phi[max(i - 1, 0)], phi[min(i + 1, len(phi) - 1)]
-        if hi - lo <= tol:
+        if hi - lo <= LMO_TOL:
             break
         # np.linspace(lo, hi, PHI_GRID), bit for bit, without its overhead
         phi = _PHI_STEPS * ((hi - lo) / (PHI_GRID - 1)) + lo
@@ -187,27 +201,7 @@ def _plane_search(w, x, ball, tol, exit_along):
     return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=float(phi[i]))
 
 
-def lmo_ball(w, x, ball, tol=DEFAULT_TOL):
-    """Closed-form oracle for balls on the sphere and the hyperboloid:
-    the ray from x along p leaves the ball where a cos(s) + b sin(s) =
-    cos r, resp. a cosh(s) - b sinh(s) = cosh r, with a and b the
-    (Minkowski) inner products of the center with x and p.  a is
-    snapped so that a point within the membership tolerance outside
-    the ball counts as on its boundary: outward rays exit at 0."""
-    k, x0, r = ball.kernel, ball.center, ball.radius
-    if isinstance(k, Sphere):
-        a = max(float(np.dot(x0, x)), np.cos(r))
-        exit_along = lambda p: alpha_phi_sphere(a, p @ x0, np.cos(r))
-    elif isinstance(k, Hyperboloid):
-        a = min(-k.minkowski(x0, x), np.cosh(r))
-        exit_along = lambda p: _alpha_phi_hyperboloid(
-            a, p[:, 1:] @ x0[1:] - p[:, 0] * x0[0], np.cosh(r))
-    else:
-        raise ConfigError(f"lmo_ball: no oracle for kernel {k.name}")
-    return _plane_search(w, x, ball, tol, exit_along)
-
-
-def _exit_distance(ball, x, p, hi, tol):
+def _exit_distance(ball, x, p, hi):
     """Distance along the unit ray p from x to the ball boundary, by
     bisection on dist(exp_x(s p), center) - r over [0, hi]."""
     k, x0, r = ball.kernel, ball.center, ball.radius
@@ -221,24 +215,24 @@ def _exit_distance(ball, x, p, hi, tol):
         return val
 
     try:
-        return bisect_root(f, 0.0, hi, tol=tol)
+        return bisect_root(f, 0.0, hi, tol=LMO_TOL)
     except BracketError:
         if f(hi) <= 0.0:
             return hi  # the ray stays in the closed ball up to hi
         raise
 
 
-def lmo_constant_curvature_ball(w, x, ball, tol=DEFAULT_TOL):
-    """Reference oracle for balls on constant-curvature kernels (sphere,
-    hyperboloid, Euclidean): `lmo_ball` with travel distances found by
-    bisection.  Slow; the tests and `rfw lmo-test` cross-check with it."""
+def lmo_constant_curvature_ball(w, x, ball):
+    """Reference oracle for balls on the ORACLE_KERNELS: the search of
+    `GeodesicBall.lmo` with travel distances found by bisection.  Slow;
+    the tests and `rfw lmo-test` cross-check with it."""
     k = ball.kernel
-    if not isinstance(k, (Sphere, Hyperboloid, Euclidean)):
+    if not isinstance(k, ORACLE_KERNELS):
         raise ConfigError(
             "lmo_constant_curvature_ball: kernel must have constant curvature")
     hi = k.dist(x, ball.center) + ball.radius
-    return _plane_search(w, x, ball, max(tol, 1e-12), lambda ps: np.array(
-        [_exit_distance(ball, x, p, hi, tol) for p in ps]))
+    return _plane_search(w, x, ball, lambda ps: np.array(
+        [_exit_distance(ball, x, p, hi) for p in ps]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@
     rfw certify --manifold sphere --dim 3 --radius 0.3 --notion scaling --alpha 1.5
     rfw lmo-test --manifold sphere --dim 3 --radius 1.0 --instances 20
 
-run-experiment minimizes a Gram quadratic over a geodesic ball on the
-sphere: the ball is centered at x_c with radius ratio*dist(x_c, x*),
-where the unconstrained optimum x* is drawn within distance pi/2 of the
-center, so the solution sits on the ball boundary and the short-step
-rate is linear.  Output is a CSV trace plus a JSON summary with the
-fitted tail contraction rate.
+run-experiment minimizes f(x) = 0.5 (x - x*)' A (x - x*), A a Gram
+matrix of gram_rows Gaussian rows, over a geodesic ball on the sphere:
+the ball is centered at x_c with radius ratio*dist(x_c, x*), where the
+target x* is drawn within distance pi/2 of the center, so x* itself lies
+outside the ball.  With gram_rows < ambient_dim, A is rank-deficient and
+f can vanish inside the ball; the presets end in the interior
+(dist(x_c, x)/radius about 0.74-0.81) with f near 0, not on the
+boundary.  Output is a CSV trace plus a JSON summary with the fitted
+tail contraction rate.
 
 The RFW_LOG environment variable sets logging verbosity (DEBUG, INFO,
 WARNING, ERROR).
@@ -24,11 +27,11 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .balls import (GeodesicBall, lmo_brute_force,
+from .balls import (ORACLE_KERNELS, GeodesicBall, lmo_brute_force,
                     lmo_constant_curvature_ball, random_boundary_best)
 from .convexity import NOTIONS, ball_set, run_checker
 from .errors import ConfigError, RfwError
-from .manifolds import Sphere, make_manifold
+from .manifolds import MANIFOLDS, Sphere, make_manifold
 from .objectives import QuadraticOnEmbedded, gram_matrix
 from .solver import RfwProblem, rfw_run
 
@@ -252,8 +255,7 @@ def build_parser():
     p.set_defaults(func=cmd_run_experiment)
 
     p = sub.add_parser("certify", help="certify a ball convexity constant")
-    p.add_argument("--manifold", default="sphere",
-                   choices=["sphere", "euclidean", "hyperboloid", "spd"])
+    p.add_argument("--manifold", default="sphere", choices=list(MANIFOLDS))
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--notion", default="scaling", choices=list(NOTIONS))
@@ -266,7 +268,8 @@ def build_parser():
 
     p = sub.add_parser("lmo-test", help="cross-check the ball oracles")
     p.add_argument("--manifold", default="sphere",
-                   choices=["sphere", "euclidean", "hyperboloid"])
+                   choices=[name for name, cls in MANIFOLDS.items()
+                            if issubclass(cls, ORACLE_KERNELS)])
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--instances", type=int, default=20)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ConfigError, ContractError, DomainError, NumericsError
-from .manifolds import CurvatureInfo, Euclidean, Hyperboloid, Manifold, Sphere
-from .balls import GeodesicBall
+from .manifolds import CurvatureInfo, Manifold
+from .balls import ORACLE_KERNELS, GeodesicBall
 
 DEFAULT_CERT_TOL = 1e-8
 
@@ -57,7 +57,7 @@ class ConvexSet:
 
 def ball_set(ball: GeodesicBall) -> ConvexSet:
     lmo = None
-    if isinstance(ball.kernel, (Sphere, Euclidean, Hyperboloid)):
+    if isinstance(ball.kernel, ORACLE_KERNELS):
         lmo = lambda w, x: ball.lmo(w, x).vertex
     return ConvexSet(kernel=ball.kernel, membership=ball.membership,
                      sampler=ball.sample, lmo=lmo, diameter=ball.diameter)
@@ -90,6 +90,10 @@ class DistanceEquivalence:
         return cls(1.0, 1.0)
 
 
+def _finite_or_none(margin):
+    return margin if np.isfinite(margin) else None
+
+
 @dataclass
 class ConvexityCertificate:
     notion: str
@@ -104,15 +108,20 @@ class ConvexityCertificate:
         return self.worst_margin >= -self.tolerance
 
     def to_dict(self):
+        """Plain types for strict JSON: a non-finite margin (a domain
+        error, or no sample to certify) is written as None."""
+        witness = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                   for k, v in self.witness.items()}
+        if "margin" in witness:
+            witness["margin"] = _finite_or_none(witness["margin"])
         return {
             "notion": self.notion,
             "alpha_tested": self.alpha_tested,
             "samples": self.samples,
-            "worst_margin": self.worst_margin,
+            "worst_margin": _finite_or_none(self.worst_margin),
             "tolerance": self.tolerance,
             "passed": bool(self.passed),
-            "witness": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                        for k, v in self.witness.items()},
+            "witness": witness,
         }
 
     def to_json(self, **kwargs):
@@ -120,10 +129,17 @@ class ConvexityCertificate:
 
 
 def certificate_from_dict(d):
+    """Inverse of ConvexityCertificate.to_dict; a None margin is -inf
+    on a failed certificate and +inf on a passed one."""
     witness = {k: (np.asarray(v) if isinstance(v, list) else v)
                for k, v in d.get("witness", {}).items()}
+    worst = d["worst_margin"]
+    if worst is None:
+        worst = np.inf if d["passed"] else -np.inf
+    if "margin" in witness and witness["margin"] is None:
+        witness["margin"] = worst
     return ConvexityCertificate(d["notion"], d["alpha_tested"], d["samples"],
-                                d["worst_margin"], witness, d["tolerance"])
+                                worst, witness, d["tolerance"])
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +163,18 @@ def _sup_member(member_at, hi_cap, resolution):
     return 0.5 * (lo + hi)
 
 
-def _ray_margin(cset, point_at, required, refine, worst):
+def _ray_margin(cset, point_at, required, worst):
     """Margin of the admissible travel distance along the ray s ->
     point_at(s) over the required one, or None when it cannot fall
     below worst, the lowest margin seen so far.  point_at calls exp, and
     leaving the exp domain counts as a violation.
 
-    Without refine there is one pass probe, at required shrunk by 1e-6
-    relatively so that boundary-tight constants survive roundoff; the
-    margin is 0 or -required.  With refine the clearance is bisected,
-    but only for a sample that can lower worst: the margin is at least
-    -required, and when the point at s = required + worst + resolution
-    is a member, the bisection would end above s - resolution/2 (its
-    non-member end stays beyond s), a margin above worst either way.
-    Both hold wherever the bisection itself is right: membership along
-    the ray is an initial interval."""
+    The clearance is bisected only for a sample that can lower worst:
+    the margin is at least -required, and when the point at
+    s = required + worst + resolution is a member, the bisection would
+    end above s - resolution/2 (its non-member end stays beyond s), a
+    margin above worst either way.  Both hold wherever the bisection
+    itself is right: membership along the ray is an initial interval."""
     def member_at(s):
         try:
             z = point_at(s)
@@ -169,9 +182,6 @@ def _ray_margin(cset, point_at, required, refine, worst):
             return False
         return bool(cset.membership(z))
 
-    if not refine:
-        ok = member_at(required * (1.0 - 1e-6))
-        return 0.0 if ok else -max(required, 1e-12)
     cap = cset.diameter if cset.diameter is not None else 1.0
     hi_cap = max(cap, 2.0 * required, 1e-9)
     resolution = 1e-11 * max(1.0, hi_cap)
@@ -198,7 +208,7 @@ def _worst_case(notion, alpha, n_samples, rng, draw, tolerance):
                                 witness, tolerance)
 
 
-def _double_geodesic(cset, alpha, dist_eq, refine):
+def _double_geodesic(cset, alpha, dist_eq):
     """Sample chords (x, y) and times t; every z at gamma(t) with
     norm(z) <= alpha*t*(1-t)*d(x,y)^2 must exponentiate into the set (a
     missing exp counts as failure), probing the worst direction drawn
@@ -214,8 +224,7 @@ def _double_geodesic(cset, alpha, dist_eq, refine):
         m = k.geodesic(x, y, t)
         rho = alpha * t * (1.0 - t) * d * d
         u = k.random_unit_tangent(m, rng)
-        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, refine,
-                             worst)
+        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
         if margin is None:
             return None
         return margin, {"x": x, "y": y, "t": t, "direction": u,
@@ -223,14 +232,14 @@ def _double_geodesic(cset, alpha, dist_eq, refine):
     return draw
 
 
-def _geodesic(cset, alpha, dist_eq, refine):
+def _geodesic(cset, alpha, dist_eq):
     """The metric ball of radius alpha*t*(1-t)*d(x,y)^2 around gamma(t)
     stays in the set: the double geodesic notion with the Riemannian
     distance, whatever dist_eq the caller passes."""
-    return _double_geodesic(cset, alpha, None, refine)
+    return _double_geodesic(cset, alpha, None)
 
 
-def _riemannian(cset, alpha, dist_eq, refine):
+def _riemannian(cset, alpha, dist_eq):
     """Strong convexity of the tangent-space pullback log_x(C),
     uniformly over sampled base points x in C."""
     k = cset.kernel
@@ -245,7 +254,7 @@ def _riemannian(cset, alpha, dist_eq, refine):
         rho = alpha * t * (1.0 - t) * dpq2
         zdir = k.random_unit_tangent(x, rng)
         margin = _ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
-                             rho, refine, worst)
+                             rho, worst)
         if margin is None:
             return None
         return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
@@ -253,7 +262,7 @@ def _riemannian(cset, alpha, dist_eq, refine):
     return draw
 
 
-def _scaling(cset, alpha, dist_eq, refine):
+def _scaling(cset, alpha, dist_eq):
     """At the oracle vertex v for a unit direction w at x in C, require
     <w, log_x(v)> >= alpha * norm(w) * dist(x, v)^2."""
     if cset.lmo is None:
@@ -272,7 +281,7 @@ def _scaling(cset, alpha, dist_eq, refine):
     return draw
 
 
-def _approx_scaling(cset, alpha, dist_eq, refine):
+def _approx_scaling(cset, alpha, dist_eq):
     """Scaling inequality with the curvature correction term: the lower
     bound alpha*norm(w)*dist(x,v)^2 is offset by <w, r(x)> where r(x) is
     the residual of the double exponential map along the half chord,
@@ -314,21 +323,20 @@ NOTIONS = tuple(_DRAWS)
 
 
 def run_checker(notion, cset, alpha, n_samples, rng, dist_eq=None,
-                refine=True, tolerance=DEFAULT_CERT_TOL):
+                tolerance=DEFAULT_CERT_TOL):
     """Certificate for one notion (see NOTIONS) by sampling.  dist_eq
-    only matters to double_geodesic, refine (bisect the clearance
-    instead of one pass probe) only to the membership notions."""
+    only matters to double_geodesic."""
     if notion not in _DRAWS:
         raise ConfigError(f"unknown notion '{notion}'")
-    draw = _DRAWS[notion](cset, alpha, dist_eq, refine)
+    draw = _DRAWS[notion](cset, alpha, dist_eq)
     return _worst_case(notion, alpha, n_samples, rng, draw, tolerance)
 
 
-def estimate_alpha(cset, notion, n_samples, rng, rel_tol=0.02, dist_eq=None):
-    """Largest alpha (within rel_tol, relative) passing the checker at
-    the given sample budget.  Bisection over [0, 10/diameter]; every
-    probe replays the same sample stream so the pass/fail threshold is
-    sharp."""
+def estimate_alpha(cset, notion, n_samples, rng):
+    """Largest alpha (within 2%, relative) passing the checker at the
+    given sample budget, with the Riemannian distance.  Bisection over
+    [0, 10/diameter]; every probe replays the same sample stream so the
+    pass/fail threshold is sharp."""
     if cset.diameter is None:
         raise ConfigError("estimate_alpha: set needs a diameter hint")
     hi = 10.0 / cset.diameter
@@ -336,15 +344,13 @@ def estimate_alpha(cset, notion, n_samples, rng, rel_tol=0.02, dist_eq=None):
 
     def passes(alpha):
         prng = np.random.default_rng(probe_seed)
-        cert = run_checker(notion, cset, alpha, n_samples, prng,
-                           dist_eq=dist_eq, refine=False)
-        return cert.passed
+        return run_checker(notion, cset, alpha, n_samples, prng).passed
 
     if passes(hi):
         return hi
     lo = 0.0
     floor = 1e-7 * hi
-    while hi - lo > rel_tol * max(lo, floor):
+    while hi - lo > 0.02 * max(lo, floor):
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid
@@ -418,15 +424,16 @@ def riemannian_strong_convexity_radius(curv: CurvatureInfo, r_probe):
     return 0.5 * ratio * cap
 
 
-def strong_convexity_radius(curv: CurvatureInfo, tol=1e-10, max_iter=200):
+def strong_convexity_radius(curv: CurvatureInfo):
     """Fixed point of riemannian_strong_convexity_radius, iterated from
-    r0 = 1/(8K); +inf on flat space (any radius works there)."""
+    r0 = 1/(8K) to a relative step of 1e-10 within 200 iterations; +inf
+    on flat space (any radius works there)."""
     if curv.K == 0.0:
         return np.inf
     r = 1.0 / (8.0 * curv.K)
-    for _ in range(max_iter):
+    for _ in range(200):
         r_new = riemannian_strong_convexity_radius(curv, r)
-        if abs(r_new - r) <= tol * max(abs(r), 1e-30):
+        if abs(r_new - r) <= 1e-10 * max(abs(r), 1e-30):
             return float(r_new)
         r = r_new
     raise NumericsError("strong_convexity_radius: fixed point did not settle")

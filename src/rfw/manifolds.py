@@ -24,8 +24,9 @@ from .errors import ConfigError, ContractError, DomainError
 
 # series switch: below this tangent norm, exp/log use their flat limits
 SERIES_EPS = 1e-12
-# tolerance for base-point / tangency contract checks (loose on purpose,
-# accumulated roundoff in transported vectors sits far below this)
+# tolerances of the point check and of the base-point / tangency checks
+# (loose on purpose, roundoff in transported vectors sits far below it)
+POINT_TOL = 1e-10
 TANGENT_TOL = 1e-6
 
 
@@ -92,17 +93,17 @@ class Manifold:
 
     # --- validation ---------------------------------------------------
 
-    def check_point(self, x, tol=1e-10):
+    def check_point(self, x):
         """Raise ContractError unless x satisfies the embedding
-        constraint within tol."""
+        constraint within POINT_TOL."""
         raise NotImplementedError
 
-    def check_tangent(self, x, v, tol=TANGENT_TOL):
-        """Raise ContractError unless v is tangent at x within tol
+    def check_tangent(self, x, v):
+        """Raise ContractError unless v is tangent at x within TANGENT_TOL
         (relative to norm(v)); catches mismatched base points."""
         w = self.project_tangent(x, v)
         scale = max(_norm(v), 1.0)
-        if _norm(w - v) > tol * scale:
+        if _norm(w - v) > TANGENT_TOL * scale:
             raise ContractError(
                 f"{self.name}: vector is not tangent at the given base point")
 
@@ -156,12 +157,12 @@ class Euclidean(Manifold):
     def project_tangent(self, x, a):
         return np.asarray(a, dtype=float)
 
-    def check_point(self, x, tol=1e-10):
+    def check_point(self, x):
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
 
-    def check_tangent(self, x, v, tol=TANGENT_TOL):
+    def check_tangent(self, x, v):
         if np.asarray(v).shape != (self.n,):
             raise ContractError(f"{self.name}: tangent has wrong shape")
 
@@ -242,11 +243,11 @@ class Sphere(Manifold):
         a = float(np.dot(e, u))
         return u + a * ((np.cos(theta) - 1.0) * e - np.sin(theta) * x)
 
-    def check_point(self, x, tol=1e-10):
+    def check_point(self, x):
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if abs(_norm(x) - 1.0) > tol:
+        if abs(_norm(x) - 1.0) > POINT_TOL:
             raise ContractError(f"{self.name}: point is not unit norm")
 
     def random_point(self, rng):
@@ -338,11 +339,11 @@ class Hyperboloid(Manifold):
         a = self.minkowski(e, u)
         return u + a * ((np.cosh(theta) - 1.0) * e + np.sinh(theta) * x)
 
-    def check_point(self, x, tol=1e-10):
+    def check_point(self, x):
         x = np.asarray(x)
         if x.shape != (self.n + 1,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if abs(self.minkowski(x, x) + 1.0) > tol or x[0] <= 0.0:
+        if abs(self.minkowski(x, x) + 1.0) > POINT_TOL or x[0] <= 0.0:
             raise ContractError(f"{self.name}: point is not on the hyperboloid")
 
     def random_point(self, rng):
@@ -430,21 +431,21 @@ class Spd(Manifold):
         m = s @ half @ si  # = (y x^-1)^{1/2}
         return _sym(m @ u @ m.T)
 
-    def check_point(self, x, tol=1e-10):
+    def check_point(self, x):
         x = np.asarray(x)
         if x.shape != (self.n, self.n):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if _norm(x - x.T) > tol * max(_norm(x), 1.0):
+        if _norm(x - x.T) > POINT_TOL * max(_norm(x), 1.0):
             raise ContractError(f"{self.name}: point is not symmetric")
         if np.linalg.eigvalsh(_sym(x))[0] <= 0.0:
             raise ContractError(f"{self.name}: point is not positive definite")
 
-    def check_tangent(self, x, v, tol=TANGENT_TOL):
+    def check_tangent(self, x, v):
         v = np.asarray(v)
         if v.shape != (self.n, self.n):
             raise ContractError(f"{self.name}: tangent has wrong shape")
         scale = max(_norm(v), 1.0)
-        if _norm(v - v.T) > tol * scale:
+        if _norm(v - v.T) > TANGENT_TOL * scale:
             raise ContractError(f"{self.name}: tangent is not symmetric")
 
     def random_point(self, rng):
@@ -458,7 +459,7 @@ class Spd(Manifold):
         return np.eye(self.n)
 
 
-_FACTORIES = {
+MANIFOLDS = {
     "euclidean": Euclidean,
     "sphere": Sphere,
     "hyperboloid": Hyperboloid,
@@ -471,7 +472,7 @@ def make_manifold(name, n):
     sphere and Euclidean space, the intrinsic dimension for the
     hyperboloid, and the matrix size for spd."""
     try:
-        factory = _FACTORIES[name.lower()]
+        factory = MANIFOLDS[name.lower()]
     except KeyError:
         raise ConfigError(f"unknown manifold '{name}'") from None
     return factory(n)

@@ -38,12 +38,12 @@ def minimize_1d(fun, lo, hi, tol=1e-12):
     return x, fun(x)
 
 
-def bisect_root(fun, lo, hi, tol=1e-12, max_iter=200):
+def bisect_root(fun, lo, hi, tol=1e-12):
     """Bisection for a root of fun on [lo, hi].
 
     Requires fun(lo) and fun(hi) to have opposite signs (or one of them
     to vanish); raises BracketError otherwise.  Returns x with bracket
-    width <= tol.
+    width <= tol, or the midpoint after 200 halvings.
     """
     a, b = float(lo), float(hi)
     fa, fb = fun(a), fun(b)
@@ -55,7 +55,7 @@ def bisect_root(fun, lo, hi, tol=1e-12, max_iter=200):
         raise BracketError(
             f"bisect_root: no sign change on [{a:.6g}, {b:.6g}] "
             f"(f(lo)={fa:.6g}, f(hi)={fb:.6g})")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         if b - a <= tol:
             return m

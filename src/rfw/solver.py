@@ -116,8 +116,8 @@ def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,
             gap_tol=GAP_TOL_DEFAULT):
     """Run Frank-Wolfe from problem.x0; one trace row per iteration
     visited (the row for a converged iterate carries step 0).  Oracle or
-    geometry failures close the trace with status 'error' instead of
-    propagating."""
+    geometry failures, a non-finite value or gap, and a negative gap
+    close the trace with status 'error' instead of propagating."""
     rule = StepRule(rule)
     k = problem.kernel
     x = np.array(problem.x0, copy=True)
@@ -131,7 +131,7 @@ def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,
             trace.status = "error"
             break
         d = k.dist(x, v)
-        if gap < -1e-9:
+        if not (np.isfinite(fval) and np.isfinite(gap)) or gap < -1e-9:
             trace.append(t, fval, gap, 0.0, d)
             trace.status = "error"
             break

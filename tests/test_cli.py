@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_build_experiment_is_deterministic():
     assert ball1.radius == pytest.approx(
         cfg.radius_ratio * info1["dist_center_target"])
     assert p1.cset.membership(p1.x0)
+
+
+def test_build_experiment_random_center():
+    cfg = ExperimentConfig(**SMALL, center="random")
+    p1, ball1, info1 = build_experiment(cfg)
+    p2, ball2, info2 = build_experiment(cfg)
+    np.testing.assert_array_equal(ball1.center, ball2.center)
+    np.testing.assert_array_equal(p1.objective.matrix, p2.objective.matrix)
+    np.testing.assert_array_equal(p1.objective.target, p2.objective.target)
+    assert info1 == info2
+    assert np.linalg.norm(ball1.center) == pytest.approx(1.0, abs=1e-12)
+    _, ones, _ = build_experiment(ExperimentConfig(**SMALL))
+    assert np.linalg.norm(ball1.center - ones.center) > 1e-3
+    _, other, _ = build_experiment(replace(cfg, seed=cfg.seed + 1))
+    assert np.linalg.norm(ball1.center - other.center) > 1e-3
+    np.testing.assert_array_equal(p1.x0, ball1.center)
 
 
 def test_tail_fit_exact_decay():

@@ -351,19 +351,44 @@ def test_certificate_json_roundtrip():
     assert not back.passed
 
 
+@pytest.mark.parametrize("radius, alpha, n", [(1.2, 4.0, 50), (0.3, 1.0, 0)],
+                         ids=["domain_error", "no_samples"])
+def test_non_finite_margin_is_strict_json(radius, alpha, n):
+    # a domain error gives margin -inf, an empty sample +inf
+    k = Sphere(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), radius))
+    cert = run_checker("approx_scaling", cs, alpha, n,
+                       np.random.default_rng(0))
+    assert not np.isfinite(cert.worst_margin)
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    d = json.loads(cert.to_json(), parse_constant=reject)
+    assert d["worst_margin"] is None
+    back = certificate_from_dict(d)
+    assert back.passed == cert.passed
+    assert back.worst_margin == cert.worst_margin
+    if n:
+        assert "domain_error" in d["witness"]
+        assert back.witness["margin"] == cert.witness["margin"] == -np.inf
+
+
 def test_certificate_pass_tolerance():
     assert ConvexityCertificate("geodesic", 1.0, 1, -5e-9, {}, 1e-8).passed
     assert not ConvexityCertificate("geodesic", 1.0, 1, -2e-8, {}, 1e-8).passed
 
 
-@pytest.mark.parametrize("refine", [True, False])
+# the seed ids are those of an earlier boolean axis, so that each case
+# keeps its id
+@pytest.mark.parametrize("seed", [17, 18], ids=["True", "False"])
 @pytest.mark.parametrize("kernel, radius", [
     (Euclidean(2), 1.0), (Sphere(3), 0.4), (Spd(3), 1.0)])
 def test_geodesic_is_double_geodesic_with_riemannian_distance(kernel, radius,
-                                                              refine):
+                                                              seed):
     cs = ball_set(GeodesicBall(kernel, kernel.base_point(), radius))
-    certs = [run_checker(notion, cs, 1.5, 40, np.random.default_rng(17),
-                         refine=refine).to_dict()
+    certs = [run_checker(notion, cs, 1.5, 40,
+                         np.random.default_rng(seed)).to_dict()
              for notion in ("geodesic", "double_geodesic")]
     for cert in certs:
         cert.pop("notion")
@@ -420,7 +445,7 @@ def test_pruned_certificate_equals_full_refinement(kernel, radius, good, bad,
     n = 40
     for alpha, passes in ((good, True), (bad, False)):
         rng = np.random.default_rng(seed)
-        draw = _DRAWS[notion](cs, alpha, None, True)
+        draw = _DRAWS[notion](cs, alpha, None)
         worst, witness = np.inf, {}
         for _ in range(n):
             margin, wit = draw(rng, np.inf)
@@ -444,9 +469,9 @@ def test_ray_margin_prunes_only_samples_that_cannot_lower_worst():
                         (5.0, 0.3)):
         cs = ConvexSet(Euclidean(2), lambda z, c=c: z <= c,
                        lambda rng: 0.0, diameter=2.0)
-        full = _ray_margin(cs, lambda s: s, required, True, np.inf)
+        full = _ray_margin(cs, lambda s: s, required, np.inf)
         for worst in list(full + offsets) + [-required - 1.0, np.inf]:
-            margin = _ray_margin(cs, lambda s: s, required, True, worst)
+            margin = _ray_margin(cs, lambda s: s, required, worst)
             if margin is None:
                 assert not full < worst
             else:

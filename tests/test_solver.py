@@ -228,3 +228,25 @@ def test_adversarial_oracle_sets_error_status():
     problem = RfwProblem(k, obj, bad, 1.0, np.zeros(3))
     trace, _ = rfw_run(problem, max_iter=10)
     assert trace.status == "error"
+
+
+@pytest.mark.parametrize("poison", ["value", "grad"])
+def test_non_finite_value_or_gap_is_an_error(poison):
+    # a NaN gradient makes the oracle vertex and the gap NaN; a NaN value
+    # with a finite gradient would otherwise run to convergence
+    k = Sphere(5)
+    center = np.ones(5) / np.sqrt(5.0)
+    ball = GeodesicBall(k, center, 0.5)
+    obj = QuadraticOnEmbedded.random(k, 10, np.random.default_rng(0))
+
+    class Poisoned:
+        def value_grad(self, x):
+            fval, grad = obj.value_grad(x)
+            if poison == "value":
+                return np.nan, grad
+            return fval, np.full_like(grad, np.nan)
+
+    problem = RfwProblem(k, Poisoned(), ball_set(ball), obj.L, center)
+    trace, _ = rfw_run(problem, max_iter=20)
+    assert trace.status == "error"
+    assert len(trace) == 1
