@@ -31,6 +31,7 @@ ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 class LmoResult:
     vertex: np.ndarray
     objective: float
+    log: np.ndarray
     phi: Optional[float] = None
 
 
@@ -83,11 +84,15 @@ class GeodesicBall:
         0.  Euclidean balls have the vertex in closed form."""
         k, x0, r = self.kernel, self.center, self.radius
         if isinstance(k, Euclidean):
+            k.check_tangent(x, w)
             nw = _norm(w)
             if nw < 1e-15:
                 raise ContractError("lmo: zero direction")
+            if not self.membership(x):
+                raise ContractError("lmo: x is outside the ball")
             v = x0 + r * (w / nw)
-            return LmoResult(v, float(np.dot(w, v - x)))
+            lx = v - x
+            return LmoResult(v, float(np.dot(w, lx)), lx)
         if isinstance(k, Sphere):
             a = max(float(np.dot(x0, x)), np.cos(r))
             exit_along = lambda p: alpha_phi_sphere(a, p @ x0, np.cos(r))
@@ -198,7 +203,8 @@ def _plane_search(w, x, ball, exit_along):
         phi = _PHI_STEPS * ((hi - lo) / (PHI_GRID - 1)) + lo
         phi[-1] = hi
     v = k.exp(x, alpha[i] * p[i])
-    return LmoResult(v, k.inner(x, w, k.log(x, v)), phi=float(phi[i]))
+    lx = k.log(x, v)
+    return LmoResult(v, k.inner(x, w, lx), lx, phi=float(phi[i]))
 
 
 def _exit_distance(ball, x, p, hi):

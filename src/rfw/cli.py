@@ -51,6 +51,11 @@ class ExperimentConfig:
     center: str = "ones"  # "ones" or "random"
 
     def validate(self):
+        for f in fields(self):
+            kinds = (int, float) if f.type is float else f.type
+            if not isinstance(getattr(self, f.name), kinds):
+                raise ConfigError(
+                    f"config field {f.name} must be {f.type.__name__}")
         if self.manifold != "sphere":
             raise ConfigError("run-experiment is defined on the sphere")
         if self.ambient_dim < 2 or self.gram_rows < 1:
@@ -61,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError("center must be 'ones' or 'random'")
         if self.max_iter < 1 or self.gap_tol < 0.0:
             raise ConfigError("bad solver limits in config")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def to_json(self, **kw):
         return json.dumps(asdict(self), **kw)
@@ -170,8 +177,13 @@ def cmd_run_experiment(args):
     else:
         config = ExperimentConfig()
     if args.config is not None:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
         config = ExperimentConfig.from_dict({**asdict(config), **file_cfg})
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -199,6 +211,8 @@ def cmd_run_experiment(args):
 
 
 def cmd_certify(args):
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
     kernel = make_manifold(args.manifold, args.dim)
     ball = GeodesicBall(kernel, kernel.base_point(), args.radius)
     cset = ball_set(ball)
@@ -217,6 +231,9 @@ def cmd_certify(args):
 
 
 def cmd_lmo_test(args):
+    if min(args.instances, args.grid, args.random_points) < 1:
+        raise ConfigError(
+            "--instances, --grid and --random-points must be >= 1")
     kernel = make_manifold(args.manifold, args.dim)
     ball = GeodesicBall(kernel, kernel.base_point(), args.radius)
     rng = np.random.default_rng(args.seed)

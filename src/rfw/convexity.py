@@ -42,7 +42,10 @@ DEFAULT_CERT_TOL = 1e-8
 class ConvexSet:
     """A set presented through predicates: membership test, interior
     sampler, and (when available) a linear minimization oracle
-    (w, x) -> vertex maximizing <w, log_x(.)>."""
+    (w, x) -> LmoResult with the vertex v maximizing <w, log_x(.)>, the
+    objective <w, log_x(v)>, log_x(v) and the search angle phi.  The
+    solver and the scaling certifiers take the gap and log_x(v) from
+    the result."""
 
     kernel: Manifold
     membership: Callable
@@ -56,9 +59,7 @@ class ConvexSet:
 
 
 def ball_set(ball: GeodesicBall) -> ConvexSet:
-    lmo = None
-    if isinstance(ball.kernel, ORACLE_KERNELS):
-        lmo = lambda w, x: ball.lmo(w, x).vertex
+    lmo = ball.lmo if isinstance(ball.kernel, ORACLE_KERNELS) else None
     return ConvexSet(kernel=ball.kernel, membership=ball.membership,
                      sampler=ball.sample, lmo=lmo, diameter=ball.diameter)
 
@@ -272,9 +273,8 @@ def _scaling(cset, alpha, dist_eq):
     def draw(rng, worst):
         x = cset.sampler(rng)
         w = k.random_unit_tangent(x, rng)
-        v = cset.lmo(w, x)
-        lx = k.log(x, v)
-        lhs = k.inner(x, w, lx)
+        res = cset.lmo(w, x)
+        v, lhs, lx = res.vertex, res.objective, res.log
         margin = lhs - alpha * k.inner(x, lx, lx)
         return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
                         "margin": margin}
@@ -295,12 +295,12 @@ def _approx_scaling(cset, alpha, dist_eq):
     def draw(rng, worst):
         x = cset.sampler(rng)
         w = k.random_unit_tangent(x, rng)
-        v = cset.lmo(w, x)
-        lx = k.log(x, v)
+        res = cset.lmo(w, x)
+        v, lx = res.vertex, res.log
         d = k.dist(x, v)
         if d < 1e-12:
             return None  # degenerate set; nothing to certify at this point
-        mid = k.geodesic(x, v, 0.5)
+        mid = k.exp(x, 0.5 * lx)
         zstar = k.transport(x, mid, w)  # unit: transport is an isometry
         omega = k.transport(mid, x, (0.25 * alpha * d * d) * zstar)
         try:
@@ -308,9 +308,8 @@ def _approx_scaling(cset, alpha, dist_eq):
         except DomainError as exc:
             return -np.inf, {"x": x, "w": w, "vertex": v,
                              "domain_error": str(exc), "margin": -np.inf}
-        lhs = k.inner(x, w, lx)
-        margin = lhs - alpha * d * d - k.inner(x, w, r_x)
-        return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
+        margin = res.objective - alpha * d * d - k.inner(x, w, r_x)
+        return margin, {"x": x, "w": w, "vertex": v, "lhs": res.objective,
                         "residual": r_x, "margin": margin}
     return draw
 

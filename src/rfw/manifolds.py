@@ -100,7 +100,10 @@ class Manifold:
 
     def check_tangent(self, x, v):
         """Raise ContractError unless v is tangent at x within TANGENT_TOL
-        (relative to norm(v)); catches mismatched base points."""
+        (relative to norm(v)); catches mismatched base points and
+        shapes."""
+        if np.shape(v) != np.shape(x):
+            raise ContractError(f"{self.name}: tangent has wrong shape")
         w = self.project_tangent(x, v)
         scale = max(_norm(v), 1.0)
         if _norm(w - v) > TANGENT_TOL * scale:
@@ -162,10 +165,6 @@ class Euclidean(Manifold):
         if x.shape != (self.n,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
 
-    def check_tangent(self, x, v):
-        if np.asarray(v).shape != (self.n,):
-            raise ContractError(f"{self.name}: tangent has wrong shape")
-
     def random_point(self, rng):
         return rng.standard_normal(self.n)
 
@@ -195,7 +194,8 @@ class Sphere(Manifold):
 
     def inner(self, x, u, v):
         self.check_tangent(x, u)
-        self.check_tangent(x, v)
+        if v is not u:
+            self.check_tangent(x, v)
         return float(np.dot(u, v))
 
     def project_tangent(self, x, a):
@@ -287,7 +287,8 @@ class Hyperboloid(Manifold):
 
     def inner(self, x, u, v):
         self.check_tangent(x, u)
-        self.check_tangent(x, v)
+        if v is not u:
+            self.check_tangent(x, v)
         return self.minkowski(u, v)
 
     def project_tangent(self, x, a):
@@ -395,7 +396,8 @@ class Spd(Manifold):
 
     def inner(self, x, u, v):
         self.check_tangent(x, u)
-        self.check_tangent(x, v)
+        if v is not u:
+            self.check_tangent(x, v)
         xu = np.linalg.solve(x, u)
         xv = np.linalg.solve(x, v)
         return float(np.sum(xu * xv.T))

@@ -107,9 +107,8 @@ def fw_vertex(problem, x, grad=None):
     w = -grad
     if k.norm(x, w) < 1e-15:
         return x, 0.0, np.zeros_like(grad)
-    v = problem.cset.lmo(w, x)
-    lx = k.log(x, v)
-    return v, k.inner(x, w, lx), lx
+    res = problem.cset.lmo(w, x)
+    return res.vertex, res.objective, res.log
 
 
 def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,

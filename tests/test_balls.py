@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from rfw import (ConfigError, Euclidean, GeodesicBall, Hyperboloid,
+from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
+                 Hyperboloid,
                  NoIntersectionError, Spd, Sphere, alpha_phi_sphere,
                  boundary_section_grid, lmo_brute_force,
                  lmo_constant_curvature_ball, random_boundary_best)
-from rfw.balls import _alpha_phi_bisect, _section_frame, grid_objectives
+from rfw.balls import (ORACLE_KERNELS, _alpha_phi_bisect, _section_frame,
+                       grid_objectives)
 
 
 def sphere_ball(n=3, r=0.8, seed=0):
@@ -46,6 +48,7 @@ def test_euclidean_lmo_closed_form():
         res = ball.lmo(w, x)
         expect = ball.center + ball.radius * w / np.linalg.norm(w)
         np.testing.assert_allclose(res.vertex, expect, atol=1e-12)
+        np.testing.assert_array_equal(res.log, k.log(x, res.vertex))
         assert res.objective == pytest.approx(float(w @ (expect - x)))
 
 
@@ -69,8 +72,8 @@ def test_sphere_lmo_consistent_objective():
     x = ball.sample(rng)
     w = k.random_unit_tangent(x, rng)
     res = ball.lmo(w, x)
-    assert res.objective == pytest.approx(
-        k.inner(x, w, k.log(x, res.vertex)), abs=1e-12)
+    np.testing.assert_array_equal(res.log, k.log(x, res.vertex))
+    assert res.objective == k.inner(x, w, res.log)
 
 
 def test_sphere_lmo_from_center():
@@ -140,6 +143,16 @@ def test_lmo_finds_boundary_wedge(k, radius):
         w = normal + 1e-2 * t / k.norm(x, t)
         _, brute = lmo_brute_force(ball, w, x, 20000)
         assert ball.lmo(w, x).objective >= brute - 1e-9
+
+
+@pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
+def test_lmo_rejects_point_outside_ball(cls):
+    k = cls(3)
+    ball = GeodesicBall(k, k.base_point(), 0.5)
+    rng = np.random.default_rng(0)
+    x = k.exp(ball.center, 1.0 * k.random_unit_tangent(ball.center, rng))
+    with pytest.raises(ContractError, match="outside the ball"):
+        ball.lmo(k.random_unit_tangent(x, rng), x)
 
 
 def test_spd_ball_has_no_oracle():

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rfw
 
@@ -52,3 +53,54 @@ def test_tracer_hooks_count_and_restore():
         after = vars(owner)
         assert set(after) == set(attrs), owner
         assert all(after[name] is value for name, value in attrs.items()), owner
+
+
+def _traced(run):
+    tracer = _tracing_module().Tracer()
+    tracer.install(rfw)
+    try:
+        out = run()
+    finally:
+        tracer.uninstall()
+    return tracer, out
+
+
+@pytest.mark.parametrize("kernel,radius", [(rfw.Sphere(3), 0.3),
+                                           (rfw.Hyperboloid(3), 1.0)],
+                         ids=["sphere", "hyperboloid"])
+@pytest.mark.parametrize("notion,logs,checks", [("scaling", 2, 14),
+                                                ("approx_scaling", 6, 18)])
+def test_scaling_certifier_call_budget(kernel, radius, notion, logs, checks):
+    """The scaling certifiers take the gap and log_x(v) from the oracle's
+    answer and check a repeated tangent once: exact kernel call counts
+    per sample, so a recomputation shows up as a failure here."""
+    n, tag = 10, type(kernel).__name__.lower()
+
+    def run():
+        ball = rfw.GeodesicBall(kernel, kernel.base_point(), radius)
+        return rfw.convexity.run_checker(notion, rfw.ball_set(ball), 0.5, n,
+                                         np.random.default_rng(0))
+
+    tracer, _ = _traced(run)
+    assert tracer.counts[f"convexity.{tag}.{notion}.samples"] == n
+    assert tracer.stat("balls.lmo")[0] == n
+    assert tracer.stat(f"manifolds.{tag}.log")[0] == logs * n
+    assert tracer.stat(f"manifolds.{tag}.check_tangent")[0] == checks * n
+
+
+def test_solver_call_budget():
+    """Per iteration the solver calls log twice, both in the oracle (to
+    the center and to the vertex); the gap and the step reuse the
+    oracle's log_x(v)."""
+    k = rfw.Sphere(5)
+    center = np.ones(5) / np.sqrt(5.0)
+
+    def run():
+        obj = rfw.QuadraticOnEmbedded.random(k, 10, np.random.default_rng(0))
+        ball = rfw.GeodesicBall(k, center, 0.5)
+        problem = rfw.RfwProblem(k, obj, rfw.ball_set(ball), obj.L, center)
+        return rfw.rfw_run(problem, max_iter=50)[0]
+
+    tracer, trace = _traced(run)
+    assert len(trace) > 1
+    assert tracer.stat("manifolds.sphere.log")[0] == 2 * len(trace)

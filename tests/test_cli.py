@@ -44,6 +44,8 @@ def test_config_roundtrip_and_unknown_keys():
     {"center": "mid"},
     {"max_iter": 0},
     {"gap_tol": -1.0},
+    {"ambient_dim": "x"},
+    {"seed": -1},
 ])
 def test_config_validate_rejects(bad):
     with pytest.raises(ConfigError):
@@ -245,6 +247,32 @@ def test_lmo_test_euclidean(capsys):
                "--random-points", "200"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--radius", "0.3", "--alpha", "100", "--samples", "0"],
+    ["certify", "--radius", "0.3", "--alpha", "100", "--samples", "-5"],
+    ["lmo-test", "--instances", "0"],
+    ["lmo-test", "--grid", "0"],
+    ["lmo-test", "--random-points", "0"],
+])
+def test_empty_runs_are_rejected(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]", '{"ambient_dim": "x"}',
+                                     "{not json"],
+                         ids=["missing", "list", "bad_type", "bad_json"])
+def test_bad_config_file_is_rejected(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    rc = main(["run-experiment", "--config", str(path),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_module_entry_point_and_logging(tmp_path):

@@ -180,6 +180,17 @@ def test_inner_rejects_non_tangent_arguments():
         k.inner(e1, e1, np.eye(3)[1])
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=kid)
+def test_wrong_shape_tangent_is_a_contract_error(kernel):
+    x = kernel.base_point()
+    for v in (np.zeros(x.size + 1), np.ones(x.shape + (1,))):
+        with pytest.raises(ContractError):
+            kernel.check_tangent(x, v)
+        if not isinstance(kernel, Euclidean):
+            with pytest.raises(ContractError):
+                kernel.inner(x, v, v)
+
+
 def test_curvature_info():
     assert Sphere(3).curvature.kappa_min == 1.0
     assert Sphere(3).curvature.K == 1.0

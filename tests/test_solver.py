@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rfw import (ConfigError, ContractError, ConvexSet, Euclidean,
-                 GeodesicBall, QuadraticOnEmbedded, RfwProblem, Sphere,
-                 StepRule, ball_set, contraction_check, estimate_alpha,
+                 GeodesicBall, LmoResult, QuadraticOnEmbedded, RfwProblem,
+                 Sphere, StepRule, ball_set, contraction_check, estimate_alpha,
                  fw_vertex, lmo_brute_force, load_trace_csv,
                  min_gradient_norm, rfw_run, short_step)
 from helpers import ball_quadratic_fstar
@@ -222,11 +222,30 @@ def test_adversarial_oracle_sets_error_status():
     ball = GeodesicBall(k, np.zeros(3), 1.0)
     obj = QuadraticOnEmbedded(k, np.eye(3), np.array([3.0, 0.0, 0.0]))
     cs = ball_set(ball)
+
+    def adversarial(w, x):
+        v = -w / np.linalg.norm(w)
+        return LmoResult(v, float(np.dot(w, v - x)), v - x)
+
     bad = ConvexSet(kernel=k, membership=cs.membership, sampler=cs.sampler,
-                    lmo=lambda w, x: -w / np.linalg.norm(w),
-                    diameter=cs.diameter)
+                    lmo=adversarial, diameter=cs.diameter)
     problem = RfwProblem(k, obj, bad, 1.0, np.zeros(3))
     trace, _ = rfw_run(problem, max_iter=10)
+    assert trace.status == "error"
+
+
+@pytest.mark.parametrize("k", [Sphere(5), Euclidean(5)],
+                         ids=lambda k: type(k).__name__)
+def test_wrong_shape_gradient_sets_error_status(k):
+    center = np.ones(5) / np.sqrt(5.0)
+
+    class WrongShape:
+        def value_grad(self, x):
+            return 0.0, np.ones(6)
+
+    cset = ball_set(GeodesicBall(k, center, 0.5))
+    problem = RfwProblem(k, WrongShape(), cset, 1.0, center)
+    trace, _ = rfw_run(problem, max_iter=5)
     assert trace.status == "error"
 
 
