@@ -5,10 +5,22 @@ direction w at a feasible point x.  On constant-curvature manifolds the
 maximizer lies on the ball boundary inside the totally geodesic surface
 spanned by log_x(center) and w, which reduces the problem to one angle
 phi: the vertex is exp_x(alpha(phi) p(phi)) with p(phi) a unit vector in
-that plane and alpha(phi) the travel distance to the boundary.  The
-oracle `GeodesicBall.lmo` has it in closed form on the ORACLE_KERNELS;
-the reference `lmo_constant_curvature_ball` finds it by bisection.
+that plane and alpha(phi) the travel distance to the boundary.
+
+`GeodesicBall.lmo` is the oracle on the ORACLE_KERNELS.  On the sphere
+and the hyperboloid alpha has a closed form in b(phi), the (Minkowski)
+product of the center with p(phi).  Two 33-point phi grids locate the
+maximizer of alpha(phi) cos(phi), the second one confined to the
+feasible wedge at a boundary point.  Safeguarded Newton steps on the
+stationarity condition then pin it down, with alpha's b-derivatives
+from implicit differentiation of the exit equation.  Only w is checked
+at the entry; the frame, log_x(center) and log_x(v) are built there and
+go unchecked.  The reference `lmo_constant_curvature_ball` takes the
+same grid with travel distances found by bisection, and refines it by
+a golden-section value search.
 """
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -17,13 +29,13 @@ from typing import Optional
 from .errors import (BracketError, ConfigError, ContractError,
                      NoIntersectionError, NumericsError)
 from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _norm
-from .scalars import bisect_root
+from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
-LMO_TOL = 1e-12  # final phi bracket, and the reference's bisection
-# points per grid of the oracles' phi search, and per zoom round
-PHI_GRID = 33
-_PHI_STEPS = np.arange(PHI_GRID, dtype=float)
+LMO_TOL = 1e-12  # phi resolution of both refinements and of the bisection
+PHI_GRID = 33  # points per grid of the oracles' phi search
+_UNIT_GRID = np.linspace(0.0, 1.0, PHI_GRID)
+NEWTON_STEPS = 100  # cap; pure bisection of a grid bracket needs ~40
 ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 
@@ -81,7 +93,10 @@ class GeodesicBall:
         and b the (Minkowski) inner products of the center with x and p.
         a is snapped so that a point within the membership tolerance
         outside the ball counts as on its boundary: outward rays exit at
-        0.  Euclidean balls have the vertex in closed form."""
+        0.  Along the search plane b(phi) = cos(phi) b1 + sin(phi) b2 is
+        a scalar, so the grid takes one vectorized exit-distance call
+        and the refinement plain floats.  Euclidean balls have the
+        vertex in closed form."""
         k, x0, r = self.kernel, self.center, self.radius
         if isinstance(k, Euclidean):
             k.check_tangent(x, w)
@@ -94,15 +109,24 @@ class GeodesicBall:
             lx = v - x
             return LmoResult(v, float(np.dot(w, lx)), lx)
         if isinstance(k, Sphere):
-            a = max(float(np.dot(x0, x)), np.cos(r))
-            exit_along = lambda p: alpha_phi_sphere(a, p @ x0, np.cos(r))
+            c = math.cos(r)
+            a = max(float(np.dot(x0, x)), c)
+            product, exit_grid, exit_at = (np.dot, alpha_phi_sphere,
+                                           _exit_sphere)
         elif isinstance(k, Hyperboloid):
-            a = min(-k.minkowski(x0, x), np.cosh(r))
-            exit_along = lambda p: _alpha_phi_hyperboloid(
-                a, p[:, 1:] @ x0[1:] - p[:, 0] * x0[0], np.cosh(r))
+            c = math.cosh(r)
+            a = min(-k.minkowski(x0, x), c)
+            product, exit_grid, exit_at = (k.minkowski, _alpha_phi_hyperboloid,
+                                           _exit_hyperboloid)
         else:
             raise ConfigError(f"lmo: no oracle for kernel {k.name}")
-        return _plane_search(w, x, self, exit_along)
+
+        def search(u1, u2, grid):
+            b1, b2 = float(product(x0, u1)), float(product(x0, u2))
+            alpha = exit_grid(a, np.cos(grid) * b1 + np.sin(grid) * b2, c)
+            return _stationary_phi(grid, alpha, b1, b2,
+                                   lambda b: exit_at(a, b, c))
+        return _plane_search(w, x, self, search)
 
 
 def alpha_phi_sphere(a, b, c):
@@ -116,7 +140,8 @@ def alpha_phi_sphere(a, b, c):
     a scan-and-bisect root search.
     """
     b = np.asarray(b, dtype=float)
-    disc = a * a + b * b - c * c
+    # factored so that a = c (x on the boundary) leaves disc = b^2 exactly
+    disc = (a - c) * (a + c) + b * b
     if np.any(disc < 0.0):
         raise NoIntersectionError(
             f"alpha_phi_sphere: ray misses the boundary "
@@ -139,7 +164,7 @@ def _alpha_phi_hyperboloid(a, b, c):
     """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, over an
     array b: t = e^s solves (a - b) t^2 - 2c t + (a + b) = 0 with
     a - b > 0; t < 1 is roundoff on an outward ray from the boundary."""
-    t = (c + np.sqrt(c * c - a * a + b * b)) / (a - b)
+    t = (c + np.sqrt((c - a) * (c + a) + b * b)) / (a - b)
     return np.log(np.maximum(t, 1.0))
 
 
@@ -155,26 +180,68 @@ def _alpha_phi_bisect(a, b, c):
     raise NumericsError("alpha_phi_sphere: no root located on (0, 2pi]")
 
 
+def _exit_sphere(a, b, c):
+    """alpha_phi_sphere for one b in the oracle's regime (a >= c > 0),
+    in float arithmetic, with its first two b-derivatives."""
+    root = math.sqrt((a - c) * (a + c) + b * b)
+    s = 2.0 * math.atan(max(b + root, 0.0) / (a + c))
+    return _exit_slopes(c, s, math.sin(s), math.cos(s), root)
+
+
+def _exit_hyperboloid(a, b, c):
+    """_alpha_phi_hyperboloid for one b, with its first two
+    b-derivatives."""
+    root = math.sqrt((c - a) * (c + a) + b * b)
+    s = math.log(max((c + root) / (a - b), 1.0))
+    return _exit_slopes(c, s, math.sinh(s), math.cosh(s), root)
+
+
+def _exit_slopes(c, s, sn, cs, root):
+    """(s, ds/db, d2s/db2) for the exit root s of a cos(s) + b sin(s) = c
+    (sn, cs = sin s, cos s) or of a cosh(s) - b sinh(s) = c (sinh,
+    cosh).  Differentiating the equation in b gives ds/db = sn / D with
+    D = a sn - b cs, and, since dD/db = c ds/db - cs, d2s/db2 =
+    ds/db (2 cs - c ds/db) / D.  At the exit D equals root, the square
+    root of the discriminant: (a cs + b sn)^2 + D^2 = a^2 + b^2 (on the
+    hyperboloid (a cs - b sn)^2 - D^2 = a^2 - b^2), so D carries no
+    cancellation.  An outward ray from the boundary exits at s = 0 for
+    every nearby b."""
+    if sn == 0.0:
+        return s, 0.0, 0.0
+    d1 = sn / root
+    return s, d1, d1 * (2.0 * cs - c * d1) / root
+
+
 def _section_frame(kernel, x, w, norm_w, g):
     """Orthonormal pair (u1, u2) at x spanning the oracle's search
     plane: u1 along w, u2 the component of g = log_x(center) orthogonal
-    to it.  Returns (u1, None) when the plane degenerates to a line."""
+    to it.  Returns (u1, None) when the plane degenerates to a line.
+    w and g are tangent at x by the caller's word (unchecked)."""
     u1 = w / norm_w
-    g_perp = g - kernel.inner(x, u1, g) * u1
-    n_perp = np.sqrt(max(kernel.inner(x, g_perp, g_perp), 0.0))
-    scale = max(np.sqrt(max(kernel.inner(x, g, g), 0.0)), 1.0)
+    g_perp = g - kernel._inner(x, u1, g) * u1
+    # when g is nearly along w the remainder is short, and its roundoff
+    # along u1 and off the tangent space would grow by 1/n_perp: a
+    # second Gram-Schmidt pass and a projection remove it
+    g_perp = kernel.project_tangent(
+        x, g_perp - kernel._inner(x, u1, g_perp) * u1)
+    n_perp = np.sqrt(max(kernel._inner(x, g_perp, g_perp), 0.0))
+    scale = max(np.sqrt(max(kernel._inner(x, g, g), 0.0)), 1.0)
     if n_perp <= 1e-10 * scale:
         return u1, None
     return u1, g_perp / n_perp
 
 
-def _plane_search(w, x, ball, exit_along):
-    """Oracle vertex given exit_along, the travel distances alpha along
-    rows of unit directions at x: maximize alpha cos(phi) over
-    p = cos(phi) u1 + sin(phi) u2 on a grid of phi in [-pi/2, pi/2] and
-    one over its inward half-plane (from a boundary point only that
-    wedge is feasible, and it can be narrower than the first grid's
-    spacing), then zoom the best bracket down to width LMO_TOL."""
+def _plane_search(w, x, ball, search):
+    """Oracle vertex: maximize F(phi) = alpha(phi) cos(phi), alpha the
+    travel distance to the boundary along p = cos(phi) u1 + sin(phi) u2.
+    The grid is one over phi in [-pi/2, pi/2] and one over its inward
+    half-plane (from a boundary point only that wedge is feasible, and
+    it can be narrower than the first grid's spacing);
+    search(u1, u2, grid) returns the refined (phi, alpha).
+
+    The contract is checked here, once: w is tangent at x (through its
+    norm) and x is in the ball.  Every later product is between vectors
+    built at x, and goes unchecked."""
     k = ball.kernel
     norm_w = k.norm(x, w)
     if norm_w < 1e-15:
@@ -185,26 +252,65 @@ def _plane_search(w, x, ball, exit_along):
     u1, u2 = _section_frame(k, x, w, norm_w, g)
     if u2 is None:
         # center, or center aligned with w: optimum is along w itself
-        u2, phi = np.zeros_like(u1), np.zeros(1)
+        u2, grid = np.zeros_like(u1), np.zeros(1)
     else:
-        psi = np.arctan2(k.inner(x, g, u2), k.inner(x, g, u1))
+        psi = math.atan2(k._inner(x, g, u2), k._inner(x, g, u1))
         half = 0.5 * np.pi
-        phi = np.sort(np.concatenate((
-            np.linspace(-half, half, PHI_GRID),
-            np.linspace(max(-half, psi - half), half, PHI_GRID))))
-    while True:
-        p = np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2
-        alpha = exit_along(p)
-        i = int(np.argmax(alpha * np.cos(phi)))
-        lo, hi = phi[max(i - 1, 0)], phi[min(i + 1, len(phi) - 1)]
-        if hi - lo <= LMO_TOL:
-            break
-        # np.linspace(lo, hi, PHI_GRID), bit for bit, without its overhead
-        phi = _PHI_STEPS * ((hi - lo) / (PHI_GRID - 1)) + lo
-        phi[-1] = hi
-    v = k.exp(x, alpha[i] * p[i])
+        edge = max(-half, psi - half)
+        grid = np.sort(np.concatenate((np.pi * _UNIT_GRID - half,
+                                       (half - edge) * _UNIT_GRID + edge)))
+    phi, alpha = search(u1, u2, grid)
+    v = k.exp(x, alpha * (math.cos(phi) * u1 + math.sin(phi) * u2))
     lx = k.log(x, v)
-    return LmoResult(v, k.inner(x, w, lx), lx, phi=float(phi[i]))
+    return LmoResult(v, k._inner(x, w, lx), lx, phi=phi)
+
+
+def _grid_bracket(grid, alpha):
+    """The grid maximizer of alpha cos(phi) between its neighbours, as
+    (lo, best, hi)."""
+    i = int(np.argmax(alpha * np.cos(grid)))
+    return (float(grid[max(i - 1, 0)]), float(grid[i]),
+            float(grid[min(i + 1, len(grid) - 1)]))
+
+
+def _stationary_phi(grid, alpha, b1, b2, exit_at):
+    """Refine the grid maximizer of F(phi) = alpha(b(phi)) cos(phi),
+    b = cos(phi) b1 + sin(phi) b2, to the root of F'(phi) = alpha'
+    cos(phi) - alpha sin(phi) between its grid neighbours, by Newton
+    steps on F' with F'' from the derivatives of exit_at(b) = (alpha,
+    dalpha/db, d2alpha/db2).  A step that leaves the bracket, or meets
+    F'' >= 0, is a bisection.  Where F' does not change sign across the
+    bracket (a flat run of outward rays, or a kink at the wedge edge),
+    a golden-section value search takes over.  Returns (phi, alpha)."""
+    lo, phi, hi = _grid_bracket(grid, alpha)
+
+    def slopes(phi):
+        cp, sp = math.cos(phi), math.sin(phi)
+        b, db = cp * b1 + sp * b2, cp * b2 - sp * b1
+        s, ds, dds = exit_at(b)
+        s1 = ds * db
+        s2 = dds * db * db - ds * b  # d2b/dphi2 = -b
+        return s * cp, s1 * cp - s * sp, s2 * cp - 2.0 * s1 * sp - s * cp
+
+    if slopes(lo)[1] > 0.0 > slopes(hi)[1]:
+        for _ in range(NEWTON_STEPS):
+            _, f1, f2 = slopes(phi)
+            if f1 > 0.0:
+                lo = phi
+            elif f1 < 0.0:
+                hi = phi
+            else:
+                break
+            step = phi - f1 / f2 if f2 < 0.0 else hi
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - phi) <= LMO_TOL:
+                phi = step
+                break
+            phi = step
+    elif hi > lo:
+        phi, _ = minimize_1d(lambda t: -slopes(t)[0], lo, hi, tol=LMO_TOL)
+    return phi, exit_at(math.cos(phi) * b1 + math.sin(phi) * b2)[0]
 
 
 def _exit_distance(ball, x, p, hi):
@@ -229,16 +335,24 @@ def _exit_distance(ball, x, p, hi):
 
 
 def lmo_constant_curvature_ball(w, x, ball):
-    """Reference oracle for balls on the ORACLE_KERNELS: the search of
-    `GeodesicBall.lmo` with travel distances found by bisection.  Slow;
-    the tests and `rfw lmo-test` cross-check with it."""
+    """Reference oracle for balls on the ORACLE_KERNELS: the grid of
+    `GeodesicBall.lmo` with travel distances found by bisection, and
+    its bracket refined by a golden-section value search.  Slow; the
+    tests and `rfw lmo-test` cross-check with it."""
     k = ball.kernel
     if not isinstance(k, ORACLE_KERNELS):
         raise ConfigError(
             "lmo_constant_curvature_ball: kernel must have constant curvature")
     hi = k.dist(x, ball.center) + ball.radius
-    return _plane_search(w, x, ball, lambda ps: np.array(
-        [_exit_distance(ball, x, p, hi) for p in ps]))
+
+    def search(u1, u2, grid):
+        exit_at = lambda phi: _exit_distance(
+            ball, x, math.cos(phi) * u1 + math.sin(phi) * u2, hi)
+        lo, _, top = _grid_bracket(grid, np.array([exit_at(t) for t in grid]))
+        phi, _ = minimize_1d(lambda t: -exit_at(t) * math.cos(t), lo, top,
+                             tol=LMO_TOL)
+        return phi, exit_at(phi)
+    return _plane_search(w, x, ball, search)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +380,9 @@ def _center_frame(ball, x, w):
         v = cand
         for q in frame:
             v = v - k.inner(x0, q, v) * q
+        # a nearly parallel candidate leaves a short remainder whose
+        # roundoff off the tangent space the normalization would blow up
+        v = k.project_tangent(x0, v)
         nv = np.sqrt(max(k.inner(x0, v, v), 0.0))
         if nv > 1e-10:
             frame.append(v / nv)

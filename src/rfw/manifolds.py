@@ -66,6 +66,16 @@ class Manifold:
     # --- metric -----------------------------------------------------
 
     def inner(self, x, u, v):
+        """<u, v> at x, after checking that u and v are tangent at x (a
+        vector passed twice is checked once)."""
+        self.check_tangent(x, u)
+        if v is not u:
+            self.check_tangent(x, v)
+        return self._inner(x, u, v)
+
+    def _inner(self, x, u, v):
+        """inner without the tangency checks, for vectors the caller has
+        built at x itself."""
         raise NotImplementedError
 
     def norm(self, x, u):
@@ -142,7 +152,7 @@ class Euclidean(Manifold):
         self.name = f"euclidean({n})"
         self.curvature = CurvatureInfo(0.0, 0.0)
 
-    def inner(self, x, u, v):
+    def _inner(self, x, u, v):
         return float(np.dot(u, v))
 
     def exp(self, x, v):
@@ -164,6 +174,11 @@ class Euclidean(Manifold):
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
+
+    def check_tangent(self, x, v):
+        # every vector of R^n is tangent at every point
+        if np.shape(v) != (self.n,):
+            raise ContractError(f"{self.name}: tangent has wrong shape")
 
     def random_point(self, rng):
         return rng.standard_normal(self.n)
@@ -192,10 +207,7 @@ class Sphere(Manifold):
         self.curvature = CurvatureInfo(1.0, 1.0)
         self.injectivity_radius = np.pi
 
-    def inner(self, x, u, v):
-        self.check_tangent(x, u)
-        if v is not u:
-            self.check_tangent(x, v)
+    def _inner(self, x, u, v):
         return float(np.dot(u, v))
 
     def project_tangent(self, x, a):
@@ -285,10 +297,7 @@ class Hyperboloid(Manifold):
     def minkowski(u, v):
         return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
 
-    def inner(self, x, u, v):
-        self.check_tangent(x, u)
-        if v is not u:
-            self.check_tangent(x, v)
+    def _inner(self, x, u, v):
         return self.minkowski(u, v)
 
     def project_tangent(self, x, a):
@@ -394,10 +403,7 @@ class Spd(Manifold):
         r = np.sqrt(w)
         return (v * r) @ v.T, (v / r) @ v.T
 
-    def inner(self, x, u, v):
-        self.check_tangent(x, u)
-        if v is not u:
-            self.check_tangent(x, v)
+    def _inner(self, x, u, v):
         xu = np.linalg.solve(x, u)
         xv = np.linalg.solve(x, v)
         return float(np.sum(xu * xv.T))

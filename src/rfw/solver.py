@@ -114,17 +114,18 @@ def fw_vertex(problem, x, grad=None):
 def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,
             gap_tol=GAP_TOL_DEFAULT):
     """Run Frank-Wolfe from problem.x0; one trace row per iteration
-    visited (the row for a converged iterate carries step 0).  Oracle or
-    geometry failures, a non-finite value or gap, and a negative gap
-    close the trace with status 'error' instead of propagating."""
+    visited (the row for a converged iterate carries step 0).  Objective
+    failures (at the iterate or in the line search), oracle or geometry
+    failures, a non-finite value or gap, and a negative gap close the
+    trace with status 'error' instead of propagating."""
     rule = StepRule(rule)
     k = problem.kernel
     x = np.array(problem.x0, copy=True)
     trace = RfwTrace()
     trace.status = "max_iter"
     for t in range(max_iter):
-        fval, grad = problem.objective.value_grad(x)
         try:
+            fval, grad = problem.objective.value_grad(x)
             v, gap, lx = fw_vertex(problem, x, grad)
         except RfwError:
             trace.status = "error"
@@ -143,9 +144,13 @@ def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,
         elif rule is StepRule.FIXED_SCHEDULE:
             s = 2.0 / (t + 2.0)
         else:
-            s, _ = minimize_1d(
-                lambda u: problem.objective.value_grad(k.exp(x, u * lx))[0],
-                0.0, 1.0, tol=1e-10)
+            try:
+                s, _ = minimize_1d(lambda u: problem.objective.value_grad(
+                    k.exp(x, u * lx))[0], 0.0, 1.0, tol=1e-10)
+            except RfwError:
+                trace.append(t, fval, gap, 0.0, d)
+                trace.status = "error"
+                break
         trace.append(t, fval, gap, s, d)
         if s > 0.0:
             x = k.exp(x, s * lx)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
                  Hyperboloid,
@@ -125,24 +127,70 @@ def test_hyperboloid_lmo():
         assert res.objective >= best - 1e-6
 
 
-@pytest.mark.parametrize("k,radius", [(Sphere(3), 0.5), (Sphere(10), 1.0),
-                                      (Hyperboloid(3), 1.0)],
-                         ids=["sphere3", "sphere10", "hyperboloid3"])
-def test_lmo_finds_boundary_wedge(k, radius):
+def _boundary_point_and_tilted_normal(k, ball, rng, tilt):
+    """x on the boundary and w = outward normal + tilt * unit tangent
+    orthogonal to it."""
+    x = k.exp(ball.center, ball.radius * k.random_unit_tangent(ball.center,
+                                                               rng))
+    g = k.log(x, ball.center)
+    normal = -g / k.norm(x, g)
+    t = k.random_tangent(x, rng)
+    t = t - k.inner(x, normal, t) * normal
+    return x, normal + tilt * t / k.norm(x, t)
+
+
+@pytest.mark.parametrize("k,radius,seed,tilt", [
+    (Sphere(3), 0.5, 22, 1e-2), (Sphere(10), 1.0, 22, 1e-2),
+    (Hyperboloid(3), 1.0, 22, 1e-2), (Hyperboloid(3), 3.0, 9, 1e-6)],
+    ids=["sphere3", "sphere10", "hyperboloid3", "hyperboloid3-far"])
+def test_lmo_finds_boundary_wedge(k, radius, seed, tilt):
     # x on the boundary and w just off the outward normal: only a narrow
-    # wedge of directions is feasible, and the vertex lies inside it
-    rng = np.random.default_rng(22)
+    # wedge of directions is feasible, and the vertex lies inside it.
+    # Far from the base point with tilt 1e-6, the plane's second axis is
+    # the short remainder of log_x(center) after its w part; its
+    # roundoff once failed the oracle's own tangency check
+    rng = np.random.default_rng(seed)
     ball = GeodesicBall(k, k.random_point(rng), radius)
     for _ in range(20):
-        x = k.exp(ball.center, radius * k.random_unit_tangent(ball.center,
-                                                              rng))
-        g = k.log(x, ball.center)
-        normal = -g / k.norm(x, g)
-        t = k.random_tangent(x, rng)
-        t = t - k.inner(x, normal, t) * normal
-        w = normal + 1e-2 * t / k.norm(x, t)
+        x, w = _boundary_point_and_tilted_normal(k, ball, rng, tilt)
         _, brute = lmo_brute_force(ball, w, x, 20000)
         assert ball.lmo(w, x).objective >= brute - 1e-9
+
+
+@pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
+def test_lmo_checks_direction_at_entry(cls):
+    k = cls(3)
+    ball = GeodesicBall(k, k.base_point(), 0.5)
+    rng = np.random.default_rng(3)
+    x = ball.sample(rng)
+    with pytest.raises(ContractError):
+        ball.lmo(np.ones(x.size + 1), x)
+    if cls is not Euclidean:  # in R^n every vector is tangent everywhere
+        other = k.exp(x, 0.3 * k.random_unit_tangent(x, rng))
+        with pytest.raises(ContractError):
+            ball.lmo(k.random_unit_tangent(other, rng), x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from(ORACLE_KERNELS),
+       radius_frac=st.floats(0.0, 1.0),
+       tilt_exp=st.floats(-6.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_lmo_vertex_on_boundary_and_optimal(kernel, radius_frac, tilt_exp,
+                                           seed):
+    # radii from 1e-4 to pi/2 - 1e-3 on the sphere (2 elsewhere), log-
+    # uniform; x on the boundary, w the outward normal tilted by
+    # 10^tilt_exp along a tangent: the narrow-wedge regime
+    k = kernel(3)
+    top = 0.5 * np.pi - 1e-3 if kernel is Sphere else 2.0
+    radius = 1e-4 * (top / 1e-4) ** radius_frac
+    rng = np.random.default_rng(seed)
+    ball = GeodesicBall(k, k.random_point(rng), radius)
+    x, w = _boundary_point_and_tilted_normal(k, ball, rng, 10.0 ** tilt_exp)
+    res = ball.lmo(w, x)
+    assert abs(k.dist(ball.center, res.vertex) - radius) <= 1e-8
+    _, brute = lmo_brute_force(ball, w, x, 20000)
+    assert res.objective >= brute - 1e-9 * max(1.0, abs(brute))
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)

@@ -186,9 +186,10 @@ def test_wrong_shape_tangent_is_a_contract_error(kernel):
     for v in (np.zeros(x.size + 1), np.ones(x.shape + (1,))):
         with pytest.raises(ContractError):
             kernel.check_tangent(x, v)
-        if not isinstance(kernel, Euclidean):
-            with pytest.raises(ContractError):
-                kernel.inner(x, v, v)
+        with pytest.raises(ContractError):
+            kernel.inner(x, v, v)
+        with pytest.raises(ContractError):
+            kernel.norm(x, v)
 
 
 def test_curvature_info():

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from rfw import (ConfigError, ContractError, ConvexSet, Euclidean,
-                 GeodesicBall, LmoResult, QuadraticOnEmbedded, RfwProblem,
-                 Sphere, StepRule, ball_set, contraction_check, estimate_alpha,
-                 fw_vertex, lmo_brute_force, load_trace_csv,
+from rfw import (ConfigError, ContractError, ConvexSet, DomainError,
+                 Euclidean, GeodesicBall, LmoResult, QuadraticOnEmbedded,
+                 RfwProblem, Sphere, StepRule, ball_set, contraction_check,
+                 estimate_alpha, fw_vertex, lmo_brute_force, load_trace_csv,
                  min_gradient_norm, rfw_run, short_step)
 from helpers import ball_quadratic_fstar
 
@@ -269,3 +269,26 @@ def test_non_finite_value_or_gap_is_an_error(poison):
     trace, _ = rfw_run(problem, max_iter=20)
     assert trace.status == "error"
     assert len(trace) == 1
+
+
+@pytest.mark.parametrize("rule,rows", [("short-step", 3), ("line-search", 1)])
+def test_objective_error_sets_error_status(rule, rows):
+    # an RfwError from the objective ends the run like an oracle error;
+    # under the line search the fourth call falls in the first step
+    k = Sphere(5)
+    center = np.ones(5) / np.sqrt(5.0)
+    obj = QuadraticOnEmbedded.random(k, 10, np.random.default_rng(0))
+    calls = []
+
+    class FailsOnFourthCall:
+        def value_grad(self, x):
+            calls.append(x)
+            if len(calls) == 4:
+                raise DomainError("objective: left its domain")
+            return obj.value_grad(x)
+
+    problem = RfwProblem(k, FailsOnFourthCall(), ball_set(
+        GeodesicBall(k, center, 0.5)), obj.L, center)
+    trace, _ = rfw_run(problem, rule=rule, max_iter=20)
+    assert trace.status == "error"
+    assert len(trace) == rows
