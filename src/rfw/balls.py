@@ -131,32 +131,23 @@ class GeodesicBall:
 
 def alpha_phi_sphere(a, b, c):
     """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c,
-    elementwise over an array b.
+    elementwise over an array b, in the oracle's regime a >= c > 0.
 
-    This is the travel distance from a point x in a spherical cap to the
-    cap boundary along a unit direction p, with a = <center, x>,
-    b = <center, p> and c = cos(radius).  Solved by the tangent
-    half-angle substitution; the singular branch a + c ~ 0 falls back to
-    a scan-and-bisect root search.
+    This is the travel distance from a point x in a spherical cap of
+    radius r < pi/2 to the cap boundary along a unit direction p, with
+    a = <center, x>, b = <center, p> and c = cos(r).  Solved by the
+    tangent half-angle substitution.  Raises NoIntersectionError for
+    x outside the cap (a < c), where a ray can miss the boundary.
     """
-    b = np.asarray(b, dtype=float)
-    # factored so that a = c (x on the boundary) leaves disc = b^2 exactly
-    disc = (a - c) * (a + c) + b * b
-    if np.any(disc < 0.0):
+    if not a >= c > 0.0:
         raise NoIntersectionError(
-            f"alpha_phi_sphere: ray misses the boundary "
-            f"(disc={np.min(disc):.3g})")
-    den = a + c
-    if abs(den) < 1e-13 * max(1.0, abs(a), abs(c)):
-        alpha = np.vectorize(lambda bi: _alpha_phi_bisect(a, bi, c))(b)
-    else:
-        num = b + np.sqrt(disc)
-        if a >= c:
-            # inside the cap sqrt(disc) >= |b|, so a negative numerator
-            # is boundary roundoff; the exit root is 0, not a 2pi wrap
-            num = np.maximum(num, 0.0)
-        # the + branch only goes negative when x is outside the cap
-        alpha = np.mod(2.0 * np.arctan(num / den), 2.0 * np.pi)
+            f"alpha_phi_sphere: need a >= c > 0, got a={a:.6g}, c={c:.6g}")
+    b = np.asarray(b, dtype=float)
+    # factored so that a = c (x on the boundary) leaves disc = b^2 exactly;
+    # inside the cap sqrt(disc) >= |b|, so a negative numerator is
+    # boundary roundoff and the exit root is 0
+    root = np.sqrt((a - c) * (a + c) + b * b)
+    alpha = 2.0 * np.arctan(np.maximum(b + root, 0.0) / (a + c))
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -169,6 +160,8 @@ def _alpha_phi_hyperboloid(a, b, c):
 
 
 def _alpha_phi_bisect(a, b, c):
+    """alpha_phi_sphere by a scan of [0, 2pi] and bisection, outside
+    the oracle's regime too: the tests' independent reference."""
     f = lambda t: a * np.cos(t) + b * np.sin(t) - c
     grid = np.linspace(0.0, 2.0 * np.pi, 721)
     vals = f(grid)

@@ -250,7 +250,7 @@ def _riemannian(cset, alpha, dist_eq):
         p = k.log(x, cset.sampler(rng))
         q = k.log(x, cset.sampler(rng))
         t = rng.uniform()
-        dpq2 = k.inner(x, p - q, p - q)
+        dpq2 = k._inner(x, p - q, p - q)
         combo = (1.0 - t) * p + t * q
         rho = alpha * t * (1.0 - t) * dpq2
         zdir = k.random_unit_tangent(x, rng)
@@ -275,7 +275,7 @@ def _scaling(cset, alpha, dist_eq):
         w = k.random_unit_tangent(x, rng)
         res = cset.lmo(w, x)
         v, lhs, lx = res.vertex, res.objective, res.log
-        margin = lhs - alpha * k.inner(x, lx, lx)
+        margin = lhs - alpha * k._inner(x, lx, lx)
         return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
                         "margin": margin}
     return draw
@@ -283,11 +283,13 @@ def _scaling(cset, alpha, dist_eq):
 
 def _approx_scaling(cset, alpha, dist_eq):
     """Scaling inequality with the curvature correction term: the lower
-    bound alpha*norm(w)*dist(x,v)^2 is offset by <w, r(x)> where r(x) is
-    the residual of the double exponential map along the half chord,
-    evaluated with the transported normalized direction.  A residual
-    that leaves the exp domain counts as a violation (margin -inf), as a
-    missing exp does for the membership notions."""
+    bound alpha*norm(w)*dist(x,v)^2 is offset by <w, r(x)> with r(x) =
+    R_x(log_x(v)/2, omega), the residual of the double exponential map
+    along the half chord.  omega = (alpha d^2/4) w: transporting the
+    scaled direction to the midpoint and back is the identity, and
+    residual makes the one transport itself.  A residual that leaves
+    the exp domain counts as a violation (margin -inf), as a missing exp
+    does for the membership notions."""
     if cset.lmo is None:
         raise ConfigError("approx_scaling: set has no oracle")
     k = cset.kernel
@@ -300,15 +302,13 @@ def _approx_scaling(cset, alpha, dist_eq):
         d = k.dist(x, v)
         if d < 1e-12:
             return None  # degenerate set; nothing to certify at this point
-        mid = k.exp(x, 0.5 * lx)
-        zstar = k.transport(x, mid, w)  # unit: transport is an isometry
-        omega = k.transport(mid, x, (0.25 * alpha * d * d) * zstar)
+        omega = (0.25 * alpha * d * d) * w
         try:
             r_x = residual(k, x, 0.5 * lx, omega)
         except DomainError as exc:
             return -np.inf, {"x": x, "w": w, "vertex": v,
                              "domain_error": str(exc), "margin": -np.inf}
-        margin = res.objective - alpha * d * d - k.inner(x, w, r_x)
+        margin = res.objective - alpha * d * d - k._inner(x, w, r_x)
         return margin, {"x": x, "w": w, "vertex": v, "lhs": res.objective,
                         "residual": r_x, "margin": margin}
     return draw

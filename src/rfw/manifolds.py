@@ -61,7 +61,6 @@ class Manifold:
     name = "manifold"
     dim = 0
     curvature = CurvatureInfo(0.0, 0.0)
-    injectivity_radius = np.inf
 
     # --- metric -----------------------------------------------------
 
@@ -129,9 +128,11 @@ class Manifold:
         raise NotImplementedError
 
     def random_unit_tangent(self, x, rng):
+        """random_tangent at x scaled to unit norm; the norm goes
+        unchecked, as the vector was just built at x."""
         for _ in range(64):
             v = self.random_tangent(x, rng)
-            n = self.norm(x, v)
+            n = np.sqrt(max(self._inner(x, v, v), 0.0))
             if n > 1e-12:
                 return v / n
         raise ContractError(f"{self.name}: could not draw a unit tangent")
@@ -165,6 +166,7 @@ class Euclidean(Manifold):
         return _norm(y - x)
 
     def transport(self, x, y, u):
+        self.check_tangent(x, u)
         return np.array(u, copy=True)
 
     def project_tangent(self, x, a):
@@ -205,7 +207,6 @@ class Sphere(Manifold):
         self.dim = n - 1
         self.name = f"sphere({n})"
         self.curvature = CurvatureInfo(1.0, 1.0)
-        self.injectivity_radius = np.pi
 
     def _inner(self, x, u, v):
         return float(np.dot(u, v))

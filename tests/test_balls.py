@@ -240,6 +240,9 @@ def test_alpha_phi_no_intersection():
     # a*cos + b*sin can never reach c: the ray misses the cap boundary
     with pytest.raises(NoIntersectionError):
         alpha_phi_sphere(0.1, 0.1, 0.99)
+    # disc >= 0, but x lies outside the cap (a < c): outside the regime
+    with pytest.raises(NoIntersectionError):
+        alpha_phi_sphere(0.5, 0.8, 0.9)
 
 
 def test_alpha_phi_positive_wrap():

@@ -68,13 +68,14 @@ def _traced(run):
 @pytest.mark.parametrize("kernel,radius", [(rfw.Sphere(3), 0.3),
                                            (rfw.Hyperboloid(3), 1.0)],
                          ids=["sphere", "hyperboloid"])
-@pytest.mark.parametrize("notion,logs,checks", [("scaling", 2, 4),
-                                                ("approx_scaling", 6, 8)])
+@pytest.mark.parametrize("notion,logs,checks", [("scaling", 2, 1),
+                                                ("approx_scaling", 4, 2)])
 def test_scaling_certifier_call_budget(kernel, radius, notion, logs, checks):
     """The scaling certifiers take the gap and log_x(v) from the oracle's
-    answer, check a repeated tangent once, and the oracle checks only w
-    at its entry: exact kernel call counts per sample, so a
-    recomputation or a re-check shows up as a failure here."""
+    answer, and the oracle checks only w at its entry; approx_scaling
+    hands w to the residual untransported, whose transport checks it
+    once: exact kernel call counts per sample, so a recomputation or a
+    re-check shows up as a failure here."""
     n, tag = 10, type(kernel).__name__.lower()
 
     def run():
@@ -87,6 +88,28 @@ def test_scaling_certifier_call_budget(kernel, radius, notion, logs, checks):
     assert tracer.stat("balls.lmo")[0] == n
     assert tracer.stat(f"manifolds.{tag}.log")[0] == logs * n
     assert tracer.stat(f"manifolds.{tag}.check_tangent")[0] == checks * n
+
+
+@pytest.mark.parametrize("kernel,radius", [(rfw.Sphere(3), 0.3),
+                                           (rfw.Hyperboloid(3), 1.0),
+                                           (rfw.Spd(3), 1.0)],
+                         ids=["sphere", "hyperboloid", "spd"])
+@pytest.mark.parametrize("notion", ["geodesic", "riemannian",
+                                    "double_geodesic"])
+def test_membership_certifiers_check_no_tangent(kernel, radius, notion):
+    """The membership certifiers only build their vectors (the sampler's
+    and the probe direction's unit tangents, the riemannian chord) and
+    never check them."""
+    n, tag = 10, type(kernel).__name__.lower()
+
+    def run():
+        ball = rfw.GeodesicBall(kernel, kernel.base_point(), radius)
+        return rfw.convexity.run_checker(notion, rfw.ball_set(ball), 0.5, n,
+                                         np.random.default_rng(0))
+
+    tracer, _ = _traced(run)
+    assert tracer.counts[f"convexity.{tag}.{notion}.samples"] == n
+    assert tracer.stat(f"manifolds.{tag}.check_tangent")[0] == 0
 
 
 def test_solver_call_budget():

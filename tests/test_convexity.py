@@ -506,6 +506,20 @@ def test_approx_scaling_domain_error_is_a_violation():
     assert "exp" in cert.witness["domain_error"]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_approx_scaling_far_hyperboloid_has_no_spurious_domain_error(seed):
+    # omega is the scaled w itself: building it by transport to the
+    # midpoint and back used to leave enough roundoff on this ball for
+    # the residual's exp to leave the timelike cone (margin -inf)
+    k = Hyperboloid(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 2.0))
+    cert = run_checker("approx_scaling", cs, 4.0, 40,
+                       np.random.default_rng(seed))
+    assert "domain_error" not in cert.witness
+    assert np.isfinite(cert.worst_margin)
+    assert not cert.passed
+
+
 def test_estimate_alpha_approx_scaling_survives_domain_errors():
     # the first probe, alpha = 10/diameter, leaves the residual's domain
     k = Sphere(3)

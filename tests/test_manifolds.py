@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rfw import (ConfigError, ContractError, DomainError, Euclidean,
-                 Hyperboloid, Manifold, Spd, Sphere, make_manifold)
+                 GeodesicBall, Hyperboloid, Manifold, RfwProblem, Spd, Sphere,
+                 ball_set, double_exp, make_manifold, rfw_run)
 from rfw.manifolds import _norm
 from helpers import geometry_invariant_worst
 
@@ -53,6 +54,11 @@ def test_transport_identity_and_projection_idempotent(kernel):
     x = kernel.random_point(rng)
     u = kernel.random_tangent(x, rng)
     np.testing.assert_allclose(kernel.transport(x, x, u), u, atol=1e-10)
+    # transport to y and back along the same geodesic is the identity
+    y = kernel.exp(x, 0.9 * kernel.random_unit_tangent(x, rng))
+    back = kernel.transport(y, x, kernel.transport(x, y, u))
+    np.testing.assert_allclose(back, u,
+                               atol=1e-10 * max(1.0, _norm(u)), rtol=0.0)
     a = rng.standard_normal(x.shape)
     p1 = kernel.project_tangent(x, a)
     p2 = kernel.project_tangent(x, p1)
@@ -190,6 +196,33 @@ def test_wrong_shape_tangent_is_a_contract_error(kernel):
             kernel.inner(x, v, v)
         with pytest.raises(ContractError):
             kernel.norm(x, v)
+        with pytest.raises(ContractError):
+            kernel.transport(x, x, v)
+
+
+# on Euclidean and Spd every admissible vector is tangent at every point
+@pytest.mark.parametrize("k", [Sphere(4), Hyperboloid(3)], ids=kid)
+def test_vector_tangent_elsewhere_is_a_contract_error(k):
+    ball = GeodesicBall(k, k.base_point(), 0.5)
+    rng = np.random.default_rng(5)
+    x = ball.center
+    u = k.random_unit_tangent(x, rng)
+    other = k.exp(x, 0.9 * u)
+    v = k.log(other, x)  # tangent at other, not at x
+    for entry in (lambda: k.inner(x, v, v), lambda: k.inner(x, u, v),
+                  lambda: k.norm(x, v), lambda: k.transport(x, other, v),
+                  lambda: ball.lmo(v, x),
+                  lambda: double_exp(k, x, 0.1 * u, v)):
+        with pytest.raises(ContractError):
+            entry()
+
+    class ElsewhereGradient:
+        def value_grad(self, z):
+            return 0.0, v
+
+    problem = RfwProblem(k, ElsewhereGradient(), ball_set(ball), 1.0, x)
+    trace, _ = rfw_run(problem, max_iter=5)
+    assert trace.status == "error"
 
 
 def test_curvature_info():
