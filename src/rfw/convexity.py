@@ -250,7 +250,8 @@ def _riemannian(cset, alpha, dist_eq):
         p = k.log(x, cset.sampler(rng))
         q = k.log(x, cset.sampler(rng))
         t = rng.uniform()
-        dpq2 = k._inner(x, p - q, p - q)
+        pq = p - q
+        dpq2 = k._inner(x, pq, pq)
         combo = (1.0 - t) * p + t * q
         rho = alpha * t * (1.0 - t) * dpq2
         zdir = k.random_unit_tangent(x, rng)

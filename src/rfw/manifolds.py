@@ -13,6 +13,10 @@ Operations that have a restricted domain raise DomainError instead of
 silently extrapolating: sphere exp is limited to ``norm(v) < pi`` and
 sphere log rejects near-antipodal pairs, where the minimizing geodesic
 stops being unique.
+
+The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base
+points, keyed by their bytes, so outputs are bit for bit those of
+recomputing the pair; every other kernel is stateless.
 """
 
 import math
@@ -396,17 +400,38 @@ class Spd(Manifold):
         self.dim = n * (n + 1) // 2
         self.name = f"spd({n})"
         self.curvature = CurvatureInfo(-0.5, 0.0)
+        # [(key, (X^{1/2}, X^{-1/2}))] of the last two base points, most
+        # recent first; replaced, never changed in place, so a kernel
+        # shared by threads can at worst lose an entry
+        self._sqrt_memo = []
 
     def _sqrt_pair(self, x):
-        w, v = np.linalg.eigh(_sym(x))
-        if w[0] <= 0.0:
-            raise DomainError("spd: matrix is not positive definite")
-        r = np.sqrt(w)
-        return (v * r) @ v.T, (v / r) @ v.T
+        """(X^{1/2}, X^{-1/2}) by eigh, read-only.  A membership probe
+        factors the ball's center and the ray's base point over and
+        over, so the pairs of the last two matrices are kept, keyed by
+        their bytes: a hit returns the arrays that eigh would give, and
+        a matrix changed in place is factored afresh.  A matrix that is
+        not positive definite is never kept, and raises every time."""
+        key = (x.dtype.str, x.shape, x.tobytes())
+        recent = self._sqrt_memo
+        for k, pair in recent:
+            if k == key:
+                break
+        else:
+            w, v = np.linalg.eigh(_sym(x))
+            if w[0] <= 0.0:
+                raise DomainError("spd: matrix is not positive definite")
+            r = np.sqrt(w)
+            pair = (v * r) @ v.T, (v / r) @ v.T
+            for a in pair:
+                a.flags.writeable = False
+        older = [e for e in recent if e[0] != key]
+        self._sqrt_memo = [(key, pair)] + older[:1]
+        return pair
 
     def _inner(self, x, u, v):
         xu = np.linalg.solve(x, u)
-        xv = np.linalg.solve(x, v)
+        xv = xu if v is u else np.linalg.solve(x, v)
         return float(np.sum(xu * xv.T))
 
     def project_tangent(self, x, a):

@@ -153,6 +153,69 @@ def test_spd_affine_invariance_of_distance():
         k.dist(x, y), rel=1e-9)
 
 
+def _spd_ops(k, x, y, u):
+    return [k.exp(x, u), k.log(x, y), k.dist(x, y), k.transport(x, y, u),
+            k.geodesic(x, y, 0.3), k.exp(y, u), k.dist(y, x)]
+
+
+def _assert_same_ops(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_spd_square_root_memo_is_transparent():
+    rng = np.random.default_rng(6)
+    warm = Spd(3)
+    pts = [warm.random_point(rng) for _ in range(4)]
+    u = warm.random_tangent(pts[0], rng)
+    for x in pts:  # warm the memo with other base points first
+        warm.exp(x, u)
+        warm.dist(x, pts[0])
+    for x, y in zip(pts, pts[1:] + pts[:1]):
+        for _ in range(2):  # the second pass hits the memo
+            _assert_same_ops(_spd_ops(warm, x, y, u),
+                             _spd_ops(Spd(3), x.copy(), y.copy(), u))
+
+    x, y = pts[0], pts[1]
+    before = warm.exp(x, u)
+    x[0, 0] += 0.5  # in place: still symmetric positive definite
+    after = warm.exp(x, u)
+    assert not np.array_equal(after, before)
+    _assert_same_ops(_spd_ops(warm, x, y, u),
+                     _spd_ops(Spd(3), x.copy(), y.copy(), u))
+
+    for a in warm._sqrt_pair(x):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+    bad = np.diag([1.0, -0.5, 2.0])
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            warm.exp(bad, u)
+        with pytest.raises(DomainError):
+            warm.dist(bad, y)
+
+
+def test_spd_membership_probe_factors_only_the_new_point(monkeypatch):
+    k = Spd(3)
+    ball = GeodesicBall(k, k.random_point(np.random.default_rng(0)), 1.0)
+    m = ball.sample(np.random.default_rng(1))
+    u = k.random_unit_tangent(m, np.random.default_rng(2))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for s in np.linspace(0.0, 2.0, 40):
+        ball.membership(k.exp(m, s * u))
+    # one eigh per exp, plus m's square roots once; the center's were
+    # kept when sample() stepped away from it
+    assert calls == {"eigh": 41, "eigvalsh": 40}
+
+
 def test_hyperboloid_apex_geometry():
     k = Hyperboloid(3)  # ambient R^4, time coordinate first
     apex = k.base_point()
