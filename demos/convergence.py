@@ -50,7 +50,7 @@ trace, xf = rfw_run(problem, max_iter=300, gap_tol=1e-13)
 alpha_hat = estimate_alpha(cset, "scaling", 4000, np.random.default_rng(5))
 c_hat = min_gradient_norm(obj, cset, 4000, np.random.default_rng(6))
 report = contraction_check(trace, alpha_hat, c_hat, problem.L,
-                           fstar=obj.value(xf))
+                           fstar=obj.value_grad(xf)[0])
 print(f"   alpha_hat = {alpha_hat:.4f}, min grad norm = {c_hat:.4f}")
 print(f"   guaranteed factor {report.factor:.4f}, observed worst ratio "
       f"{report.max_ratio:.4f} over {len(report.checked)} steps "

@@ -11,13 +11,14 @@ that plane and alpha(phi) the travel distance to the boundary.
 and the hyperboloid alpha has a closed form in b(phi), the (Minkowski)
 product of the center with p(phi).  Two 33-point phi grids locate the
 maximizer of alpha(phi) cos(phi), the second one confined to the
-feasible wedge at a boundary point.  Safeguarded Newton steps on the
-stationarity condition then pin it down, with alpha's b-derivatives
-from implicit differentiation of the exit equation.  Only w is checked
-at the entry; the frame, log_x(center) and log_x(v) are built there and
-go unchecked.  The reference `lmo_constant_curvature_ball` takes the
-same grid with travel distances found by bisection, and refines it by
-a golden-section value search.
+feasible wedge at a boundary point.  The root of its phi-derivative,
+found by `bisect_root` in the grid bracket, pins it down, with alpha's
+b-derivative from implicit differentiation of the exit equation.  Only
+w is checked at the entry; the frame, log_x(center) and log_x(v) are
+built there and go unchecked.  The reference
+`lmo_constant_curvature_ball` takes the same grid with travel distances
+found by `bisect_root` on the distance to the center, and refines it
+by a golden-section value search.
 """
 
 import math
@@ -32,10 +33,9 @@ from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _norm
 from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
-LMO_TOL = 1e-12  # phi resolution of both refinements and of the bisection
+LMO_TOL = 1e-12  # phi resolution of both refinements, and of exit distances
 PHI_GRID = 33  # points per grid of the oracles' phi search
 _UNIT_GRID = np.linspace(0.0, 1.0, PHI_GRID)
-NEWTON_STEPS = 100  # cap; pure bisection of a grid bracket needs ~40
 ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 
@@ -160,8 +160,8 @@ def _alpha_phi_hyperboloid(a, b, c):
 
 
 def _alpha_phi_bisect(a, b, c):
-    """alpha_phi_sphere by a scan of [0, 2pi] and bisection, outside
-    the oracle's regime too: the tests' independent reference."""
+    """alpha_phi_sphere by a scan of [0, 2pi] and `bisect_root`,
+    outside the oracle's regime too: the tests' independent reference."""
     f = lambda t: a * np.cos(t) + b * np.sin(t) - c
     grid = np.linspace(0.0, 2.0 * np.pi, 721)
     vals = f(grid)
@@ -175,34 +175,31 @@ def _alpha_phi_bisect(a, b, c):
 
 def _exit_sphere(a, b, c):
     """alpha_phi_sphere for one b in the oracle's regime (a >= c > 0),
-    in float arithmetic, with its first two b-derivatives."""
+    in float arithmetic, with its b-derivative."""
     root = math.sqrt((a - c) * (a + c) + b * b)
     s = 2.0 * math.atan(max(b + root, 0.0) / (a + c))
-    return _exit_slopes(c, s, math.sin(s), math.cos(s), root)
+    return _exit_slopes(s, math.sin(s), root)
 
 
 def _exit_hyperboloid(a, b, c):
-    """_alpha_phi_hyperboloid for one b, with its first two
-    b-derivatives."""
+    """_alpha_phi_hyperboloid for one b, with its b-derivative."""
     root = math.sqrt((c - a) * (c + a) + b * b)
     s = math.log(max((c + root) / (a - b), 1.0))
-    return _exit_slopes(c, s, math.sinh(s), math.cosh(s), root)
+    return _exit_slopes(s, math.sinh(s), root)
 
 
-def _exit_slopes(c, s, sn, cs, root):
-    """(s, ds/db, d2s/db2) for the exit root s of a cos(s) + b sin(s) = c
-    (sn, cs = sin s, cos s) or of a cosh(s) - b sinh(s) = c (sinh,
-    cosh).  Differentiating the equation in b gives ds/db = sn / D with
-    D = a sn - b cs, and, since dD/db = c ds/db - cs, d2s/db2 =
-    ds/db (2 cs - c ds/db) / D.  At the exit D equals root, the square
-    root of the discriminant: (a cs + b sn)^2 + D^2 = a^2 + b^2 (on the
-    hyperboloid (a cs - b sn)^2 - D^2 = a^2 - b^2), so D carries no
-    cancellation.  An outward ray from the boundary exits at s = 0 for
-    every nearby b."""
+def _exit_slopes(s, sn, root):
+    """(s, ds/db) for the exit root s of a cos(s) + b sin(s) = c (sn =
+    sin s) or of a cosh(s) - b sinh(s) = c (sn = sinh s).
+    Differentiating the equation in b gives ds/db = sn / D with D =
+    a sn - b cos(s) (resp. a sinh(s) - b cosh(s)).  At the exit D equals
+    root, the square root of the discriminant: (a cos(s) + b sn)^2 + D^2
+    = a^2 + b^2 (on the hyperboloid (a cosh(s) - b sn)^2 - D^2 = a^2 -
+    b^2), so D carries no cancellation.  An outward ray from the
+    boundary exits at s = 0 for every nearby b."""
     if sn == 0.0:
-        return s, 0.0, 0.0
-    d1 = sn / root
-    return s, d1, d1 * (2.0 * cs - c * d1) / root
+        return s, 0.0
+    return s, sn / root
 
 
 def _section_frame(kernel, x, w, norm_w, g):
@@ -269,46 +266,32 @@ def _grid_bracket(grid, alpha):
 def _stationary_phi(grid, alpha, b1, b2, exit_at):
     """Refine the grid maximizer of F(phi) = alpha(b(phi)) cos(phi),
     b = cos(phi) b1 + sin(phi) b2, to the root of F'(phi) = alpha'
-    cos(phi) - alpha sin(phi) between its grid neighbours, by Newton
-    steps on F' with F'' from the derivatives of exit_at(b) = (alpha,
-    dalpha/db, d2alpha/db2).  A step that leaves the bracket, or meets
-    F'' >= 0, is a bisection.  Where F' does not change sign across the
-    bracket (a flat run of outward rays, or a kink at the wedge edge),
-    a golden-section value search takes over.  Returns (phi, alpha)."""
+    cos(phi) - alpha sin(phi) between its grid neighbours, by
+    `bisect_root` on F' with alpha' from exit_at(b) = (alpha,
+    dalpha/db).  Where F' does not change sign across the bracket (a
+    flat run of outward rays, or a kink at the wedge edge), a
+    golden-section value search takes over.  Returns (phi, alpha)."""
     lo, phi, hi = _grid_bracket(grid, alpha)
 
-    def slopes(phi):
+    def slope(phi):
         cp, sp = math.cos(phi), math.sin(phi)
-        b, db = cp * b1 + sp * b2, cp * b2 - sp * b1
-        s, ds, dds = exit_at(b)
-        s1 = ds * db
-        s2 = dds * db * db - ds * b  # d2b/dphi2 = -b
-        return s * cp, s1 * cp - s * sp, s2 * cp - 2.0 * s1 * sp - s * cp
+        s, ds = exit_at(cp * b1 + sp * b2)
+        return ds * (cp * b2 - sp * b1) * cp - s * sp
 
-    if slopes(lo)[1] > 0.0 > slopes(hi)[1]:
-        for _ in range(NEWTON_STEPS):
-            _, f1, f2 = slopes(phi)
-            if f1 > 0.0:
-                lo = phi
-            elif f1 < 0.0:
-                hi = phi
-            else:
-                break
-            step = phi - f1 / f2 if f2 < 0.0 else hi
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            if abs(step - phi) <= LMO_TOL:
-                phi = step
-                break
-            phi = step
+    def travel(phi):
+        return exit_at(math.cos(phi) * b1 + math.sin(phi) * b2)[0]
+
+    if slope(lo) > 0.0 > slope(hi):
+        phi = bisect_root(slope, lo, hi, tol=LMO_TOL)
     elif hi > lo:
-        phi, _ = minimize_1d(lambda t: -slopes(t)[0], lo, hi, tol=LMO_TOL)
-    return phi, exit_at(math.cos(phi) * b1 + math.sin(phi) * b2)[0]
+        phi, _ = minimize_1d(lambda t: -travel(t) * math.cos(t), lo, hi,
+                             tol=LMO_TOL)
+    return phi, travel(phi)
 
 
 def _exit_distance(ball, x, p, hi):
-    """Distance along the unit ray p from x to the ball boundary, by
-    bisection on dist(exp_x(s p), center) - r over [0, hi]."""
+    """Distance along the unit ray p from x to the ball boundary, the
+    root of dist(exp_x(s p), center) - r on [0, hi]."""
     k, x0, r = ball.kernel, ball.center, ball.radius
 
     def f(s):

@@ -86,10 +86,6 @@ class DistanceEquivalence:
                 "DistanceEquivalence: ell < big_l needs an explicit distance_fn")
         return self.ell * kernel.dist(x, y)
 
-    @classmethod
-    def riemannian(cls):
-        return cls(1.0, 1.0)
-
 
 def _finite_or_none(margin):
     return margin if np.isfinite(margin) else None
@@ -215,7 +211,7 @@ def _double_geodesic(cset, alpha, dist_eq):
     missing exp counts as failure), probing the worst direction drawn
     uniformly on the tangent sphere, with d given by dist_eq rather than
     pinned to the Riemannian distance."""
-    dist_eq = dist_eq or DistanceEquivalence.riemannian()
+    dist_eq = dist_eq or DistanceEquivalence()
     k = cset.kernel
 
     def draw(rng, worst):
@@ -464,11 +460,11 @@ def ball_strong_convexity_alpha(curv: CurvatureInfo, r):
 
 @dataclass
 class SmoothStronglyConvexFn:
-    """Value/gradient oracle with declared geodesic constants."""
+    """Value/gradient oracle, value_grad(x) -> (f(x), grad f(x)), with
+    declared geodesic constants."""
 
     kernel: Manifold
-    value: Callable
-    grad: Callable
+    value_grad: Callable
     mu: float
     L: float
     fstar: Optional[float] = None
@@ -476,7 +472,7 @@ class SmoothStronglyConvexFn:
 
     def __post_init__(self):
         if self.xstar is not None:
-            g = self.grad(self.xstar)
+            _, g = self.value_grad(self.xstar)
             if self.kernel.norm(self.xstar, g) > 1e-8:
                 raise ContractError(
                     "SmoothStronglyConvexFn: grad(xstar) is not zero")
@@ -492,8 +488,9 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
 
     def draw(rng, worst):
         x = cset.sampler(rng)
-        gap = max(fn.value(x) - fn.fstar, 0.0)
-        margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, fn.grad(x))
+        fx, gx = fn.value_grad(x)
+        gap = max(fx - fn.fstar, 0.0)
+        margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, gx)
         return margin, {"x": x, "margin": margin}
     return _worst_case("smoothness_gradient_bound", None, n_samples, rng,
                        draw, tolerance)
@@ -510,11 +507,12 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng,
         x, y = cset.sampler(rng), cset.sampler(rng)
         t = rng.uniform()
         d = k.dist(x, y)
-        fx, fy = fn.value(x), fn.value(y)
-        mid = k.geodesic(x, y, t)
+        fx, gx = fn.value_grad(x)
+        fy = fn.value_grad(y)[0]
+        fmid = fn.value_grad(k.geodesic(x, y, t))[0]
         convexity = ((1.0 - t) * fx + t * fy
-                     - 0.5 * fn.mu * t * (1.0 - t) * d * d - fn.value(mid))
-        lin = fy - fx - k.inner(x, fn.grad(x), k.log(x, y))
+                     - 0.5 * fn.mu * t * (1.0 - t) * d * d - fmid)
+        lin = fy - fx - k.inner(x, gx, k.log(x, y))
         smooth = 0.5 * fn.L * d * d - abs(lin)
         return min(convexity, smooth), {"x": x, "y": y, "t": t,
                                         "convexity": convexity,

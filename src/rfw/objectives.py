@@ -61,14 +61,6 @@ class QuadraticOnEmbedded:
         (a Gram matrix with rows < n has mu = 0)."""
         return self.scale * max(self._eig_min, 0.0)
 
-    def value(self, x):
-        d = x - self.target
-        return self.scale * 0.5 * float(d @ self.matrix @ d)
-
-    def grad(self, x):
-        return self.kernel.project_tangent(
-            x, self.scale * (self.matrix @ (x - self.target)))
-
     def value_grad(self, x):
         d = x - self.target
         ad = self.matrix @ d
@@ -77,7 +69,7 @@ class QuadraticOnEmbedded:
 
     def as_smooth_fn(self, mu=None, L=None, fstar=None, xstar=None):
         return SmoothStronglyConvexFn(
-            self.kernel, self.value, self.grad,
+            self.kernel, self.value_grad,
             mu=self.mu if mu is None else mu,
             L=self.L if L is None else L,
             fstar=fstar, xstar=xstar)
@@ -98,13 +90,6 @@ class SquaredDistanceObjective:
         self.center = np.asarray(self.center, dtype=float)
         self.kernel.check_point(self.center)
 
-    def value(self, x):
-        d = self.kernel.dist(x, self.center)
-        return 0.5 * d * d
-
-    def grad(self, x):
-        return -self.kernel.log(x, self.center)
-
     def value_grad(self, x):
         lx = self.kernel.log(x, self.center)
         return 0.5 * self.kernel.inner(x, lx, lx), -lx
@@ -119,7 +104,7 @@ class SquaredDistanceObjective:
         """Constants instantiated for a ball of the given radius around
         the center; fstar = 0 is attained there."""
         return SmoothStronglyConvexFn(
-            self.kernel, self.value, self.grad,
+            self.kernel, self.value_grad,
             mu=self.mu_on(radius), L=self.L_on(radius),
             fstar=0.0, xstar=self.center)
 
@@ -132,5 +117,5 @@ def min_gradient_norm(objective, cset, n_samples, rng):
     best = np.inf
     for _ in range(n_samples):
         x = cset.sampler(rng)
-        best = min(best, k.norm(x, objective.grad(x)))
+        best = min(best, k.norm(x, objective.value_grad(x)[1]))
     return float(best)

@@ -19,6 +19,8 @@ from .manifolds import Manifold
 from .scalars import minimize_1d
 
 GAP_TOL_DEFAULT = 1e-10
+CONTRACTION_SLACK = 1e-6  # ratio allowed above the factor: roundoff in h
+H_FLOOR = 1e-13  # h_t at or below this is roundoff, and goes unchecked
 CSV_HEADER = "iter,f,dual_gap,step,dist_xv"
 
 
@@ -173,8 +175,7 @@ class ContractionReport:
         return len(self.violations) == 0
 
 
-def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0,
-                      ratio_slack=1e-6, h_floor=1e-13):
+def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0):
     """Verify the per-iteration contraction of h_t = f(x_t) - fstar
     against the factor max{1/2, 1 - alpha c / (2L)}.
 
@@ -193,12 +194,12 @@ def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0,
     d2 = np.square(np.asarray(trace.dist_xv, dtype=float))
     checked, violations, max_ratio = [], [], 0.0
     for t in range(len(h) - 1):
-        if d2[t] > threshold or h[t] <= h_floor:
+        if d2[t] > threshold or h[t] <= H_FLOOR:
             continue
         checked.append(t)
         ratio = h[t + 1] / h[t]
         max_ratio = max(max_ratio, ratio)
-        if ratio > factor + ratio_slack:
+        if ratio > factor + CONTRACTION_SLACK:
             violations.append(t)
     return ContractionReport(factor, threshold, checked, violations,
                              float(max_ratio))

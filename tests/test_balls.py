@@ -8,6 +8,7 @@ from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
                  NoIntersectionError, Spd, Sphere, alpha_phi_sphere,
                  boundary_section_grid, lmo_brute_force,
                  lmo_constant_curvature_ball, random_boundary_best)
+import rfw.balls
 from rfw.balls import (ORACLE_KERNELS, _alpha_phi_bisect, _section_frame,
                        grid_objectives)
 
@@ -155,6 +156,37 @@ def test_lmo_finds_boundary_wedge(k, radius, seed, tilt):
         x, w = _boundary_point_and_tilted_normal(k, ball, rng, tilt)
         _, brute = lmo_brute_force(ball, w, x, 20000)
         assert ball.lmo(w, x).objective >= brute - 1e-9
+
+
+@pytest.mark.parametrize("k,radius", [
+    (Sphere(3), 0.3), (Sphere(3), 1.2), (Hyperboloid(3), 1.0),
+    (Hyperboloid(3), 2.0)], ids=["sphere-0.3", "sphere-1.2",
+                                 "hyperboloid-1", "hyperboloid-2"])
+def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
+    # the refinement's root finder is superlinear: bisecting a grid
+    # bracket down to LMO_TOL alone would take ~40 exit evaluations
+    calls = [0]
+    for name in ("_exit_sphere", "_exit_hyperboloid"):
+        exit_at = getattr(rfw.balls, name)
+
+        def counted(a, b, c, exit_at=exit_at):
+            calls[0] += 1
+            return exit_at(a, b, c)
+        monkeypatch.setattr(rfw.balls, name, counted)
+    rng = np.random.default_rng(23)
+    ball = GeodesicBall(k, k.random_point(rng), radius)
+    worst = 0
+    for i in range(60):
+        if i % 2:
+            x, w = _boundary_point_and_tilted_normal(
+                k, ball, rng, 10.0 ** rng.uniform(-6.0, 1.0))
+        else:
+            x = ball.sample(rng)
+            w = k.random_unit_tangent(x, rng)
+        calls[0] = 0
+        ball.lmo(w, x)
+        worst = max(worst, calls[0])
+    assert 0 < worst <= 16
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)

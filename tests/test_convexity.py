@@ -534,7 +534,7 @@ def test_convex_set_requires_sampler():
 
 
 def test_distance_equivalence_validation():
-    assert DistanceEquivalence.riemannian().distance(
+    assert DistanceEquivalence().distance(
         Euclidean(2), np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(2))
     with pytest.raises(ConfigError):
         DistanceEquivalence(2.0, 1.0)
@@ -607,7 +607,7 @@ def test_gradient_bound_needs_fstar():
 def test_smooth_fn_validates_stationary_point():
     quad, cs, target = quadratic_fn()
     with pytest.raises(ContractError):
-        SmoothStronglyConvexFn(quad.kernel, quad.value, quad.grad,
+        SmoothStronglyConvexFn(quad.kernel, quad.value_grad,
                                mu=quad.mu, L=quad.L, fstar=0.0,
                                xstar=target + 0.5)
 

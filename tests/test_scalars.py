@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,28 @@ def test_golden_section_endpoint_minimum():
 def test_bisect_root_cosine():
     r = bisect_root(np.cos, 0.0, 2.0)
     assert r == pytest.approx(np.pi / 2, abs=1e-11)
+
+
+def test_bisect_root_is_superlinear_on_a_smooth_root():
+    # plain bisection from a width-2 bracket to 1e-12 takes 43 evaluations
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.cos(t)
+    r = bisect_root(f, 0.0, 2.0, tol=1e-12)
+    assert abs(r - np.pi / 2) <= 1e-12
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("fun,lo,hi,root", [
+    (lambda t: t ** 3, -1.0, 2.0, 0.0),
+    (lambda t: math.tanh(1e6 * (t - 0.3)), 0.0, 1.0, 0.3)],
+    ids=["triple-root", "near-step"])
+def test_bisect_root_lands_within_tol_where_interpolation_fails(fun, lo, hi,
+                                                                root):
+    for tol in (1e-12, 1e-14):
+        assert abs(bisect_root(fun, lo, hi, tol=tol) - root) <= tol
 
 
 def test_bisect_root_accepts_root_at_endpoint():

@@ -82,7 +82,8 @@ def test_exterior_optimum_converges_linearly():
     assert len(trace) == 24
     assert trace.dual_gap[-1] <= 1e-13
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-    assert problem.objective.value(x) == pytest.approx(FSTAR_R3, abs=1e-12)
+    assert problem.objective.value_grad(x)[0] == pytest.approx(FSTAR_R3,
+                                                               abs=1e-12)
     diffs = np.diff(trace.f)
     assert diffs.max() <= 1e-15
 
@@ -166,7 +167,7 @@ def test_trace_csv_header_check(tmp_path):
 
 def test_other_step_rules_converge():
     problem, _, _, _ = _r3_problem()
-    h0 = problem.objective.value(problem.x0) - FSTAR_R3
+    h0 = problem.objective.value_grad(problem.x0)[0] - FSTAR_R3
     trace_ls, _ = rfw_run(problem, rule=StepRule.LINE_SEARCH, max_iter=200)
     assert trace_ls.f[-1] - FSTAR_R3 <= 1e-8
     trace_fs, _ = rfw_run(problem, rule="fixed-schedule", max_iter=500)
