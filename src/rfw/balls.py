@@ -29,7 +29,8 @@ from typing import Optional
 
 from .errors import (BracketError, ConfigError, ContractError,
                      NoIntersectionError, NumericsError)
-from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _norm
+from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere, _col,
+                        _norm)
 from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
@@ -84,8 +85,17 @@ class GeodesicBall:
         """Interior point, uniform-ish: random direction at the center,
         radius scaled so the push-forward is uniform in the flat limit."""
         u = self.kernel.random_unit_tangent(self.center, rng)
-        rho = self.radius * rng.uniform() ** (1.0 / self.kernel.dim)
-        return self.kernel.exp(self.center, rho * u)
+        return self._place(u[None], [rng.uniform()])[0]
+
+    def _place(self, u, s):
+        """The sample points for rows u of unit tangents at the center
+        and uniforms s on [0, 1): exp_center(radius s^(1/dim) u).  The
+        power is taken on Python floats; numpy's array power differs
+        from it in the last bit on a few percent of inputs."""
+        p = 1.0 / self.kernel.dim
+        rho = np.array([self.radius * t ** p for t in s])
+        return self.kernel.exp(self.center,
+                               _col(rho, len(self.kernel.point_shape)) * u)
 
     def lmo(self, w, x):
         """The ray from x along p leaves the ball where a cos(s) +
@@ -281,8 +291,12 @@ def _stationary_phi(grid, alpha, b1, b2, exit_at):
     def travel(phi):
         return exit_at(math.cos(phi) * b1 + math.sin(phi) * b2)[0]
 
-    if slope(lo) > 0.0 > slope(hi):
-        phi = bisect_root(slope, lo, hi, tol=LMO_TOL)
+    s_lo, s_hi = slope(lo), slope(hi)
+    if s_lo > 0.0 > s_hi:
+        # bisect_root starts from F' at the bracket ends, known already
+        ends = {lo: s_lo, hi: s_hi}
+        phi = bisect_root(lambda t: ends[t] if t in ends else slope(t),
+                          lo, hi, tol=LMO_TOL)
     elif hi > lo:
         phi, _ = minimize_1d(lambda t: -travel(t) * math.cos(t), lo, hi,
                              tol=LMO_TOL)

@@ -15,24 +15,35 @@ the worst margin seen:
 * approximate scaling inequality: the same with a curvature residual
   term built from the double exponential map subtracted.
 
+A certificate is built in three stages.  A loop over the samples only
+draws from the random generator (_Draws), in the order in which a loop
+drawing and measuring one sample at a time would draw.  The geometry
+(sample points, chords, midpoints, unit tangents, required clearances,
+the approx_scaling residual) is computed over all rows at once, with
+stacked kernel calls that give each row's bits.  One loop over the rows
+(_worst_case) then keeps the lowest margin and its witness, so the
+certificate is bit for bit that of the per-sample loop.
+
 Margins for the membership-based notions are measured as the gap
 between the admissible travel distance along the sampled direction and
-the required one (bisection on membership); the scaling notions have
-analytic margins.  A certificate keeps only the lowest margin and its
-witness, so a sample is refined by bisection only when one membership
-probe shows that it can lower the worst margin seen so far; the others
-are dropped, and the certificate is the one that refining every sample
-would give.  run_checker is the entry point; the function-class
-checks return the same ConvexityCertificate with alpha_tested None.
+the required one (bisection on membership), row by row with the set's
+scalar membership test; the scaling notions make one oracle call per
+row and have analytic margins.  A row is refined by bisection only
+when one membership probe shows that it can lower the worst margin
+seen so far; the others are dropped, and the certificate is the one
+that refining every row would give.  A NaN margin is a violation.
+run_checker is the entry point; the function-class checks return the
+same ConvexityCertificate with alpha_tested None.
 """
 
 import json
 import numpy as np
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import ConfigError, ContractError, DomainError, NumericsError
-from .manifolds import CurvatureInfo, Manifold
+from .manifolds import CurvatureInfo, Manifold, _col
 from .balls import ORACLE_KERNELS, GeodesicBall
 
 DEFAULT_CERT_TOL = 1e-8
@@ -79,7 +90,12 @@ class DistanceEquivalence:
             raise ConfigError("DistanceEquivalence: need 0 < ell <= big_l")
 
     def distance(self, kernel, x, y):
+        """d(x, y), row by row for stacked points; distance_fn is called
+        once per pair."""
         if self.distance_fn is not None:
+            if np.ndim(x) > len(kernel.point_shape):
+                return np.array([self.distance_fn(kernel, a, b)
+                                 for a, b in zip(x, y)])
             return self.distance_fn(kernel, x, y)
         if self.ell != self.big_l:
             raise ConfigError(
@@ -87,8 +103,8 @@ class DistanceEquivalence:
         return self.ell * kernel.dist(x, y)
 
 
-def _finite_or_none(margin):
-    return margin if np.isfinite(margin) else None
+def _finite_or_none(value):
+    return value if np.isfinite(value) else None
 
 
 @dataclass
@@ -106,11 +122,15 @@ class ConvexityCertificate:
 
     def to_dict(self):
         """Plain types for strict JSON: a non-finite margin (a domain
-        error, or no sample to certify) is written as None."""
-        witness = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                   for k, v in self.witness.items()}
-        if "margin" in witness:
-            witness["margin"] = _finite_or_none(witness["margin"])
+        error, a NaN, or no sample to certify) or other witness number
+        is written as None."""
+        witness = {}
+        for k, v in self.witness.items():
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif isinstance(v, float):
+                v = _finite_or_none(v)
+            witness[k] = v
         return {
             "notion": self.notion,
             "alpha_tested": self.alpha_tested,
@@ -189,23 +209,131 @@ def _ray_margin(cset, point_at, required, worst):
 
 
 # ---------------------------------------------------------------------------
-# the sampling loop and the five notions
+# a certificate's sample: draws, then geometry over all rows at once
 # ---------------------------------------------------------------------------
 
-def _worst_case(notion, alpha, n_samples, rng, draw, tolerance):
-    """Lowest margin over n_samples calls of draw(rng, worst), which
-    returns (margin, witness), or None for a sample with nothing to
-    certify or whose margin cannot fall below worst, the lowest so far."""
-    worst, witness = np.inf, {}
-    for _ in range(n_samples):
-        sample = draw(rng, worst)
-        if sample is not None and sample[0] < worst:
-            worst, witness = sample
+POINT, TIME, TANGENT = "point", "time", "tangent"
+
+
+class _Draws:
+    """Stage 1 of a certificate: the random draws of its n samples,
+    taken from rng in the order in which a loop over the samples would
+    take them.  layout names the draws of one sample: POINT (a point of
+    the set), TIME (a uniform on [0, 1)) or TANGENT (a standard normal in
+    the point's shape, made a unit tangent once its base point is
+    known).  A GeodesicBall's point is drawn as its sample method draws
+    it, a TANGENT at the center and a TIME, and placed in stage 2; any
+    other set's sampler is called in turn.  extra[(i, j)] counts the
+    normals drawn and dropped before the one kept at draw j of sample
+    i.  Stage 2 reads the rows through column, points and tangents."""
+
+    def __init__(self, cset, rng, n_samples, layout, extra):
+        k, sampler = cset.kernel, cset.sampler
+        by_ball = getattr(sampler, "__func__", None) is GeodesicBall.sample
+        self.kernel, self.ball = k, sampler.__self__ if by_ball else None
+        self.index, kinds = [], []
+        for slot in layout:
+            self.index.append(len(kinds))
+            kinds += [TANGENT, TIME] if by_ball and slot == POINT else [slot]
+        # rng.random(None) gives the bits of rng.uniform(), faster
+        take = {TANGENT: (rng.standard_normal, k.point_shape),
+                TIME: (rng.random, None), POINT: (sampler, rng)}
+        self.cols = [[] for _ in kinds]
+        plan = [(c.append,) + take[kind] for c, kind in zip(self.cols, kinds)]
+        for i in range(n_samples):
+            for j, (keep, draw, arg) in enumerate(plan):
+                for _ in range(extra.get((i, j), 0) if extra else 0):
+                    draw(arg)
+                keep(draw(arg))
+        self.missing = []
+
+    def column(self, slot, shape=()):
+        col = self.cols[self.index[slot]]
+        return np.array(col, dtype=float).reshape((len(col),) + shape)
+
+    def points(self, slot):
+        if self.ball is None:
+            return self.column(slot, self.kernel.point_shape)
+        return self.ball._place(self.tangents(slot, self.ball.center),
+                                self.cols[self.index[slot] + 1])
+
+    def tangents(self, slot, base):
+        """Unit tangents at the rows of base; the first row whose
+        projection vanished is noted in missing as (sample, draw)."""
+        g = self.column(slot, self.kernel.point_shape)
+        u, ok = self.kernel._unit_tangent(base, g)
+        if not ok.all():
+            self.missing.append((int(np.argmin(ok)), self.index[slot]))
+        return u
+
+
+def _sample(cset, rng, n_samples, layout, geometry):
+    """Stages 1 and 2: geometry(draws) over the _Draws of n_samples.  A
+    unit tangent whose projection vanished is drawn again at its own
+    place in the stream, as random_unit_tangent draws it: the draws are
+    taken afresh from rng's starting state, with one more normal at the
+    first such place, until there is none.  The first place is the
+    least (sample, draw) noted; a later one may rest on a dropped
+    tangent, and is judged again on the next pass."""
+    start = rng.bit_generator.state
+    extra = {}
+    while True:
+        draws = _Draws(cset, rng, n_samples, layout, extra)
+        rows = geometry(draws)
+        if not draws.missing:
+            return rows
+        at = min(draws.missing)
+        extra[at] = extra.get(at, 0) + 1
+        if extra[at] == 64:
+            raise ContractError(
+                f"{cset.kernel.name}: could not draw a unit tangent")
+        rng.bit_generator.state = start
+
+
+def _stacked(rows, like):
+    """Rows stacked in an array shaped as like (also with no rows)."""
+    return np.array(rows, dtype=float).reshape(like.shape)
+
+
+def _rows(**rows):
+    """witness(i, margin, **more): row i of each named array (a copy,
+    or a float for an array of scalars), then more, then the margin."""
+    return lambda i, margin, **more: {
+        **{k: a[i].copy() if a.ndim > 1 else float(a[i])
+           for k, a in rows.items()}, **more, "margin": margin}
+
+
+# ---------------------------------------------------------------------------
+# the loop over margins and the five notions
+# ---------------------------------------------------------------------------
+
+def _worst_case(notion, alpha, n_samples, margins, witness, tolerance):
+    """Stage 3, the one loop of every certificate: the lowest margin
+    over rows 0, 1, ... in order.  margins is a list of them, or
+    margins(i, worst) gives row i's; either gives None for a row with
+    nothing to certify, and margins(i, worst) also for a row whose
+    margin cannot fall below worst, the lowest so far.  witness(i,
+    margin) is the witness of the row kept.  A NaN margin is a
+    violation: it counts as -inf, and the witness says so."""
+    at = margins if callable(margins) else (lambda i, worst: margins[i])
+    worst, best, nan_row = np.inf, None, False
+    for i in range(n_samples):
+        margin = at(i, worst)
+        if margin is None:
+            continue
+        is_nan = margin != margin
+        if is_nan:
+            margin = -np.inf
+        if margin < worst:
+            worst, best, nan_row = margin, i, is_nan
+    found = {} if best is None else witness(best, float(worst))
+    if nan_row:
+        found["reason"] = "margin is NaN"
     return ConvexityCertificate(notion, alpha, n_samples, float(worst),
-                                witness, tolerance)
+                                found, tolerance)
 
 
-def _double_geodesic(cset, alpha, dist_eq):
+def _double_geodesic(cset, alpha, dist_eq, rng, n_samples):
     """Sample chords (x, y) and times t; every z at gamma(t) with
     norm(z) <= alpha*t*(1-t)*d(x,y)^2 must exponentiate into the set (a
     missing exp counts as failure), probing the worst direction drawn
@@ -214,118 +342,122 @@ def _double_geodesic(cset, alpha, dist_eq):
     dist_eq = dist_eq or DistanceEquivalence()
     k = cset.kernel
 
-    def draw(rng, worst):
-        x, y = cset.sampler(rng), cset.sampler(rng)
-        t = rng.uniform()
+    def geometry(draws):
+        x, y, t = draws.points(0), draws.points(1), draws.column(2)
         d = dist_eq.distance(k, x, y)
         m = k.geodesic(x, y, t)
         rho = alpha * t * (1.0 - t) * d * d
-        u = k.random_unit_tangent(m, rng)
-        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
-        if margin is None:
-            return None
-        return margin, {"x": x, "y": y, "t": t, "direction": u,
-                        "required": rho, "margin": margin}
-    return draw
+        return x, y, t, m, draws.tangents(3, m), rho
+    x, y, t, m, u, rho = _sample(cset, rng, n_samples,
+                                 (POINT, POINT, TIME, TANGENT), geometry)
+
+    def margin(i, worst):
+        mi, ui = m[i], u[i]
+        return _ray_margin(cset, lambda s: k.exp(mi, s * ui), float(rho[i]),
+                           worst)
+    return margin, _rows(x=x, y=y, t=t, direction=u, required=rho)
 
 
-def _geodesic(cset, alpha, dist_eq):
+def _geodesic(cset, alpha, dist_eq, rng, n_samples):
     """The metric ball of radius alpha*t*(1-t)*d(x,y)^2 around gamma(t)
     stays in the set: the double geodesic notion with the Riemannian
     distance, whatever dist_eq the caller passes."""
-    return _double_geodesic(cset, alpha, None)
+    return _double_geodesic(cset, alpha, None, rng, n_samples)
 
 
-def _riemannian(cset, alpha, dist_eq):
+def _riemannian(cset, alpha, dist_eq, rng, n_samples):
     """Strong convexity of the tangent-space pullback log_x(C),
     uniformly over sampled base points x in C."""
     k = cset.kernel
 
-    def draw(rng, worst):
-        x = cset.sampler(rng)
-        p = k.log(x, cset.sampler(rng))
-        q = k.log(x, cset.sampler(rng))
-        t = rng.uniform()
-        pq = p - q
-        dpq2 = k._inner(x, pq, pq)
-        combo = (1.0 - t) * p + t * q
-        rho = alpha * t * (1.0 - t) * dpq2
-        zdir = k.random_unit_tangent(x, rng)
-        margin = _ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
-                             rho, worst)
-        if margin is None:
-            return None
-        return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
-                        "required": rho, "margin": margin}
-    return draw
+    def geometry(draws):
+        x = draws.points(0)
+        p, q = k.log(x, draws.points(1)), k.log(x, draws.points(2))
+        t = draws.column(3)
+        pq, tc = p - q, _col(t, len(k.point_shape))
+        rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
+        return x, p, q, t, (1.0 - tc) * p + tc * q, draws.tangents(4, x), rho
+    x, p, q, t, combo, z, rho = _sample(
+        cset, rng, n_samples, (POINT, POINT, POINT, TIME, TANGENT), geometry)
+
+    def margin(i, worst):
+        xi, ci, zi = x[i], combo[i], z[i]
+        return _ray_margin(cset, lambda s: k.exp(xi, ci + s * zi),
+                           float(rho[i]), worst)
+    return margin, _rows(x=x, p=p, q=q, t=t, direction=z, required=rho)
 
 
-def _scaling(cset, alpha, dist_eq):
+def _scaling(cset, alpha, dist_eq, rng, n_samples, approx=False):
     """At the oracle vertex v for a unit direction w at x in C, require
-    <w, log_x(v)> >= alpha * norm(w) * dist(x, v)^2."""
+    <w, log_x(v)> >= alpha * norm(w) * dist(x, v)^2.
+
+    With approx, the approximate scaling inequality: the lower bound is
+    offset by <w, r(x)> with r(x) = R_x(log_x(v)/2, omega), the
+    residual of the double exponential map along the half chord.  omega
+    = (alpha d^2/4) w: transporting the scaled direction to the midpoint
+    and back is the identity, and residual makes the one transport
+    itself.  A row with d < 1e-12 has nothing to certify (a degenerate
+    set).  A residual that leaves the exp domain counts as a violation
+    (margin -inf), as a missing exp does for the membership notions;
+    the rows are then taken one at a time, to find which."""
     if cset.lmo is None:
-        raise ConfigError("scaling: set has no oracle")
+        notion = "approx_scaling" if approx else "scaling"
+        raise ConfigError(f"{notion}: set has no oracle")
     k = cset.kernel
 
-    def draw(rng, worst):
-        x = cset.sampler(rng)
-        w = k.random_unit_tangent(x, rng)
-        res = cset.lmo(w, x)
-        v, lhs, lx = res.vertex, res.objective, res.log
-        margin = lhs - alpha * k._inner(x, lx, lx)
-        return margin, {"x": x, "w": w, "vertex": v, "lhs": lhs,
-                        "margin": margin}
-    return draw
+    def geometry(draws):
+        x = draws.points(0)
+        return x, draws.tangents(1, x)
+    x, w = _sample(cset, rng, n_samples, (POINT, TANGENT), geometry)
+    res = [cset.lmo(wi, xi) for xi, wi in zip(x, w)]
+    v = _stacked([r.vertex for r in res], x)
+    lx = _stacked([r.log for r in res], x)
+    lhs = np.array([r.objective for r in res], dtype=float)
+    if not approx:
+        margins = lhs - alpha * k._inner(x, lx, lx)
+        return margins.tolist(), _rows(x=x, w=w, vertex=v, lhs=lhs)
+    d = k.dist(x, v)
+    omega = _col(0.25 * alpha * d * d, len(k.point_shape)) * w
+    live = (~(d < 1e-12)).tolist()
+    errors = [None] * n_samples
+    try:
+        r_x = residual(k, x, 0.5 * lx, omega)
+    except DomainError:
+        r_x = np.zeros_like(x)
+        for i in np.flatnonzero(live):
+            try:
+                r_x[i] = residual(k, x[i], 0.5 * lx[i], omega[i])
+            except DomainError as exc:
+                errors[i] = str(exc)
+    margins = (lhs - alpha * d * d - k._inner(x, w, r_x)).tolist()
+    margins = [(m if e is None else -np.inf) if keep else None
+               for m, e, keep in zip(margins, errors, live)]
+    found = _rows(x=x, w=w, vertex=v, lhs=lhs, residual=r_x)
+    failed = _rows(x=x, w=w, vertex=v)
+
+    def witness(i, margin):
+        if errors[i] is None:
+            return found(i, margin)
+        return failed(i, margin, domain_error=errors[i])
+    return margins, witness
 
 
-def _approx_scaling(cset, alpha, dist_eq):
-    """Scaling inequality with the curvature correction term: the lower
-    bound alpha*norm(w)*dist(x,v)^2 is offset by <w, r(x)> with r(x) =
-    R_x(log_x(v)/2, omega), the residual of the double exponential map
-    along the half chord.  omega = (alpha d^2/4) w: transporting the
-    scaled direction to the midpoint and back is the identity, and
-    residual makes the one transport itself.  A residual that leaves
-    the exp domain counts as a violation (margin -inf), as a missing exp
-    does for the membership notions."""
-    if cset.lmo is None:
-        raise ConfigError("approx_scaling: set has no oracle")
-    k = cset.kernel
+_NOTIONS = {"geodesic": _geodesic, "riemannian": _riemannian,
+            "double_geodesic": _double_geodesic, "scaling": _scaling,
+            "approx_scaling": partial(_scaling, approx=True)}
 
-    def draw(rng, worst):
-        x = cset.sampler(rng)
-        w = k.random_unit_tangent(x, rng)
-        res = cset.lmo(w, x)
-        v, lx = res.vertex, res.log
-        d = k.dist(x, v)
-        if d < 1e-12:
-            return None  # degenerate set; nothing to certify at this point
-        omega = (0.25 * alpha * d * d) * w
-        try:
-            r_x = residual(k, x, 0.5 * lx, omega)
-        except DomainError as exc:
-            return -np.inf, {"x": x, "w": w, "vertex": v,
-                             "domain_error": str(exc), "margin": -np.inf}
-        margin = res.objective - alpha * d * d - k._inner(x, w, r_x)
-        return margin, {"x": x, "w": w, "vertex": v, "lhs": res.objective,
-                        "residual": r_x, "margin": margin}
-    return draw
-
-
-_DRAWS = {"geodesic": _geodesic, "riemannian": _riemannian,
-          "double_geodesic": _double_geodesic, "scaling": _scaling,
-          "approx_scaling": _approx_scaling}
-
-NOTIONS = tuple(_DRAWS)
+NOTIONS = tuple(_NOTIONS)
 
 
 def run_checker(notion, cset, alpha, n_samples, rng, dist_eq=None,
                 tolerance=DEFAULT_CERT_TOL):
     """Certificate for one notion (see NOTIONS) by sampling.  dist_eq
     only matters to double_geodesic."""
-    if notion not in _DRAWS:
+    if notion not in _NOTIONS:
         raise ConfigError(f"unknown notion '{notion}'")
-    draw = _DRAWS[notion](cset, alpha, dist_eq)
-    return _worst_case(notion, alpha, n_samples, rng, draw, tolerance)
+    margins, witness = _NOTIONS[notion](cset, alpha, dist_eq, rng,
+                                        n_samples)
+    return _worst_case(notion, alpha, n_samples, margins, witness, tolerance)
 
 
 def estimate_alpha(cset, notion, n_samples, rng):
@@ -484,37 +616,49 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
     sqrt(2 L (f(x) - fstar)) on the set."""
     if fn.fstar is None:
         raise ConfigError("check_smoothness_gradient_bound: fstar required")
-    k = cset.kernel
-
-    def draw(rng, worst):
-        x = cset.sampler(rng)
-        fx, gx = fn.value_grad(x)
-        gap = max(fx - fn.fstar, 0.0)
-        margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, gx)
-        return margin, {"x": x, "margin": margin}
-    return _worst_case("smoothness_gradient_bound", None, n_samples, rng,
-                       draw, tolerance)
+    x = _sample(cset, rng, n_samples, (POINT,), lambda d: d.points(0))
+    fx, gx = [], []
+    for xi in x:
+        f, g = fn.value_grad(xi)
+        fx.append(f)
+        gx.append(g)
+    gap = np.array(fx, dtype=float) - fn.fstar
+    gap = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0), NaN kept
+    norms = cset.kernel.norm(x, _stacked(gx, x))
+    margins = np.sqrt(2.0 * fn.L * gap) - norms
+    return _worst_case("smoothness_gradient_bound", None, n_samples,
+                       margins.tolist(), _rows(x=x), tolerance)
 
 
 def check_gconvexity_of_function(fn, cset, n_samples, rng,
                                  tolerance=DEFAULT_CERT_TOL):
     """Geodesic mu-strong-convexity and L-smoothness inequalities of fn
     along sampled chords of the set; the worst of the two margins is
-    reported."""
+    reported, and a NaN in either makes the sample a violation."""
     k = cset.kernel
+    x, y, t = _sample(cset, rng, n_samples, (POINT, POINT, TIME), lambda d: (
+        d.points(0), d.points(1), d.column(2)))
+    d, mid = k.dist(x, y), k.geodesic(x, y, t)
+    fx, gx, fy, fmid = [], [], [], []
+    for xi, yi, mi in zip(x, y, mid):  # in the order of a per-sample loop
+        f, g = fn.value_grad(xi)
+        fx.append(f)
+        gx.append(g)
+        fy.append(fn.value_grad(yi)[0])
+        fmid.append(fn.value_grad(mi)[0])
+    fx, fy, fmid = (np.array(f, dtype=float) for f in (fx, fy, fmid))
+    convexity = ((1.0 - t) * fx + t * fy
+                 - 0.5 * fn.mu * t * (1.0 - t) * d * d - fmid)
+    lin = fy - fx - k.inner(x, _stacked(gx, x), k.log(x, y))
+    smooth = 0.5 * fn.L * d * d - np.abs(lin)
+    # min(convexity, smooth), keeping a NaN in either
+    worse = np.where((smooth < convexity) | np.isnan(smooth), smooth,
+                     convexity).tolist()
+    rows = _rows(x=x, y=y, t=t, convexity=convexity, smoothness=smooth)
 
-    def draw(rng, worst):
-        x, y = cset.sampler(rng), cset.sampler(rng)
-        t = rng.uniform()
-        d = k.dist(x, y)
-        fx, gx = fn.value_grad(x)
-        fy = fn.value_grad(y)[0]
-        fmid = fn.value_grad(k.geodesic(x, y, t))[0]
-        convexity = ((1.0 - t) * fx + t * fy
-                     - 0.5 * fn.mu * t * (1.0 - t) * d * d - fmid)
-        lin = fy - fx - k.inner(x, gx, k.log(x, y))
-        smooth = 0.5 * fn.L * d * d - abs(lin)
-        return min(convexity, smooth), {"x": x, "y": y, "t": t,
-                                        "convexity": convexity,
-                                        "smoothness": smooth}
-    return _worst_case("gconvexity", None, n_samples, rng, draw, tolerance)
+    def witness(i, margin):
+        found = rows(i, margin)
+        del found["margin"]
+        return found
+    return _worst_case("gconvexity", None, n_samples, worse, witness,
+                       tolerance)

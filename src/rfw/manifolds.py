@@ -9,12 +9,22 @@ provides the metric, exp/log, distance, parallel transport along
 minimizing geodesics, and tangent projection.  Geodesics are
 parametrized so that geodesic(x, y, t) = exp_x(t * log_x(y)).
 
+Every map also takes stacked rows: points and vectors with a leading
+axis, a single base point broadcast against them, and t an array of
+one time per row.  A single point is the one-row case of the same
+formula, and each row of a stacked call is bit for bit the single call
+on that row: dot products are stacked matmuls, which take np.dot's
+arithmetic, clamps are selections that keep Python's max/min on signed
+zeros, and stacked LAPACK calls factor each matrix as a single call
+does.
+
 Operations that have a restricted domain raise DomainError instead of
 silently extrapolating: sphere exp is limited to ``norm(v) < pi`` and
 sphere log rejects near-antipodal pairs, where the minimizing geodesic
-stops being unique.
+stops being unique.  On stacked rows the message names the first
+offending row's value.
 
-The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base
+The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two single base
 points, keyed by their bytes, so outputs are bit for bit those of
 recomputing the pair; every other kernel is stateless.
 """
@@ -32,6 +42,8 @@ SERIES_EPS = 1e-12
 # (loose on purpose, roundoff in transported vectors sits far below it)
 POINT_TOL = 1e-10
 TANGENT_TOL = 1e-6
+# sphere log refuses pairs farther apart than this
+_CUT_LOCUS = np.pi - 1e-6
 
 
 def _norm(a):
@@ -40,6 +52,74 @@ def _norm(a):
     axis, so the result is bitwise the same."""
     a = np.asarray(a, dtype=float).ravel(order="K")
     return math.sqrt(a.dot(a))
+
+
+def _dot(a, b):
+    """<a, b> over the last axis: a float for two vectors, an array over
+    the broadcast rows otherwise.  The stacked matmul takes np.dot's
+    arithmetic, so each row is bitwise its vectors' np.dot."""
+    if a.ndim == 1 and b.ndim == 1:
+        return float(a.dot(b))
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norms(a, ndim):
+    """_norm over the last ndim axes: a float for one point or vector,
+    an array for stacked rows."""
+    if type(a) is not np.ndarray:
+        a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return math.sqrt(a.dot(a))
+    if a.ndim <= ndim:
+        return _norm(a)
+    flat = _flatten(a, ndim)
+    return np.sqrt(_dot(flat, flat))
+
+
+def _flatten(a, ndim):
+    """a with its last ndim axes flattened into one."""
+    lead = a.ndim - ndim
+    return a.reshape(a.shape[:lead] + (math.prod(a.shape[lead:]),))
+
+
+def _col(c, ndim=1):
+    """Per-row scalars shaped to broadcast against rows of points with
+    ndim axes each; a scalar is returned as a float, which scales an
+    array faster than a numpy scalar does."""
+    if type(c) is np.ndarray:
+        return c[(...,) + (None,) * ndim]
+    return float(c)
+
+
+def _any(c):
+    return c.any() if type(c) is np.ndarray else c
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: elementwise over rows, a plain branch
+    for a scalar condition."""
+    if type(cond) is np.ndarray:
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _atleast(a, lo):
+    """max(a, lo), elementwise, with Python's choice among equal values
+    (np.maximum returns the other zero on max(-0.0, 0.0))."""
+    return _where(lo > a, lo, a)
+
+
+def _zero_where(cond, a):
+    """Vectors a with +0.0 on the rows where cond holds (a zero vector
+    for a scalar condition that holds)."""
+    if type(cond) is np.ndarray:
+        return np.where(cond[..., None], 0.0, a)
+    return np.zeros_like(a) if cond else a
+
+
+def _first(values, bad):
+    """The value of the first offending row, for an error message."""
+    return values[bad][0] if type(bad) is np.ndarray else values
 
 
 @dataclass(frozen=True)
@@ -65,6 +145,7 @@ class Manifold:
     name = "manifold"
     dim = 0
     curvature = CurvatureInfo(0.0, 0.0)
+    point_shape = ()  # of one point; stacked rows add leading axes
 
     # --- metric -----------------------------------------------------
 
@@ -82,7 +163,7 @@ class Manifold:
         raise NotImplementedError
 
     def norm(self, x, u):
-        return np.sqrt(max(self.inner(x, u, u), 0.0))
+        return np.sqrt(_atleast(self.inner(x, u, u), 0.0))
 
     # --- maps -------------------------------------------------------
 
@@ -99,7 +180,7 @@ class Manifold:
         raise NotImplementedError
 
     def geodesic(self, x, y, t):
-        return self.exp(x, t * self.log(x, y))
+        return self.exp(x, _col(t, len(self.point_shape)) * self.log(x, y))
 
     def project_tangent(self, x, a):
         raise NotImplementedError
@@ -113,13 +194,14 @@ class Manifold:
 
     def check_tangent(self, x, v):
         """Raise ContractError unless v is tangent at x within TANGENT_TOL
-        (relative to norm(v)); catches mismatched base points and
-        shapes."""
-        if np.shape(v) != np.shape(x):
+        (relative to norm(v)), row by row for stacked vectors; catches
+        mismatched base points and shapes."""
+        nd, shape = len(self.point_shape), np.shape(v)
+        if len(shape) < nd or shape[-nd:] != np.shape(x)[-nd:]:
             raise ContractError(f"{self.name}: tangent has wrong shape")
         w = self.project_tangent(x, v)
-        scale = max(_norm(v), 1.0)
-        if _norm(w - v) > TANGENT_TOL * scale:
+        scale = _atleast(_norms(v, nd), 1.0)
+        if _any(_norms(w - v, nd) > TANGENT_TOL * scale):
             raise ContractError(
                 f"{self.name}: vector is not tangent at the given base point")
 
@@ -129,16 +211,29 @@ class Manifold:
         raise NotImplementedError
 
     def random_tangent(self, x, rng):
-        raise NotImplementedError
+        """A standard normal in the embedding, projected to the tangent
+        space at x."""
+        return self.project_tangent(x, rng.standard_normal(self.point_shape))
+
+    def _unit_tangent(self, x, g):
+        """(u, ok): g projected to the tangent space at x and scaled to
+        unit norm, and whether the projection was longer than 1e-12 (a
+        shorter one has no direction, and its u is not unit); row by row
+        for stacked x or g."""
+        v = self.project_tangent(x, g)
+        n = np.sqrt(_atleast(self._inner(x, v, v), 0.0))
+        ok = n > 1e-12
+        return v / _col(_where(ok, n, 1.0), len(self.point_shape)), ok
 
     def random_unit_tangent(self, x, rng):
-        """random_tangent at x scaled to unit norm; the norm goes
-        unchecked, as the vector was just built at x."""
+        """random_tangent at x scaled to unit norm, drawn again while its
+        projection is too short; the norm goes unchecked, as the vector
+        was just built at x."""
         for _ in range(64):
-            v = self.random_tangent(x, rng)
-            n = np.sqrt(max(self._inner(x, v, v), 0.0))
-            if n > 1e-12:
-                return v / n
+            g = rng.standard_normal(self.point_shape)
+            u, ok = self._unit_tangent(x, g)
+            if ok:
+                return u
         raise ContractError(f"{self.name}: could not draw a unit tangent")
 
     def base_point(self):
@@ -154,11 +249,12 @@ class Euclidean(Manifold):
             raise ConfigError("Euclidean: dimension must be >= 2")
         self.n = n
         self.dim = n
+        self.point_shape = (n,)
         self.name = f"euclidean({n})"
         self.curvature = CurvatureInfo(0.0, 0.0)
 
     def _inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return _dot(u, v)
 
     def exp(self, x, v):
         return x + v
@@ -167,7 +263,7 @@ class Euclidean(Manifold):
         return y - x
 
     def dist(self, x, y):
-        return _norm(y - x)
+        return _norms(y - x, 1)
 
     def transport(self, x, y, u):
         self.check_tangent(x, u)
@@ -183,13 +279,10 @@ class Euclidean(Manifold):
 
     def check_tangent(self, x, v):
         # every vector of R^n is tangent at every point
-        if np.shape(v) != (self.n,):
+        if np.ndim(v) < 1 or np.shape(v)[-1:] != (self.n,):
             raise ContractError(f"{self.name}: tangent has wrong shape")
 
     def random_point(self, rng):
-        return rng.standard_normal(self.n)
-
-    def random_tangent(self, x, rng):
         return rng.standard_normal(self.n)
 
     def base_point(self):
@@ -209,56 +302,69 @@ class Sphere(Manifold):
             raise ConfigError("Sphere: ambient dimension must be >= 2")
         self.n = n
         self.dim = n - 1
+        self.point_shape = (n,)
         self.name = f"sphere({n})"
         self.curvature = CurvatureInfo(1.0, 1.0)
 
     def _inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return _dot(u, v)
 
     def project_tangent(self, x, a):
         a = np.asarray(a, dtype=float)
-        return a - np.dot(x, a) * x
+        return a - _col(_dot(x, a)) * x
 
-    def _angle(self, x, y):
-        c = float(np.dot(x, y))
-        if c >= 0.0:
-            return 2.0 * np.arcsin(min(_norm(y - x) / 2.0, 1.0))
-        return float(np.arccos(max(c, -1.0)))
+    def _angle(self, x, y, c):
+        """dist(x, y) given c = <x, y>: the chord form, and the arc form
+        on the rows with c < 0 (if any)."""
+        half = _norms(y - x, 1) / 2.0
+        theta = 2.0 * np.arcsin(_where(1.0 < half, 1.0, half))
+        far = c < 0.0
+        if _any(far):
+            # -|c| is c on those rows, and keeps arccos defined on the
+            # others
+            theta = _where(far, np.arccos(_atleast(-abs(c), -1.0)), theta)
+        return theta
 
     def exp(self, x, v):
-        theta = _norm(v)
-        if theta >= np.pi:
+        theta = _norms(v, 1)
+        far = theta >= np.pi
+        if _any(far):
             raise DomainError(
-                f"sphere exp: norm(v)={theta:.6g} >= pi (injectivity radius)")
-        if theta < SERIES_EPS:
-            z = x + v
-        else:
-            z = np.cos(theta) * x + (np.sin(theta) / theta) * v
-        return z / _norm(z)
+                f"sphere exp: norm(v)={_first(theta, far):.6g} >= pi "
+                "(injectivity radius)")
+        # below SERIES_EPS the coefficients are 1: z = x + v
+        flat = theta < SERIES_EPS
+        safe = _where(flat, 1.0, theta)
+        z = (_col(_where(flat, 1.0, np.cos(theta))) * x
+             + _col(_where(flat, 1.0, np.sin(safe) / safe)) * v)
+        return z / _col(_norms(z, 1))
 
     def log(self, x, y):
-        theta = self._angle(x, y)
-        if theta > np.pi - 1e-6:
+        c = _dot(x, y)
+        theta = self._angle(x, y, c)
+        cut = theta > _CUT_LOCUS
+        if _any(cut):
             raise DomainError(
-                f"sphere log: dist={theta:.6g} too close to pi (cut locus)")
-        u = y - float(np.dot(x, y)) * x
-        nu = _norm(u)
-        if theta < SERIES_EPS or nu < SERIES_EPS:
-            return np.zeros_like(x)
-        return (theta / nu) * u
+                f"sphere log: dist={_first(theta, cut):.6g} too close to pi "
+                "(cut locus)")
+        u = y - _col(c) * x
+        nu = _norms(u, 1)
+        flat = (theta < SERIES_EPS) | (nu < SERIES_EPS)
+        return _zero_where(flat, _col(theta / _where(flat, 1.0, nu)) * u)
 
     def dist(self, x, y):
-        return self._angle(x, y)
+        return self._angle(x, y, _dot(x, y))
 
     def transport(self, x, y, u):
         self.check_tangent(x, u)
         v = self.log(x, y)
-        theta = _norm(v)
-        if theta < SERIES_EPS:
-            return np.array(u, copy=True)
-        e = v / theta
-        a = float(np.dot(e, u))
-        return u + a * ((np.cos(theta) - 1.0) * e - np.sin(theta) * x)
+        theta = _norms(v, 1)
+        flat = theta < SERIES_EPS
+        e = v / _col(_where(flat, 1.0, theta))
+        a = _dot(e, u)
+        moved = u + _col(a) * (_col(np.cos(theta) - 1.0) * e
+                               - _col(np.sin(theta)) * x)
+        return _where(_col(flat), np.array(u, copy=True), moved)
 
     def check_point(self, x):
         x = np.asarray(x)
@@ -273,9 +379,6 @@ class Sphere(Manifold):
             n = _norm(g)
             if n > 1e-8:
                 return g / n
-
-    def random_tangent(self, x, rng):
-        return self.project_tangent(x, rng.standard_normal(self.n))
 
     def base_point(self):
         e = np.zeros(self.n)
@@ -295,51 +398,60 @@ class Hyperboloid(Manifold):
             raise ConfigError("Hyperboloid: intrinsic dimension must be >= 2")
         self.n = n
         self.dim = n
+        self.point_shape = (n + 1,)
         self.name = f"hyperboloid({n})"
         self.curvature = CurvatureInfo(-1.0, -1.0)
 
     @staticmethod
     def minkowski(u, v):
-        return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
+        if u.ndim == 1 and v.ndim == 1:  # floats, as _dot gives
+            u0, us, v0, vs = u.item(0), u[1:], v.item(0), v[1:]
+        else:
+            u0, us, v0, vs = u[..., 0], u[..., 1:], v[..., 0], v[..., 1:]
+        return -u0 * v0 + _dot(us, vs)
 
     def _inner(self, x, u, v):
         return self.minkowski(u, v)
 
     def project_tangent(self, x, a):
         a = np.asarray(a, dtype=float)
-        return a + self.minkowski(x, a) * x
+        return a + _col(self.minkowski(x, a)) * x
 
     def _renormalize(self, z):
         # pull a near-hyperboloid vector back onto <z,z>_M = -1
         s = -self.minkowski(z, z)
-        if s <= 0.0:
+        if _any(s <= 0.0):
             raise DomainError("hyperboloid: vector left the timelike cone")
-        return z / np.sqrt(s)
+        return z / _col(np.sqrt(s))
 
     def _theta_sinh(self, x, y):
         # Minkowski chord: <y-x, y-x>_M = 2(cosh(theta) - 1), accurate
         # near theta = 0 where -<x,y>_M loses digits to cancellation
         d = y - x
-        m = max(self.minkowski(d, d), 0.0)
+        m = _atleast(self.minkowski(d, d), 0.0)
         s = np.sqrt(m * (1.0 + 0.25 * m))  # sinh(theta)
-        return float(np.arcsinh(s)), float(s)
+        return np.arcsinh(s), s
+
+    def _speed(self, v):
+        return np.sqrt(_atleast(self.minkowski(v, v), 0.0))
 
     def exp(self, x, v):
-        theta = np.sqrt(max(self.minkowski(v, v), 0.0))
-        if theta > 300.0:
+        theta = self._speed(v)
+        if _any(theta > 300.0):
             # cosh overflows doubles long before this is a sane request
             raise DomainError("hyperboloid: tangent norm too large for exp")
-        if theta < SERIES_EPS:
-            return self._renormalize(x + v)
-        z = np.cosh(theta) * x + (np.sinh(theta) / theta) * v
+        # below SERIES_EPS the coefficients are 1: z = x + v
+        flat = theta < SERIES_EPS
+        safe = _where(flat, 1.0, theta)
+        z = (_col(_where(flat, 1.0, np.cosh(theta))) * x
+             + _col(_where(flat, 1.0, np.sinh(safe) / safe)) * v)
         return self._renormalize(z)
 
     def log(self, x, y):
         theta, s = self._theta_sinh(x, y)
         u = self.project_tangent(x, y)
-        if s < SERIES_EPS:
-            return np.zeros_like(x)
-        return (theta / s) * u
+        flat = s < SERIES_EPS
+        return _zero_where(flat, _col(theta / _where(flat, 1.0, s)) * u)
 
     def dist(self, x, y):
         return self._theta_sinh(x, y)[0]
@@ -347,12 +459,13 @@ class Hyperboloid(Manifold):
     def transport(self, x, y, u):
         self.check_tangent(x, u)
         v = self.log(x, y)
-        theta = np.sqrt(max(self.minkowski(v, v), 0.0))
-        if theta < SERIES_EPS:
-            return np.array(u, copy=True)
-        e = v / theta
+        theta = self._speed(v)
+        flat = theta < SERIES_EPS
+        e = v / _col(_where(flat, 1.0, theta))
         a = self.minkowski(e, u)
-        return u + a * ((np.cosh(theta) - 1.0) * e + np.sinh(theta) * x)
+        moved = u + _col(a) * (_col(np.cosh(theta) - 1.0) * e
+                               + _col(np.sinh(theta)) * x)
+        return _where(_col(flat), np.array(u, copy=True), moved)
 
     def check_point(self, x):
         x = np.asarray(x)
@@ -366,23 +479,39 @@ class Hyperboloid(Manifold):
         v[1:] = rng.standard_normal(self.n)
         return self.exp(self.base_point(), v)
 
-    def random_tangent(self, x, rng):
-        return self.project_tangent(x, rng.standard_normal(self.n + 1))
-
     def base_point(self):
         e = np.zeros(self.n + 1)
         e[0] = 1.0
         return e
 
 
+def _swap(a):
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
+
+
+def _rowvec(w):
+    """Eigenvalues shaped to scale the columns of their eigenvectors."""
+    return w if w.ndim == 1 else w[..., None, :]
+
+
 def _sym(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _swap(a))
 
 
 def _eigh_apply(s, fun):
-    """fun applied to the eigenvalues of a symmetric matrix."""
+    """fun applied to the eigenvalues of a symmetric matrix (or stack)."""
     w, v = np.linalg.eigh(_sym(s))
-    return (v * fun(w)) @ v.T
+    return (v * _rowvec(fun(w))) @ _swap(v)
+
+
+def _sqrt_factors(x):
+    """(X^{1/2}, X^{-1/2}) by eigh, for a matrix or a stack."""
+    w, v = np.linalg.eigh(_sym(x))
+    if _any(w[..., 0] <= 0.0):
+        raise DomainError("spd: matrix is not positive definite")
+    r = _rowvec(np.sqrt(w))
+    return (v * r) @ _swap(v), (v / r) @ _swap(v)
 
 
 class Spd(Manifold):
@@ -398,6 +527,7 @@ class Spd(Manifold):
             raise ConfigError("Spd: matrix size must be >= 2")
         self.n = n
         self.dim = n * (n + 1) // 2
+        self.point_shape = (n, n)
         self.name = f"spd({n})"
         self.curvature = CurvatureInfo(-0.5, 0.0)
         # [(key, (X^{1/2}, X^{-1/2}))] of the last two base points, most
@@ -411,18 +541,17 @@ class Spd(Manifold):
         over, so the pairs of the last two matrices are kept, keyed by
         their bytes: a hit returns the arrays that eigh would give, and
         a matrix changed in place is factored afresh.  A matrix that is
-        not positive definite is never kept, and raises every time."""
+        not positive definite is never kept, and raises every time.  A
+        stack of base points is factored in one call and not kept."""
+        if x.ndim > 2:
+            return _sqrt_factors(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         recent = self._sqrt_memo
         for k, pair in recent:
             if k == key:
                 break
         else:
-            w, v = np.linalg.eigh(_sym(x))
-            if w[0] <= 0.0:
-                raise DomainError("spd: matrix is not positive definite")
-            r = np.sqrt(w)
-            pair = (v * r) @ v.T, (v / r) @ v.T
+            pair = _sqrt_factors(x)
             for a in pair:
                 a.flags.writeable = False
         older = [e for e in recent if e[0] != key]
@@ -432,7 +561,9 @@ class Spd(Manifold):
     def _inner(self, x, u, v):
         xu = np.linalg.solve(x, u)
         xv = xu if v is u else np.linalg.solve(x, v)
-        return float(np.sum(xu * xv.T))
+        p = xu * _swap(xv)
+        # np.sum's order over one matrix's entries, row by row
+        return _flatten(p, 2).sum(-1)
 
     def project_tangent(self, x, a):
         return _sym(np.asarray(a, dtype=float))
@@ -444,26 +575,25 @@ class Spd(Manifold):
 
     def log(self, x, y):
         s, si = self._sqrt_pair(x)
-        inner_ = _sym(si @ y @ si)
-        w, q = np.linalg.eigh(inner_)
-        if w[0] <= 0.0:
+        w, q = np.linalg.eigh(_sym(si @ y @ si))
+        if _any(w[..., 0] <= 0.0):
             raise DomainError("spd log: target is not positive definite")
-        m = (q * np.log(w)) @ q.T
+        m = (q * _rowvec(np.log(w))) @ _swap(q)
         return _sym(s @ m @ s)
 
     def dist(self, x, y):
         s, si = self._sqrt_pair(x)
         w = np.linalg.eigvalsh(_sym(si @ y @ si))
-        if w[0] <= 0.0:
+        if _any(w[..., 0] <= 0.0):
             raise DomainError("spd dist: target is not positive definite")
-        return _norm(np.log(w))
+        return _norms(np.log(w), 1)
 
     def transport(self, x, y, u):
         self.check_tangent(x, u)
         s, si = self._sqrt_pair(x)
         half = _eigh_apply(si @ y @ si, np.sqrt)
         m = s @ half @ si  # = (y x^-1)^{1/2}
-        return _sym(m @ u @ m.T)
+        return _sym(m @ u @ _swap(m))
 
     def check_point(self, x):
         x = np.asarray(x)
@@ -476,18 +606,15 @@ class Spd(Manifold):
 
     def check_tangent(self, x, v):
         v = np.asarray(v)
-        if v.shape != (self.n, self.n):
+        if v.ndim < 2 or v.shape[-2:] != (self.n, self.n):
             raise ContractError(f"{self.name}: tangent has wrong shape")
-        scale = max(_norm(v), 1.0)
-        if _norm(v - v.T) > TANGENT_TOL * scale:
+        scale = _atleast(_norms(v, 2), 1.0)
+        if _any(_norms(v - _swap(v), 2) > TANGENT_TOL * scale):
             raise ContractError(f"{self.name}: tangent is not symmetric")
 
     def random_point(self, rng):
         g = rng.standard_normal((self.n, self.n))
         return _eigh_apply(0.5 * _sym(g), np.exp)
-
-    def random_tangent(self, x, rng):
-        return _sym(rng.standard_normal((self.n, self.n)))
 
     def base_point(self):
         return np.eye(self.n)

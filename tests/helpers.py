@@ -87,3 +87,137 @@ def geometry_invariant_worst(kernel, n_samples, rng, spread=1.0):
         worst = max(worst, abs(kernel.inner(y, tv, tw)
                                - kernel.inner(x, v, w)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference certifiers
+# ---------------------------------------------------------------------------
+# The certifiers as a loop over samples, each drawn and measured on its
+# own with the scalar kernel calls.  run_checker builds a certificate's
+# whole sample as stacked arrays instead, from the same random stream,
+# and must give the same certificate bit for bit.
+
+def _reference_draws(cset, alpha, dist_eq):
+    from rfw.convexity import DistanceEquivalence, _ray_margin, residual
+    from rfw.errors import DomainError
+    k = cset.kernel
+
+    def double_geodesic(rng, worst, dist_eq=dist_eq):
+        dist_eq = dist_eq or DistanceEquivalence()
+        x, y = cset.sampler(rng), cset.sampler(rng)
+        t = rng.uniform()
+        d = dist_eq.distance(k, x, y)
+        m = k.geodesic(x, y, t)
+        rho = alpha * t * (1.0 - t) * d * d
+        u = k.random_unit_tangent(m, rng)
+        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
+        if margin is None:
+            return None
+        return margin, {"x": x, "y": y, "t": t, "direction": u,
+                        "required": rho, "margin": margin}
+
+    def riemannian(rng, worst):
+        x = cset.sampler(rng)
+        p = k.log(x, cset.sampler(rng))
+        q = k.log(x, cset.sampler(rng))
+        t = rng.uniform()
+        pq = p - q
+        combo = (1.0 - t) * p + t * q
+        rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
+        zdir = k.random_unit_tangent(x, rng)
+        margin = _ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
+                             rho, worst)
+        if margin is None:
+            return None
+        return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
+                        "required": rho, "margin": margin}
+
+    def scaling(rng, worst):
+        x = cset.sampler(rng)
+        w = k.random_unit_tangent(x, rng)
+        res = cset.lmo(w, x)
+        margin = res.objective - alpha * k._inner(x, res.log, res.log)
+        return margin, {"x": x, "w": w, "vertex": res.vertex,
+                        "lhs": res.objective, "margin": margin}
+
+    def approx_scaling(rng, worst):
+        x = cset.sampler(rng)
+        w = k.random_unit_tangent(x, rng)
+        res = cset.lmo(w, x)
+        v, lx = res.vertex, res.log
+        d = k.dist(x, v)
+        if d < 1e-12:
+            return None
+        omega = (0.25 * alpha * d * d) * w
+        try:
+            r_x = residual(k, x, 0.5 * lx, omega)
+        except DomainError as exc:
+            return -np.inf, {"x": x, "w": w, "vertex": v,
+                             "domain_error": str(exc), "margin": -np.inf}
+        margin = res.objective - alpha * d * d - k._inner(x, w, r_x)
+        return margin, {"x": x, "w": w, "vertex": v, "lhs": res.objective,
+                        "residual": r_x, "margin": margin}
+
+    return {"geodesic": lambda rng, worst: double_geodesic(rng, worst, None),
+            "riemannian": riemannian, "double_geodesic": double_geodesic,
+            "scaling": scaling, "approx_scaling": approx_scaling}
+
+
+def _reference_worst(notion, alpha, n_samples, rng, draw, refine_all):
+    from rfw.convexity import ConvexityCertificate
+    worst, witness = np.inf, {}
+    for _ in range(n_samples):
+        sample = draw(rng, np.inf if refine_all else worst)
+        if sample is None:
+            continue
+        margin, wit = sample
+        if margin != margin:
+            margin, wit = -np.inf, {**wit, "reason": "margin is NaN"}
+            if "margin" in wit:
+                wit["margin"] = margin
+        if margin < worst:
+            worst, witness = margin, wit
+    return ConvexityCertificate(notion, alpha, n_samples, float(worst),
+                                witness)
+
+
+def reference_certificate(notion, cset, alpha, n_samples, rng, dist_eq=None,
+                          refine_all=False):
+    """run_checker as a loop over samples.  With refine_all, every
+    membership sample's clearance is bisected, not only those that can
+    lower the worst margin."""
+    draw = _reference_draws(cset, alpha, dist_eq)[notion]
+    return _reference_worst(notion, alpha, n_samples, rng, draw, refine_all)
+
+
+def reference_function_check(check, fn, cset, n_samples, rng):
+    """check_gconvexity_of_function ("gconvexity") or
+    check_smoothness_gradient_bound ("smoothness_gradient_bound") as a
+    loop over samples."""
+    k = cset.kernel
+
+    def smoothness(rng, worst):
+        x = cset.sampler(rng)
+        fx, gx = fn.value_grad(x)
+        gap = max(fx - fn.fstar, 0.0)
+        margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, gx)
+        return margin, {"x": x, "margin": margin}
+
+    def gconvexity(rng, worst):
+        x, y = cset.sampler(rng), cset.sampler(rng)
+        t = rng.uniform()
+        d = k.dist(x, y)
+        fx, gx = fn.value_grad(x)
+        fy = fn.value_grad(y)[0]
+        fmid = fn.value_grad(k.geodesic(x, y, t))[0]
+        convexity = ((1.0 - t) * fx + t * fy
+                     - 0.5 * fn.mu * t * (1.0 - t) * d * d - fmid)
+        lin = fy - fx - k.inner(x, gx, k.log(x, y))
+        smooth = 0.5 * fn.L * d * d - abs(lin)
+        margin = np.nan if np.isnan(smooth) else min(convexity, smooth)
+        return margin, {"x": x, "y": y, "t": t, "convexity": convexity,
+                        "smoothness": smooth}
+
+    draw = {"gconvexity": gconvexity,
+            "smoothness_gradient_bound": smoothness}[check]
+    return _reference_worst(check, None, n_samples, rng, draw, False)

@@ -164,7 +164,8 @@ def test_lmo_finds_boundary_wedge(k, radius, seed, tilt):
                                  "hyperboloid-1", "hyperboloid-2"])
 def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
     # the refinement's root finder is superlinear: bisecting a grid
-    # bracket down to LMO_TOL alone would take ~40 exit evaluations
+    # bracket down to LMO_TOL alone would take ~40 exit evaluations;
+    # F' at the bracket ends is taken once, by the sign test
     calls = [0]
     for name in ("_exit_sphere", "_exit_hyperboloid"):
         exit_at = getattr(rfw.balls, name)
@@ -186,7 +187,7 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
         calls[0] = 0
         ball.lmo(w, x)
         worst = max(worst, calls[0])
-    assert 0 < worst <= 16
+    assert 0 < worst <= 14
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)

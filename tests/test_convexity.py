@@ -12,8 +12,10 @@ from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
                  estimate_alpha, exp_map_operator, levelset_alpha, residual,
                  riemannian_strong_convexity_radius, run_checker,
                  strong_convexity_radius, zeta)
-from rfw.convexity import _DRAWS, _ray_margin
+from rfw.convexity import NOTIONS, _ray_margin
 from rfw.manifolds import CurvatureInfo
+
+from helpers import reference_certificate, reference_function_check
 
 
 def disk(radius=1.0):
@@ -444,18 +446,112 @@ def test_pruned_certificate_equals_full_refinement(kernel, radius, good, bad,
     cs = ball_set(GeodesicBall(kernel, kernel.base_point(), radius))
     n = 40
     for alpha, passes in ((good, True), (bad, False)):
-        rng = np.random.default_rng(seed)
-        draw = _DRAWS[notion](cs, alpha, None)
-        worst, witness = np.inf, {}
-        for _ in range(n):
-            margin, wit = draw(rng, np.inf)
-            if margin < worst:
-                worst, witness = margin, wit
-        full = ConvexityCertificate(notion, alpha, n, float(worst), witness)
+        full = reference_certificate(notion, cs, alpha, n,
+                                     np.random.default_rng(seed),
+                                     refine_all=True)
         pruned = run_checker(notion, cs, alpha, n,
                              np.random.default_rng(seed))
         assert pruned.passed == passes
         assert pruned.to_dict() == full.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# batched samples against the per-sample reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("kernel, radius, good, bad", PRUNE_BALLS,
+                         ids=[type(b[0]).__name__ for b in PRUNE_BALLS])
+def test_batched_certificate_equals_per_sample_reference(kernel, radius, good,
+                                                         bad, notion, seed):
+    # the center comes from default_rng(seed) and the certificate's draws
+    # from default_rng([seed, 0]), the same stream, as in the certify
+    # benchmarks: on the sphere the first tangent drawn at the center is
+    # the center's own normal, whose projection vanishes and is redrawn
+    center = kernel.random_point(np.random.default_rng(seed))
+    cs = ball_set(GeodesicBall(kernel, center, radius))
+    for alpha in (good, bad):
+        rng = np.random.default_rng([seed, 0])
+        if cs.lmo is None and notion in ("scaling", "approx_scaling"):
+            with pytest.raises(ConfigError):
+                run_checker(notion, cs, alpha, 30, rng)
+            continue
+        cert = run_checker(notion, cs, alpha, 30, rng)
+        ref_rng = np.random.default_rng([seed, 0])
+        ref = reference_certificate(notion, cs, alpha, 30, ref_rng)
+        assert cert.to_json() == ref.to_json()
+        assert rng.random() == ref_rng.random()  # the same draws taken
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sphere_benchmark_stream_redraws_the_first_tangent(seed):
+    # the collision the test above relies on
+    k = Sphere(3)
+    center = k.random_point(np.random.default_rng(seed))
+    g = np.random.default_rng([seed, 0]).standard_normal(3)
+    assert not k._unit_tangent(center, g)[1]
+
+
+def _next_normal_sampler(ball):
+    """Points of the ball that are the (normalized) normal the stream
+    is about to give: a direction drawn at such a point is first the
+    point itself, and is drawn again."""
+    k = ball.kernel
+
+    def sampler(rng):
+        while True:
+            peek = np.random.Generator(np.random.PCG64())
+            peek.bit_generator.state = rng.bit_generator.state
+            x = k.random_point(peek)
+            if ball.membership(x):
+                return x
+            rng.standard_normal(k.point_shape)
+    return sampler
+
+
+@pytest.mark.parametrize("notion", ["scaling", "approx_scaling"])
+def test_batched_redraws_where_the_per_sample_loop_does(notion):
+    k = Sphere(3)
+    ball = GeodesicBall(k, k.base_point(), 1.2)
+    cs = ConvexSet(k, ball.membership, _next_normal_sampler(ball), ball.lmo,
+                   ball.diameter)
+    for alpha in (0.2, 3.0):
+        cert = run_checker(notion, cs, alpha, 25, np.random.default_rng(3))
+        ref = reference_certificate(notion, cs, alpha, 25,
+                                    np.random.default_rng(3))
+        assert cert.to_json() == ref.to_json()
+
+
+def test_a_tangent_that_never_projects_is_a_contract_error():
+    class Degenerate(Sphere):
+        def project_tangent(self, x, a):
+            return 0.0 * np.asarray(a, dtype=float)
+
+    k = Degenerate(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 0.3))
+    for certify in (run_checker, reference_certificate):
+        with pytest.raises(ContractError, match="could not draw"):
+            certify("geodesic", cs, 1.0, 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kernel, radius", [
+    (Euclidean(4), 1.0), (Sphere(4), 0.5), (Hyperboloid(3), 1.0),
+    (Spd(3), 1.0)], ids=["Euclidean", "Sphere", "Hyperboloid", "Spd"])
+def test_batched_function_checks_equal_per_sample_reference(kernel, radius):
+    from rfw import SquaredDistanceObjective
+    c = kernel.random_point(np.random.default_rng(44))
+    fn = SquaredDistanceObjective(kernel, c).as_smooth_fn(radius)
+    cs = ball_set(GeodesicBall(kernel, c, radius))
+    for check, name in ((check_gconvexity_of_function, "gconvexity"),
+                        (check_smoothness_gradient_bound,
+                         "smoothness_gradient_bound")):
+        if name == "smoothness_gradient_bound" and fn.fstar is None:
+            continue
+        cert = check(fn, cs, 60, np.random.default_rng(2))
+        ref = reference_function_check(name, fn, cs, 60,
+                                       np.random.default_rng(2))
+        assert cert.to_json() == ref.to_json()
 
 
 def test_ray_margin_prunes_only_samples_that_cannot_lower_worst():
@@ -595,6 +691,34 @@ def test_function_check_certificate_roundtrip():
         back = certificate_from_dict(json.loads(cert.to_json()))
         assert back.alpha_tested is None
         assert back.to_dict() == cert.to_dict()
+
+
+def _half_nan_fn():
+    # 0.5 |x|^2 on x_0 <= 0, NaN on the other half of the ball
+    k = Euclidean(3)
+
+    def value_grad(x):
+        if x[0] > 0.0:
+            return np.nan, np.full(3, np.nan)
+        return 0.5 * float(x @ x), np.array(x, dtype=float)
+    fn = SmoothStronglyConvexFn(k, value_grad, mu=1.0, L=1.0, fstar=0.0)
+    return fn, ball_set(GeodesicBall(k, np.zeros(3), 1.0))
+
+
+@pytest.mark.parametrize("check", [check_gconvexity_of_function,
+                                   check_smoothness_gradient_bound])
+def test_nan_margin_is_a_violation(check):
+    # NaN < worst is False, so a NaN margin used to pass unseen
+    fn, cs = _half_nan_fn()
+    cert = check(fn, cs, 200, np.random.default_rng(0))
+    assert not cert.passed
+    assert cert.worst_margin == -np.inf
+    assert cert.witness["reason"] == "margin is NaN"
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the certificate's JSON")
+    d = json.loads(cert.to_json(), parse_constant=no_constants)
+    assert d["worst_margin"] is None
 
 
 def test_gradient_bound_needs_fstar():

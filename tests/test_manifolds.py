@@ -21,6 +21,51 @@ def test_core_invariants(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=kid)
+def test_stacked_rows_are_the_single_calls(kernel):
+    # every map takes rows (a single base point broadcast against them),
+    # and each row is bit for bit the single call on that row
+    rng = np.random.default_rng(3)
+    n = 25
+    x = np.array([kernel.random_point(rng) for _ in range(n)])
+    v = np.array([rng.uniform(0.0, 0.8) * kernel.random_unit_tangent(p, rng)
+                  for p in x])
+    v[0] = 0.0
+    y = np.array([kernel.exp(p, u) for p, u in zip(x, v)])
+    w = np.array([kernel.random_unit_tangent(p, rng) for p in x])
+    t = rng.uniform(size=n)
+    ops = {
+        "exp": lambda x, v, y, w, t: kernel.exp(x, v),
+        "log": lambda x, v, y, w, t: kernel.log(x, y),
+        "dist": lambda x, v, y, w, t: kernel.dist(x, y),
+        "geodesic": lambda x, v, y, w, t: kernel.geodesic(x, y, t),
+        "transport": lambda x, v, y, w, t: kernel.transport(x, y, w),
+        "inner": lambda x, v, y, w, t: kernel.inner(x, w, v),
+        "norm": lambda x, v, y, w, t: kernel.norm(x, v),
+        "project": lambda x, v, y, w, t: kernel.project_tangent(x, v + y),
+        "unit": lambda x, v, y, w, t: kernel._unit_tangent(x, v + w)[0],
+    }
+    c = x[0]
+    at_c = np.array([kernel.random_unit_tangent(c, rng) for _ in range(n)])
+    cases = [(name, op(x, v, y, w, t),
+              [op(*args) for args in zip(x, v, y, w, t)])
+             for name, op in ops.items()]
+    cases.append(("exp at one point", kernel.exp(c, at_c),
+                  [kernel.exp(c, u) for u in at_c]))
+    for name, rows, single in cases:
+        assert len(rows) == n, name
+        for r, one in zip(rows, single):
+            assert np.asarray(r).tobytes() == np.asarray(one).tobytes(), name
+
+
+def test_stacked_domain_error_names_the_first_bad_row():
+    k = Sphere(3)
+    x = np.tile(k.base_point(), (3, 1))
+    v = np.array([[0.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 5.0]])
+    with pytest.raises(DomainError, match=r"norm\(v\)=4 >= pi"):
+        k.exp(x, v)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=kid)
 def test_random_draws_are_valid_and_seeded(kernel):
     rng = np.random.default_rng(7)
     x = kernel.random_point(rng)
