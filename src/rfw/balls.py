@@ -13,12 +13,11 @@ product of the center with p(phi).  Two 33-point phi grids locate the
 maximizer of alpha(phi) cos(phi), the second one confined to the
 feasible wedge at a boundary point.  The root of its phi-derivative,
 found by `bisect_root` in the grid bracket, pins it down, with alpha's
-b-derivative from implicit differentiation of the exit equation.  Only
-w is checked at the entry; the frame, log_x(center) and log_x(v) are
-built there and go unchecked.  The reference
-`lmo_constant_curvature_ball` takes the same grid with travel distances
-found by `bisect_root` on the distance to the center, and refines it
-by a golden-section value search.
+b-derivative from implicit differentiation of the exit equation.  The
+reference `lmo_constant_curvature_ball` takes the same grid with travel
+distances found by `bisect_root` on the distance to the center, and
+refines it by a golden-section value search.  Both check their entry
+once (w a nonzero tangent at x, x in the ball), not what they build.
 """
 
 import math
@@ -29,8 +28,7 @@ from typing import Optional
 
 from .errors import (BracketError, ConfigError, ContractError,
                      NoIntersectionError, NumericsError)
-from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere, _col,
-                        _norm)
+from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _col
 from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
@@ -78,8 +76,8 @@ class GeodesicBall:
     def diameter(self):
         return 2.0 * self.radius
 
-    def membership(self, x, tol=MEMBERSHIP_TOL):
-        return self.kernel.dist(self.center, x) <= self.radius + tol
+    def membership(self, x):
+        return self.kernel.dist(self.center, x) <= self.radius + MEMBERSHIP_TOL
 
     def sample(self, rng):
         """Interior point, uniform-ish: random direction at the center,
@@ -108,14 +106,9 @@ class GeodesicBall:
         and the refinement plain floats.  Euclidean balls have the
         vertex in closed form."""
         k, x0, r = self.kernel, self.center, self.radius
+        norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
-            k.check_tangent(x, w)
-            nw = _norm(w)
-            if nw < 1e-15:
-                raise ContractError("lmo: zero direction")
-            if not self.membership(x):
-                raise ContractError("lmo: x is outside the ball")
-            v = x0 + r * (w / nw)
+            v = x0 + r * (w / norm_w)
             lx = v - x
             return LmoResult(v, float(np.dot(w, lx)), lx)
         if isinstance(k, Sphere):
@@ -123,20 +116,18 @@ class GeodesicBall:
             a = max(float(np.dot(x0, x)), c)
             product, exit_grid, exit_at = (np.dot, alpha_phi_sphere,
                                            _exit_sphere)
-        elif isinstance(k, Hyperboloid):
+        else:
             c = math.cosh(r)
             a = min(-k.minkowski(x0, x), c)
             product, exit_grid, exit_at = (k.minkowski, _alpha_phi_hyperboloid,
                                            _exit_hyperboloid)
-        else:
-            raise ConfigError(f"lmo: no oracle for kernel {k.name}")
 
         def search(u1, u2, grid):
             b1, b2 = float(product(x0, u1)), float(product(x0, u2))
             alpha = exit_grid(a, np.cos(grid) * b1 + np.sin(grid) * b2, c)
             return _stationary_phi(grid, alpha, b1, b2,
                                    lambda b: exit_at(a, b, c))
-        return _plane_search(w, x, self, search)
+        return _plane_search(w, x, norm_w, self, search)
 
 
 def alpha_phi_sphere(a, b, c):
@@ -212,49 +203,57 @@ def _exit_slopes(s, sn, root):
     return s, sn / root
 
 
-def _section_frame(kernel, x, w, norm_w, g):
-    """Orthonormal pair (u1, u2) at x spanning the oracle's search
-    plane: u1 along w, u2 the component of g = log_x(center) orthogonal
-    to it.  Returns (u1, None) when the plane degenerates to a line.
-    w and g are tangent at x by the caller's word (unchecked)."""
-    u1 = w / norm_w
-    g_perp = g - kernel._inner(x, u1, g) * u1
-    # when g is nearly along w the remainder is short, and its roundoff
-    # along u1 and off the tangent space would grow by 1/n_perp: a
-    # second Gram-Schmidt pass and a projection remove it
-    g_perp = kernel.project_tangent(
-        x, g_perp - kernel._inner(x, u1, g_perp) * u1)
-    n_perp = np.sqrt(max(kernel._inner(x, g_perp, g_perp), 0.0))
-    scale = max(np.sqrt(max(kernel._inner(x, g, g), 0.0)), 1.0)
-    if n_perp <= 1e-10 * scale:
-        return u1, None
-    return u1, g_perp / n_perp
-
-
-def _plane_search(w, x, ball, search):
-    """Oracle vertex: maximize F(phi) = alpha(phi) cos(phi), alpha the
-    travel distance to the boundary along p = cos(phi) u1 + sin(phi) u2.
-    The grid is one over phi in [-pi/2, pi/2] and one over its inward
-    half-plane (from a boundary point only that wedge is feasible, and
-    it can be narrower than the first grid's spacing);
-    search(u1, u2, grid) returns the refined (phi, alpha).
-
-    The contract is checked here, once: w is tangent at x (through its
-    norm) and x is in the ball.  Every later product is between vectors
-    built at x, and goes unchecked."""
+def _entry_norm(w, x, ball):
+    """norm(w), after the oracles' contract, checked once at their
+    entry: the kernel is one of the ORACLE_KERNELS, w is a nonzero
+    tangent at x (checked through its norm) and x lies in the ball."""
     k = ball.kernel
+    if not isinstance(k, ORACLE_KERNELS):
+        raise ConfigError(f"lmo: no oracle for kernel {k.name}")
     norm_w = k.norm(x, w)
     if norm_w < 1e-15:
         raise ContractError("lmo: zero direction")
     if not ball.membership(x):
         raise ContractError("lmo: x is outside the ball")
+    return norm_w
+
+
+def _section_frame(kernel, x, w, norm_w, g):
+    """Orthonormal pair (u1, u2) at x spanning the oracle's search
+    plane, u1 along w and u2 the component of g = log_x(center)
+    orthogonal to it, and <g, u1>.  u2 is None when the plane
+    degenerates to a line.  w and g are tangent at x by the caller's
+    word (unchecked)."""
+    u1 = w / norm_w
+    g1 = kernel._inner(x, u1, g)
+    g_perp = g - g1 * u1
+    # when g is nearly along w the remainder is short, and its roundoff
+    # along u1 and off the tangent space would grow by 1/n_perp: a
+    # second Gram-Schmidt pass and a projection remove it
+    g_perp = kernel.project_tangent(
+        x, g_perp - kernel._inner(x, u1, g_perp) * u1)
+    n_perp = kernel._norm(x, g_perp)
+    if n_perp <= 1e-10 * max(kernel._norm(x, g), 1.0):
+        return u1, None, g1
+    return u1, g_perp / n_perp, g1
+
+
+def _plane_search(w, x, norm_w, ball, search):
+    """Oracle vertex: maximize F(phi) = alpha(phi) cos(phi), alpha the
+    travel distance to the boundary along p = cos(phi) u1 + sin(phi) u2.
+    The grid is one over phi in [-pi/2, pi/2] and one over its inward
+    half-plane (from a boundary point only that wedge is feasible, and
+    it can be narrower than the first grid's spacing);
+    search(u1, u2, grid) returns the refined (phi, alpha).  w and x
+    have passed _entry_norm; nothing built here is checked."""
+    k = ball.kernel
     g = k.log(x, ball.center)
-    u1, u2 = _section_frame(k, x, w, norm_w, g)
+    u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
     if u2 is None:
         # center, or center aligned with w: optimum is along w itself
         u2, grid = np.zeros_like(u1), np.zeros(1)
     else:
-        psi = math.atan2(k._inner(x, g, u2), k._inner(x, g, u1))
+        psi = math.atan2(k._inner(x, g, u2), g1)
         half = 0.5 * np.pi
         edge = max(-half, psi - half)
         grid = np.sort(np.concatenate((np.pi * _UNIT_GRID - half,
@@ -329,11 +328,8 @@ def lmo_constant_curvature_ball(w, x, ball):
     `GeodesicBall.lmo` with travel distances found by bisection, and
     its bracket refined by a golden-section value search.  Slow; the
     tests and `rfw lmo-test` cross-check with it."""
-    k = ball.kernel
-    if not isinstance(k, ORACLE_KERNELS):
-        raise ConfigError(
-            "lmo_constant_curvature_ball: kernel must have constant curvature")
-    hi = k.dist(x, ball.center) + ball.radius
+    norm_w = _entry_norm(w, x, ball)
+    hi = ball.kernel.dist(x, ball.center) + ball.radius
 
     def search(u1, u2, grid):
         exit_at = lambda phi: _exit_distance(
@@ -342,7 +338,7 @@ def lmo_constant_curvature_ball(w, x, ball):
         phi, _ = minimize_1d(lambda t: -exit_at(t) * math.cos(t), lo, top,
                              tol=LMO_TOL)
         return phi, exit_at(phi)
-    return _plane_search(w, x, ball, search)
+    return _plane_search(w, x, norm_w, ball, search)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,7 @@ def _center_frame(ball, x, w):
         # a nearly parallel candidate leaves a short remainder whose
         # roundoff off the tangent space the normalization would blow up
         v = k.project_tangent(x0, v)
-        nv = np.sqrt(max(k.inner(x0, v, v), 0.0))
+        nv = k.norm(x0, v)
         if nv > 1e-10:
             frame.append(v / nv)
         if len(frame) == 2:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .balls import (ORACLE_KERNELS, GeodesicBall, lmo_brute_force,
                     lmo_constant_curvature_ball, random_boundary_best)
-from .convexity import NOTIONS, ball_set, run_checker
+from .convexity import DEFAULT_CERT_TOL, NOTIONS, ball_set, run_checker
 from .errors import ConfigError, RfwError
 from .manifolds import MANIFOLDS, Sphere, make_manifold
 from .objectives import QuadraticOnEmbedded, gram_matrix
@@ -235,6 +235,9 @@ def cmd_lmo_test(args):
         raise ConfigError(
             "--instances, --grid and --random-points must be >= 1")
     kernel = make_manifold(args.manifold, args.dim)
+    if kernel.dim < 2:
+        raise ConfigError(f"lmo-test: {kernel.name} has dimension "
+                          f"{kernel.dim}, the oracle needs >= 2")
     ball = GeodesicBall(kernel, kernel.base_point(), args.radius)
     rng = np.random.default_rng(args.seed)
     worst_gap, worst_cross = 0.0, 0.0
@@ -279,7 +282,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_CERT_TOL)
     p.add_argument("--out", help="certificate JSON path")
     p.set_defaults(func=cmd_certify)
 

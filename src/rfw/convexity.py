@@ -37,6 +37,7 @@ same ConvexityCertificate with alpha_tested None.
 """
 
 import json
+import logging
 import numpy as np
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,6 +48,7 @@ from .manifolds import CurvatureInfo, Manifold, _col
 from .balls import ORACLE_KERNELS, GeodesicBall
 
 DEFAULT_CERT_TOL = 1e-8
+log = logging.getLogger("rfw")
 
 
 @dataclass
@@ -451,10 +453,15 @@ NOTIONS = tuple(_NOTIONS)
 
 def run_checker(notion, cset, alpha, n_samples, rng, dist_eq=None,
                 tolerance=DEFAULT_CERT_TOL):
-    """Certificate for one notion (see NOTIONS) by sampling.  dist_eq
-    only matters to double_geodesic."""
+    """Certificate for one notion (see NOTIONS) by sampling, for a
+    finite alpha >= 0 and n_samples >= 0.  dist_eq only matters to
+    double_geodesic."""
     if notion not in _NOTIONS:
         raise ConfigError(f"unknown notion '{notion}'")
+    if not 0.0 <= alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    if not n_samples >= 0:
+        raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
     margins, witness = _NOTIONS[notion](cset, alpha, dist_eq, rng,
                                         n_samples)
     return _worst_case(notion, alpha, n_samples, margins, witness, tolerance)
@@ -464,7 +471,8 @@ def estimate_alpha(cset, notion, n_samples, rng):
     """Largest alpha (within 2%, relative) passing the checker at the
     given sample budget, with the Riemannian distance.  Bisection over
     [0, 10/diameter]; every probe replays the same sample stream so the
-    pass/fail threshold is sharp."""
+    pass/fail threshold is sharp.  When the cap 10/diameter passes, it
+    is returned with a warning on the rfw logger."""
     if cset.diameter is None:
         raise ConfigError("estimate_alpha: set needs a diameter hint")
     hi = 10.0 / cset.diameter
@@ -475,6 +483,8 @@ def estimate_alpha(cset, notion, n_samples, rng):
         return run_checker(notion, cset, alpha, n_samples, prng).passed
 
     if passes(hi):
+        log.warning("estimate_alpha: %s saturates at its cap alpha = "
+                    "10/diameter = %.6g", notion, hi)
         return hi
     lo = 0.0
     floor = 1e-7 * hi
@@ -610,8 +620,7 @@ class SmoothStronglyConvexFn:
                     "SmoothStronglyConvexFn: grad(xstar) is not zero")
 
 
-def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
-                                    tolerance=DEFAULT_CERT_TOL):
+def check_smoothness_gradient_bound(fn, cset, n_samples, rng):
     """Self-bounding property of smooth functions: norm(grad f(x)) <=
     sqrt(2 L (f(x) - fstar)) on the set."""
     if fn.fstar is None:
@@ -627,11 +636,10 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng,
     norms = cset.kernel.norm(x, _stacked(gx, x))
     margins = np.sqrt(2.0 * fn.L * gap) - norms
     return _worst_case("smoothness_gradient_bound", None, n_samples,
-                       margins.tolist(), _rows(x=x), tolerance)
+                       margins.tolist(), _rows(x=x), DEFAULT_CERT_TOL)
 
 
-def check_gconvexity_of_function(fn, cset, n_samples, rng,
-                                 tolerance=DEFAULT_CERT_TOL):
+def check_gconvexity_of_function(fn, cset, n_samples, rng):
     """Geodesic mu-strong-convexity and L-smoothness inequalities of fn
     along sampled chords of the set; the worst of the two margins is
     reported, and a NaN in either makes the sample a violation."""
@@ -661,4 +669,4 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng,
         del found["margin"]
         return found
     return _worst_case("gconvexity", None, n_samples, worse, witness,
-                       tolerance)
+                       DEFAULT_CERT_TOL)

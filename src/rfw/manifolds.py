@@ -46,14 +46,6 @@ TANGENT_TOL = 1e-6
 _CUT_LOCUS = np.pi - 1e-6
 
 
-def _norm(a):
-    """Euclidean (Frobenius) norm of a flattened array, as a float: the
-    arithmetic of np.linalg.norm(a) without its dispatch on ord and
-    axis, so the result is bitwise the same."""
-    a = np.asarray(a, dtype=float).ravel(order="K")
-    return math.sqrt(a.dot(a))
-
-
 def _dot(a, b):
     """<a, b> over the last axis: a float for two vectors, an array over
     the broadcast rows otherwise.  The stacked matmul takes np.dot's
@@ -64,14 +56,12 @@ def _dot(a, b):
 
 
 def _norms(a, ndim):
-    """_norm over the last ndim axes: a float for one point or vector,
-    an array for stacked rows."""
+    """Euclidean (Frobenius) norm over the last ndim axes: a float for
+    one point or vector, an array for stacked rows."""
     if type(a) is not np.ndarray:
         a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return math.sqrt(a.dot(a))
-    if a.ndim <= ndim:
-        return _norm(a)
     flat = _flatten(a, ndim)
     return np.sqrt(_dot(flat, flat))
 
@@ -165,6 +155,10 @@ class Manifold:
     def norm(self, x, u):
         return np.sqrt(_atleast(self.inner(x, u, u), 0.0))
 
+    def _norm(self, x, u):
+        """norm without the tangency check, the partner of _inner."""
+        return np.sqrt(_atleast(self._inner(x, u, u), 0.0))
+
     # --- maps -------------------------------------------------------
 
     def exp(self, x, v):
@@ -221,7 +215,7 @@ class Manifold:
         shorter one has no direction, and its u is not unit); row by row
         for stacked x or g."""
         v = self.project_tangent(x, g)
-        n = np.sqrt(_atleast(self._inner(x, v, v), 0.0))
+        n = self._norm(x, v)
         ok = n > 1e-12
         return v / _col(_where(ok, n, 1.0), len(self.point_shape)), ok
 
@@ -370,13 +364,13 @@ class Sphere(Manifold):
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if abs(_norm(x) - 1.0) > POINT_TOL:
+        if abs(np.linalg.norm(x) - 1.0) > POINT_TOL:
             raise ContractError(f"{self.name}: point is not unit norm")
 
     def random_point(self, rng):
         while True:
             g = rng.standard_normal(self.n)
-            n = _norm(g)
+            n = np.linalg.norm(g)
             if n > 1e-8:
                 return g / n
 
@@ -432,11 +426,8 @@ class Hyperboloid(Manifold):
         s = np.sqrt(m * (1.0 + 0.25 * m))  # sinh(theta)
         return np.arcsinh(s), s
 
-    def _speed(self, v):
-        return np.sqrt(_atleast(self.minkowski(v, v), 0.0))
-
     def exp(self, x, v):
-        theta = self._speed(v)
+        theta = self._norm(x, v)
         if _any(theta > 300.0):
             # cosh overflows doubles long before this is a sane request
             raise DomainError("hyperboloid: tangent norm too large for exp")
@@ -459,7 +450,7 @@ class Hyperboloid(Manifold):
     def transport(self, x, y, u):
         self.check_tangent(x, u)
         v = self.log(x, y)
-        theta = self._speed(v)
+        theta = self._norm(x, v)
         flat = theta < SERIES_EPS
         e = v / _col(_where(flat, 1.0, theta))
         a = self.minkowski(e, u)
@@ -599,7 +590,7 @@ class Spd(Manifold):
         x = np.asarray(x)
         if x.shape != (self.n, self.n):
             raise ContractError(f"{self.name}: point has shape {x.shape}")
-        if _norm(x - x.T) > POINT_TOL * max(_norm(x), 1.0):
+        if np.linalg.norm(x - x.T) > POINT_TOL * max(np.linalg.norm(x), 1.0):
             raise ContractError(f"{self.name}: point is not symmetric")
         if np.linalg.eigvalsh(_sym(x))[0] <= 0.0:
             raise ContractError(f"{self.name}: point is not positive definite")

@@ -19,17 +19,16 @@ def gram_matrix(rng, rows, n):
 
 @dataclass
 class QuadraticOnEmbedded:
-    """f(x) = scale * 0.5 (x - target)' A (x - target) restricted to an
+    """f(x) = 0.5 (x - target)' A (x - target) restricted to an
     embedded-vector manifold (sphere or Euclidean space); the
     Riemannian gradient is the tangent projection of the ambient one.
 
     The random construction Gram-normalizes A to unit spectral norm, so
-    the reported smoothness constant is L = scale * norm(A, 2)."""
+    the reported smoothness constant is L = norm(A, 2) = 1."""
 
     kernel: Manifold
     matrix: np.ndarray
     target: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.kernel, (Sphere, Euclidean)):
@@ -46,26 +45,25 @@ class QuadraticOnEmbedded:
             raise ConfigError("QuadraticOnEmbedded: matrix must be PSD")
 
     @classmethod
-    def random(cls, kernel, rows, rng, scale=1.0):
+    def random(cls, kernel, rows, rng):
         """Random Gram matrix (see gram_matrix), then a random target."""
         return cls(kernel, gram_matrix(rng, rows, kernel.n),
-                   kernel.random_point(rng), scale)
+                   kernel.random_point(rng))
 
     @property
     def L(self):
-        return self.scale * self._eig_max
+        return self._eig_max
 
     @property
     def mu(self):
         """lambda_min(A); the strong-convexity constant on flat space
         (a Gram matrix with rows < n has mu = 0)."""
-        return self.scale * max(self._eig_min, 0.0)
+        return max(self._eig_min, 0.0)
 
     def value_grad(self, x):
         d = x - self.target
         ad = self.matrix @ d
-        return (self.scale * 0.5 * float(d @ ad),
-                self.kernel.project_tangent(x, self.scale * ad))
+        return 0.5 * float(d @ ad), self.kernel.project_tangent(x, ad)
 
     def as_smooth_fn(self, mu=None, L=None, fstar=None, xstar=None):
         return SmoothStronglyConvexFn(

@@ -68,8 +68,8 @@ def test_criterion_02_lmo_against_brute_force():
                 scale = max(1.0, abs(brute))
                 worst_gap = max(worst_gap, (brute - res.objective) / scale)
                 count += 1
-                u1, u2 = _section_frame(k, x, w, k.norm(x, w),
-                                        k.log(x, ball.center))
+                u1, u2, _ = _section_frame(k, x, w, k.norm(x, w),
+                                           k.log(x, ball.center))
                 if u2 is None:
                     continue
                 a = max(float(np.dot(ball.center, x)), c)

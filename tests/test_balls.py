@@ -255,7 +255,7 @@ def test_alpha_phi_closed_form_against_bisection():
         res = ball.lmo(w, x)
         if res.phi is None:
             continue
-        u1, u2 = _section_frame(k, x, w, 1.0, k.log(x, ball.center))
+        u1, u2, _ = _section_frame(k, x, w, 1.0, k.log(x, ball.center))
         if u2 is None:
             continue
         p = np.cos(res.phi) * u1 + np.sin(res.phi) * u2

@@ -287,3 +287,19 @@ def test_module_entry_point_and_logging(tmp_path):
     assert proc.returncode == 0
     assert "trace written to" in proc.stderr
     assert os.path.exists(out)
+
+
+@pytest.mark.parametrize("notion", ["geodesic", "scaling", "approx_scaling"])
+def test_certify_negative_alpha_exits_2(notion, capsys):
+    rc = main(["certify", "--manifold", "sphere", "--dim", "3",
+               "--radius", "0.3", "--notion", notion, "--alpha", "-1",
+               "--samples", "50"])
+    assert rc == 2
+    assert "alpha must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_lmo_test_rejects_a_circle(capsys):
+    # Sphere(2) is a circle: its tangent space has no search plane
+    rc = main(["lmo-test", "--manifold", "sphere", "--dim", "2"])
+    assert rc == 2
+    assert "has dimension 1, the oracle needs >= 2" in capsys.readouterr().err

@@ -579,9 +579,9 @@ def test_pruning_bounds_membership_probes():
     k, cs = cap(0.3)
     probes = [0]
 
-    def member(x, tol=1e-9):
+    def member(x):
         probes[0] += 1
-        return cs.membership(x, tol)
+        return cs.membership(x)
 
     counted = ConvexSet(k, member, cs.sampler, cs.lmo, cs.diameter)
     n = 400
@@ -748,3 +748,38 @@ def test_sqdist_fn_on_negative_curvature():
         rep = check_gconvexity_of_function(fn, cs, 200,
                                            np.random.default_rng(45))
         assert rep.worst_margin >= -1e-8
+
+
+@pytest.mark.parametrize("alpha, n", [(-1.0, 50), (-1e-300, 50), (np.nan, 50),
+                                      (np.inf, 50), (1.0, -5)],
+                         ids=["negative", "tiny-negative", "nan", "inf",
+                              "negative-samples"])
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_run_checker_rejects_bad_alpha_and_sample_count(notion, alpha, n):
+    _, cs = cap(0.3)
+    with pytest.raises(ConfigError):
+        run_checker(notion, cs, alpha, n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_run_checker_takes_zero_alpha_and_zero_samples(notion):
+    _, cs = cap(0.3)
+    assert run_checker(notion, cs, 0.0, 50, np.random.default_rng(0)).passed
+    empty = run_checker(notion, cs, 1.0, 0, np.random.default_rng(0))
+    assert empty.passed and empty.samples == 0
+
+
+def test_estimate_alpha_warns_when_it_saturates(caplog):
+    _, cs = disk(1.0)
+    cap_alpha = 10.0 / cs.diameter
+    with caplog.at_level("WARNING", logger="rfw"):
+        a = estimate_alpha(cs, "scaling", 0, np.random.default_rng(0))
+    assert a == cap_alpha
+    [record] = caplog.records
+    assert record.levelname == "WARNING" and record.name == "rfw"
+    assert "scaling" in record.getMessage()
+    assert f"{cap_alpha:.6g}" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="rfw"):
+        estimate_alpha(cs, "scaling", 100, np.random.default_rng(0))
+    assert not caplog.records

@@ -4,7 +4,6 @@ import pytest
 from rfw import (ConfigError, ContractError, DomainError, Euclidean,
                  GeodesicBall, Hyperboloid, Manifold, RfwProblem, Spd, Sphere,
                  ball_set, double_exp, make_manifold, rfw_run)
-from rfw.manifolds import _norm
 from helpers import geometry_invariant_worst
 
 KERNELS = [Euclidean(5), Sphere(4), Hyperboloid(3), Spd(3)]
@@ -102,8 +101,8 @@ def test_transport_identity_and_projection_idempotent(kernel):
     # transport to y and back along the same geodesic is the identity
     y = kernel.exp(x, 0.9 * kernel.random_unit_tangent(x, rng))
     back = kernel.transport(y, x, kernel.transport(x, y, u))
-    np.testing.assert_allclose(back, u,
-                               atol=1e-10 * max(1.0, _norm(u)), rtol=0.0)
+    np.testing.assert_allclose(
+        back, u, atol=1e-10 * max(1.0, np.linalg.norm(u)), rtol=0.0)
     a = rng.standard_normal(x.shape)
     p1 = kernel.project_tangent(x, a)
     p2 = kernel.project_tangent(x, p1)
@@ -359,15 +358,3 @@ def test_base_points_are_on_manifold():
     for k in KERNELS:
         k.check_point(k.base_point())
         assert isinstance(k, Manifold)
-
-
-def test_norm_is_bitwise_numpy_norm():
-    rng = np.random.default_rng(0)
-    for shape in [(1,), (3,), (50,), (3, 3), (7, 4)]:
-        for _ in range(20):
-            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
-            assert _norm(a) == float(np.linalg.norm(a))
-            assert _norm(a.T) == float(np.linalg.norm(a.T))
-    m = rng.standard_normal((5, 6))
-    assert _norm(m.T) == float(np.linalg.norm(m.T))
-    assert _norm(m[::2, 1:]) == float(np.linalg.norm(m[::2, 1:]))

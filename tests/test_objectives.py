@@ -33,9 +33,9 @@ def test_quadratic_identity_matrix_on_sphere():
 def test_quadratic_constants_and_scale():
     k = Euclidean(3)
     a = np.diag([1.0, 0.5, 0.2])
-    q = QuadraticOnEmbedded(k, a, np.zeros(3), scale=2.0)
-    assert q.L == pytest.approx(2.0)
-    assert q.mu == pytest.approx(0.4)
+    q = QuadraticOnEmbedded(k, a, np.zeros(3))
+    assert q.L == pytest.approx(1.0)
+    assert q.mu == pytest.approx(0.2)
 
 
 def test_quadratic_random_is_normalized():
