@@ -10,9 +10,9 @@ from .scalars import bisect_root, minimize_1d
 from .balls import (GeodesicBall, LmoResult, alpha_phi_sphere,
                     boundary_section_grid, lmo_brute_force,
                     lmo_constant_curvature_ball, random_boundary_best)
-from .convexity import (ConvexSet, ConvexityCertificate, DistanceEquivalence,
+from .convexity import (ConvexSet, ConvexityCertificate,
                         SmoothStronglyConvexFn, ball_set,
-                        ball_strong_convexity_alpha, certificate_from_dict,
+                        ball_strong_convexity_alpha,
                         check_gconvexity_of_function,
                         check_smoothness_gradient_bound, delta, double_exp,
                         estimate_alpha, exp_map_operator, levelset_alpha,

@@ -26,7 +26,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BracketError, ConfigError, ContractError,
+from .errors import (BracketError, ConfigError, ContractError, DomainError,
                      NoIntersectionError, NumericsError)
 from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _col
 from .scalars import bisect_root, minimize_1d
@@ -77,7 +77,11 @@ class GeodesicBall:
         return 2.0 * self.radius
 
     def membership(self, x):
-        return self.kernel.dist(self.center, x) <= self.radius + MEMBERSHIP_TOL
+        try:
+            d = self.kernel.dist(self.center, x)
+        except DomainError:  # x is off the manifold (not SPD, say)
+            return False
+        return d <= self.radius + MEMBERSHIP_TOL
 
     def sample(self, rng):
         """Interior point, uniform-ish: random direction at the center,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .balls import (ORACLE_KERNELS, GeodesicBall, lmo_brute_force,
                     lmo_constant_curvature_ball, random_boundary_best)
-from .convexity import DEFAULT_CERT_TOL, NOTIONS, ball_set, run_checker
+from .convexity import NOTIONS, ball_set, run_checker
 from .errors import ConfigError, RfwError
 from .manifolds import MANIFOLDS, Sphere, make_manifold
 from .objectives import QuadraticOnEmbedded, gram_matrix
@@ -217,8 +217,7 @@ def cmd_certify(args):
     ball = GeodesicBall(kernel, kernel.base_point(), args.radius)
     cset = ball_set(ball)
     rng = np.random.default_rng(args.seed)
-    cert = run_checker(args.notion, cset, args.alpha, args.samples, rng,
-                       tolerance=args.tolerance)
+    cert = run_checker(args.notion, cset, args.alpha, args.samples, rng)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(cert.to_json(indent=2, sort_keys=True))
@@ -282,7 +281,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_CERT_TOL)
     p.add_argument("--out", help="certificate JSON path")
     p.set_defaults(func=cmd_certify)
 

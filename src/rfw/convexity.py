@@ -9,7 +9,8 @@ the worst margin seen:
   space, uniformly over base points x in C;
 * double geodesic: every tangent perturbation z at gamma(t) with
   norm(z) <= alpha*t*(1-t)*d(x,y)^2 exponentiates into the set, with d
-  any distance equivalent to the Riemannian one;
+  any distance equivalent to the Riemannian one, given as a function
+  distance(kernel, x, y) that is called once on the stacked chords;
 * scaling inequality: at the oracle vertex v for direction w,
   <w, log_x(v)> >= alpha * norm(w) * dist(x,v)^2;
 * approximate scaling inequality: the same with a curvature residual
@@ -33,7 +34,8 @@ when one membership probe shows that it can lower the worst margin
 seen so far; the others are dropped, and the certificate is the one
 that refining every row would give.  A NaN margin is a violation.
 run_checker is the entry point; the function-class checks return the
-same ConvexityCertificate with alpha_tested None.
+same ConvexityCertificate with alpha_tested None.  Every certificate
+passes when its worst margin is at least -DEFAULT_CERT_TOL.
 """
 
 import json
@@ -77,34 +79,6 @@ def ball_set(ball: GeodesicBall) -> ConvexSet:
                      sampler=ball.sample, lmo=lmo, diameter=ball.diameter)
 
 
-@dataclass(frozen=True)
-class DistanceEquivalence:
-    """Distance d equivalent to the Riemannian one:
-    ell * d_M <= d <= big_l * d_M.  A homothety d = c * d_M is built in;
-    anything else must supply distance_fn(kernel, x, y)."""
-
-    ell: float = 1.0
-    big_l: float = 1.0
-    distance_fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.ell <= self.big_l):
-            raise ConfigError("DistanceEquivalence: need 0 < ell <= big_l")
-
-    def distance(self, kernel, x, y):
-        """d(x, y), row by row for stacked points; distance_fn is called
-        once per pair."""
-        if self.distance_fn is not None:
-            if np.ndim(x) > len(kernel.point_shape):
-                return np.array([self.distance_fn(kernel, a, b)
-                                 for a, b in zip(x, y)])
-            return self.distance_fn(kernel, x, y)
-        if self.ell != self.big_l:
-            raise ConfigError(
-                "DistanceEquivalence: ell < big_l needs an explicit distance_fn")
-        return self.ell * kernel.dist(x, y)
-
-
 def _finite_or_none(value):
     return value if np.isfinite(value) else None
 
@@ -116,11 +90,10 @@ class ConvexityCertificate:
     samples: int
     worst_margin: float
     witness: dict = field(default_factory=dict)
-    tolerance: float = DEFAULT_CERT_TOL
 
     @property
     def passed(self):
-        return self.worst_margin >= -self.tolerance
+        return self.worst_margin >= -DEFAULT_CERT_TOL
 
     def to_dict(self):
         """Plain types for strict JSON: a non-finite margin (a domain
@@ -138,27 +111,13 @@ class ConvexityCertificate:
             "alpha_tested": self.alpha_tested,
             "samples": self.samples,
             "worst_margin": _finite_or_none(self.worst_margin),
-            "tolerance": self.tolerance,
+            "tolerance": DEFAULT_CERT_TOL,
             "passed": bool(self.passed),
             "witness": witness,
         }
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
-
-
-def certificate_from_dict(d):
-    """Inverse of ConvexityCertificate.to_dict; a None margin is -inf
-    on a failed certificate and +inf on a passed one."""
-    witness = {k: (np.asarray(v) if isinstance(v, list) else v)
-               for k, v in d.get("witness", {}).items()}
-    worst = d["worst_margin"]
-    if worst is None:
-        worst = np.inf if d["passed"] else -np.inf
-    if "margin" in witness and witness["margin"] is None:
-        witness["margin"] = worst
-    return ConvexityCertificate(d["notion"], d["alpha_tested"], d["samples"],
-                                worst, witness, d["tolerance"])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +235,11 @@ def _sample(cset, rng, n_samples, layout, geometry):
     taken afresh from rng's starting state, with one more normal at the
     first such place, until there is none.  The first place is the
     least (sample, draw) noted; a later one may rest on a dropped
-    tangent, and is judged again on the next pass."""
+    tangent, and is judged again on the next pass.  n_samples must be
+    an integer >= 0."""
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 0):
+        raise ConfigError(
+            f"n_samples must be an integer >= 0, got {n_samples!r}")
     start = rng.bit_generator.state
     extra = {}
     while True:
@@ -309,7 +272,7 @@ def _rows(**rows):
 # the loop over margins and the five notions
 # ---------------------------------------------------------------------------
 
-def _worst_case(notion, alpha, n_samples, margins, witness, tolerance):
+def _worst_case(notion, alpha, n_samples, margins, witness):
     """Stage 3, the one loop of every certificate: the lowest margin
     over rows 0, 1, ... in order.  margins is a list of them, or
     margins(i, worst) gives row i's; either gives None for a row with
@@ -331,22 +294,22 @@ def _worst_case(notion, alpha, n_samples, margins, witness, tolerance):
     found = {} if best is None else witness(best, float(worst))
     if nan_row:
         found["reason"] = "margin is NaN"
-    return ConvexityCertificate(notion, alpha, n_samples, float(worst),
-                                found, tolerance)
+    return ConvexityCertificate(notion, alpha, int(n_samples), float(worst),
+                                found)
 
 
-def _double_geodesic(cset, alpha, dist_eq, rng, n_samples):
+def _double_geodesic(cset, alpha, distance, rng, n_samples):
     """Sample chords (x, y) and times t; every z at gamma(t) with
     norm(z) <= alpha*t*(1-t)*d(x,y)^2 must exponentiate into the set (a
     missing exp counts as failure), probing the worst direction drawn
-    uniformly on the tangent sphere, with d given by dist_eq rather than
-    pinned to the Riemannian distance."""
-    dist_eq = dist_eq or DistanceEquivalence()
+    uniformly on the tangent sphere.  d is distance(kernel, x, y),
+    called once on the stacked chords, or the Riemannian distance when
+    distance is None."""
     k = cset.kernel
 
     def geometry(draws):
         x, y, t = draws.points(0), draws.points(1), draws.column(2)
-        d = dist_eq.distance(k, x, y)
+        d = k.dist(x, y) if distance is None else distance(k, x, y)
         m = k.geodesic(x, y, t)
         rho = alpha * t * (1.0 - t) * d * d
         return x, y, t, m, draws.tangents(3, m), rho
@@ -360,14 +323,14 @@ def _double_geodesic(cset, alpha, dist_eq, rng, n_samples):
     return margin, _rows(x=x, y=y, t=t, direction=u, required=rho)
 
 
-def _geodesic(cset, alpha, dist_eq, rng, n_samples):
+def _geodesic(cset, alpha, distance, rng, n_samples):
     """The metric ball of radius alpha*t*(1-t)*d(x,y)^2 around gamma(t)
     stays in the set: the double geodesic notion with the Riemannian
-    distance, whatever dist_eq the caller passes."""
+    distance, whatever distance the caller passes."""
     return _double_geodesic(cset, alpha, None, rng, n_samples)
 
 
-def _riemannian(cset, alpha, dist_eq, rng, n_samples):
+def _riemannian(cset, alpha, distance, rng, n_samples):
     """Strong convexity of the tangent-space pullback log_x(C),
     uniformly over sampled base points x in C."""
     k = cset.kernel
@@ -389,7 +352,7 @@ def _riemannian(cset, alpha, dist_eq, rng, n_samples):
     return margin, _rows(x=x, p=p, q=q, t=t, direction=z, required=rho)
 
 
-def _scaling(cset, alpha, dist_eq, rng, n_samples, approx=False):
+def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
     """At the oracle vertex v for a unit direction w at x in C, require
     <w, log_x(v)> >= alpha * norm(w) * dist(x, v)^2.
 
@@ -451,20 +414,18 @@ _NOTIONS = {"geodesic": _geodesic, "riemannian": _riemannian,
 NOTIONS = tuple(_NOTIONS)
 
 
-def run_checker(notion, cset, alpha, n_samples, rng, dist_eq=None,
-                tolerance=DEFAULT_CERT_TOL):
+def run_checker(notion, cset, alpha, n_samples, rng, distance=None):
     """Certificate for one notion (see NOTIONS) by sampling, for a
-    finite alpha >= 0 and n_samples >= 0.  dist_eq only matters to
-    double_geodesic."""
+    finite alpha >= 0 and an integer n_samples >= 0.  distance(kernel,
+    x, y), a distance equivalent to the Riemannian one taken on stacked
+    chords, only matters to double_geodesic; None is kernel.dist."""
     if notion not in _NOTIONS:
         raise ConfigError(f"unknown notion '{notion}'")
     if not 0.0 <= alpha < np.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
-    if not n_samples >= 0:
-        raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
-    margins, witness = _NOTIONS[notion](cset, alpha, dist_eq, rng,
+    margins, witness = _NOTIONS[notion](cset, alpha, distance, rng,
                                         n_samples)
-    return _worst_case(notion, alpha, n_samples, margins, witness, tolerance)
+    return _worst_case(notion, alpha, n_samples, margins, witness)
 
 
 def estimate_alpha(cset, notion, n_samples, rng):
@@ -636,7 +597,7 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng):
     norms = cset.kernel.norm(x, _stacked(gx, x))
     margins = np.sqrt(2.0 * fn.L * gap) - norms
     return _worst_case("smoothness_gradient_bound", None, n_samples,
-                       margins.tolist(), _rows(x=x), DEFAULT_CERT_TOL)
+                       margins.tolist(), _rows(x=x))
 
 
 def check_gconvexity_of_function(fn, cset, n_samples, rng):
@@ -668,5 +629,4 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng):
         found = rows(i, margin)
         del found["margin"]
         return found
-    return _worst_case("gconvexity", None, n_samples, worse, witness,
-                       DEFAULT_CERT_TOL)
+    return _worst_case("gconvexity", None, n_samples, worse, witness)

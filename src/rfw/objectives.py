@@ -4,8 +4,9 @@ function-class checks."""
 import numpy as np
 from dataclasses import dataclass
 
-from .convexity import SmoothStronglyConvexFn, delta, zeta
-from .errors import ConfigError
+from .convexity import (POINT, SmoothStronglyConvexFn, _sample, _stacked,
+                        delta, zeta)
+from .errors import ConfigError, NumericsError
 from .manifolds import Euclidean, Manifold, Sphere
 
 
@@ -110,10 +111,11 @@ class SquaredDistanceObjective:
 def min_gradient_norm(objective, cset, n_samples, rng):
     """Empirical min of norm(grad) over sampled points of the set; the
     lower bound fed to the contraction check when the unconstrained
-    optimum lies outside the set."""
-    k = cset.kernel
-    best = np.inf
-    for _ in range(n_samples):
-        x = cset.sampler(rng)
-        best = min(best, k.norm(x, objective.value_grad(x)[1]))
-    return float(best)
+    optimum lies outside the set.  A NaN norm raises NumericsError: it
+    would otherwise hide a sample and overstate the bound."""
+    x = _sample(cset, rng, n_samples, (POINT,), lambda d: d.points(0))
+    norms = cset.kernel.norm(
+        x, _stacked([objective.value_grad(xi)[1] for xi in x], x))
+    if np.isnan(norms).any():
+        raise NumericsError("min_gradient_norm: a gradient norm is NaN")
+    return float(norms.min(initial=np.inf))

@@ -97,16 +97,15 @@ def geometry_invariant_worst(kernel, n_samples, rng, spread=1.0):
 # whole sample as stacked arrays instead, from the same random stream,
 # and must give the same certificate bit for bit.
 
-def _reference_draws(cset, alpha, dist_eq):
-    from rfw.convexity import DistanceEquivalence, _ray_margin, residual
+def _reference_draws(cset, alpha, distance):
+    from rfw.convexity import _ray_margin, residual
     from rfw.errors import DomainError
     k = cset.kernel
 
-    def double_geodesic(rng, worst, dist_eq=dist_eq):
-        dist_eq = dist_eq or DistanceEquivalence()
+    def double_geodesic(rng, worst, distance=distance):
         x, y = cset.sampler(rng), cset.sampler(rng)
         t = rng.uniform()
-        d = dist_eq.distance(k, x, y)
+        d = k.dist(x, y) if distance is None else distance(k, x, y)
         m = k.geodesic(x, y, t)
         rho = alpha * t * (1.0 - t) * d * d
         u = k.random_unit_tangent(m, rng)
@@ -181,12 +180,12 @@ def _reference_worst(notion, alpha, n_samples, rng, draw, refine_all):
                                 witness)
 
 
-def reference_certificate(notion, cset, alpha, n_samples, rng, dist_eq=None,
+def reference_certificate(notion, cset, alpha, n_samples, rng, distance=None,
                           refine_all=False):
     """run_checker as a loop over samples.  With refine_all, every
     membership sample's clearance is bisected, not only those that can
     lower the worst margin."""
-    draw = _reference_draws(cset, alpha, dist_eq)[notion]
+    draw = _reference_draws(cset, alpha, distance)[notion]
     return _reference_worst(notion, alpha, n_samples, rng, draw, refine_all)
 
 

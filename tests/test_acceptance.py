@@ -157,7 +157,7 @@ def test_criterion_06_implication_chain_on_caps():
     rng = np.random.default_rng(6)
     margins = {}
     for notion in ("riemannian", "scaling", "geodesic"):
-        cert = run_checker(notion, cset, astar, 1000, rng, tolerance=1e-8)
+        cert = run_checker(notion, cset, astar, 1000, rng)
         margins[notion] = cert.worst_margin
     elapsed = time.perf_counter() - t0
     ok = all(m >= -1e-8 for m in margins.values())

@@ -33,6 +33,17 @@ def test_membership_and_diameter():
     assert not ball.membership(far)
 
 
+@pytest.mark.parametrize("x", [-np.eye(3), np.diag([1.0, 0.0, 2.0])],
+                         ids=["negative", "singular"])
+def test_spd_membership_is_false_off_the_manifold(x):
+    # Spd.dist raises on a matrix that is not positive definite; such a
+    # point is not in the ball
+    k = Spd(3)
+    ball = GeodesicBall(k, k.base_point(), 2.0)
+    assert not ball.membership(x)
+    assert ball.membership(k.base_point())
+
+
 def test_sphere_ball_radius_cap():
     k = Sphere(3)
     with pytest.raises(ConfigError):

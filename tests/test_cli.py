@@ -303,3 +303,21 @@ def test_lmo_test_rejects_a_circle(capsys):
     rc = main(["lmo-test", "--manifold", "sphere", "--dim", "2"])
     assert rc == 2
     assert "has dimension 1, the oracle needs >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("notion", ["geodesic", "riemannian"])
+def test_certify_spd_far_probe_fails(notion, capsys):
+    # at this alpha, far membership probes leave the positive definite
+    # cone numerically: a violation (exit 1), not an error (exit 2)
+    rc = main(["certify", "--manifold", "spd", "--dim", "3", "--radius", "2",
+               "--notion", notion, "--alpha", "10", "--samples", "200"])
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_certify_has_one_pass_tolerance():
+    # every certificate passes at DEFAULT_CERT_TOL; there is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--radius", "0.3", "--alpha", "0.5",
+              "--samples", "20", "--tolerance", "nan"])
+    assert exc.value.code == 2

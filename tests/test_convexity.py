@@ -1,15 +1,16 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
-                 DistanceEquivalence, DomainError, Euclidean, GeodesicBall,
-                 Hyperboloid, SmoothStronglyConvexFn, Spd, Sphere, ball_set,
-                 ball_strong_convexity_alpha, certificate_from_dict,
-                 check_gconvexity_of_function,
+                 DomainError, Euclidean, GeodesicBall, Hyperboloid,
+                 SmoothStronglyConvexFn, Spd, Sphere, ball_set,
+                 ball_strong_convexity_alpha, check_gconvexity_of_function,
                  check_smoothness_gradient_bound, delta, double_exp,
-                 estimate_alpha, exp_map_operator, levelset_alpha, residual,
+                 estimate_alpha, exp_map_operator, levelset_alpha,
+                 min_gradient_norm, residual,
                  riemannian_strong_convexity_radius, run_checker,
                  strong_convexity_radius, zeta)
 from rfw.convexity import NOTIONS, _ray_margin
@@ -204,10 +205,9 @@ def test_double_geodesic_under_homothetic_distance():
     ag = 0.5 / np.tan(0.2) * (1 - 1e-3)
     base = run_checker("double_geodesic", cs, ag, 400,
                        np.random.default_rng(13))
-    deq = DistanceEquivalence(2.0, 2.0,
-                              lambda kk, x, y: 2.0 * kk.dist(x, y))
     scaled = run_checker("double_geodesic", cs, ag / 4.0, 400,
-                         np.random.default_rng(13), dist_eq=deq)
+                         np.random.default_rng(13),
+                         distance=lambda kk, x, y: 2.0 * kk.dist(x, y))
     assert base.passed and scaled.passed
     assert base.worst_margin == scaled.worst_margin
 
@@ -343,14 +343,12 @@ def test_approx_scaling_residual_quartic_envelope():
 
 def test_certificate_json_roundtrip():
     cert = ConvexityCertificate("geodesic", 0.5, 10, -0.25,
-                                {"x": np.array([1.0, 2.0]), "t": 0.5}, 1e-8)
-    back = certificate_from_dict(json.loads(cert.to_json()))
-    assert back.notion == cert.notion
-    assert back.alpha_tested == cert.alpha_tested
-    assert back.worst_margin == cert.worst_margin
-    assert back.tolerance == cert.tolerance
-    np.testing.assert_array_equal(back.witness["x"], cert.witness["x"])
-    assert not back.passed
+                                {"x": np.array([1.0, 2.0]), "t": 0.5})
+    assert json.loads(cert.to_json()) == {
+        "notion": "geodesic", "alpha_tested": 0.5, "samples": 10,
+        "worst_margin": -0.25, "tolerance": 1e-8, "passed": False,
+        "witness": {"x": [1.0, 2.0], "t": 0.5}}
+    assert not cert.passed
 
 
 @pytest.mark.parametrize("radius, alpha, n", [(1.2, 4.0, 50), (0.3, 1.0, 0)],
@@ -368,17 +366,17 @@ def test_non_finite_margin_is_strict_json(radius, alpha, n):
 
     d = json.loads(cert.to_json(), parse_constant=reject)
     assert d["worst_margin"] is None
-    back = certificate_from_dict(d)
-    assert back.passed == cert.passed
-    assert back.worst_margin == cert.worst_margin
+    # the verdict tells the two apart: -inf fails, +inf passes
+    assert d["passed"] == cert.passed == (cert.worst_margin == np.inf)
     if n:
         assert "domain_error" in d["witness"]
-        assert back.witness["margin"] == cert.witness["margin"] == -np.inf
+        assert d["witness"]["margin"] is None
+        assert cert.witness["margin"] == -np.inf
 
 
 def test_certificate_pass_tolerance():
-    assert ConvexityCertificate("geodesic", 1.0, 1, -5e-9, {}, 1e-8).passed
-    assert not ConvexityCertificate("geodesic", 1.0, 1, -2e-8, {}, 1e-8).passed
+    assert ConvexityCertificate("geodesic", 1.0, 1, -5e-9, {}).passed
+    assert not ConvexityCertificate("geodesic", 1.0, 1, -2e-8, {}).passed
 
 
 # the seed ids are those of an earlier boolean axis, so that each case
@@ -482,6 +480,33 @@ def test_batched_certificate_equals_per_sample_reference(kernel, radius, good,
         ref = reference_certificate(notion, cs, alpha, 30, ref_rng)
         assert cert.to_json() == ref.to_json()
         assert rng.random() == ref_rng.random()  # the same draws taken
+
+
+@pytest.mark.parametrize("kernel, radius, good, bad", PRUNE_BALLS,
+                         ids=[type(b[0]).__name__ for b in PRUNE_BALLS])
+def test_double_geodesic_distance_is_one_call_on_stacked_chords(kernel,
+                                                                radius, good,
+                                                                bad):
+    # d = 2 dist, taken once on all chords, gives the certificate of the
+    # per-sample loop that takes it chord by chord; geodesic ignores it
+    cs = ball_set(GeodesicBall(kernel, kernel.base_point(), radius))
+    calls = []
+
+    def distance(k, x, y):
+        calls.append(np.shape(x))
+        return 2.0 * k.dist(x, y)
+
+    for alpha in (good / 4.0, bad / 4.0):
+        cert = run_checker("double_geodesic", cs, alpha, 30,
+                           np.random.default_rng(3), distance=distance)
+        ref = reference_certificate("double_geodesic", cs, alpha, 30,
+                                    np.random.default_rng(3),
+                                    distance=lambda k, x, y: 2.0 * k.dist(x, y))
+        assert cert.to_json() == ref.to_json()
+    assert calls == [(30,) + kernel.point_shape] * 2
+    run_checker("geodesic", cs, good, 30, np.random.default_rng(3),
+                distance=distance)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -629,16 +654,6 @@ def test_convex_set_requires_sampler():
         ConvexSet(Euclidean(2), lambda x: True, None)
 
 
-def test_distance_equivalence_validation():
-    assert DistanceEquivalence().distance(
-        Euclidean(2), np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(2))
-    with pytest.raises(ConfigError):
-        DistanceEquivalence(2.0, 1.0)
-    with pytest.raises(ConfigError):
-        DistanceEquivalence(1.0, 2.0).distance(Euclidean(2), np.zeros(2),
-                                               np.ones(2))
-
-
 def test_zero_alpha_always_passes():
     _, cs = cap(0.5, seed=4)
     rng = np.random.default_rng(7)
@@ -688,9 +703,9 @@ def test_function_check_certificate_roundtrip():
                   check_smoothness_gradient_bound):
         cert = check(fn, cs, 50, np.random.default_rng(46))
         assert isinstance(cert, ConvexityCertificate)
-        back = certificate_from_dict(json.loads(cert.to_json()))
-        assert back.alpha_tested is None
-        assert back.to_dict() == cert.to_dict()
+        d = json.loads(cert.to_json())
+        assert d["alpha_tested"] is None
+        assert d == cert.to_dict()
 
 
 def _half_nan_fn():
@@ -783,3 +798,27 @@ def test_estimate_alpha_warns_when_it_saturates(caplog):
     with caplog.at_level("WARNING", logger="rfw"):
         estimate_alpha(cs, "scaling", 100, np.random.default_rng(0))
     assert not caplog.records
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None],
+                         ids=["fraction", "float", "string", "none"])
+def test_every_sampled_check_rejects_a_non_integer_count(n):
+    quad, cs, target = quadratic_fn()
+    fn = quad.as_smooth_fn(fstar=0.0, xstar=target)
+    calls = [partial(run_checker, notion, cs, 0.5) for notion in NOTIONS]
+    calls += [partial(check, fn, cs) for check in (
+        check_gconvexity_of_function, check_smoothness_gradient_bound)]
+    calls += [partial(estimate_alpha, cs, "geodesic"),
+              partial(min_gradient_norm, quad, cs)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="must be an integer >= 0"):
+            call(n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_numpy_integer_sample_count(notion):
+    # the certificate stores a plain int, so its JSON is that of n = 5
+    _, cs = cap(0.3)
+    cert = run_checker(notion, cs, 1.0, np.int64(5), np.random.default_rng(0))
+    same = run_checker(notion, cs, 1.0, 5, np.random.default_rng(0))
+    assert cert.to_json() == same.to_json()

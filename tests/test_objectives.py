@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rfw import (ConfigError, DomainError, Euclidean, GeodesicBall,
-                 Hyperboloid, QuadraticOnEmbedded, Spd, Sphere,
+                 Hyperboloid, NumericsError, QuadraticOnEmbedded, Spd, Sphere,
                  SquaredDistanceObjective, ball_set, delta,
                  min_gradient_norm, zeta)
 from helpers import fd_directional
@@ -135,3 +135,19 @@ def test_min_gradient_norm_positive_for_exterior_target():
     # gradient norm is the distance to the target: at least 2 on the ball
     assert c_hat >= 2.0 - 1e-9
     assert c_hat <= 4.0 + 1e-9
+
+
+def test_min_gradient_norm_rejects_a_nan_gradient():
+    # a NaN norm must not be skipped: the minimum would then overstate
+    # the bound it feeds to the contraction check
+    k = Euclidean(3)
+    cs = ball_set(GeodesicBall(k, np.zeros(3), 1.0))
+
+    class HalfNan:
+        def value_grad(self, x):
+            return 0.0, np.full(3, np.nan) if x[0] > 0.0 else x - 3.0
+
+    with pytest.raises(NumericsError, match="NaN"):
+        min_gradient_norm(HalfNan(), cs, 50, np.random.default_rng(0))
+    assert min_gradient_norm(HalfNan(), cs, 0,
+                             np.random.default_rng(0)) == np.inf

@@ -14,6 +14,13 @@ byte-identical outputs must leave no line different.  The grid:
   generator default_rng([s, 0]) for s in 0, 1, 5 (the streams of the
   benchmark's certify workloads, whose first tangent at such a center
   is redrawn);
+* the same double_geodesic certificates under the distance d = 2 dist,
+  at a quarter of each alpha (the same required clearances), through
+  whichever API the tree has: run_checker(..., distance=fn) or the
+  older dist_eq=DistanceEquivalence(2, 2, fn);
+* the `rfw certify --out` file, exit code and printed line of every
+  notion on the sphere cap of radius 0.3 and the SPD ball of radius 1,
+  at a passing and a failing alpha;
 * both function-class checks and min_gradient_norm;
 * estimate_alpha of every notion on a disk and on a cap;
 * 40 oracle results and 40 bisection-reference results per oracle
@@ -29,7 +36,9 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -45,7 +54,7 @@ from rfw import (GeodesicBall, QuadraticOnEmbedded, SquaredDistanceObjective,
                  check_smoothness_gradient_bound, estimate_alpha,
                  lmo_constant_curvature_ball, make_manifold, min_gradient_norm,
                  run_checker)
-from rfw.cli import PRESETS, run_single_experiment
+from rfw.cli import PRESETS, build_parser, run_single_experiment
 from rfw.convexity import NOTIONS
 
 SEEDS = (0, 1, 5)
@@ -90,19 +99,62 @@ def balls(seed):
                    GeodesicBall(k, center, radius))
 
 
+def certificate(cset, notion, alpha, seed, **kwargs):
+    """Digest of a certificate's JSON and of its generator's next draw."""
+    def cert():
+        rng = np.random.default_rng([seed, 0])
+        c = run_checker(notion, cset, alpha, SAMPLES, rng, **kwargs)
+        return c.to_json(sort_keys=True), rng.random()
+    return digest(cert)
+
+
+def twice_dist(k, x, y):
+    return 2.0 * k.dist(x, y)
+
+
+def doubled_distance():
+    """run_checker keywords for d = 2 dist in this tree's API."""
+    if hasattr(rfw.convexity, "DistanceEquivalence"):
+        return {"dist_eq": rfw.convexity.DistanceEquivalence(2.0, 2.0,
+                                                             twice_dist)}
+    return {"distance": twice_dist}
+
+
 def certificates(out):
+    doubled = doubled_distance()
     for seed in SEEDS:
         for name, ball in balls(seed):
             cset = ball_set(ball)
+            for verdict, scale in ALPHAS:
+                alpha = scale / ball.radius
+                for notion in NOTIONS:
+                    out[f"cert/{name}/{notion}/{verdict}/s{seed}"] = (
+                        certificate(cset, notion, alpha, seed))
+                out[f"cert2d/{name}/double_geodesic/{verdict}/s{seed}"] = (
+                    certificate(cset, "double_geodesic", 0.25 * alpha, seed,
+                                **doubled))
+
+
+def cli_certificates(out):
+    """rfw certify's exit code, printed line and --out file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for manifold, radius in (("sphere", 0.3), ("spd", 1.0)):
             for notion in NOTIONS:
                 for verdict, scale in ALPHAS:
-                    def cert():
-                        rng = np.random.default_rng([seed, 0])
-                        c = run_checker(notion, cset, scale / ball.radius,
-                                        SAMPLES, rng)
-                        return c.to_json(sort_keys=True), rng.random()
-                    out[f"cert/{name}/{notion}/{verdict}/s{seed}"] = (
-                        digest(cert))
+                    path = Path(tmp) / f"{manifold}-{notion}-{verdict}.json"
+                    args = build_parser().parse_args([
+                        "certify", "--manifold", manifold, "--dim", "3",
+                        "--radius", str(radius), "--notion", notion,
+                        "--alpha", str(scale / radius),
+                        "--samples", str(SAMPLES), "--out", str(path)])
+
+                    def run():
+                        printed = io.StringIO()
+                        with contextlib.redirect_stdout(printed):
+                            rc = args.func(args)
+                        return rc, printed.getvalue(), path.read_bytes()
+                    out[f"certify/{manifold}/r{radius}/{notion}/{verdict}"] = (
+                        digest(run))
 
 
 def function_checks(out):
@@ -186,8 +238,8 @@ def main(argv):
         return 2
     t0 = time.perf_counter()
     out = {}
-    for part in (certificates, function_checks, alpha_estimates,
-                 oracle_results, experiments):
+    for part in (certificates, cli_certificates, function_checks,
+                 alpha_estimates, oracle_results, experiments):
         part(out)
     os.makedirs(argv[1], exist_ok=True)
     path = os.path.join(argv[1], "hashes.json")
