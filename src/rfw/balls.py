@@ -18,6 +18,11 @@ reference `lmo_constant_curvature_ball` takes the same grid with travel
 distances found by `bisect_root` on the distance to the center, and
 refines it by a golden-section value search.  Both check their entry
 once (w a nonzero tangent at x, x in the ball), not what they build.
+
+`GeodesicBall.lmo` also takes stacked rows of (w, x) and answers them in
+one call: the frames, grids and brackets are arrays, and `bisect_root`
+refines every row's angle at once.  The single call stays the reference;
+a stacked row is its answer up to the last bits of numpy's functions.
 """
 
 import math
@@ -28,7 +33,8 @@ from typing import Optional
 
 from .errors import (BracketError, ConfigError, ContractError, DomainError,
                      NoIntersectionError, NumericsError)
-from .manifolds import Euclidean, Hyperboloid, Manifold, Sphere, _col
+from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere, _all,
+                        _any, _atleast, _col, _dot, _where, _zero_where)
 from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
@@ -108,23 +114,31 @@ class GeodesicBall:
         0.  Along the search plane b(phi) = cos(phi) b1 + sin(phi) b2 is
         a scalar, so the grid takes one vectorized exit-distance call
         and the refinement plain floats.  Euclidean balls have the
-        vertex in closed form."""
+        vertex in closed form.
+
+        w and x may also be stacked rows of one shape, with a leading
+        axis as the kernel maps take them.  Every row is checked at
+        entry, and the result holds one row per pair, in arrays (phi
+        too): the single call's answer to within roundoff, found for
+        all rows at once (_lmo_rows)."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
-            v = x0 + r * (w / norm_w)
+            v = x0 + r * (w / _col(norm_w))
             lx = v - x
-            return LmoResult(v, float(np.dot(w, lx)), lx)
+            return LmoResult(v, _dot(w, lx), lx)
         if isinstance(k, Sphere):
             c = math.cos(r)
-            a = max(float(np.dot(x0, x)), c)
-            product, exit_grid, exit_at = (np.dot, alpha_phi_sphere,
-                                           _exit_sphere)
+            a = _atleast(_dot(x0, x), c)
+            product, exit_grid, exit_at = _dot, alpha_phi_sphere, _exit_sphere
         else:
             c = math.cosh(r)
-            a = min(-k.minkowski(x0, x), c)
+            a = -k.minkowski(x0, x)
+            a = _where(c < a, c, a)
             product, exit_grid, exit_at = (k.minkowski, _alpha_phi_hyperboloid,
                                            _exit_hyperboloid)
+        if np.ndim(x) > 1:
+            return self._lmo_rows(w, x, norm_w, a, c, product, exit_grid)
 
         def search(u1, u2, grid):
             b1, b2 = float(product(x0, u1)), float(product(x0, u2))
@@ -133,10 +147,52 @@ class GeodesicBall:
                                    lambda b: exit_at(a, b, c))
         return _plane_search(w, x, norm_w, self, search)
 
+    def _lmo_rows(self, w, x, norm_w, a, c, product, exit_grid):
+        """The oracle on stacked rows: _plane_search's section frames,
+        phi grids and grid brackets for all rows at once, and
+        bisect_root on the rows' F' together.  A row whose plane
+        degenerates to a line, or whose F' does not change sign across
+        its bracket, takes the single call.  numpy's arctan, arctan2,
+        log and sinh round differently from math's on some inputs, so
+        a row may differ from the single call in the last bits."""
+        k, x0 = self.kernel, self.center
+        g = k.log(x, x0)
+        u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
+        grid = _phi_grid(np.arctan2(k._inner(x, g, u2), g1))
+        b1, b2 = product(x0, u1), product(x0, u2)
+        alpha = exit_grid(_col(a), np.cos(grid) * _col(b1)
+                          + np.sin(grid) * _col(b2), c)
+        best = np.argmax(alpha * np.cos(grid), axis=-1)
+        rows = np.arange(len(x))
+        lo = grid[rows, np.maximum(best - 1, 0)]
+        hi = grid[rows, np.minimum(best + 1, grid.shape[-1] - 1)]
 
-def alpha_phi_sphere(a, b, c):
+        def slope(a, b1, b2):
+            return _phi_slope(np.cos, np.sin,
+                              lambda b: exit_grid(a, b, c, slope=True), b1, b2)
+        ends = slope(a, b1, b2)
+        ok = u2.any(axis=-1) & (ends(lo) > 0.0) & (0.0 > ends(hi))
+        a, b1, b2 = a[ok], b1[ok], b2[ok]
+        phi = bisect_root(slope(a, b1, b2), lo[ok], hi[ok], tol=LMO_TOL)
+        cp, sp = np.cos(phi), np.sin(phi)
+        travel = exit_grid(a, cp * b1 + sp * b2, c)
+        xo, v, lx = x[ok], np.empty_like(x), np.empty_like(x)
+        v[ok] = k.exp(xo, _col(travel) * (_col(cp) * u1[ok]
+                                          + _col(sp) * u2[ok]))
+        lx[ok] = k.log(xo, v[ok])
+        obj, phis = np.empty(len(x)), np.empty(len(x))
+        obj[ok], phis[ok] = k._inner(xo, w[ok], lx[ok]), phi
+        for i in np.flatnonzero(~ok):
+            one = self.lmo(w[i], x[i])
+            v[i], lx[i], obj[i], phis[i] = (one.vertex, one.log, one.objective,
+                                            one.phi)
+        return LmoResult(v, obj, lx, phis)
+
+
+def alpha_phi_sphere(a, b, c, slope=False):
     """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c,
-    elementwise over an array b, in the oracle's regime a >= c > 0.
+    elementwise over arrays a and b, in the oracle's regime a >= c > 0;
+    with slope, the pair (alpha, dalpha/db) of _exit_slopes.
 
     This is the travel distance from a point x in a spherical cap of
     radius r < pi/2 to the cap boundary along a unit direction p, with
@@ -144,24 +200,29 @@ def alpha_phi_sphere(a, b, c):
     tangent half-angle substitution.  Raises NoIntersectionError for
     x outside the cap (a < c), where a ray can miss the boundary.
     """
-    if not a >= c > 0.0:
+    if not (c > 0.0 and _all(a >= c)):
         raise NoIntersectionError(
-            f"alpha_phi_sphere: need a >= c > 0, got a={a:.6g}, c={c:.6g}")
+            "alpha_phi_sphere: need a >= c > 0, got "
+            f"a={np.min(a):.6g}, c={c:.6g}")
     b = np.asarray(b, dtype=float)
     # factored so that a = c (x on the boundary) leaves disc = b^2 exactly;
     # inside the cap sqrt(disc) >= |b|, so a negative numerator is
     # boundary roundoff and the exit root is 0
     root = np.sqrt((a - c) * (a + c) + b * b)
     alpha = 2.0 * np.arctan(np.maximum(b + root, 0.0) / (a + c))
+    if slope:
+        return _exit_slopes(alpha, np.sin(alpha), root)
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _alpha_phi_hyperboloid(a, b, c):
-    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, over an
-    array b: t = e^s solves (a - b) t^2 - 2c t + (a + b) = 0 with
-    a - b > 0; t < 1 is roundoff on an outward ray from the boundary."""
-    t = (c + np.sqrt((c - a) * (c + a) + b * b)) / (a - b)
-    return np.log(np.maximum(t, 1.0))
+def _alpha_phi_hyperboloid(a, b, c, slope=False):
+    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, over
+    arrays a and b: t = e^s solves (a - b) t^2 - 2c t + (a + b) = 0
+    with a - b > 0; t < 1 is roundoff on an outward ray from the
+    boundary.  With slope, the pair (s, ds/db) of _exit_slopes."""
+    root = np.sqrt((c - a) * (c + a) + b * b)
+    s = np.log(np.maximum((c + root) / (a - b), 1.0))
+    return _exit_slopes(s, np.sinh(s), root) if slope else s
 
 
 def _alpha_phi_bisect(a, b, c):
@@ -201,7 +262,10 @@ def _exit_slopes(s, sn, root):
     root, the square root of the discriminant: (a cos(s) + b sn)^2 + D^2
     = a^2 + b^2 (on the hyperboloid (a cosh(s) - b sn)^2 - D^2 = a^2 -
     b^2), so D carries no cancellation.  An outward ray from the
-    boundary exits at s = 0 for every nearby b."""
+    boundary exits at s = 0 for every nearby b.  Elementwise over
+    arrays."""
+    if type(sn) is np.ndarray:
+        return s, np.divide(sn, root, out=np.zeros_like(sn), where=sn != 0.0)
     if sn == 0.0:
         return s, 0.0
     return s, sn / root
@@ -210,14 +274,17 @@ def _exit_slopes(s, sn, root):
 def _entry_norm(w, x, ball):
     """norm(w), after the oracles' contract, checked once at their
     entry: the kernel is one of the ORACLE_KERNELS, w is a nonzero
-    tangent at x (checked through its norm) and x lies in the ball."""
+    tangent at x (checked through its norm) and x lies in the ball;
+    on every row of stacked w and x, which have one shape."""
     k = ball.kernel
     if not isinstance(k, ORACLE_KERNELS):
         raise ConfigError(f"lmo: no oracle for kernel {k.name}")
+    if np.shape(w) != np.shape(x):
+        raise ContractError("lmo: w and x differ in shape")
     norm_w = k.norm(x, w)
-    if norm_w < 1e-15:
+    if _any(norm_w < 1e-15):
         raise ContractError("lmo: zero direction")
-    if not ball.membership(x):
+    if not _all(ball.membership(x)):
         raise ContractError("lmo: x is outside the ball")
     return norm_w
 
@@ -226,20 +293,22 @@ def _section_frame(kernel, x, w, norm_w, g):
     """Orthonormal pair (u1, u2) at x spanning the oracle's search
     plane, u1 along w and u2 the component of g = log_x(center)
     orthogonal to it, and <g, u1>.  u2 is None when the plane
-    degenerates to a line.  w and g are tangent at x by the caller's
-    word (unchecked)."""
-    u1 = w / norm_w
+    degenerates to a line; over stacked rows it is a zero row there.
+    w and g are tangent at x by the caller's word (unchecked)."""
+    u1 = w / _col(norm_w)
     g1 = kernel._inner(x, u1, g)
-    g_perp = g - g1 * u1
+    g_perp = g - _col(g1) * u1
     # when g is nearly along w the remainder is short, and its roundoff
     # along u1 and off the tangent space would grow by 1/n_perp: a
     # second Gram-Schmidt pass and a projection remove it
     g_perp = kernel.project_tangent(
-        x, g_perp - kernel._inner(x, u1, g_perp) * u1)
+        x, g_perp - _col(kernel._inner(x, u1, g_perp)) * u1)
     n_perp = kernel._norm(x, g_perp)
-    if n_perp <= 1e-10 * max(kernel._norm(x, g), 1.0):
+    flat = n_perp <= 1e-10 * _atleast(kernel._norm(x, g), 1.0)
+    if type(flat) is not np.ndarray and flat:
         return u1, None, g1
-    return u1, g_perp / n_perp, g1
+    u2 = _zero_where(flat, g_perp / _col(_where(flat, 1.0, n_perp)))
+    return u1, u2, g1
 
 
 def _plane_search(w, x, norm_w, ball, search):
@@ -257,15 +326,24 @@ def _plane_search(w, x, norm_w, ball, search):
         # center, or center aligned with w: optimum is along w itself
         u2, grid = np.zeros_like(u1), np.zeros(1)
     else:
-        psi = math.atan2(k._inner(x, g, u2), g1)
-        half = 0.5 * np.pi
-        edge = max(-half, psi - half)
-        grid = np.sort(np.concatenate((np.pi * _UNIT_GRID - half,
-                                       (half - edge) * _UNIT_GRID + edge)))
+        grid = _phi_grid(math.atan2(k._inner(x, g, u2), g1))
     phi, alpha = search(u1, u2, grid)
     v = k.exp(x, alpha * (math.cos(phi) * u1 + math.sin(phi) * u2))
     lx = k.log(x, v)
     return LmoResult(v, k._inner(x, w, lx), lx, phi=phi)
+
+
+def _phi_grid(psi):
+    """Both phi grids, merged in order: [-pi/2, pi/2], and the inward
+    half-plane from max(-pi/2, psi - pi/2) to pi/2, psi the angle of
+    log_x(center) in the plane.  One row per psi for an array psi."""
+    half = 0.5 * np.pi
+    edge = _col(_where(psi - half > -half, psi - half, -half))
+    wedge = (half - edge) * _UNIT_GRID + edge
+    full = np.pi * _UNIT_GRID - half
+    if wedge.ndim > 1:
+        full = np.broadcast_to(full, wedge.shape)
+    return np.sort(np.concatenate((full, wedge), axis=-1), axis=-1)
 
 
 def _grid_bracket(grid, alpha):
@@ -285,11 +363,7 @@ def _stationary_phi(grid, alpha, b1, b2, exit_at):
     flat run of outward rays, or a kink at the wedge edge), a
     golden-section value search takes over.  Returns (phi, alpha)."""
     lo, phi, hi = _grid_bracket(grid, alpha)
-
-    def slope(phi):
-        cp, sp = math.cos(phi), math.sin(phi)
-        s, ds = exit_at(cp * b1 + sp * b2)
-        return ds * (cp * b2 - sp * b1) * cp - s * sp
+    slope = _phi_slope(math.cos, math.sin, exit_at, b1, b2)
 
     def travel(phi):
         return exit_at(math.cos(phi) * b1 + math.sin(phi) * b2)[0]
@@ -304,6 +378,18 @@ def _stationary_phi(grid, alpha, b1, b2, exit_at):
         phi, _ = minimize_1d(lambda t: -travel(t) * math.cos(t), lo, hi,
                              tol=LMO_TOL)
     return phi, travel(phi)
+
+
+def _phi_slope(cos, sin, exit_at, b1, b2):
+    """F'(phi) = alpha' cos(phi) - alpha sin(phi) along the search
+    plane, with (alpha, dalpha/db) = exit_at(b) at b(phi) = cos(phi) b1
+    + sin(phi) b2, in the scalar (math) or the row (numpy) arithmetic
+    that cos and sin choose."""
+    def slope(phi):
+        cp, sp = cos(phi), sin(phi)
+        s, ds = exit_at(cp * b1 + sp * b2)
+        return ds * (cp * b2 - sp * b1) * cp - s * sp
+    return slope
 
 
 def _exit_distance(ball, x, p, hi):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .balls import (ORACLE_KERNELS, GeodesicBall, lmo_brute_force,
                     lmo_constant_curvature_ball, random_boundary_best)
-from .convexity import NOTIONS, ball_set, run_checker
+from .convexity import NOTIONS, _finite_or_none, ball_set, run_checker
 from .errors import ConfigError, RfwError
 from .manifolds import MANIFOLDS, Sphere, make_manifold
 from .objectives import QuadraticOnEmbedded, gram_matrix
@@ -146,7 +146,9 @@ def run_single_experiment(config, out_path):
     }
     summary_path = os.path.splitext(out_path)[0] + ".summary.json"
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        # strict JSON: an error run's NaN final_f is written as null
+        json.dump(_finite_or_none(summary), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     log.info("trace written to %s, summary to %s", out_path, summary_path)
     return summary

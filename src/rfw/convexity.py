@@ -23,16 +23,19 @@ drawing and measuring one sample at a time would draw.  The geometry
 the approx_scaling residual) is computed over all rows at once, with
 stacked kernel calls that give each row's bits.  One loop over the rows
 (_worst_case) then keeps the lowest margin and its witness, so the
-certificate is bit for bit that of the per-sample loop.
+certificate is bit for bit that of the per-sample loop; for the scaling
+notions, up to the last bits in which a stacked oracle row may differ
+from a single call (GeodesicBall.lmo).
 
 Margins for the membership-based notions are measured as the gap
 between the admissible travel distance along the sampled direction and
 the required one (bisection on membership), row by row with the set's
-scalar membership test; the scaling notions make one oracle call per
-row and have analytic margins.  A row is refined by bisection only
-when one membership probe shows that it can lower the worst margin
-seen so far; the others are dropped, and the certificate is the one
-that refining every row would give.  A NaN margin is a violation.
+scalar membership test; the scaling notions make one oracle call on
+all the rows stacked and have analytic margins.  A row is refined by
+bisection only when one membership probe shows that it can lower the
+worst margin seen so far; the others are dropped, and the certificate
+is the one that refining every row would give.  A NaN margin is a
+violation.
 run_checker is the entry point; the function-class checks return the
 same ConvexityCertificate with alpha_tested None.  Every certificate
 passes when its worst margin is at least -DEFAULT_CERT_TOL.
@@ -59,8 +62,11 @@ class ConvexSet:
     sampler, and (when available) a linear minimization oracle
     (w, x) -> LmoResult with the vertex v maximizing <w, log_x(.)>, the
     objective <w, log_x(v)>, log_x(v) and the search angle phi.  The
-    solver and the scaling certifiers take the gap and log_x(v) from
-    the result."""
+    oracle answers a single pair and stacked rows of pairs alike (w and
+    x of one shape, with a leading axis), with one row of each field
+    per pair: the solver calls it on one pair, the scaling certifiers
+    once on all their rows.  Both take the gap and log_x(v) from the
+    result."""
 
     kernel: Manifold
     membership: Callable
@@ -80,7 +86,17 @@ def ball_set(ball: GeodesicBall) -> ConvexSet:
 
 
 def _finite_or_none(value):
-    return value if np.isfinite(value) else None
+    """value made strict JSON: a non-finite float becomes None, and
+    dicts, lists and tuples are taken element by element (a tuple as a
+    list, as json writes it).  Certificates, traces and run summaries
+    all write their numbers through this rule."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 @dataclass
@@ -99,13 +115,9 @@ class ConvexityCertificate:
         """Plain types for strict JSON: a non-finite margin (a domain
         error, a NaN, or no sample to certify) or other witness number
         is written as None."""
-        witness = {}
-        for k, v in self.witness.items():
-            if isinstance(v, np.ndarray):
-                v = v.tolist()
-            elif isinstance(v, float):
-                v = _finite_or_none(v)
-            witness[k] = v
+        witness = _finite_or_none({
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in self.witness.items()})
         return {
             "notion": self.notion,
             "alpha_tested": self.alpha_tested,
@@ -374,10 +386,9 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
         x = draws.points(0)
         return x, draws.tangents(1, x)
     x, w = _sample(cset, rng, n_samples, (POINT, TANGENT), geometry)
-    res = [cset.lmo(wi, xi) for xi, wi in zip(x, w)]
-    v = _stacked([r.vertex for r in res], x)
-    lx = _stacked([r.log for r in res], x)
-    lhs = np.array([r.objective for r in res], dtype=float)
+    res = cset.lmo(w, x)
+    v, lx = res.vertex, res.log
+    lhs = np.asarray(res.objective, dtype=float)
     if not approx:
         margins = lhs - alpha * k._inner(x, lx, lx)
         return margins.tolist(), _rows(x=x, w=w, vertex=v, lhs=lhs)

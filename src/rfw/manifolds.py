@@ -85,6 +85,10 @@ def _any(c):
     return c.any() if type(c) is np.ndarray else c
 
 
+def _all(c):
+    return c.all() if type(c) is np.ndarray else c
+
+
 def _where(cond, a, b):
     """a where cond holds, else b: elementwise over rows, a plain branch
     for a scalar condition."""

@@ -1,6 +1,7 @@
 """One-dimensional solvers used by the linear minimization oracles: a
 golden-section search for a minimizer and a bracketing root finder
-(Chandrupatla's method), each on a function value alone."""
+(Chandrupatla's method), each on a function value alone.  The root
+finder also runs row-wise, on arrays of brackets."""
 
 import numpy as np
 
@@ -53,7 +54,14 @@ def bisect_root(fun, lo, hi, tol=1e-12):
     to vanish); raises BracketError otherwise.  Returns the end of the
     sign-change bracket with the smaller |fun| once the bracket is
     <= tol wide, or after 200 steps.
+
+    With arrays lo and hi each row is a bracket of its own: fun maps an
+    array of points, one per row, to their values, and the roots come
+    back as an array, each row's the one a call on that row returns.
     """
+    if np.ndim(lo):
+        return _bisect_rows(fun, np.array(lo, dtype=float),
+                            np.array(hi, dtype=float), tol)
     a, b = float(lo), float(hi)
     fa, fb = fun(a), fun(b)
     if fa == 0.0:
@@ -91,3 +99,47 @@ def bisect_root(fun, lo, hi, tol=1e-12):
         else:
             t = 0.5
     return a if abs(fa) < abs(fb) else b
+
+
+def _bisect_rows(fun, a, b, tol):
+    """bisect_root over rows: each row takes the scalar call's steps in
+    the same arithmetic, and a row is done once its bracket is <= tol
+    wide or one of its points is a root (as in scipy's row-wise
+    Chandrupatla).  fun is called on every row at each step; a done row
+    is held at a point it has already taken."""
+    fa, fb = fun(a), fun(b)
+    done = (fa == 0.0) | (fb == 0.0)
+    root = np.where(fa == 0.0, a, b)
+    unbracketed = np.count_nonzero(~done & (fa * fb > 0.0))
+    if unbracketed:
+        raise BracketError(f"bisect_root: no sign change on {unbracketed} "
+                           f"of {a.size} rows")
+    t = np.full(a.shape, 0.5)
+    # a done row's bracket may have shrunk to a point, and its values
+    # are never used: its divisions may fail silently
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            live = ~(done | (np.abs(b - a) <= tol))
+            if not live.any():
+                break
+            edge = 0.5 * tol / np.abs(b - a)
+            t = np.where(t < edge, edge, np.where(t > 1.0 - edge, 1.0 - edge,
+                                                  t))
+            x = np.where(live, a + t * (b - a), a)
+            fx = fun(x)
+            hit = live & (fx == 0.0)
+            root = np.where(hit, x, root)
+            done |= hit
+            live &= ~hit
+            # a is the newest point, [a, b] the bracket, c the point dropped
+            same = (fx > 0.0) == (fa > 0.0)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            flip = live & ~same
+            b, fb = np.where(flip, a, b), np.where(flip, fa, fb)
+            a, fa = np.where(live, x, a), np.where(live, fx, fa)
+            xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            t = np.where((ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi),
+                         fa / (fb - fa) * fc / (fb - fc)
+                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
+                         0.5)
+    return np.where(done, root, np.where(np.abs(fa) < np.abs(fb), a, b))

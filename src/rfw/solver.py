@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .convexity import ConvexSet
+from .convexity import ConvexSet, _finite_or_none
 from .errors import ConfigError, ContractError, RfwError
 from .manifolds import Manifold
 from .scalars import minimize_1d
@@ -74,10 +74,12 @@ class RfwTrace:
                 fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % row)
 
     def to_json(self):
-        return json.dumps({
+        """Strict JSON: a non-finite value (f = NaN on an error run, say)
+        is written as null."""
+        return json.dumps(_finite_or_none({
             "status": self.status, "iters": self.iters, "f": self.f,
             "dual_gap": self.dual_gap, "step": self.step,
-            "dist_xv": self.dist_xv})
+            "dist_xv": self.dist_xv}), allow_nan=False)
 
 
 def load_trace_csv(path):

@@ -189,6 +189,23 @@ def reference_certificate(notion, cset, alpha, n_samples, rng, distance=None,
     return _reference_worst(notion, alpha, n_samples, rng, draw, refine_all)
 
 
+def assert_certificates_close(cert, ref, tol):
+    """cert is ref up to tol: the same verdict, sample count and witness
+    row (its drawn x and w bit for bit), finite margins within tol, and
+    every computed witness number within tol.  For certificates whose
+    oracle rows may differ from the single calls in the last bits."""
+    assert (cert.notion, cert.alpha_tested, cert.samples, cert.passed) == (
+        ref.notion, ref.alpha_tested, ref.samples, ref.passed)
+    assert np.isfinite(cert.worst_margin) and np.isfinite(ref.worst_margin)
+    assert abs(cert.worst_margin - ref.worst_margin) <= tol
+    assert set(cert.witness) == set(ref.witness)
+    for key in ("x", "w"):
+        np.testing.assert_array_equal(cert.witness[key], ref.witness[key])
+    for key, value in ref.witness.items():
+        np.testing.assert_allclose(cert.witness[key], value, rtol=0.0,
+                                   atol=tol)
+
+
 def reference_function_check(check, fn, cset, n_samples, rng):
     """check_gconvexity_of_function ("gconvexity") or
     check_smoothness_gradient_bound ("smoothness_gradient_bound") as a

@@ -336,3 +336,120 @@ def test_lmo_result_records_phi_for_planar_search():
     w = k.random_unit_tangent(x, rng)
     res = ball.lmo(w, x)
     assert res.phi is None or -np.pi <= res.phi <= np.pi
+
+
+# ---------------------------------------------------------------------------
+# stacked rows against single calls
+# ---------------------------------------------------------------------------
+
+ROW_BALLS = [(Euclidean(3), 1.0), (Sphere(3), 1e-3), (Sphere(3), 0.3),
+             (Sphere(3), 1.0), (Sphere(3), 1.5), (Hyperboloid(3), 0.1),
+             (Hyperboloid(3), 1.0), (Hyperboloid(3), 2.0)]
+
+
+def _row_tolerance(k, radius):
+    """1e-13, times cosh(r)^4 on the hyperboloid: its exp takes the
+    tangent norm from a difference of squares of O(cosh r) coordinates,
+    so a last-bit difference in phi moves the vertex by up to ~cosh(r)^4
+    ulps."""
+    return 1e-13 * (np.cosh(radius) ** 4 if isinstance(k, Hyperboloid)
+                    else 1.0)
+
+
+def _oracle_rows(k, ball, rng, n=40):
+    """(w, x) rows: interior points with random directions alternating
+    with boundary points whose outward normals are tilted by
+    10^U(-6, 1) (the wedge grid), then x at the center and w along
+    +-log_x(center) (the plane degenerates to a line)."""
+    ws, xs = [], []
+    for i in range(n):
+        if i % 2:
+            x, w = _boundary_point_and_tilted_normal(
+                k, ball, rng, 10.0 ** rng.uniform(-6.0, 1.0))
+        else:
+            x = ball.sample(rng)
+            w = k.random_unit_tangent(x, rng)
+        xs.append(x)
+        ws.append(w)
+    xs.append(ball.center)
+    ws.append(k.random_unit_tangent(ball.center, rng))
+    x = ball.sample(rng)
+    g = k.log(x, ball.center)
+    xs += [x, x]
+    ws += [g / k.norm(x, g), -g / k.norm(x, g)]
+    return np.array(ws), np.array(xs)
+
+
+def _assert_rows_equal_single_calls(ball, w, x, tol):
+    rows = ball.lmo(w, x)
+    assert rows.vertex.shape == rows.log.shape == x.shape
+    assert np.shape(rows.objective) == (len(x),)
+    for i in range(len(x)):
+        one = ball.lmo(w[i], x[i])
+        if one.phi is None:
+            assert rows.phi is None
+        else:
+            assert abs(rows.phi[i] - one.phi) <= tol
+        assert abs(rows.objective[i] - one.objective) <= tol
+        assert np.max(np.abs(rows.vertex[i] - one.vertex)) <= tol
+        assert np.max(np.abs(rows.log[i] - one.log)) <= tol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("k,radius", ROW_BALLS,
+                         ids=[f"{k.name}-{r:g}" for k, r in ROW_BALLS])
+def test_stacked_lmo_rows_equal_single_calls(k, radius, seed):
+    # the single call stays the reference: each stacked row is its answer
+    # up to the last bits of numpy's transcendental functions
+    ball = GeodesicBall(k, k.base_point(), radius)
+    w, x = _oracle_rows(k, ball, np.random.default_rng(seed))
+    tol = _row_tolerance(k, radius)
+    _assert_rows_equal_single_calls(ball, w, x, tol)
+    _assert_rows_equal_single_calls(ball, w[:1], x[:1], tol)
+    empty = ball.lmo(w[:0], x[:0])
+    assert empty.vertex.shape == x[:0].shape and len(empty.objective) == 0
+
+
+def test_stacked_lmo_sends_unbracketed_rows_to_the_single_call(monkeypatch):
+    # x 1e-12 inside the boundary and w its outward normal tilted by
+    # 1e-6: F' keeps its sign across the grid bracket, and the row takes
+    # the single call's golden-section search, once
+    k = Sphere(3)
+    ball = GeodesicBall(k, k.base_point(), 0.3)
+    x = k.exp(ball.center, (0.3 - 1e-12) * np.array([0.0, 1.0, 0.0]))
+    g = k.log(x, ball.center)
+    w = -g / k.norm(x, g) + 1e-6 * np.array([0.0, 0.0, 1.0])
+    rng = np.random.default_rng(2)
+    ws, xs = _oracle_rows(k, ball, rng, 6)
+    ws, xs = np.vstack([ws, w]), np.vstack([xs, x])
+    calls = []
+    golden = rfw.balls.minimize_1d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return golden(*args, **kwargs)
+    monkeypatch.setattr(rfw.balls, "minimize_1d", counted)
+    rows = ball.lmo(ws, xs)
+    assert len(calls) == 1
+    one = ball.lmo(w, x)
+    assert rows.phi[-1] == one.phi and rows.objective[-1] == one.objective
+    np.testing.assert_array_equal(rows.vertex[-1], one.vertex)
+    _assert_rows_equal_single_calls(ball, ws, xs, _row_tolerance(k, 0.3))
+
+
+@pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
+def test_stacked_lmo_checks_every_row_at_entry(cls):
+    k = cls(3)
+    ball = GeodesicBall(k, k.base_point(), 0.5)
+    w, x = _oracle_rows(k, ball, np.random.default_rng(4), 6)
+    zero = w.copy()
+    zero[3] = 0.0
+    with pytest.raises(ContractError, match="zero direction"):
+        ball.lmo(zero, x)
+    far = x.copy()
+    far[2] = k.exp(ball.center, 1.0 * k.random_unit_tangent(
+        ball.center, np.random.default_rng(5)))
+    with pytest.raises(ContractError, match="outside the ball"):
+        ball.lmo(k.project_tangent(far, w), far)
+    with pytest.raises(ContractError, match="shape"):
+        ball.lmo(w[0], x)

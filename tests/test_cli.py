@@ -129,6 +129,26 @@ def test_run_single_experiment_outputs(tmp_path):
     assert on_disk == json.loads(json.dumps(summary))
 
 
+def test_error_run_summary_is_strict_json(tmp_path, monkeypatch):
+    # a NaN objective ends the run with status error and final_f NaN,
+    # which the summary file writes as null
+    from rfw.objectives import QuadraticOnEmbedded
+    value_grad = QuadraticOnEmbedded.value_grad
+    monkeypatch.setattr(QuadraticOnEmbedded, "value_grad",
+                        lambda self, x: (np.nan, value_grad(self, x)[1]))
+    out = str(tmp_path / "trace.csv")
+    summary = run_single_experiment(ExperimentConfig(**SMALL), out)
+    assert summary["status"] == "error" and np.isnan(summary["final_f"])
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    with open(str(tmp_path / "trace.summary.json")) as fh:
+        on_disk = json.loads(fh.read(), parse_constant=reject)
+    assert on_disk["final_f"] is None
+    assert on_disk["final_dual_gap"] == summary["final_dual_gap"]
+
+
 def test_main_run_experiment_with_config(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "a.csv")

@@ -58,3 +58,27 @@ def test_bisect_root_accepts_root_at_endpoint():
 def test_bisect_root_requires_sign_change():
     with pytest.raises(BracketError):
         bisect_root(lambda t: 1.0 + t * t, -1.0, 1.0)
+
+
+def test_bisect_root_rows_take_the_single_calls_steps():
+    # each row of an array bracket is the call on that row, bit for bit,
+    # when fun has the same arithmetic on arrays as on floats; rows with
+    # a root at an end, or a closed bracket, stop at once
+    rng = np.random.default_rng(0)
+    n = 200
+    r, s = rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 3.0, n)
+    lo = r - rng.uniform(1e-13, 2.0, n)
+    hi = r + rng.uniform(1e-13, 2.0, n)
+    lo[:3], hi[3:6] = r[:3], r[3:6]
+    lo[6], hi[6] = r[6] - 4e-13, r[6] + 4e-13
+
+    def cubic(x, r=r, s=s):
+        return s * (x - r) ** 3 + 0.1 * (x - r)
+
+    roots = bisect_root(cubic, lo, hi, tol=1e-12)
+    for i in range(n):
+        assert roots[i] == bisect_root(
+            lambda x: cubic(x, r[i], s[i]), lo[i], hi[i], tol=1e-12)
+    with pytest.raises(BracketError, match="1 of 3 rows"):
+        bisect_root(np.cos, np.array([0.0, 0.0, 2.0]),
+                    np.array([2.0, 1.0, 5.0]))

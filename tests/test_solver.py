@@ -5,9 +5,10 @@ import pytest
 
 from rfw import (ConfigError, ContractError, ConvexSet, DomainError,
                  Euclidean, GeodesicBall, LmoResult, QuadraticOnEmbedded,
-                 RfwProblem, Sphere, StepRule, ball_set, contraction_check,
-                 estimate_alpha, fw_vertex, lmo_brute_force, load_trace_csv,
-                 min_gradient_norm, rfw_run, short_step)
+                 RfwProblem, RfwTrace, Sphere, StepRule, ball_set,
+                 contraction_check, estimate_alpha, fw_vertex,
+                 lmo_brute_force, load_trace_csv, min_gradient_norm, rfw_run,
+                 short_step)
 from helpers import ball_quadratic_fstar
 
 # Exterior-optimum quadratic over the unit ball in R^3; the dual
@@ -156,6 +157,27 @@ def test_trace_csv_roundtrip(tmp_path):
     payload = json.loads(trace.to_json())
     assert payload["status"] == trace.status
     assert payload["f"] == trace.f
+
+
+def test_trace_json_is_strict():
+    # an error run records f = NaN; finite numbers keep json's bytes
+    trace = RfwTrace()
+    trace.append(0, 1.5, 0.25, 0.5, 0.125)
+    trace.append(1, np.nan, np.inf, 0.0, -np.inf)
+    trace.status = "error"
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    payload = json.loads(trace.to_json(), parse_constant=reject)
+    assert payload["f"] == [1.5, None]
+    assert payload["dual_gap"] == [0.25, None]
+    assert payload["dist_xv"] == [0.125, None]
+    finite = RfwTrace(iters=[0], f=[1.5], dual_gap=[0.1], step=[1.0],
+                      dist_xv=[0.3], status="converged")
+    assert finite.to_json() == json.dumps({
+        "status": "converged", "iters": [0], "f": [1.5], "dual_gap": [0.1],
+        "step": [1.0], "dist_xv": [0.3]})
 
 
 def test_trace_csv_header_check(tmp_path):
