@@ -14,10 +14,11 @@ maximizer of alpha(phi) cos(phi), the second one confined to the
 feasible wedge at a boundary point.  The root of its phi-derivative,
 found by `bisect_root` in the grid bracket, pins it down, with alpha's
 b-derivative from implicit differentiation of the exit equation.  The
-reference `lmo_constant_curvature_ball` takes the same grid with travel
-distances found by `bisect_root` on the distance to the center, and
-refines it by a golden-section value search.  Both check their entry
-once (w a nonzero tangent at x, x in the ball), not what they build.
+oracle checks its entry once (w a nonzero finite tangent at x, x in
+the ball), not what it builds.  The references below the oracle
+(`lmo_brute_force`, `random_boundary_best`) share none of its plane
+reduction: they evaluate the objective on boundary points built from
+the center.
 
 `GeodesicBall.lmo` also takes stacked rows of (w, x) and answers them in
 one call: the frames, grids and brackets are arrays, and `bisect_root`
@@ -31,15 +32,15 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BracketError, ConfigError, ContractError, DomainError,
+from .errors import (ConfigError, ContractError, DomainError,
                      NoIntersectionError, NumericsError)
-from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere, _all,
-                        _any, _atleast, _col, _dot, _where, _zero_where)
+from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere,
+                        _all, _atleast, _col, _dot, _where, _zero_where)
 from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
-LMO_TOL = 1e-12  # phi resolution of both refinements, and of exit distances
-PHI_GRID = 33  # points per grid of the oracles' phi search
+LMO_TOL = 1e-12  # phi resolution of the oracle's refinement
+PHI_GRID = 33  # points per grid of the oracle's phi search
 _UNIT_GRID = np.linspace(0.0, 1.0, PHI_GRID)
 ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
@@ -139,16 +140,27 @@ class GeodesicBall:
                                            _exit_hyperboloid)
         if np.ndim(x) > 1:
             return self._lmo_rows(w, x, norm_w, a, c, product, exit_grid)
-
-        def search(u1, u2, grid):
-            b1, b2 = float(product(x0, u1)), float(product(x0, u2))
-            alpha = exit_grid(a, np.cos(grid) * b1 + np.sin(grid) * b2, c)
-            return _stationary_phi(grid, alpha, b1, b2,
-                                   lambda b: exit_at(a, b, c))
-        return _plane_search(w, x, norm_w, self, search)
+        # maximize F(phi) = alpha(phi) cos(phi), alpha the travel distance
+        # to the boundary along p = cos(phi) u1 + sin(phi) u2, over a grid
+        # on [-pi/2, pi/2] and one on its inward half-plane (from a
+        # boundary point only that wedge is feasible, and it can be
+        # narrower than the first grid's spacing)
+        g = k.log(x, x0)
+        u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
+        if u2.any():
+            grid = _phi_grid(math.atan2(k._inner(x, g, u2), g1))
+        else:  # x at the center, or w along log_x(center): p = u1
+            grid = np.zeros(1)
+        b1, b2 = float(product(x0, u1)), float(product(x0, u2))
+        alpha = exit_grid(a, np.cos(grid) * b1 + np.sin(grid) * b2, c)
+        phi, alpha = _stationary_phi(grid, alpha, b1, b2,
+                                     lambda b: exit_at(a, b, c))
+        v = k.exp(x, alpha * (math.cos(phi) * u1 + math.sin(phi) * u2))
+        lx = k.log(x, v)
+        return LmoResult(v, k._inner(x, w, lx), lx, phi=phi)
 
     def _lmo_rows(self, w, x, norm_w, a, c, product, exit_grid):
-        """The oracle on stacked rows: _plane_search's section frames,
+        """The oracle on stacked rows: the single call's section frames,
         phi grids and grid brackets for all rows at once, and
         bisect_root on the rows' F' together.  A row whose plane
         degenerates to a line, or whose F' does not change sign across
@@ -272,18 +284,19 @@ def _exit_slopes(s, sn, root):
 
 
 def _entry_norm(w, x, ball):
-    """norm(w), after the oracles' contract, checked once at their
-    entry: the kernel is one of the ORACLE_KERNELS, w is a nonzero
-    tangent at x (checked through its norm) and x lies in the ball;
-    on every row of stacked w and x, which have one shape."""
+    """norm(w), after the oracle's contract, checked once at its entry:
+    the kernel is one of the ORACLE_KERNELS, w is a nonzero finite
+    tangent at x (checked through its norm, which NaN or inf entries
+    make NaN or inf) and x lies in the ball; on every row of stacked w
+    and x, which have one shape."""
     k = ball.kernel
     if not isinstance(k, ORACLE_KERNELS):
         raise ConfigError(f"lmo: no oracle for kernel {k.name}")
     if np.shape(w) != np.shape(x):
         raise ContractError("lmo: w and x differ in shape")
     norm_w = k.norm(x, w)
-    if _any(norm_w < 1e-15):
-        raise ContractError("lmo: zero direction")
+    if not _all((norm_w >= 1e-15) & (norm_w < math.inf)):
+        raise ContractError("lmo: zero direction, or a NaN or infinite one")
     if not _all(ball.membership(x)):
         raise ContractError("lmo: x is outside the ball")
     return norm_w
@@ -292,9 +305,9 @@ def _entry_norm(w, x, ball):
 def _section_frame(kernel, x, w, norm_w, g):
     """Orthonormal pair (u1, u2) at x spanning the oracle's search
     plane, u1 along w and u2 the component of g = log_x(center)
-    orthogonal to it, and <g, u1>.  u2 is None when the plane
-    degenerates to a line; over stacked rows it is a zero row there.
-    w and g are tangent at x by the caller's word (unchecked)."""
+    orthogonal to it, and <g, u1>.  u2 is zero (a zero row over stacked
+    rows) where the plane degenerates to a line.  w and g are tangent
+    at x by the caller's word (unchecked)."""
     u1 = w / _col(norm_w)
     g1 = kernel._inner(x, u1, g)
     g_perp = g - _col(g1) * u1
@@ -305,32 +318,8 @@ def _section_frame(kernel, x, w, norm_w, g):
         x, g_perp - _col(kernel._inner(x, u1, g_perp)) * u1)
     n_perp = kernel._norm(x, g_perp)
     flat = n_perp <= 1e-10 * _atleast(kernel._norm(x, g), 1.0)
-    if type(flat) is not np.ndarray and flat:
-        return u1, None, g1
     u2 = _zero_where(flat, g_perp / _col(_where(flat, 1.0, n_perp)))
     return u1, u2, g1
-
-
-def _plane_search(w, x, norm_w, ball, search):
-    """Oracle vertex: maximize F(phi) = alpha(phi) cos(phi), alpha the
-    travel distance to the boundary along p = cos(phi) u1 + sin(phi) u2.
-    The grid is one over phi in [-pi/2, pi/2] and one over its inward
-    half-plane (from a boundary point only that wedge is feasible, and
-    it can be narrower than the first grid's spacing);
-    search(u1, u2, grid) returns the refined (phi, alpha).  w and x
-    have passed _entry_norm; nothing built here is checked."""
-    k = ball.kernel
-    g = k.log(x, ball.center)
-    u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
-    if u2 is None:
-        # center, or center aligned with w: optimum is along w itself
-        u2, grid = np.zeros_like(u1), np.zeros(1)
-    else:
-        grid = _phi_grid(math.atan2(k._inner(x, g, u2), g1))
-    phi, alpha = search(u1, u2, grid)
-    v = k.exp(x, alpha * (math.cos(phi) * u1 + math.sin(phi) * u2))
-    lx = k.log(x, v)
-    return LmoResult(v, k._inner(x, w, lx), lx, phi=phi)
 
 
 def _phi_grid(psi):
@@ -346,14 +335,6 @@ def _phi_grid(psi):
     return np.sort(np.concatenate((full, wedge), axis=-1), axis=-1)
 
 
-def _grid_bracket(grid, alpha):
-    """The grid maximizer of alpha cos(phi) between its neighbours, as
-    (lo, best, hi)."""
-    i = int(np.argmax(alpha * np.cos(grid)))
-    return (float(grid[max(i - 1, 0)]), float(grid[i]),
-            float(grid[min(i + 1, len(grid) - 1)]))
-
-
 def _stationary_phi(grid, alpha, b1, b2, exit_at):
     """Refine the grid maximizer of F(phi) = alpha(b(phi)) cos(phi),
     b = cos(phi) b1 + sin(phi) b2, to the root of F'(phi) = alpha'
@@ -362,7 +343,9 @@ def _stationary_phi(grid, alpha, b1, b2, exit_at):
     dalpha/db).  Where F' does not change sign across the bracket (a
     flat run of outward rays, or a kink at the wedge edge), a
     golden-section value search takes over.  Returns (phi, alpha)."""
-    lo, phi, hi = _grid_bracket(grid, alpha)
+    i = int(np.argmax(alpha * np.cos(grid)))
+    lo, phi, hi = (float(grid[max(i - 1, 0)]), float(grid[i]),
+                   float(grid[min(i + 1, len(grid) - 1)]))
     slope = _phi_slope(math.cos, math.sin, exit_at, b1, b2)
 
     def travel(phi):
@@ -390,45 +373,6 @@ def _phi_slope(cos, sin, exit_at, b1, b2):
         s, ds = exit_at(cp * b1 + sp * b2)
         return ds * (cp * b2 - sp * b1) * cp - s * sp
     return slope
-
-
-def _exit_distance(ball, x, p, hi):
-    """Distance along the unit ray p from x to the ball boundary, the
-    root of dist(exp_x(s p), center) - r on [0, hi]."""
-    k, x0, r = ball.kernel, ball.center, ball.radius
-
-    def f(s):
-        val = k.dist(k.exp(x, s * p), x0) - r
-        if s == 0.0:
-            # x sits in the ball within membership tolerance; clamp so
-            # the bracket survives a +1e-10 roundoff at the endpoint
-            return min(val, 0.0)
-        return val
-
-    try:
-        return bisect_root(f, 0.0, hi, tol=LMO_TOL)
-    except BracketError:
-        if f(hi) <= 0.0:
-            return hi  # the ray stays in the closed ball up to hi
-        raise
-
-
-def lmo_constant_curvature_ball(w, x, ball):
-    """Reference oracle for balls on the ORACLE_KERNELS: the grid of
-    `GeodesicBall.lmo` with travel distances found by bisection, and
-    its bracket refined by a golden-section value search.  Slow; the
-    tests and `rfw lmo-test` cross-check with it."""
-    norm_w = _entry_norm(w, x, ball)
-    hi = ball.kernel.dist(x, ball.center) + ball.radius
-
-    def search(u1, u2, grid):
-        exit_at = lambda phi: _exit_distance(
-            ball, x, math.cos(phi) * u1 + math.sin(phi) * u2, hi)
-        lo, _, top = _grid_bracket(grid, np.array([exit_at(t) for t in grid]))
-        phi, _ = minimize_1d(lambda t: -exit_at(t) * math.cos(t), lo, top,
-                             tol=LMO_TOL)
-        return phi, exit_at(phi)
-    return _plane_search(w, x, norm_w, ball, search)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +451,7 @@ def grid_objectives(kernel, x, w, z):
 
 def lmo_brute_force(ball, w, x, n_grid=100_000):
     """Best boundary point over the section grid; independent reference
-    for the oracles (uses only exp at the center and the log formulas)."""
+    for the oracle (uses only exp at the center and the log formulas)."""
     z = boundary_section_grid(ball, x, w, n_grid)
     obj = grid_objectives(ball.kernel, x, w, z)
     i = int(np.argmax(obj))

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .balls import (ORACLE_KERNELS, GeodesicBall, lmo_brute_force,
-                    lmo_constant_curvature_ball, random_boundary_best)
+                    random_boundary_best)
 from .convexity import NOTIONS, _finite_or_none, ball_set, run_checker
 from .errors import ConfigError, RfwError
 from .manifolds import MANIFOLDS, Sphere, make_manifold
@@ -241,7 +241,7 @@ def cmd_lmo_test(args):
                           f"{kernel.dim}, the oracle needs >= 2")
     ball = GeodesicBall(kernel, kernel.base_point(), args.radius)
     rng = np.random.default_rng(args.seed)
-    worst_gap, worst_cross = 0.0, 0.0
+    worst_gap = 0.0
     for _ in range(args.instances):
         x = ball.sample(rng)
         w = kernel.random_unit_tangent(x, rng)
@@ -251,12 +251,10 @@ def cmd_lmo_test(args):
                                                 args.random_points, rng))
         scale = max(1.0, abs(brute))
         worst_gap = max(worst_gap, (brute - res.objective) / scale)
-        gen = lmo_constant_curvature_ball(w, x, ball).objective
-        worst_cross = max(worst_cross, abs(gen - res.objective) / scale)
-    ok = worst_gap <= args.tol and worst_cross <= args.tol
+    ok = worst_gap <= args.tol
     print(f"lmo-test: manifold={args.manifold}({args.dim}) r={args.radius} "
           f"instances={args.instances} max_rel_gap={worst_gap:.3e} "
-          f"max_cross_gap={worst_cross:.3e} {'PASS' if ok else 'FAIL'}")
+          f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -264,7 +262,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="rfw",
         description="Frank-Wolfe on manifolds: experiment harness, "
-                    "convexity certification, oracle cross-checks.")
+                    "convexity certification, oracle checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-experiment", help="sphere quadratic experiment")
@@ -286,7 +284,8 @@ def build_parser():
     p.add_argument("--out", help="certificate JSON path")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("lmo-test", help="cross-check the ball oracles")
+    p = sub.add_parser(
+        "lmo-test", help="check the ball oracle against boundary grids")
     p.add_argument("--manifold", default="sphere",
                    choices=[name for name, cls in MANIFOLDS.items()
                             if issubclass(cls, ORACLE_KERNELS)])

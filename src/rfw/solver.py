@@ -104,13 +104,18 @@ def short_step(gap, L, dist2):
 
 def fw_vertex(problem, x, grad=None):
     """Oracle call at x: returns (v, dual_gap, log_x(v)).  A vanishing
-    gradient short-circuits to v = x with zero gap."""
+    gradient short-circuits to v = x with zero gap; a NaN or infinite
+    one, which the oracle rejects, to a NaN vertex, gap and log."""
     k = problem.kernel
     if grad is None:
         _, grad = problem.objective.value_grad(x)
     w = -grad
-    if k.norm(x, w) < 1e-15:
+    norm_w = k.norm(x, w)
+    if norm_w < 1e-15:
         return x, 0.0, np.zeros_like(grad)
+    if not norm_w < np.inf:
+        nan = np.full_like(grad, np.nan)
+        return nan, np.nan, nan
     res = problem.cset.lmo(w, x)
     return res.vertex, res.objective, res.log
 

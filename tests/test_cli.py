@@ -258,7 +258,7 @@ def test_lmo_test_passes(capsys):
                "--random-points", "500"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "PASS" in out and "max_cross_gap" in out
+    assert "PASS" in out and "max_rel_gap" in out
 
 
 def test_lmo_test_euclidean(capsys):

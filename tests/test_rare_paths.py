@@ -1,16 +1,13 @@
 """Error branches and boundary cases that the rest of the suite does not
 reach: one parametrized test per path."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
 from rfw import (ConfigError, ContractError, ConvexSet, DomainError,
                  Euclidean, GeodesicBall, Hyperboloid, QuadraticOnEmbedded,
                  RfwProblem, Spd, Sphere, StepRule, bisect_root,
-                 estimate_alpha, lmo_brute_force, lmo_constant_curvature_ball,
-                 minimize_1d, rfw_run)
+                 estimate_alpha, lmo_brute_force, minimize_1d, rfw_run)
 from rfw.balls import MEMBERSHIP_TOL, ORACLE_KERNELS
 from rfw.convexity import NOTIONS, _sup_member
 
@@ -95,16 +92,36 @@ def test_kernels_reject_dimension_below_two(cls, n):
         cls(n)
 
 
-@pytest.mark.parametrize("oracle", ["lmo", "reference"])
-@pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
-def test_oracles_reject_a_zero_direction(cls, oracle):
-    k = cls(3)
+def _one_bad_direction(cls, bad, stacked):
+    """A ball, a point x in it and a direction w at x whose entries are
+    all `bad`; stacked, w and x are a second row after a valid pair."""
+    k, rng = cls(3), np.random.default_rng(0)
     ball = GeodesicBall(k, k.base_point(), 0.5)
-    x = ball.sample(np.random.default_rng(0))
-    call = (ball.lmo if oracle == "lmo"
-            else partial(lmo_constant_curvature_ball, ball=ball))
+    x = ball.sample(rng)
+    w = np.full_like(x, bad)
+    if stacked:
+        w, x = np.stack([k.random_unit_tangent(x, rng), w]), np.stack([x, x])
+    return ball, w, x
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["lmo", "rows"])
+@pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
+def test_oracles_reject_a_zero_direction(cls, stacked):
+    ball, w, x = _one_bad_direction(cls, 0.0, stacked)
     with pytest.raises(ContractError, match="zero direction"):
-        call(np.zeros_like(x), x)
+        ball.lmo(w, x)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["lmo", "rows"])
+@pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
+def test_oracles_reject_a_non_finite_direction(cls, stacked, bad):
+    # a NaN or infinite w has a NaN or infinite norm, which a plain
+    # `norm < tol` test lets through to a NaN vertex and objective
+    ball, w, x = _one_bad_direction(cls, bad, stacked)
+    with pytest.raises(ContractError, match="NaN or infinite"):
+        ball.lmo(w, x)
 
 
 def _ray_into_disk(s):

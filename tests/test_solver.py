@@ -294,6 +294,29 @@ def test_non_finite_value_or_gap_is_an_error(poison):
     assert len(trace) == 1
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_gradient_records_its_row(bad):
+    # the oracle rejects a NaN or infinite direction; fw_vertex answers
+    # such a gradient with a NaN gap, so the run still records the row
+    k = Sphere(5)
+    center = np.ones(5) / np.sqrt(5.0)
+    obj = QuadraticOnEmbedded.random(k, 10, np.random.default_rng(0))
+
+    class Poisoned:
+        def value_grad(self, x):
+            fval, grad = obj.value_grad(x)
+            return fval, np.full_like(grad, bad)
+
+    problem = RfwProblem(k, Poisoned(), ball_set(
+        GeodesicBall(k, center, 0.5)), obj.L, center)
+    trace, _ = rfw_run(problem, max_iter=20)
+    assert trace.status == "error"
+    assert trace.iters == [0] and trace.step == [0.0]
+    assert trace.f == [obj.value_grad(center)[0]]
+    assert np.isnan(trace.dual_gap[0]) and np.isnan(trace.dist_xv[0])
+
+
 @pytest.mark.parametrize("rule,rows", [("short-step", 3), ("line-search", 1)])
 def test_objective_error_sets_error_status(rule, rows):
     # an RfwError from the objective ends the run like an oracle error;

@@ -23,8 +23,8 @@ byte-identical outputs must leave no line different.  The grid:
   at a passing and a failing alpha;
 * both function-class checks and min_gradient_norm;
 * estimate_alpha of every notion on a disk and on a cap;
-* 40 oracle results and 40 bisection-reference results per oracle
-  ball, a quarter of them at boundary points;
+* 40 oracle results per oracle ball, a quarter of them at boundary
+  points;
 * the paper-desk trace CSV and summary for seeds 0 and 42.
 
 An output that raises an rfw error is hashed as its type and message.
@@ -52,8 +52,7 @@ import rfw
 from rfw import (GeodesicBall, QuadraticOnEmbedded, SquaredDistanceObjective,
                  ball_set, check_gconvexity_of_function,
                  check_smoothness_gradient_bound, estimate_alpha,
-                 lmo_constant_curvature_ball, make_manifold, min_gradient_norm,
-                 run_checker)
+                 make_manifold, min_gradient_norm, run_checker)
 from rfw.cli import PRESETS, build_parser, run_single_experiment
 from rfw.convexity import NOTIONS
 
@@ -216,8 +215,6 @@ def oracle_results(out):
             w = k.random_unit_tangent(x, rng)
             out[f"lmo/{name}/{i:02d}"] = digest(
                 lambda: lmo_fields(ball.lmo(w, x)))
-            out[f"reference/{name}/{i:02d}"] = digest(
-                lambda: lmo_fields(lmo_constant_curvature_ball(w, x, ball)))
 
 
 def experiments(out):
