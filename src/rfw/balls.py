@@ -84,10 +84,14 @@ class GeodesicBall:
         return 2.0 * self.radius
 
     def membership(self, x):
+        """Whether x, or each row of stacked x, is in the ball; a point
+        whose distance the kernel rejects (not SPD, say) is not."""
         try:
             d = self.kernel.dist(self.center, x)
-        except DomainError:  # x is off the manifold (not SPD, say)
-            return False
+        except DomainError:
+            if np.ndim(x) == len(self.kernel.point_shape):
+                return False
+            return np.array([self.membership(p) for p in x], dtype=bool)
         return d <= self.radius + MEMBERSHIP_TOL
 
     def sample(self, rng):

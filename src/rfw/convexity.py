@@ -27,15 +27,12 @@ certificate is bit for bit that of the per-sample loop; for the scaling
 notions, up to the last bits in which a stacked oracle row may differ
 from a single call (GeodesicBall.lmo).
 
-Margins for the membership-based notions are measured as the gap
-between the admissible travel distance along the sampled direction and
-the required one (bisection on membership), row by row with the set's
-scalar membership test; the scaling notions make one oracle call on
-all the rows stacked and have analytic margins.  A row is refined by
-bisection only when one membership probe shows that it can lower the
-worst margin seen so far; the others are dropped, and the certificate
-is the one that refining every row would give.  A NaN margin is a
-violation.
+Margins for the membership-based notions are the gap between the
+admissible travel distance along the sampled direction and the required
+one, bisected on membership for all rows at once (_clearances); rows
+that cannot be the lowest leave early, so the certificate is that of
+refining every row.  The scaling notions make one oracle call on all
+the rows stacked and have analytic margins.  A NaN margin is a violation.
 run_checker is the entry point; the function-class checks return the
 same ConvexityCertificate with alpha_tested None.  Every certificate
 passes when its worst margin is at least -DEFAULT_CERT_TOL.
@@ -133,52 +130,70 @@ class ConvexityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# clearance along a ray, by bisection on membership
+# clearances along rays, one stacked bisection on membership
 # ---------------------------------------------------------------------------
 
-def _sup_member(member_at, hi_cap, resolution):
-    """sup{s in [0, hi_cap] : member_at(s)}; assumes membership along
-    the ray is an initial interval (true for convex sets)."""
-    if not member_at(0.0):
-        return 0.0
-    if member_at(hi_cap):
-        return hi_cap
-    lo, hi = 0.0, hi_cap
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if member_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _members(cset, ray, rows, s):
+    """Whether row rows[j]'s point ray(rows, s)[j] is in the set: a ball
+    answers them in one call, any other set row by row.  A stacked exp
+    that raises is taken again row by row (in a function of its own: a
+    nested one calling itself holds the rays in a reference cycle)."""
+    try:
+        z = ray(rows, s)
+    except DomainError:
+        if len(rows) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_members(cset, ray, rows[j:j + 1], s[j:j + 1])
+                               for j in range(len(rows))])
+    if getattr(cset.membership, "__func__", None) is GeodesicBall.membership:
+        return cset.membership(z)
+    return np.array([bool(cset.membership(p)) for p in z], dtype=bool)
 
 
-def _ray_margin(cset, point_at, required, worst):
-    """Margin of the admissible travel distance along the ray s ->
-    point_at(s) over the required one, or None when it cannot fall
-    below worst, the lowest margin seen so far.  point_at calls exp, and
-    leaving the exp domain counts as a violation.
-
-    The clearance is bisected only for a sample that can lower worst:
-    the margin is at least -required, and when the point at
-    s = required + worst + resolution is a member, the bisection would
-    end above s - resolution/2 (its non-member end stays beyond s), a
-    margin above worst either way.  Both hold wherever the bisection
-    itself is right: membership along the ray is an initial interval."""
-    def member_at(s):
-        try:
-            z = point_at(s)
-        except DomainError:
-            return False
-        return bool(cset.membership(z))
-
+def _clearances(cset, base, direction, required, offset=None):
+    """Margins, travel distance minus required[i], along the rays s ->
+    exp(base[i], offset[i] + s direction[i]) (offset 0 when None), as a
+    list with None for a row that cannot be the lowest; leaving the exp
+    domain counts as a violation.  A row's travel distance is that of a
+    bisection on membership: 0 from a start outside the set, else
+    [0, hi_cap] halved to the resolution, then hi_cap if a member there
+    and hi never moved, else the midpoint (exact when membership along
+    the ray is an initial interval, as for convex sets).  All rows step
+    at once, racing to the lowest margin: a row leaves once lo -
+    required exceeds a row's upper bound (hi - required, or a finished
+    margin), as by monotone rounding its margin is above the lowest."""
+    k, n = cset.kernel, len(required)
     cap = cset.diameter if cset.diameter is not None else 1.0
-    hi_cap = max(cap, 2.0 * required, 1e-9)
-    resolution = 1e-11 * max(1.0, hi_cap)
-    s = required + worst + resolution
-    if s <= 0.0 or (s < hi_cap and member_at(s)):
-        return None
-    return _sup_member(member_at, hi_cap, resolution) - required
+    hi_cap = np.array([max(cap, 2.0 * r, 1e-9) for r in required.tolist()])
+    resolution = 1e-11 * np.array([max(1.0, h) for h in hi_cap.tolist()])
+
+    def ray(rows, s):
+        v = _col(s, len(k.point_shape)) * direction[rows]
+        return k.exp(base[rows], v if offset is None else offset[rows] + v)
+
+    margin = 0.0 - required  # of a ray that starts outside the set
+    done = ~_members(cset, ray, np.arange(n), np.zeros(n))
+    rows = np.flatnonzero(~done)
+    lo, hi = np.zeros(len(rows)), hi_cap[rows]
+    moved, settled = np.zeros((2, len(rows)), dtype=bool)
+    while len(rows):
+        # a settled row is probed at hi_cap, which hi never left; a
+        # member there ends as lo = hi = hi_cap
+        s = np.where(settled, hi_cap[rows], 0.5 * (lo + hi))
+        inside = _members(cset, ray, rows, s)
+        lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
+        moved |= settled | ~inside
+        req, settled = required[rows], ~(hi - lo > resolution[rows])
+        over = settled & moved  # bisected: the midpoint
+        if over.any():
+            margin[rows[over]] = 0.5 * (lo[over] + hi[over]) - req[over]
+            done[rows[over]] = True
+        least = np.minimum(margin[done].min(initial=np.inf), (hi - req).min())
+        keep = ~over & ~(lo - req > least)
+        if not keep.all():
+            rows, lo, hi, moved, settled = (
+                a[keep] for a in (rows, lo, hi, moved, settled))
+    return [m if d else None for m, d in zip(margin.tolist(), done.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +300,13 @@ def _rows(**rows):
 # ---------------------------------------------------------------------------
 
 def _worst_case(notion, alpha, n_samples, margins, witness):
-    """Stage 3, the one loop of every certificate: the lowest margin
-    over rows 0, 1, ... in order.  margins is a list of them, or
-    margins(i, worst) gives row i's; either gives None for a row with
-    nothing to certify, and margins(i, worst) also for a row whose
-    margin cannot fall below worst, the lowest so far.  witness(i,
+    """Stage 3, the one loop of every certificate: the lowest of the
+    list margins, rows 0, 1, ... in order, None for a row with nothing
+    to certify or one that left the race of _clearances.  witness(i,
     margin) is the witness of the row kept.  A NaN margin is a
     violation: it counts as -inf, and the witness says so."""
-    at = margins if callable(margins) else (lambda i, worst: margins[i])
     worst, best, nan_row = np.inf, None, False
-    for i in range(n_samples):
-        margin = at(i, worst)
+    for i, margin in enumerate(margins):
         if margin is None:
             continue
         is_nan = margin != margin
@@ -327,12 +338,8 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
         return x, y, t, m, draws.tangents(3, m), rho
     x, y, t, m, u, rho = _sample(cset, rng, n_samples,
                                  (POINT, POINT, TIME, TANGENT), geometry)
-
-    def margin(i, worst):
-        mi, ui = m[i], u[i]
-        return _ray_margin(cset, lambda s: k.exp(mi, s * ui), float(rho[i]),
-                           worst)
-    return margin, _rows(x=x, y=y, t=t, direction=u, required=rho)
+    return (_clearances(cset, m, u, rho),
+            _rows(x=x, y=y, t=t, direction=u, required=rho))
 
 
 def _geodesic(cset, alpha, distance, rng, n_samples):
@@ -356,12 +363,8 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
         return x, p, q, t, (1.0 - tc) * p + tc * q, draws.tangents(4, x), rho
     x, p, q, t, combo, z, rho = _sample(
         cset, rng, n_samples, (POINT, POINT, POINT, TIME, TANGENT), geometry)
-
-    def margin(i, worst):
-        xi, ci, zi = x[i], combo[i], z[i]
-        return _ray_margin(cset, lambda s: k.exp(xi, ci + s * zi),
-                           float(rho[i]), worst)
-    return margin, _rows(x=x, p=p, q=q, t=t, direction=z, required=rho)
+    return (_clearances(cset, x, z, rho, combo),
+            _rows(x=x, p=p, q=q, t=t, direction=z, required=rho))
 
 
 def _scaling(cset, alpha, distance, rng, n_samples, approx=False):

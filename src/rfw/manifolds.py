@@ -24,9 +24,9 @@ sphere log rejects near-antipodal pairs, where the minimizing geodesic
 stops being unique.  On stacked rows the message names the first
 offending row's value.
 
-The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two single base
-points, keyed by their bytes, so outputs are bit for bit those of
-recomputing the pair; every other kernel is stateless.
+The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base points
+or stacks of them, keyed by their bytes, so outputs are bit for bit
+those of recomputing the pair; every other kernel is stateless.
 """
 
 import math
@@ -500,15 +500,6 @@ def _eigh_apply(s, fun):
     return (v * _rowvec(fun(w))) @ _swap(v)
 
 
-def _sqrt_factors(x):
-    """(X^{1/2}, X^{-1/2}) by eigh, for a matrix or a stack."""
-    w, v = np.linalg.eigh(_sym(x))
-    if _any(w[..., 0] <= 0.0):
-        raise DomainError("spd: matrix is not positive definite")
-    r = _rowvec(np.sqrt(w))
-    return (v * r) @ _swap(v), (v / r) @ _swap(v)
-
-
 class Spd(Manifold):
     """Symmetric positive definite n x n matrices with the
     affine-invariant metric <u,v>_X = tr(X^-1 u X^-1 v).
@@ -531,22 +522,24 @@ class Spd(Manifold):
         self._sqrt_memo = []
 
     def _sqrt_pair(self, x):
-        """(X^{1/2}, X^{-1/2}) by eigh, read-only.  A membership probe
-        factors the ball's center and the ray's base point over and
-        over, so the pairs of the last two matrices are kept, keyed by
-        their bytes: a hit returns the arrays that eigh would give, and
-        a matrix changed in place is factored afresh.  A matrix that is
-        not positive definite is never kept, and raises every time.  A
-        stack of base points is factored in one call and not kept."""
-        if x.ndim > 2:
-            return _sqrt_factors(x)
+        """(X^{1/2}, X^{-1/2}) by eigh, read-only, for a matrix or a
+        stack.  A membership bisection factors the ball's center and
+        the stack of its rays' base points step after step, so the
+        pairs of the last two are kept, keyed by their bytes: a hit
+        returns the arrays that eigh would give, and a matrix or stack
+        changed in place is factored afresh.  One that is not positive
+        definite is never kept, and raises every time."""
         key = (x.dtype.str, x.shape, x.tobytes())
         recent = self._sqrt_memo
         for k, pair in recent:
             if k == key:
                 break
         else:
-            pair = _sqrt_factors(x)
+            w, v = np.linalg.eigh(_sym(x))
+            if _any(w[..., 0] <= 0.0):
+                raise DomainError("spd: matrix is not positive definite")
+            r = _rowvec(np.sqrt(w))
+            pair = (v * r) @ _swap(v), (v / r) @ _swap(v)
             for a in pair:
                 a.flags.writeable = False
         older = [e for e in recent if e[0] != key]

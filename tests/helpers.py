@@ -95,10 +95,58 @@ def geometry_invariant_worst(kernel, n_samples, rng, spread=1.0):
 # The certifiers as a loop over samples, each drawn and measured on its
 # own with the scalar kernel calls.  run_checker builds a certificate's
 # whole sample as stacked arrays instead, from the same random stream,
-# and must give the same certificate bit for bit.
+# and must give the same certificate bit for bit.  The membership
+# notions' clearances are bisected here ray by ray, with no code shared
+# with the stacked bisection of rfw.convexity.
+
+def sup_member(member_at, hi_cap, resolution):
+    """sup{s in [0, hi_cap] : member_at(s)}; assumes membership along
+    the ray is an initial interval (true for convex sets)."""
+    if not member_at(0.0):
+        return 0.0
+    if member_at(hi_cap):
+        return hi_cap
+    lo, hi = 0.0, hi_cap
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if member_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ray_margin(cset, point_at, required, worst):
+    """Margin of the admissible travel distance along the ray s ->
+    point_at(s) over the required one, or None when it cannot fall
+    below worst, the lowest margin seen so far.  point_at calls exp, and
+    leaving the exp domain counts as a violation.
+
+    The clearance is bisected only for a sample that can lower worst:
+    the margin is at least -required, and when the point at
+    s = required + worst + resolution is a member, the bisection would
+    end above s - resolution/2 (its non-member end stays beyond s), a
+    margin above worst either way."""
+    from rfw.errors import DomainError
+
+    def member_at(s):
+        try:
+            z = point_at(s)
+        except DomainError:
+            return False
+        return bool(cset.membership(z))
+
+    cap = cset.diameter if cset.diameter is not None else 1.0
+    hi_cap = max(cap, 2.0 * required, 1e-9)
+    resolution = 1e-11 * max(1.0, hi_cap)
+    s = required + worst + resolution
+    if s <= 0.0 or (s < hi_cap and member_at(s)):
+        return None
+    return sup_member(member_at, hi_cap, resolution) - required
+
 
 def _reference_draws(cset, alpha, distance):
-    from rfw.convexity import _ray_margin, residual
+    from rfw.convexity import residual
     from rfw.errors import DomainError
     k = cset.kernel
 
@@ -109,7 +157,7 @@ def _reference_draws(cset, alpha, distance):
         m = k.geodesic(x, y, t)
         rho = alpha * t * (1.0 - t) * d * d
         u = k.random_unit_tangent(m, rng)
-        margin = _ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
+        margin = ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
         if margin is None:
             return None
         return margin, {"x": x, "y": y, "t": t, "direction": u,
@@ -124,8 +172,8 @@ def _reference_draws(cset, alpha, distance):
         combo = (1.0 - t) * p + t * q
         rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
         zdir = k.random_unit_tangent(x, rng)
-        margin = _ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
-                             rho, worst)
+        margin = ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
+                            rho, worst)
         if margin is None:
             return None
         return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,

@@ -44,6 +44,23 @@ def test_spd_membership_is_false_off_the_manifold(x):
     assert ball.membership(k.base_point())
 
 
+def test_spd_stacked_membership_answers_row_by_row():
+    # one row that is not positive definite leaves the other rows the
+    # single calls' answers, and is itself not a member
+    k = Spd(3)
+    ball = GeodesicBall(k, k.base_point(), 1.0)
+    rng = np.random.default_rng(3)
+    far = k.exp(ball.center, 1.5 * k.random_unit_tangent(ball.center, rng))
+    rows = np.array([ball.sample(rng), -np.eye(3), far, ball.center,
+                     np.diag([1.0, 0.0, 2.0]), ball.sample(rng)])
+    for stack in (rows, rows[[0, 2, 3, 5]]):
+        got = ball.membership(stack)
+        assert got.dtype == bool
+        assert got.tolist() == [bool(ball.membership(x)) for x in stack]
+    assert ball.membership(rows).tolist() == [True, False, False, True,
+                                              False, True]
+
+
 def test_sphere_ball_radius_cap():
     k = Sphere(3)
     with pytest.raises(ConfigError):

@@ -13,11 +13,11 @@ from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
                  min_gradient_norm, residual,
                  riemannian_strong_convexity_radius, run_checker,
                  strong_convexity_radius, zeta)
-from rfw.convexity import NOTIONS, _ray_margin
+from rfw.convexity import NOTIONS, _clearances, _worst_case
 from rfw.manifolds import CurvatureInfo
 
-from helpers import (assert_certificates_close, reference_certificate,
-                     reference_function_check)
+from helpers import (assert_certificates_close, ray_margin,
+                     reference_certificate, reference_function_check)
 
 
 def disk(radius=1.0):
@@ -458,6 +458,49 @@ def test_pruned_certificate_equals_full_refinement(kernel, radius, good, bad,
 # batched samples against the per-sample reference
 # ---------------------------------------------------------------------------
 
+EDGE_BALLS = [  # kernel class, radius, a failing alpha, the edge reached
+    (Spd, 2.0, 10.0, None), (Spd, 2.0, 20.0, "single membership"),
+    (Sphere, 1.2, 10.0, "stacked exp raised")]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("notion", ["geodesic", "riemannian",
+                                    "double_geodesic"])
+@pytest.mark.parametrize("cls, radius, alpha, edge", EDGE_BALLS,
+                         ids=["Spd-2-10", "Spd-2-20", "Sphere-1.2-10"])
+def test_domain_edge_certificate_equals_per_sample_reference(
+        cls, radius, alpha, edge, notion, seed, monkeypatch):
+    # far SPD probes are not positive definite, so the ball answers a
+    # stack holding them row by row; on the sphere cap 2 required > pi
+    # for some rows, so a stacked exp raises and its rows are taken one
+    # at a time.  Both give the per-sample loop's certificate
+    k = cls(3)
+    seen = {"stacked exp raised": 0, "single membership": 0}
+    exp, member = k.exp, GeodesicBall.membership
+
+    def counted_exp(x, v):
+        try:
+            return exp(x, v)
+        except DomainError:
+            seen["stacked exp raised"] += len(v) > 1
+            raise
+
+    def counted_member(ball, x):
+        seen["single membership"] += np.ndim(x) == len(k.point_shape)
+        return member(ball, x)
+
+    monkeypatch.setattr(k, "exp", counted_exp)
+    monkeypatch.setattr(GeodesicBall, "membership", counted_member)
+    cs = ball_set(GeodesicBall(k, k.base_point(), radius))
+    cert = run_checker(notion, cs, alpha, 30,
+                       np.random.default_rng([seed, 0]))
+    assert edge is None or seen[edge] > 0
+    ref = reference_certificate(notion, cs, alpha, 30,
+                                np.random.default_rng([seed, 0]))
+    assert not cert.passed
+    assert cert.to_json() == ref.to_json()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5])
 @pytest.mark.parametrize("notion", NOTIONS)
 @pytest.mark.parametrize("kernel, radius, good, bad", PRUNE_BALLS,
@@ -608,24 +651,71 @@ def test_batched_function_checks_equal_per_sample_reference(kernel, radius):
         assert cert.to_json() == ref.to_json()
 
 
-def test_ray_margin_prunes_only_samples_that_cannot_lower_worst():
-    # the ray s -> s into {s <= c}: for worst around the full margin, a
-    # pruned sample's full margin is never below worst, and a refined
-    # one is the full margin itself
+def _rows_and_their_margins(c, required):
+    """Rays s -> (1 - c[i] + s, 0) into the half-plane {z[0] <= 1}, whose
+    clearance is c[i]: the race's margins, and each row's margin
+    bisected on its own, as the per-sample reference bisects it."""
+    k = Euclidean(2)
+    cs = ConvexSet(k, lambda z: z[0] <= 1.0, lambda rng: np.zeros(2),
+                   diameter=2.0)
+    base = np.stack([1.0 - np.asarray(c), np.zeros(len(c))], axis=1)
+    direction = np.tile([1.0, 0.0], (len(c), 1))
+    required = np.asarray(required, dtype=float)
+    full = [ray_margin(cs, lambda s, b=b, u=u: k.exp(b, s * u), r, np.inf)
+            for b, u, r in zip(base, direction, required.tolist())]
+    return _clearances(cs, base, direction, required), full
+
+
+def test_race_drops_only_rows_that_cannot_be_lowest():
+    # margins within the bisection's resolution of each other, tied
+    # rows, rays that start outside, a clearance past hi_cap, a NaN
+    # required and random rows: every row left in the race has the
+    # margin of its own bisection, every row dropped is strictly above
+    # the lowest, and the certificate is that of every row refined
     res = 1e-11 * 2.0
-    offsets = np.array([-1e-9, -res, -res / 2, -res / 4, 0.0, res / 4,
-                        res / 2, res, 1e-9])
-    for c, required in ((0.7, 0.3), (0.3, 0.7), (1.3, 0.0), (0.0, 0.2),
-                        (5.0, 0.3)):
-        cs = ConvexSet(Euclidean(2), lambda z, c=c: z <= c,
-                       lambda rng: 0.0, diameter=2.0)
-        full = _ray_margin(cs, lambda s: s, required, np.inf)
-        for worst in list(full + offsets) + [-required - 1.0, np.inf]:
-            margin = _ray_margin(cs, lambda s: s, required, worst)
-            if margin is None:
-                assert not full < worst
-            else:
-                assert margin == full
+    offsets = [-1e-9, -res, -res / 2, -res / 4, 0.0, res / 4, res / 2, res,
+               1e-9]
+    cases = [([c + o for o in offsets] * 2, [r] * 18)
+             for c, r in ((0.7, 0.3), (0.3, 0.7), (1.3, 0.0), (0.0, 0.2),
+                          (5.0, 0.3))]
+    cases.append(([0.5, 0.5, 0.2, 0.2, 0.9], [0.1, 0.1, 0.3, 0.3, 0.0]))
+    cases.append(([0.5, 0.4, 0.6], [0.1, np.nan, 0.1]))
+    rng = np.random.default_rng(0)
+    cases += [(list(rng.uniform(-0.2, 2.5, 60)), list(rng.uniform(0, 1, 60)))
+              for _ in range(5)]
+    witness = lambda i, margin: {"row": i, "margin": margin}
+    for c, required in cases:
+        for order in (slice(None), slice(None, None, -1)):
+            raced, full = _rows_and_their_margins(c[order], required[order])
+            low = min(-np.inf if m != m else m for m in full)
+            assert any(m is not None for m in raced)
+            for got, want in zip(raced, full):
+                if got is None:
+                    assert want > low
+                else:
+                    assert got == want or got != got and want != want
+            assert (_worst_case("geodesic", 1.0, len(c), raced, witness)
+                    .to_dict() == _worst_case("geodesic", 1.0, len(c), full,
+                                              witness).to_dict())
+
+
+def test_race_takes_a_raising_exp_step_row_by_row():
+    # rays from the center of a cap of radius 1.2: the rows whose
+    # bisection probes s >= pi make a stacked exp raise, and the other
+    # rows of that step keep their own answers.  A NaN required keeps
+    # every row in the race, so each margin is its own bisection's
+    k = Sphere(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 1.2))
+    rng = np.random.default_rng(0)
+    required = np.array([4.0, 0.1, 0.5, 3.0, np.nan, 0.2, 0.0])
+    center = k.base_point()
+    direction = np.array([k.random_unit_tangent(center, rng)
+                          for _ in required])
+    raced = _clearances(cs, np.tile(center, (len(required), 1)), direction,
+                        required)
+    full = [ray_margin(cs, lambda s, u=u: k.exp(center, s * u), r, np.inf)
+            for u, r in zip(direction, required.tolist())]
+    np.testing.assert_array_equal(raced, full)
 
 
 def test_pruning_bounds_membership_probes():
@@ -642,6 +732,31 @@ def test_pruning_bounds_membership_probes():
     cert = run_checker("geodesic", counted, 1.5, n, np.random.default_rng(0))
     assert cert.passed
     assert probes[0] / n <= 4.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
+    # the certify-spd benchmark's ball, samples and streams: the
+    # stacked bisection makes ~38 membership calls per certificate,
+    # whatever the number of rows (one per row and step would be ~130)
+    calls = []
+    member = GeodesicBall.membership
+
+    def counted(ball, x):
+        calls.append(np.shape(x))
+        return member(ball, x)
+
+    monkeypatch.setattr(GeodesicBall, "membership", counted)
+    k = Spd(3)
+    cs = ball_set(GeodesicBall(k, k.random_point(np.random.default_rng(seed)),
+                               1.0))
+    cases = [(notion, alpha) for notion in ("geodesic", "riemannian",
+                                            "double_geodesic")
+             for alpha in (0.05, 2.0)]
+    for op, (notion, alpha) in enumerate(cases):
+        calls.clear()
+        run_checker(notion, cs, alpha, 30, np.random.default_rng([seed, op]))
+        assert len(calls) <= 45, (notion, alpha)
 
 
 def test_approx_scaling_domain_error_is_a_violation():

@@ -242,6 +242,25 @@ def test_spd_square_root_memo_is_transparent():
             warm.dist(bad, y)
 
 
+def test_spd_stack_of_base_points_is_factored_once(monkeypatch):
+    # a stacked bisection steps from the same stack of base points: its
+    # square roots are kept as a single point's are, bit for bit
+    k, rng = Spd(3), np.random.default_rng(5)
+    x = np.array([k.random_point(rng) for _ in range(4)])
+    u = np.array([k.random_tangent(p, rng) for p in x])
+    want = [Spd(3).exp(x, s * u) for s in (0.5, 1.0, 2.0)]
+    calls = [0]
+
+    def counted(a, _eigh=np.linalg.eigh):
+        calls[0] += 1
+        return _eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = [k.exp(x, s * u) for s in (0.5, 1.0, 2.0)]
+    _assert_same_ops(got, want)
+    assert calls[0] == 1 + 3  # the stack's square roots, one eigh per exp
+
+
 def test_spd_membership_probe_factors_only_the_new_point(monkeypatch):
     k = Spd(3)
     ball = GeodesicBall(k, k.random_point(np.random.default_rng(0)), 1.0)

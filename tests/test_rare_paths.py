@@ -9,7 +9,7 @@ from rfw import (ConfigError, ContractError, ConvexSet, DomainError,
                  RfwProblem, Spd, Sphere, StepRule, bisect_root,
                  estimate_alpha, lmo_brute_force, minimize_1d, rfw_run)
 from rfw.balls import MEMBERSHIP_TOL, ORACLE_KERNELS
-from rfw.convexity import NOTIONS, _sup_member
+from rfw.convexity import NOTIONS, _clearances
 
 
 @pytest.mark.parametrize("tilt", [0.0, 1e-12], ids=["normal", "tilted"])
@@ -124,17 +124,24 @@ def test_oracles_reject_a_non_finite_direction(cls, stacked, bad):
         ball.lmo(w, x)
 
 
-def _ray_into_disk(s):
-    # from (2, 0) toward the unit disk: members for s in [1, 3] only
-    ball = GeodesicBall(Euclidean(2), np.zeros(2), 1.0)
-    return ball.membership(np.array([2.0 - s, 0.0]))
-
-
-@pytest.mark.parametrize("member_at", [
-    lambda s: False, lambda s: s > 0.5, _ray_into_disk,
+@pytest.mark.parametrize("member, start, direction", [
+    (lambda z: False, [0.0, 0.0], [1.0, 0.0]),
+    (lambda z: z[0] > 0.5, [0.0, 0.0], [1.0, 0.0]),
+    # from (2, 0) toward the unit disk, which answers the stacked
+    # points in one call: members for s in [1, 3] only
+    (GeodesicBall(Euclidean(2), np.zeros(2), 1.0).membership, [2.0, 0.0],
+     [-1.0, 0.0]),
 ], ids=["never", "only-far", "ray-into-disk"])
-def test_sup_member_is_zero_from_a_start_outside_the_set(member_at):
-    assert _sup_member(member_at, 4.0, 1e-11) == 0.0
+def test_sup_member_is_zero_from_a_start_outside_the_set(member, start,
+                                                          direction):
+    # the stacked clearance of a ray that starts outside the set is 0,
+    # a margin of -required, whatever lies farther along it
+    cset = ConvexSet(Euclidean(2), member, lambda rng: np.zeros(2),
+                     diameter=4.0)
+    required = np.array([0.0, 0.3, 1.7, 4.5])
+    margins = _clearances(cset, np.tile(start, (4, 1)),
+                          np.tile(direction, (4, 1)), required)
+    assert margins == [0.0 - r for r in required.tolist()]
 
 
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
