@@ -18,9 +18,16 @@ byte-identical outputs must leave no line different.  The grid:
   at a quarter of each alpha (the same required clearances), through
   whichever API the tree has: run_checker(..., distance=fn) or the
   older dist_eq=DistanceEquivalence(2, 2, fn);
+* certificates at the edge of a kernel's domain, around the base point
+  with the generator default_rng([s, 0]) for s in 0, 1, 5: the three
+  membership notions on Spd(3) r 2 at alpha 10 and 20 (far probes
+  that are not positive definite) and on Sphere(3) r 1.2 at alpha 10
+  (rays longer than pi), and approx_scaling on Sphere(3) r 1 at
+  alpha 4 (residuals that leave the exp domain);
 * the `rfw certify --out` file, exit code and printed line of every
   notion on the sphere cap of radius 0.3 and the SPD ball of radius 1,
-  at a passing and a failing alpha;
+  at a passing and a failing alpha, and of the riemannian notion on
+  the SPD ball of radius 2 at alpha 10 with 200 samples;
 * both function-class checks and min_gradient_norm;
 * estimate_alpha of every notion on a disk and on a cap;
 * 40 oracle results per oracle ball, a quarter of them at boundary
@@ -62,6 +69,11 @@ BALLS = (("euclidean", 3, 1.0), ("sphere", 3, 0.3), ("sphere", 3, 1.2),
 ALPHAS = (("pass", 0.1), ("fail", 5.0))  # times 1/radius
 SAMPLES = 30
 ORACLE_CALLS = 40
+MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
+EDGES = (  # kernel, dim, radius, alpha, notions
+    ("spd", 3, 2.0, 10.0, MEMBERSHIP), ("spd", 3, 2.0, 20.0, MEMBERSHIP),
+    ("sphere", 3, 1.2, 10.0, MEMBERSHIP),
+    ("sphere", 3, 1.0, 4.0, ("approx_scaling",)))
 
 
 def encode(value):
@@ -134,26 +146,42 @@ def certificates(out):
                                 **doubled))
 
 
+def edge_certificates(out):
+    for kernel, dim, radius, alpha, notions in EDGES:
+        k = make_manifold(kernel, dim)
+        cset = ball_set(GeodesicBall(k, k.base_point(), radius))
+        for notion in notions:
+            for seed in SEEDS:
+                out[f"edge/{k.name}/r{radius}/a{alpha}/{notion}/s{seed}"] = (
+                    certificate(cset, notion, alpha, seed))
+
+
+def certify(tmp, manifold, radius, notion, alpha, samples):
+    """Digest of rfw certify's exit code, printed line and --out file."""
+    path = Path(tmp) / f"{manifold}-r{radius}-{notion}-a{alpha}.json"
+    args = build_parser().parse_args([
+        "certify", "--manifold", manifold, "--dim", "3",
+        "--radius", str(radius), "--notion", notion, "--alpha", str(alpha),
+        "--samples", str(samples), "--out", str(path)])
+
+    def run():
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            rc = args.func(args)
+        return rc, printed.getvalue(), path.read_bytes()
+    return digest(run)
+
+
 def cli_certificates(out):
-    """rfw certify's exit code, printed line and --out file."""
     with tempfile.TemporaryDirectory() as tmp:
         for manifold, radius in (("sphere", 0.3), ("spd", 1.0)):
             for notion in NOTIONS:
                 for verdict, scale in ALPHAS:
-                    path = Path(tmp) / f"{manifold}-{notion}-{verdict}.json"
-                    args = build_parser().parse_args([
-                        "certify", "--manifold", manifold, "--dim", "3",
-                        "--radius", str(radius), "--notion", notion,
-                        "--alpha", str(scale / radius),
-                        "--samples", str(SAMPLES), "--out", str(path)])
-
-                    def run():
-                        printed = io.StringIO()
-                        with contextlib.redirect_stdout(printed):
-                            rc = args.func(args)
-                        return rc, printed.getvalue(), path.read_bytes()
                     out[f"certify/{manifold}/r{radius}/{notion}/{verdict}"] = (
-                        digest(run))
+                        certify(tmp, manifold, radius, notion, scale / radius,
+                                SAMPLES))
+        out["certify/spd/r2.0/riemannian/a10/n200"] = certify(
+            tmp, "spd", 2.0, "riemannian", 10.0, 200)
 
 
 def function_checks(out):
@@ -235,8 +263,9 @@ def main(argv):
         return 2
     t0 = time.perf_counter()
     out = {}
-    for part in (certificates, cli_certificates, function_checks,
-                 alpha_estimates, oracle_results, experiments):
+    for part in (certificates, edge_certificates, cli_certificates,
+                 function_checks, alpha_estimates, oracle_results,
+                 experiments):
         part(out)
     os.makedirs(argv[1], exist_ok=True)
     path = os.path.join(argv[1], "hashes.json")
