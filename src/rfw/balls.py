@@ -35,7 +35,7 @@ from typing import Optional
 from .errors import (ConfigError, ContractError, DomainError,
                      NoIntersectionError, NumericsError)
 from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere,
-                        _all, _atleast, _col, _dot, _where, _zero_where)
+                        _all, _atleast, _col, _dot, _fill, _where)
 from .scalars import bisect_root, minimize_1d
 
 MEMBERSHIP_TOL = 1e-9
@@ -85,13 +85,12 @@ class GeodesicBall:
 
     def membership(self, x):
         """Whether x, or each row of stacked x, is in the ball; a point
-        whose distance the kernel rejects (not SPD, say) is not."""
+        whose distance the kernel rejects (raises, or NaN in a stack) is
+        not."""
         try:
             d = self.kernel.dist(self.center, x)
         except DomainError:
-            if np.ndim(x) == len(self.kernel.point_shape):
-                return False
-            return np.array([self.membership(p) for p in x], dtype=bool)
+            return False
         return d <= self.radius + MEMBERSHIP_TOL
 
     def sample(self, rng):
@@ -322,7 +321,7 @@ def _section_frame(kernel, x, w, norm_w, g):
         x, g_perp - _col(kernel._inner(x, u1, g_perp)) * u1)
     n_perp = kernel._norm(x, g_perp)
     flat = n_perp <= 1e-10 * _atleast(kernel._norm(x, g), 1.0)
-    u2 = _zero_where(flat, g_perp / _col(_where(flat, 1.0, n_perp)))
+    u2 = _fill(g_perp / _col(_where(flat, 1.0, n_perp)), flat, 0.0)
     return u1, u2, g1
 
 

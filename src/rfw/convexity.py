@@ -133,21 +133,15 @@ class ConvexityCertificate:
 # clearances along rays, one stacked bisection on membership
 # ---------------------------------------------------------------------------
 
-def _members(cset, ray, rows, s):
-    """Whether row rows[j]'s point ray(rows, s)[j] is in the set: a ball
-    answers them in one call, any other set row by row.  A stacked exp
-    that raises is taken again row by row (in a function of its own: a
-    nested one calling itself holds the rays in a reference cycle)."""
-    try:
-        z = ray(rows, s)
-    except DomainError:
-        if len(rows) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_members(cset, ray, rows[j:j + 1], s[j:j + 1])
-                               for j in range(len(rows))])
+def _members(cset, z):
+    """Whether each row of the stacked points z is in the set: a ball
+    answers them in one call, any other set row by row.  A NaN row (a
+    ray that left the exp domain) is not a member, and only the ball
+    sees it."""
     if getattr(cset.membership, "__func__", None) is GeodesicBall.membership:
         return cset.membership(z)
-    return np.array([bool(cset.membership(p)) for p in z], dtype=bool)
+    return np.array([not np.isnan(p).any() and bool(cset.membership(p))
+                     for p in z], dtype=bool)
 
 
 def _clearances(cset, base, direction, required, offset=None):
@@ -172,7 +166,7 @@ def _clearances(cset, base, direction, required, offset=None):
         return k.exp(base[rows], v if offset is None else offset[rows] + v)
 
     margin = 0.0 - required  # of a ray that starts outside the set
-    done = ~_members(cset, ray, np.arange(n), np.zeros(n))
+    done = ~_members(cset, ray(np.arange(n), np.zeros(n)))
     rows = np.flatnonzero(~done)
     lo, hi = np.zeros(len(rows)), hi_cap[rows]
     moved, settled = np.zeros((2, len(rows)), dtype=bool)
@@ -180,7 +174,7 @@ def _clearances(cset, base, direction, required, offset=None):
         # a settled row is probed at hi_cap, which hi never left; a
         # member there ends as lo = hi = hi_cap
         s = np.where(settled, hi_cap[rows], 0.5 * (lo + hi))
-        inside = _members(cset, ray, rows, s)
+        inside = _members(cset, ray(rows, s))
         lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
         moved |= settled | ~inside
         req, settled = required[rows], ~(hi - lo > resolution[rows])
@@ -377,9 +371,10 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
     = (alpha d^2/4) w: transporting the scaled direction to the midpoint
     and back is the identity, and residual makes the one transport
     itself.  A row with d < 1e-12 has nothing to certify (a degenerate
-    set).  A residual that leaves the exp domain counts as a violation
-    (margin -inf), as a missing exp does for the membership notions;
-    the rows are then taken one at a time, to find which."""
+    set).  A residual that leaves the exp domain, a NaN row of the
+    stacked call, counts as a violation (margin -inf), as a missing exp
+    does for the membership notions; the witness row's single call
+    names the error."""
     if cset.lmo is None:
         notion = "approx_scaling" if approx else "scaling"
         raise ConfigError(f"{notion}: set has no oracle")
@@ -397,27 +392,21 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
         return margins.tolist(), _rows(x=x, w=w, vertex=v, lhs=lhs)
     d = k.dist(x, v)
     omega = _col(0.25 * alpha * d * d, len(k.point_shape)) * w
-    live = (~(d < 1e-12)).tolist()
-    errors = [None] * n_samples
-    try:
-        r_x = residual(k, x, 0.5 * lx, omega)
-    except DomainError:
-        r_x = np.zeros_like(x)
-        for i in np.flatnonzero(live):
-            try:
-                r_x[i] = residual(k, x[i], 0.5 * lx[i], omega[i])
-            except DomainError as exc:
-                errors[i] = str(exc)
-    margins = (lhs - alpha * d * d - k._inner(x, w, r_x)).tolist()
-    margins = [(m if e is None else -np.inf) if keep else None
-               for m, e, keep in zip(margins, errors, live)]
+    r_x = residual(k, x, 0.5 * lx, omega)
+    wr = k._inner(x, w, r_x)
+    margins = np.where(np.isnan(wr), -np.inf, lhs - alpha * d * d - wr)
+    margins = [m if keep else None
+               for m, keep in zip(margins.tolist(), (~(d < 1e-12)).tolist())]
     found = _rows(x=x, w=w, vertex=v, lhs=lhs, residual=r_x)
     failed = _rows(x=x, w=w, vertex=v)
 
     def witness(i, margin):
-        if errors[i] is None:
-            return found(i, margin)
-        return failed(i, margin, domain_error=errors[i])
+        try:
+            if wr[i] != wr[i]:  # a NaN row: its single call names the error
+                residual(k, x[i], 0.5 * lx[i], omega[i])
+        except DomainError as exc:
+            return failed(i, margin, domain_error=str(exc))
+        return found(i, margin)
     return margins, witness
 
 

@@ -18,11 +18,14 @@ arithmetic, clamps are selections that keep Python's max/min on signed
 zeros, and stacked LAPACK calls factor each matrix as a single call
 does.
 
-Operations that have a restricted domain raise DomainError instead of
-silently extrapolating: sphere exp is limited to ``norm(v) < pi`` and
-sphere log rejects near-antipodal pairs, where the minimizing geodesic
-stops being unique.  On stacked rows the message names the first
-offending row's value.
+Operations that have a restricted domain do not silently extrapolate:
+sphere exp is limited to ``norm(v) < pi``, sphere log rejects
+near-antipodal pairs, where the minimizing geodesic stops being unique,
+hyperboloid exp rejects tangent norms above 300, and SPD log and dist
+reject targets that are not positive definite.  A single call outside
+the domain raises DomainError.  A stacked call returns NaN on each row
+outside the domain, the stacked form of that error, and every other
+row keeps the single call's bits; a bad row raises no numpy warning.
 
 The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base points
 or stacks of them, keyed by their bytes, so outputs are bit for bit
@@ -103,17 +106,22 @@ def _atleast(a, lo):
     return _where(lo > a, lo, a)
 
 
-def _zero_where(cond, a):
-    """Vectors a with +0.0 on the rows where cond holds (a zero vector
-    for a scalar condition that holds)."""
-    if type(cond) is np.ndarray:
-        return np.where(cond[..., None], 0.0, a)
-    return np.zeros_like(a) if cond else a
+def _fill(a, cond, value):
+    """a with value on the rows where cond holds (all of a for a scalar
+    condition that holds), and a itself when none does."""
+    if _any(cond):
+        return np.where(_col(cond, np.ndim(a) - np.ndim(cond)), value, a)
+    return a
 
 
-def _first(values, bad):
-    """The value of the first offending row, for an error message."""
-    return values[bad][0] if type(bad) is np.ndarray else values
+def _outside(a, bad, message):
+    """a with NaN on the rows where bad holds, the stacked form of a
+    domain error: what a map computes from such a row is NaN, quietly.
+    A single call (bad a scalar) that holds raises
+    DomainError(message())."""
+    if type(bad) is not np.ndarray and bad:
+        raise DomainError(message())
+    return _fill(a, bad, np.nan)
 
 
 @dataclass(frozen=True)
@@ -325,11 +333,8 @@ class Sphere(Manifold):
 
     def exp(self, x, v):
         theta = _norms(v, 1)
-        far = theta >= np.pi
-        if _any(far):
-            raise DomainError(
-                f"sphere exp: norm(v)={_first(theta, far):.6g} >= pi "
-                "(injectivity radius)")
+        theta = _outside(theta, theta >= np.pi, lambda: (
+            f"sphere exp: norm(v)={theta:.6g} >= pi (injectivity radius)"))
         # below SERIES_EPS the coefficients are 1: z = x + v
         flat = theta < SERIES_EPS
         safe = _where(flat, 1.0, theta)
@@ -340,15 +345,13 @@ class Sphere(Manifold):
     def log(self, x, y):
         c = _dot(x, y)
         theta = self._angle(x, y, c)
-        cut = theta > _CUT_LOCUS
-        if _any(cut):
-            raise DomainError(
-                f"sphere log: dist={_first(theta, cut):.6g} too close to pi "
-                "(cut locus)")
         u = y - _col(c) * x
         nu = _norms(u, 1)
         flat = (theta < SERIES_EPS) | (nu < SERIES_EPS)
-        return _zero_where(flat, _col(theta / _where(flat, 1.0, nu)) * u)
+        u = _fill(_col(theta / _where(flat, 1.0, nu)) * u, flat, 0.0)
+        # on the output: an antipodal row has u = 0 and would stay flat
+        return _outside(u, theta > _CUT_LOCUS, lambda: (
+            f"sphere log: dist={theta:.6g} too close to pi (cut locus)"))
 
     def dist(self, x, y):
         return self._angle(x, y, _dot(x, y))
@@ -418,8 +421,8 @@ class Hyperboloid(Manifold):
     def _renormalize(self, z):
         # pull a near-hyperboloid vector back onto <z,z>_M = -1
         s = -self.minkowski(z, z)
-        if _any(s <= 0.0):
-            raise DomainError("hyperboloid: vector left the timelike cone")
+        s = _outside(s, s <= 0.0, lambda: (
+            "hyperboloid: vector left the timelike cone"))
         return z / _col(np.sqrt(s))
 
     def _theta_sinh(self, x, y):
@@ -432,9 +435,9 @@ class Hyperboloid(Manifold):
 
     def exp(self, x, v):
         theta = self._norm(x, v)
-        if _any(theta > 300.0):
-            # cosh overflows doubles long before this is a sane request
-            raise DomainError("hyperboloid: tangent norm too large for exp")
+        # cosh overflows doubles long before this is a sane request
+        theta = _outside(theta, theta > 300.0, lambda: (
+            "hyperboloid: tangent norm too large for exp"))
         # below SERIES_EPS the coefficients are 1: z = x + v
         flat = theta < SERIES_EPS
         safe = _where(flat, 1.0, theta)
@@ -446,7 +449,7 @@ class Hyperboloid(Manifold):
         theta, s = self._theta_sinh(x, y)
         u = self.project_tangent(x, y)
         flat = s < SERIES_EPS
-        return _zero_where(flat, _col(theta / _where(flat, 1.0, s)) * u)
+        return _fill(_col(theta / _where(flat, 1.0, s)) * u, flat, 0.0)
 
     def dist(self, x, y):
         return self._theta_sinh(x, y)[0]
@@ -564,16 +567,16 @@ class Spd(Manifold):
     def log(self, x, y):
         s, si = self._sqrt_pair(x)
         w, q = np.linalg.eigh(_sym(si @ y @ si))
-        if _any(w[..., 0] <= 0.0):
-            raise DomainError("spd log: target is not positive definite")
+        w = _outside(w, w[..., 0] <= 0.0, lambda: (
+            "spd log: target is not positive definite"))
         m = (q * _rowvec(np.log(w))) @ _swap(q)
         return _sym(s @ m @ s)
 
     def dist(self, x, y):
         s, si = self._sqrt_pair(x)
         w = np.linalg.eigvalsh(_sym(si @ y @ si))
-        if _any(w[..., 0] <= 0.0):
-            raise DomainError("spd dist: target is not positive definite")
+        w = _outside(w, w[..., 0] <= 0.0, lambda: (
+            "spd dist: target is not positive definite"))
         return _norms(np.log(w), 1)
 
     def transport(self, x, y, u):

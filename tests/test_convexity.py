@@ -458,9 +458,9 @@ def test_pruned_certificate_equals_full_refinement(kernel, radius, good, bad,
 # batched samples against the per-sample reference
 # ---------------------------------------------------------------------------
 
-EDGE_BALLS = [  # kernel class, radius, a failing alpha, the edge reached
-    (Spd, 2.0, 10.0, None), (Spd, 2.0, 20.0, "single membership"),
-    (Sphere, 1.2, 10.0, "stacked exp raised")]
+EDGE_BALLS = [  # kernel class, radius, a failing alpha, edge reached
+    (Spd, 2.0, 10.0, False), (Spd, 2.0, 20.0, True),
+    (Sphere, 1.2, 10.0, True)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -470,31 +470,31 @@ EDGE_BALLS = [  # kernel class, radius, a failing alpha, the edge reached
                          ids=["Spd-2-10", "Spd-2-20", "Sphere-1.2-10"])
 def test_domain_edge_certificate_equals_per_sample_reference(
         cls, radius, alpha, edge, notion, seed, monkeypatch):
-    # far SPD probes are not positive definite, so the ball answers a
-    # stack holding them row by row; on the sphere cap 2 required > pi
-    # for some rows, so a stacked exp raises and its rows are taken one
-    # at a time.  Both give the per-sample loop's certificate
+    # far SPD probes are not positive definite, and on the sphere cap
+    # 2 required > pi for some rows: a stacked dist or exp returns NaN
+    # on such rows, which are not members, and the other rows keep
+    # their bits.  The certificate is the per-sample loop's, and the
+    # bisection stays one stacked call per step (38-39 dist calls here,
+    # where redoing a stack row by row made up to 89)
     k = cls(3)
-    seen = {"stacked exp raised": 0, "single membership": 0}
-    exp, member = k.exp, GeodesicBall.membership
+    calls = {"dist": 0, "nan rows": 0}
+    maps = {name: getattr(k, name) for name in ("exp", "dist")}
 
-    def counted_exp(x, v):
-        try:
-            return exp(x, v)
-        except DomainError:
-            seen["stacked exp raised"] += len(v) > 1
-            raise
+    def counted(name):
+        def call(x, y):
+            out = maps[name](x, y)
+            calls["dist"] += name == "dist"
+            calls["nan rows"] += int(np.isnan(out).any())
+            return out
+        return call
 
-    def counted_member(ball, x):
-        seen["single membership"] += np.ndim(x) == len(k.point_shape)
-        return member(ball, x)
-
-    monkeypatch.setattr(k, "exp", counted_exp)
-    monkeypatch.setattr(GeodesicBall, "membership", counted_member)
+    for name in maps:
+        monkeypatch.setattr(k, name, counted(name))
     cs = ball_set(GeodesicBall(k, k.base_point(), radius))
     cert = run_checker(notion, cs, alpha, 30,
                        np.random.default_rng([seed, 0]))
-    assert edge is None or seen[edge] > 0
+    assert calls["nan rows"] > 0 or not edge
+    assert calls["dist"] <= 40
     ref = reference_certificate(notion, cs, alpha, 30,
                                 np.random.default_rng([seed, 0]))
     assert not cert.passed

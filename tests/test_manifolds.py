@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,12 +58,58 @@ def test_stacked_rows_are_the_single_calls(kernel):
             assert np.asarray(r).tobytes() == np.asarray(one).tobytes(), name
 
 
-def test_stacked_domain_error_names_the_first_bad_row():
-    k = Sphere(3)
-    x = np.tile(k.base_point(), (3, 1))
-    v = np.array([[0.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 5.0]])
-    with pytest.raises(DomainError, match=r"norm\(v\)=4 >= pi"):
-        k.exp(x, v)
+def _tangent_rows(kernel, lengths, seed):
+    """Random points x and tangents at them of the given lengths."""
+    rng = np.random.default_rng(seed)
+    x = np.array([kernel.random_point(rng) for _ in lengths])
+    v = np.array([t * kernel.random_unit_tangent(p, rng)
+                  for t, p in zip(lengths, x)])
+    return x, v
+
+
+def _domain_edge_stacks():
+    """(name, map, stacked arguments): stacks that mix rows inside and
+    outside each map's domain.  A single point is broadcast."""
+    s, h, p = Sphere(3), Hyperboloid(3), Spd(3)
+    sx, sv = _tangent_rows(s, [0.5, np.pi, 3.0, 4.0, 0.0], 1)
+    lx, lv = _tangent_rows(s, [1.0, np.pi - 1e-7, 3.0, 2.0], 2)
+    ly = np.array([s.exp(a, b) for a, b in zip(lx, lv)])
+    ly[3] = -lx[3]  # antipodal
+    hx, hv = _tangent_rows(h, [1.0, 301.0, 800.0, 0.0, 5.0], 3)
+    cone = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                     [1.0, 1.0, 0.0, 0.0], [2.0, 0.5, 0.0, 0.0]])
+    targets = np.array([np.eye(3), -np.eye(3), np.diag([1.0, 0.0, 2.0]),
+                        p.random_point(np.random.default_rng(4)),
+                        np.diag([1.0, -1.0, 2.0])])
+    return [("sphere-exp", s.exp, (sx, sv)), ("sphere-log", s.log, (lx, ly)),
+            ("hyperboloid-exp", h.exp, (hx, hv)),
+            ("hyperboloid-renormalize", h._renormalize, (cone,)),
+            ("spd-log", p.log, (2.0 * np.eye(3), targets)),
+            ("spd-dist", p.dist, (2.0 * np.eye(3), targets))]
+
+
+@pytest.mark.parametrize("name, fn, args", _domain_edge_stacks(),
+                         ids=[c[0] for c in _domain_edge_stacks()])
+def test_stacked_rows_outside_the_domain_are_nan(name, fn, args):
+    # a stacked call is NaN on exactly the rows whose single call raises,
+    # every other row is the single call bit for bit, and no row raises
+    # a numpy warning
+    n = max(len(a) for a in args if a.ndim == args[-1].ndim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = fn(*args)
+        bad = []
+        for i in range(n):
+            single = [a[i] if a.ndim == args[-1].ndim else a for a in args]
+            try:
+                one = fn(*single)
+            except DomainError:
+                bad.append(i)
+                assert np.isnan(rows[i]).all(), i
+            else:
+                assert np.asarray(rows[i]).tobytes() == (
+                    np.asarray(one).tobytes()), i
+    assert 0 < len(bad) < n
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=kid)

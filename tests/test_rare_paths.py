@@ -66,19 +66,15 @@ def test_spd_check_tangent_rejects_an_asymmetric_matrix(v):
         Spd(3).check_tangent(np.eye(3), v)
 
 
-@pytest.mark.parametrize("y", [
-    -np.eye(3), np.diag([1.0, 0.0, 2.0]),
-    np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0])]),
-], ids=["negative", "singular", "stacked"])
+@pytest.mark.parametrize("y", [-np.eye(3), np.diag([1.0, 0.0, 2.0])],
+                         ids=["negative", "singular"])
 def test_spd_dist_rejects_a_target_that_is_not_positive_definite(y):
     with pytest.raises(DomainError, match="not positive definite"):
         Spd(3).dist(2.0 * np.eye(3), y)
 
 
-@pytest.mark.parametrize("z", [
-    [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
-    [[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
-], ids=["spacelike", "null", "stacked"])
+@pytest.mark.parametrize("z", [[0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+                         ids=["spacelike", "null"])
 def test_hyperboloid_renormalize_rejects_vectors_outside_the_cone(z):
     with pytest.raises(DomainError, match="timelike cone"):
         Hyperboloid(3)._renormalize(np.array(z))

@@ -6,12 +6,14 @@
 runs `perfbench/run.py --workload W --seconds S --seed SEED` in each tree
 (each its own checkout, with its own perfbench/ and src/), N pairs per
 workload, the parent first on even pairs and the change first on odd
-ones.  The output file holds, per workload, every run's env line and
-last-line JSON, and per end-to-end metric of BENCHMARK.json each side's
-median and quartiles (statistics.quantiles, inclusive method), the
-ratio of the medians (change / parent) and the number of pairs the
-change won, by the metric's `better` direction (ties count for
-neither).  A run that exits non-zero or prints no JSON stops the tool.
+ones.  --workload takes one or more names and may be given more than
+once; every name given is run.  The output file holds, per workload,
+every run's env line and last-line JSON, and per end-to-end metric of
+BENCHMARK.json each side's median and quartiles (statistics.quantiles,
+inclusive method), the ratio of the medians (change / parent) and the
+number of pairs the change won, by the metric's `better` direction
+(ties count for neither).  A run that exits non-zero or prints no JSON
+stops the tool.
 """
 
 import argparse
@@ -62,11 +64,11 @@ def summary(runs, spec):
     return out
 
 
-def main(argv=None):
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--workload", nargs="+", action="extend", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=0)
@@ -74,6 +76,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent, "change": args.change}
     report = {"command": (f"python3 perfbench/run.py --workload W "
