@@ -15,9 +15,7 @@ byte-identical outputs must leave no line different.  The grid:
   benchmark's certify workloads, whose first tangent at such a center
   is redrawn);
 * the same double_geodesic certificates under the distance d = 2 dist,
-  at a quarter of each alpha (the same required clearances), through
-  whichever API the tree has: run_checker(..., distance=fn) or the
-  older dist_eq=DistanceEquivalence(2, 2, fn);
+  at a quarter of each alpha (the same required clearances);
 * certificates at the edge of a kernel's domain, around the base point
   with the generator default_rng([s, 0]) for s in 0, 1, 5: the three
   membership notions on Spd(3) r 2 at alpha 10 and 20 (far probes
@@ -30,8 +28,13 @@ byte-identical outputs must leave no line different.  The grid:
   the SPD ball of radius 2 at alpha 10 with 200 samples;
 * both function-class checks and min_gradient_norm;
 * estimate_alpha of every notion on a disk and on a cap;
-* 40 oracle results per oracle ball, a quarter of them at boundary
-  points;
+* per oracle ball, 40 oracle results (a quarter of them at boundary
+  points), three on a degenerate search plane (x at the center, and w
+  along +-log_x(center)) and one at the edge of the refinement (x
+  1e-12 inside the boundary, w its outward normal tilted by 1e-6; on
+  the caps of radius 0.3 its F' keeps its sign across the grid
+  bracket), each from a single call, and all 44 (w, x) pairs again as
+  the rows of one stacked call;
 * the paper-desk trace CSV and summary for seeds 0 and 42.
 
 An output that raises an rfw error is hashed as its type and message.
@@ -44,6 +47,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -123,16 +127,7 @@ def twice_dist(k, x, y):
     return 2.0 * k.dist(x, y)
 
 
-def doubled_distance():
-    """run_checker keywords for d = 2 dist in this tree's API."""
-    if hasattr(rfw.convexity, "DistanceEquivalence"):
-        return {"dist_eq": rfw.convexity.DistanceEquivalence(2.0, 2.0,
-                                                             twice_dist)}
-    return {"distance": twice_dist}
-
-
 def certificates(out):
-    doubled = doubled_distance()
     for seed in SEEDS:
         for name, ball in balls(seed):
             cset = ball_set(ball)
@@ -143,7 +138,7 @@ def certificates(out):
                         certificate(cset, notion, alpha, seed))
                 out[f"cert2d/{name}/double_geodesic/{verdict}/s{seed}"] = (
                     certificate(cset, "double_geodesic", 0.25 * alpha, seed,
-                                **doubled))
+                                distance=twice_dist))
 
 
 def edge_certificates(out):
@@ -225,24 +220,52 @@ def alpha_estimates(out):
                                        np.random.default_rng(3)))
 
 
-def lmo_fields(res):
-    return res.vertex, res.objective, res.log, res.phi
+def lmo_fields(res, i=None):
+    """The oracle's outputs, of row i of a stacked result if given."""
+    fields = res.vertex, res.objective, res.log, res.phi
+    if i is None:
+        return fields
+    return tuple(None if f is None else f[i] for f in fields)
+
+
+def oracle_pairs(ball, rng):
+    """(tag, w, x) of the oracle inputs of one ball: ORACLE_CALLS pairs,
+    then the degenerate planes and the edge of the refinement."""
+    k, x0, r = ball.kernel, ball.center, ball.radius
+    for i in range(ORACLE_CALLS):
+        if i % 4 == 0:
+            u = k.random_unit_tangent(x0, rng)
+            x = k.exp(x0, r * u)
+        else:
+            x = ball.sample(rng)
+        yield f"{i:02d}", k.random_unit_tangent(x, rng), x
+    yield "center", k.random_unit_tangent(x0, rng), x0
+    x = ball.sample(rng)
+    g = k.log(x, x0)
+    yield "inward", g / k.norm(x, g), x
+    yield "outward", -g / k.norm(x, g), x
+    x = k.exp(x0, (r - 1e-12) * k.random_unit_tangent(x0, rng))
+    g = k.log(x, x0)
+    normal = -g / k.norm(x, g)
+    t = k.random_tangent(x, rng)
+    t = t - k.inner(x, normal, t) * normal
+    yield "nosign", normal + 1e-6 * t / k.norm(x, t), x
 
 
 def oracle_results(out):
     for name, ball in balls(0):
         if ball.kernel.name.startswith("spd"):
             continue
-        k, rng = ball.kernel, np.random.default_rng(11)
-        for i in range(ORACLE_CALLS):
-            if i % 4 == 0:
-                u = k.random_unit_tangent(ball.center, rng)
-                x = k.exp(ball.center, ball.radius * u)
-            else:
-                x = ball.sample(rng)
-            w = k.random_unit_tangent(x, rng)
-            out[f"lmo/{name}/{i:02d}"] = digest(
+        pairs = list(oracle_pairs(ball, np.random.default_rng(11)))
+        for tag, w, x in pairs:
+            out[f"lmo/{name}/{tag}"] = digest(
                 lambda: lmo_fields(ball.lmo(w, x)))
+        w = np.array([w for _, w, _ in pairs])
+        x = np.array([x for _, _, x in pairs])
+        stacked = functools.cache(lambda: ball.lmo(w, x))
+        for i, (tag, _, _) in enumerate(pairs):
+            out[f"lmo-rows/{name}/{tag}"] = digest(
+                lambda: lmo_fields(stacked(), i))
 
 
 def experiments(out):
