@@ -20,17 +20,17 @@ the ball), not what it builds.  The references below the oracle
 reduction: they evaluate the objective on boundary points built from
 the center.
 
-`GeodesicBall.lmo` also takes stacked rows of (w, x) and answers them in
-one call: the frames, grids and brackets are arrays, and `bisect_root`
-refines every row's angle at once.  The single call stays the reference;
-a stacked row is its answer up to the last bits of numpy's functions.
+`GeodesicBall.lmo` answers a pair (w, x) or stacked rows of pairs with
+one algorithm.  The arithmetic is chosen at the leaves: a pair's
+scalars are Python floats and `math`, rows are numpy arrays, and a row
+is the single call's answer up to the last bits of numpy's functions.
 """
 
 import math
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import (ConfigError, ContractError, DomainError,
                      NoIntersectionError, NumericsError)
@@ -47,10 +47,12 @@ ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 @dataclass
 class LmoResult:
+    """The oracle's answer: floats for a pair, one row per pair for
+    stacked rows; phi is None on a Euclidean ball."""
     vertex: np.ndarray
-    objective: float
+    objective: Union[float, np.ndarray]
     log: np.ndarray
-    phi: Optional[float] = None
+    phi: Optional[Union[float, np.ndarray]] = None
 
 
 @dataclass
@@ -116,15 +118,16 @@ class GeodesicBall:
         a is snapped so that a point within the membership tolerance
         outside the ball counts as on its boundary: outward rays exit at
         0.  Along the search plane b(phi) = cos(phi) b1 + sin(phi) b2 is
-        a scalar, so the grid takes one vectorized exit-distance call
-        and the refinement plain floats.  Euclidean balls have the
-        vertex in closed form.
+        a scalar, so the grid takes one vectorized exit-distance call.
+        Euclidean balls have the vertex in closed form.
 
         w and x may also be stacked rows of one shape, with a leading
         axis as the kernel maps take them.  Every row is checked at
         entry, and the result holds one row per pair, in arrays (phi
-        too): the single call's answer to within roundoff, found for
-        all rows at once (_lmo_rows)."""
+        too).  A pair and rows take the same steps, a pair's scalars in
+        floats and `math`, rows in numpy, except the refinement's last:
+        a row that bisect_root cannot take with the others takes the
+        single call."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
@@ -134,15 +137,12 @@ class GeodesicBall:
         if isinstance(k, Sphere):
             c = math.cos(r)
             a = _atleast(_dot(x0, x), c)
-            product, exit_grid, exit_at = _dot, alpha_phi_sphere, _exit_sphere
+            product, exit_at = _dot, alpha_phi_sphere
         else:
             c = math.cosh(r)
             a = -k.minkowski(x0, x)
             a = _where(c < a, c, a)
-            product, exit_grid, exit_at = (k.minkowski, _alpha_phi_hyperboloid,
-                                           _exit_hyperboloid)
-        if np.ndim(x) > 1:
-            return self._lmo_rows(w, x, norm_w, a, c, product, exit_grid)
+            product, exit_at = k.minkowski, _alpha_phi_hyperboloid
         # maximize F(phi) = alpha(phi) cos(phi), alpha the travel distance
         # to the boundary along p = cos(phi) u1 + sin(phi) u2, over a grid
         # on [-pi/2, pi/2] and one on its inward half-plane (from a
@@ -150,64 +150,58 @@ class GeodesicBall:
         # narrower than the first grid's spacing)
         g = k.log(x, x0)
         u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
-        if u2.any():
-            grid = _phi_grid(math.atan2(k._inner(x, g, u2), g1))
-        else:  # x at the center, or w along log_x(center): p = u1
-            grid = np.zeros(1)
-        b1, b2 = float(product(x0, u1)), float(product(x0, u2))
-        alpha = exit_grid(a, np.cos(grid) * b1 + np.sin(grid) * b2, c)
-        phi, alpha = _stationary_phi(grid, alpha, b1, b2,
-                                     lambda b: exit_at(a, b, c))
-        v = k.exp(x, alpha * (math.cos(phi) * u1 + math.sin(phi) * u2))
-        lx = k.log(x, v)
-        return LmoResult(v, k._inner(x, w, lx), lx, phi=phi)
-
-    def _lmo_rows(self, w, x, norm_w, a, c, product, exit_grid):
-        """The oracle on stacked rows: the single call's section frames,
-        phi grids and grid brackets for all rows at once, and
-        bisect_root on the rows' F' together.  A row whose plane
-        degenerates to a line, or whose F' does not change sign across
-        its bracket, takes the single call.  numpy's arctan, arctan2,
-        log and sinh round differently from math's on some inputs, so
-        a row may differ from the single call in the last bits."""
-        k, x0 = self.kernel, self.center
-        g = k.log(x, x0)
-        u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
-        grid = _phi_grid(np.arctan2(k._inner(x, g, u2), g1))
         b1, b2 = product(x0, u1), product(x0, u2)
-        alpha = exit_grid(_col(a), np.cos(grid) * _col(b1)
-                          + np.sin(grid) * _col(b2), c)
-        best = np.argmax(alpha * np.cos(grid), axis=-1)
-        rows = np.arange(len(x))
-        lo = grid[rows, np.maximum(best - 1, 0)]
-        hi = grid[rows, np.minimum(best + 1, grid.shape[-1] - 1)]
+        grid = _phi_grid(_arith(g1)[0].atan2(k._inner(x, g, u2), g1))
+        alpha = exit_at(_col(a), np.cos(grid) * _col(b1)
+                        + np.sin(grid) * _col(b2), c)
+        lo, hi = _bracket(grid, alpha * np.cos(grid))
+        slope = _phi_slope(exit_at, a, b1, b2, c)
+        ends = slope(lo), slope(hi)
+        # F' changes sign across the bracket, on a plane (u2 = 0 where it
+        # degenerates to a line: x at the center, or w along log_x(center))
+        ok = u2.any(axis=-1) & (ends[0] > 0.0) & (0.0 > ends[1])
+        singles = {}
+        if np.ndim(x) > 1:
+            phi = np.empty(len(x))
+            slopes = _phi_slope(exit_at, a[ok], b1[ok], b2[ok], c)
+            phi[ok] = bisect_root(slopes, lo[ok], hi[ok], tol=LMO_TOL)
+            singles = {i: self.lmo(w[i], x[i]) for i in np.flatnonzero(~ok)}
+            for i, one in singles.items():
+                phi[i] = one.phi
+        elif ok:  # bisect_root starts from F' at the ends, known already
+            known = dict(zip((lo, hi), ends))
+            phi = bisect_root(lambda t: known[t] if t in known else slope(t),
+                              lo, hi, tol=LMO_TOL)
+        elif u2.any():  # a flat run of outward rays, or a kink at the wedge
+            phi = minimize_1d(lambda t: -math.cos(t) * exit_at(
+                a, math.cos(t) * b1 + math.sin(t) * b2, c), lo, hi,
+                tol=LMO_TOL)[0]
+        else:  # p = u1
+            phi = 0.0
+        m = _arith(phi)[0]
+        cp, sp = m.cos(phi), m.sin(phi)
+        travel = exit_at(a, cp * b1 + sp * b2, c)
+        v = k.exp(x, _col(travel) * (_col(cp) * u1 + _col(sp) * u2))
+        lx = k.log(x, v)
+        res = LmoResult(v, k._inner(x, w, lx), lx, phi)
+        for i, one in singles.items():
+            v[i], lx[i], res.objective[i] = one.vertex, one.log, one.objective
+        return res
 
-        def slope(a, b1, b2):
-            return _phi_slope(np.cos, np.sin,
-                              lambda b: exit_grid(a, b, c, slope=True), b1, b2)
-        ends = slope(a, b1, b2)
-        ok = u2.any(axis=-1) & (ends(lo) > 0.0) & (0.0 > ends(hi))
-        a, b1, b2 = a[ok], b1[ok], b2[ok]
-        phi = bisect_root(slope(a, b1, b2), lo[ok], hi[ok], tol=LMO_TOL)
-        cp, sp = np.cos(phi), np.sin(phi)
-        travel = exit_grid(a, cp * b1 + sp * b2, c)
-        xo, v, lx = x[ok], np.empty_like(x), np.empty_like(x)
-        v[ok] = k.exp(xo, _col(travel) * (_col(cp) * u1[ok]
-                                          + _col(sp) * u2[ok]))
-        lx[ok] = k.log(xo, v[ok])
-        obj, phis = np.empty(len(x)), np.empty(len(x))
-        obj[ok], phis[ok] = k._inner(xo, w[ok], lx[ok]), phi
-        for i in np.flatnonzero(~ok):
-            one = self.lmo(w[i], x[i])
-            v[i], lx[i], obj[i], phis[i] = (one.vertex, one.log, one.objective,
-                                            one.phi)
-        return LmoResult(v, obj, lx, phis)
+
+def _arith(b):
+    """(math, max) for a float b, (numpy, np.maximum) for an array: each
+    the faster on its own traffic (np.maximum differs from max on
+    signed zeros)."""
+    if type(b) is np.ndarray:
+        return np, np.maximum
+    return math, max
 
 
 def alpha_phi_sphere(a, b, c, slope=False):
     """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c,
-    elementwise over arrays a and b, in the oracle's regime a >= c > 0;
-    with slope, the pair (alpha, dalpha/db) of _exit_slopes.
+    for a float b or elementwise over arrays a and b, in the oracle's
+    regime a >= c > 0; with slope, (alpha, dalpha/db) of _exit_slopes.
 
     This is the travel distance from a point x in a spherical cap of
     radius r < pi/2 to the cap boundary along a unit direction p, with
@@ -219,25 +213,24 @@ def alpha_phi_sphere(a, b, c, slope=False):
         raise NoIntersectionError(
             "alpha_phi_sphere: need a >= c > 0, got "
             f"a={np.min(a):.6g}, c={c:.6g}")
-    b = np.asarray(b, dtype=float)
+    m, top = _arith(b)
     # factored so that a = c (x on the boundary) leaves disc = b^2 exactly;
     # inside the cap sqrt(disc) >= |b|, so a negative numerator is
     # boundary roundoff and the exit root is 0
-    root = np.sqrt((a - c) * (a + c) + b * b)
-    alpha = 2.0 * np.arctan(np.maximum(b + root, 0.0) / (a + c))
-    if slope:
-        return _exit_slopes(alpha, np.sin(alpha), root)
-    return float(alpha) if alpha.ndim == 0 else alpha
+    root = m.sqrt((a - c) * (a + c) + b * b)
+    alpha = 2.0 * m.atan(top(b + root, 0.0) / (a + c))
+    return _exit_slopes(alpha, m.sin(alpha), root) if slope else alpha
 
 
 def _alpha_phi_hyperboloid(a, b, c, slope=False):
-    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, over
-    arrays a and b: t = e^s solves (a - b) t^2 - 2c t + (a + b) = 0
-    with a - b > 0; t < 1 is roundoff on an outward ray from the
+    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, for a float
+    b or over arrays a and b: t = e^s solves (a - b) t^2 - 2c t + (a +
+    b) = 0 with a - b > 0; t < 1 is roundoff on an outward ray from the
     boundary.  With slope, the pair (s, ds/db) of _exit_slopes."""
-    root = np.sqrt((c - a) * (c + a) + b * b)
-    s = np.log(np.maximum((c + root) / (a - b), 1.0))
-    return _exit_slopes(s, np.sinh(s), root) if slope else s
+    m, top = _arith(b)
+    root = m.sqrt((c - a) * (c + a) + b * b)
+    s = m.log(top((c + root) / (a - b), 1.0))
+    return _exit_slopes(s, m.sinh(s), root) if slope else s
 
 
 def _alpha_phi_bisect(a, b, c):
@@ -252,21 +245,6 @@ def _alpha_phi_bisect(a, b, c):
         if vals[i] * vals[i + 1] <= 0.0:
             return float(bisect_root(f, grid[i], grid[i + 1], tol=1e-14))
     raise NumericsError("alpha_phi_sphere: no root located on (0, 2pi]")
-
-
-def _exit_sphere(a, b, c):
-    """alpha_phi_sphere for one b in the oracle's regime (a >= c > 0),
-    in float arithmetic, with its b-derivative."""
-    root = math.sqrt((a - c) * (a + c) + b * b)
-    s = 2.0 * math.atan(max(b + root, 0.0) / (a + c))
-    return _exit_slopes(s, math.sin(s), root)
-
-
-def _exit_hyperboloid(a, b, c):
-    """_alpha_phi_hyperboloid for one b, with its b-derivative."""
-    root = math.sqrt((c - a) * (c + a) + b * b)
-    s = math.log(max((c + root) / (a - b), 1.0))
-    return _exit_slopes(s, math.sinh(s), root)
 
 
 def _exit_slopes(s, sn, root):
@@ -338,42 +316,25 @@ def _phi_grid(psi):
     return np.sort(np.concatenate((full, wedge), axis=-1), axis=-1)
 
 
-def _stationary_phi(grid, alpha, b1, b2, exit_at):
-    """Refine the grid maximizer of F(phi) = alpha(b(phi)) cos(phi),
-    b = cos(phi) b1 + sin(phi) b2, to the root of F'(phi) = alpha'
-    cos(phi) - alpha sin(phi) between its grid neighbours, by
-    `bisect_root` on F' with alpha' from exit_at(b) = (alpha,
-    dalpha/db).  Where F' does not change sign across the bracket (a
-    flat run of outward rays, or a kink at the wedge edge), a
-    golden-section value search takes over.  Returns (phi, alpha)."""
-    i = int(np.argmax(alpha * np.cos(grid)))
-    lo, phi, hi = (float(grid[max(i - 1, 0)]), float(grid[i]),
-                   float(grid[min(i + 1, len(grid) - 1)]))
-    slope = _phi_slope(math.cos, math.sin, exit_at, b1, b2)
-
-    def travel(phi):
-        return exit_at(math.cos(phi) * b1 + math.sin(phi) * b2)[0]
-
-    s_lo, s_hi = slope(lo), slope(hi)
-    if s_lo > 0.0 > s_hi:
-        # bisect_root starts from F' at the bracket ends, known already
-        ends = {lo: s_lo, hi: s_hi}
-        phi = bisect_root(lambda t: ends[t] if t in ends else slope(t),
-                          lo, hi, tol=LMO_TOL)
-    elif hi > lo:
-        phi, _ = minimize_1d(lambda t: -travel(t) * math.cos(t), lo, hi,
-                             tol=LMO_TOL)
-    return phi, travel(phi)
+def _bracket(grid, f):
+    """The grid neighbours (lo, hi) of the maximizer of f on each grid
+    row: floats for one grid, arrays for stacked rows."""
+    i, last = np.argmax(f, axis=-1), grid.shape[-1] - 1
+    if grid.ndim == 1:
+        return float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
+    return grid[np.arange(len(grid)), np.clip(i + [[-1], [1]], 0, last)]
 
 
-def _phi_slope(cos, sin, exit_at, b1, b2):
+def _phi_slope(exit_at, a, b1, b2, c):
     """F'(phi) = alpha' cos(phi) - alpha sin(phi) along the search
-    plane, with (alpha, dalpha/db) = exit_at(b) at b(phi) = cos(phi) b1
-    + sin(phi) b2, in the scalar (math) or the row (numpy) arithmetic
-    that cos and sin choose."""
+    plane, with (alpha, dalpha/db) = exit_at(a, b, c, slope=True) at
+    b(phi) = cos(phi) b1 + sin(phi) b2, in the arithmetic of b1: floats
+    for a pair, arrays over stacked rows."""
+    m = _arith(b1)[0]
+
     def slope(phi):
-        cp, sp = cos(phi), sin(phi)
-        s, ds = exit_at(cp * b1 + sp * b2)
+        cp, sp = m.cos(phi), m.sin(phi)
+        s, ds = exit_at(a, cp * b1 + sp * b2, c, slope=True)
         return ds * (cp * b2 - sp * b1) * cp - s * sp
     return slope
 

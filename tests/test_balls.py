@@ -194,14 +194,15 @@ def test_lmo_finds_boundary_wedge(k, radius, seed, tilt):
 def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
     # the refinement's root finder is superlinear: bisecting a grid
     # bracket down to LMO_TOL alone would take ~40 exit evaluations;
-    # F' at the bracket ends is taken once, by the sign test
+    # F' at the bracket ends is taken once, by the sign test.  Counted
+    # are the scalar exit evaluations (a float b), not the grid's call
     calls = [0]
-    for name in ("_exit_sphere", "_exit_hyperboloid"):
+    for name in ("alpha_phi_sphere", "_alpha_phi_hyperboloid"):
         exit_at = getattr(rfw.balls, name)
 
-        def counted(a, b, c, exit_at=exit_at):
-            calls[0] += 1
-            return exit_at(a, b, c)
+        def counted(a, b, c, slope=False, exit_at=exit_at):
+            calls[0] += type(b) is float
+            return exit_at(a, b, c, slope=slope)
         monkeypatch.setattr(rfw.balls, name, counted)
     rng = np.random.default_rng(23)
     ball = GeodesicBall(k, k.random_point(rng), radius)
