@@ -21,8 +21,10 @@ does.
 Operations that have a restricted domain do not silently extrapolate:
 sphere exp is limited to ``norm(v) < pi``, sphere log rejects
 near-antipodal pairs, where the minimizing geodesic stops being unique,
-hyperboloid exp rejects tangent norms above 300, and SPD log and dist
-reject targets that are not positive definite.  A single call outside
+hyperboloid exp rejects tangent norms above 300, SPD exp rejects
+tangents V at X whose X^{-1/2} V X^{-1/2} has an eigenvalue above 300,
+SPD log and dist reject targets that are not positive definite, and
+the SPD maps reject a matrix with a NaN or infinite entry.  A single call outside
 the domain raises DomainError.  A stacked call returns NaN on each row
 outside the domain, the stacked form of that error, and every other
 row keeps the single call's bits; a bad row raises no numpy warning.
@@ -497,9 +499,30 @@ def _sym(a):
     return 0.5 * (a + _swap(a))
 
 
+def _eig_rows(eig, s):
+    """eig(s), numpy's eigh or eigvalsh, of a symmetric matrix or stack.
+    LAPACK refuses a whole stack for one matrix with a non-finite entry,
+    the image of a row outside some map's domain: such a matrix is
+    outside this map's domain too, NaN in a stack (every other row
+    keeps its bits) and a DomainError on a single call.  Without one,
+    this costs no extra array pass."""
+    try:
+        return eig(s)
+    except np.linalg.LinAlgError:
+        bad = ~np.isfinite(s).all(axis=(-2, -1))
+        if not _any(bad):
+            raise
+        if s.ndim == 2:
+            raise DomainError("spd: matrix has a NaN or infinite entry")
+        out = eig(np.where(bad[..., None, None], np.eye(s.shape[-1]), s))
+        if isinstance(out, tuple):
+            return tuple(_fill(a, bad, np.nan) for a in out)
+        return _fill(out, bad, np.nan)
+
+
 def _eigh_apply(s, fun):
     """fun applied to the eigenvalues of a symmetric matrix (or stack)."""
-    w, v = np.linalg.eigh(_sym(s))
+    w, v = _eig_rows(np.linalg.eigh, _sym(s))
     return (v * _rowvec(fun(w))) @ _swap(v)
 
 
@@ -538,7 +561,7 @@ class Spd(Manifold):
             if k == key:
                 break
         else:
-            w, v = np.linalg.eigh(_sym(x))
+            w, v = _eig_rows(np.linalg.eigh, _sym(x))
             if _any(w[..., 0] <= 0.0):
                 raise DomainError("spd: matrix is not positive definite")
             r = _rowvec(np.sqrt(w))
@@ -561,12 +584,17 @@ class Spd(Manifold):
 
     def exp(self, x, v):
         s, si = self._sqrt_pair(x)
-        m = _eigh_apply(si @ v @ si, np.exp)
+        w, q = _eig_rows(np.linalg.eigh, _sym(si @ v @ si))
+        # as on the hyperboloid: exp overflows doubles long before this
+        # is a sane request
+        w = _outside(w, w[..., -1] > 300.0, lambda: (
+            "spd exp: tangent too large for exp"))
+        m = (q * _rowvec(np.exp(w))) @ _swap(q)
         return _sym(s @ m @ s)
 
     def log(self, x, y):
         s, si = self._sqrt_pair(x)
-        w, q = np.linalg.eigh(_sym(si @ y @ si))
+        w, q = _eig_rows(np.linalg.eigh, _sym(si @ y @ si))
         w = _outside(w, w[..., 0] <= 0.0, lambda: (
             "spd log: target is not positive definite"))
         m = (q * _rowvec(np.log(w))) @ _swap(q)
@@ -574,7 +602,7 @@ class Spd(Manifold):
 
     def dist(self, x, y):
         s, si = self._sqrt_pair(x)
-        w = np.linalg.eigvalsh(_sym(si @ y @ si))
+        w = _eig_rows(np.linalg.eigvalsh, _sym(si @ y @ si))
         w = _outside(w, w[..., 0] <= 0.0, lambda: (
             "spd dist: target is not positive definite"))
         return _norms(np.log(w), 1)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,21 @@ def test_certify_spd_far_probe_fails(notion, capsys):
                "--notion", notion, "--alpha", "10", "--samples", "200"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("notion", ["geodesic", "riemannian",
+                                    "double_geodesic"])
+def test_certify_spd_overflowing_probe_fails(notion, capsys):
+    # at alpha 400 a far probe's exp overflows: the ray leaves the exp
+    # domain, a violation (exit 1), with no error and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["certify", "--manifold", "spd", "--dim", "3",
+                   "--radius", "2", "--notion", notion, "--alpha", "400",
+                   "--samples", "50"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL" in out.out and out.err == ""
 
 
 def test_certify_has_one_pass_tolerance():

@@ -82,13 +82,22 @@ def _domain_edge_stacks():
     targets = np.array([np.eye(3), -np.eye(3), np.diag([1.0, 0.0, 2.0]),
                         p.random_point(np.random.default_rng(4)),
                         np.diag([1.0, -1.0, 2.0])])
+    px, pv = _tangent_rows(p, [1.0, 2.0, 0.5, 3.0], 5)
+    pv[1] = 400.0 * px[1]  # X^{-1/2} V X^{-1/2} = 400 I
+    pv[3] = 10.0 * px[3]
+    far = p.exp(px, pv)  # a NaN row, as a far probe hands the next map
     return [pytest.param(s.exp, (sx, sv), id="sphere-exp"),
             pytest.param(s.log, (lx, ly), id="sphere-log"),
             pytest.param(h.exp, (hx, hv), id="hyperboloid-exp"),
             pytest.param(h._renormalize, (cone,),
                          id="hyperboloid-renormalize"),
             pytest.param(p.log, (2.0 * np.eye(3), targets), id="spd-log"),
-            pytest.param(p.dist, (2.0 * np.eye(3), targets), id="spd-dist")]
+            pytest.param(p.dist, (2.0 * np.eye(3), targets), id="spd-dist"),
+            pytest.param(p.exp, (px, pv), id="spd-exp"),
+            pytest.param(p.log, (px, far), id="spd-log-nan"),
+            pytest.param(p.dist, (px, far), id="spd-dist-nan"),
+            pytest.param(p.transport, (px, far, pv), id="spd-transport-nan"),
+            pytest.param(p.log, (far, px), id="spd-log-nan-base")]
 
 
 @pytest.mark.parametrize("fn, args", _domain_edge_stacks())
