@@ -124,10 +124,10 @@ class GeodesicBall:
         w and x may also be stacked rows of one shape, with a leading
         axis as the kernel maps take them.  Every row is checked at
         entry, and the result holds one row per pair, in arrays (phi
-        too).  A pair and rows take the same steps, a pair's scalars in
-        floats and `math`, rows in numpy, except the refinement's last:
-        a row that bisect_root cannot take with the others takes the
-        single call."""
+        too).  A pair and rows take the same steps (a pair's scalars in
+        floats and `math`, rows in numpy) up to the refinement's last:
+        there a row whose plane degenerates or whose F' keeps its sign
+        across the bracket takes the single call."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
@@ -148,37 +148,41 @@ class GeodesicBall:
         # on [-pi/2, pi/2] and one on its inward half-plane (from a
         # boundary point only that wedge is feasible, and it can be
         # narrower than the first grid's spacing)
+        rows = np.ndim(x) > 1
+        m = np if rows else math
         g = k.log(x, x0)
-        u1, u2, g1 = _section_frame(k, x, w, norm_w, g)
+        u1, u2, g1, line = _section_frame(k, x, w, norm_w, g)
         b1, b2 = product(x0, u1), product(x0, u2)
-        grid = _phi_grid(_arith(g1)[0].atan2(k._inner(x, g, u2), g1))
+        grid = _phi_grid(m.atan2(k._inner(x, g, u2), g1))
         alpha = exit_at(_col(a), np.cos(grid) * _col(b1)
                         + np.sin(grid) * _col(b2), c)
         lo, hi = _bracket(grid, alpha * np.cos(grid))
         slope = _phi_slope(exit_at, a, b1, b2, c)
         ends = slope(lo), slope(hi)
-        # F' changes sign across the bracket, on a plane (u2 = 0 where it
-        # degenerates to a line: x at the center, or w along log_x(center))
-        ok = u2.any(axis=-1) & (ends[0] > 0.0) & (0.0 > ends[1])
         singles = {}
-        if np.ndim(x) > 1:
+        if rows:
+            # the rows whose F' changes sign across the bracket, on a
+            # plane that is not a line (x at the center, or w along
+            # log_x(center)), bisect together; the others take the
+            # single call
+            ok = ~line & (ends[0] > 0.0) & (0.0 > ends[1])
             phi = np.empty(len(x))
             slopes = _phi_slope(exit_at, a[ok], b1[ok], b2[ok], c)
             phi[ok] = bisect_root(slopes, lo[ok], hi[ok], tol=LMO_TOL)
             singles = {i: self.lmo(w[i], x[i]) for i in np.flatnonzero(~ok)}
             for i, one in singles.items():
                 phi[i] = one.phi
-        elif ok:  # bisect_root starts from F' at the ends, known already
-            known = dict(zip((lo, hi), ends))
+        elif line:  # p = u1
+            phi = 0.0
+        elif ends[0] > 0.0 > ends[1]:
+            # bisect_root starts from F' at the ends, known already
+            known = {lo: ends[0], hi: ends[1]}
             phi = bisect_root(lambda t: known[t] if t in known else slope(t),
                               lo, hi, tol=LMO_TOL)
-        elif u2.any():  # a flat run of outward rays, or a kink at the wedge
+        else:  # a flat run of outward rays, or a kink at the wedge edge
             phi = minimize_1d(lambda t: -math.cos(t) * exit_at(
                 a, math.cos(t) * b1 + math.sin(t) * b2, c), lo, hi,
                 tol=LMO_TOL)[0]
-        else:  # p = u1
-            phi = 0.0
-        m = _arith(phi)[0]
         cp, sp = m.cos(phi), m.sin(phi)
         travel = exit_at(a, cp * b1 + sp * b2, c)
         v = k.exp(x, _col(travel) * (_col(cp) * u1 + _col(sp) * u2))
@@ -187,15 +191,6 @@ class GeodesicBall:
         for i, one in singles.items():
             v[i], lx[i], res.objective[i] = one.vertex, one.log, one.objective
         return res
-
-
-def _arith(b):
-    """(math, max) for a float b, (numpy, np.maximum) for an array: each
-    the faster on its own traffic (np.maximum differs from max on
-    signed zeros)."""
-    if type(b) is np.ndarray:
-        return np, np.maximum
-    return math, max
 
 
 def alpha_phi_sphere(a, b, c, slope=False):
@@ -209,11 +204,11 @@ def alpha_phi_sphere(a, b, c, slope=False):
     tangent half-angle substitution.  Raises NoIntersectionError for
     x outside the cap (a < c), where a ray can miss the boundary.
     """
-    if not (c > 0.0 and _all(a >= c)):
+    m, top = (np, np.maximum) if type(b) is np.ndarray else (math, max)
+    if not (c > 0.0 and (_all(a >= c) if m is np else a >= c)):
         raise NoIntersectionError(
             "alpha_phi_sphere: need a >= c > 0, got "
             f"a={np.min(a):.6g}, c={c:.6g}")
-    m, top = _arith(b)
     # factored so that a = c (x on the boundary) leaves disc = b^2 exactly;
     # inside the cap sqrt(disc) >= |b|, so a negative numerator is
     # boundary roundoff and the exit root is 0
@@ -227,7 +222,7 @@ def _alpha_phi_hyperboloid(a, b, c, slope=False):
     b or over arrays a and b: t = e^s solves (a - b) t^2 - 2c t + (a +
     b) = 0 with a - b > 0; t < 1 is roundoff on an outward ray from the
     boundary.  With slope, the pair (s, ds/db) of _exit_slopes."""
-    m, top = _arith(b)
+    m, top = (np, np.maximum) if type(b) is np.ndarray else (math, max)
     root = m.sqrt((c - a) * (c + a) + b * b)
     s = m.log(top((c + root) / (a - b), 1.0))
     return _exit_slopes(s, m.sinh(s), root) if slope else s
@@ -286,9 +281,9 @@ def _entry_norm(w, x, ball):
 def _section_frame(kernel, x, w, norm_w, g):
     """Orthonormal pair (u1, u2) at x spanning the oracle's search
     plane, u1 along w and u2 the component of g = log_x(center)
-    orthogonal to it, and <g, u1>.  u2 is zero (a zero row over stacked
-    rows) where the plane degenerates to a line.  w and g are tangent
-    at x by the caller's word (unchecked)."""
+    orthogonal to it, <g, u1>, and where the plane degenerates to a
+    line (u2 is zero there, a zero row over stacked rows).  w and g are
+    tangent at x by the caller's word (unchecked)."""
     u1 = w / _col(norm_w)
     g1 = kernel._inner(x, u1, g)
     g_perp = g - _col(g1) * u1
@@ -300,7 +295,7 @@ def _section_frame(kernel, x, w, norm_w, g):
     n_perp = kernel._norm(x, g_perp)
     flat = n_perp <= 1e-10 * _atleast(kernel._norm(x, g), 1.0)
     u2 = _fill(g_perp / _col(_where(flat, 1.0, n_perp)), flat, 0.0)
-    return u1, u2, g1
+    return u1, u2, g1, flat
 
 
 def _phi_grid(psi):
@@ -330,10 +325,11 @@ def _phi_slope(exit_at, a, b1, b2, c):
     plane, with (alpha, dalpha/db) = exit_at(a, b, c, slope=True) at
     b(phi) = cos(phi) b1 + sin(phi) b2, in the arithmetic of b1: floats
     for a pair, arrays over stacked rows."""
-    m = _arith(b1)[0]
+    cos, sin = (np.cos, np.sin) if type(b1) is np.ndarray else (
+        math.cos, math.sin)
 
     def slope(phi):
-        cp, sp = m.cos(phi), m.sin(phi)
+        cp, sp = cos(phi), sin(phi)
         s, ds = exit_at(a, cp * b1 + sp * b2, c, slope=True)
         return ds * (cp * b2 - sp * b1) * cp - s * sp
     return slope

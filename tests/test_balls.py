@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
                  boundary_section_grid, lmo_brute_force,
                  random_boundary_best)
 import rfw.balls
+from rfw.scalars import bisect_root
 from rfw.balls import (ORACLE_KERNELS, _alpha_phi_bisect, _section_frame,
                        grid_objectives)
 
@@ -287,11 +290,7 @@ def test_alpha_phi_closed_form_against_bisection():
         x = ball.sample(rng)
         w = k.random_unit_tangent(x, rng)
         res = ball.lmo(w, x)
-        if res.phi is None:
-            continue
-        u1, u2, _ = _section_frame(k, x, w, 1.0, k.log(x, ball.center))
-        if u2 is None:
-            continue
+        u1, u2, _, _ = _section_frame(k, x, w, 1.0, k.log(x, ball.center))
         p = np.cos(res.phi) * u1 + np.sin(res.phi) * u2
         a = max(float(ball.center @ x), np.cos(ball.radius))
         b = float(ball.center @ p)
@@ -310,6 +309,62 @@ def test_alpha_phi_no_intersection():
     # disc >= 0, but x lies outside the cap (a < c): outside the regime
     with pytest.raises(NoIntersectionError):
         alpha_phi_sphere(0.5, 0.8, 0.9)
+
+
+def _exit_reference(g, hi):
+    """The exit root of g(s) = 0 from a point with g(0) >= 0: 0 where
+    g < 0 right after 0 (an outward ray from the boundary), else the
+    first sign change on (0, hi], by a scan and bisect_root."""
+    grid = np.linspace(0.0, hi, 4001)[1:]
+    vals = g(grid)
+    if vals[0] < 0.0:
+        return 0.0
+    i = np.flatnonzero(vals < 0.0)[0]
+    return bisect_root(g, grid[i - 1], grid[i], tol=1e-14)
+
+
+def _exit_cases(kernel, radius, rng, n=40):
+    """(a, b, c, g) of the exit equation g(s) = 0 on a ball of the
+    radius, c = cos(r) or cosh(r): random points and directions, then a
+    boundary point (a = c) with an inward and an outward ray."""
+    if kernel == "sphere":
+        c = math.cos(radius)
+        a = rng.uniform(c, 1.0, n)
+        top = np.sqrt(1.0 - a * a)  # |<center, p>| for unit p at x
+    else:
+        c = math.cosh(radius)
+        a = rng.uniform(1.0, c, n)
+        top = np.sqrt(a * a - 1.0)
+    b = rng.uniform(-1.0, 1.0, n) * top
+    a = np.append(a, [c, c])
+    b = np.append(b, np.array([0.5, -0.5]) * np.sqrt(abs(1.0 - c * c)))
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        if kernel == "sphere":
+            g = lambda s, a=ai, b=bi: a * np.cos(s) + b * np.sin(s) - c
+        else:
+            g = lambda s, a=ai, b=bi: c - a * np.cosh(s) + b * np.sinh(s)
+        yield ai, bi, c, g
+
+
+@pytest.mark.parametrize("kernel,radius,exit_at", [
+    ("sphere", 0.3, alpha_phi_sphere), ("sphere", 1.2, alpha_phi_sphere),
+    ("hyperboloid", 1.0, rfw.balls._alpha_phi_hyperboloid),
+    ("hyperboloid", 2.0, rfw.balls._alpha_phi_hyperboloid)],
+    ids=["sphere-0.3", "sphere-1.2", "hyperboloid-1", "hyperboloid-2"])
+def test_exit_formulas_against_bracketing_solve(kernel, radius, exit_at):
+    # one formula serves a float b (math, a Python float back) and arrays
+    # of b (numpy); both solve the exit equation, and an outward ray
+    # from the boundary exits at 0
+    cases = list(_exit_cases(kernel, radius, np.random.default_rng(8)))
+    a = np.array([case[0] for case in cases])
+    b = np.array([case[1] for case in cases])
+    rows = exit_at(a, b, cases[0][2])
+    for i, (ai, bi, c, g) in enumerate(cases):
+        one = exit_at(ai, bi, c)
+        assert type(one) is float
+        ref = _exit_reference(g, 2.0 * radius + 1.0)
+        assert abs(one - ref) <= 1e-9 and abs(rows[i] - ref) <= 1e-9, i
+    assert rows[-1] == 0.0 < rows[-2]
 
 
 def test_alpha_phi_positive_wrap():
