@@ -24,10 +24,11 @@ near-antipodal pairs, where the minimizing geodesic stops being unique,
 hyperboloid exp rejects tangent norms above 300, SPD exp rejects
 tangents V at X whose X^{-1/2} V X^{-1/2} has an eigenvalue above 300,
 SPD log and dist reject targets that are not positive definite, and
-the SPD maps reject a matrix with a NaN or infinite entry.  A single call outside
-the domain raises DomainError.  A stacked call returns NaN on each row
-outside the domain, the stacked form of that error, and every other
-row keeps the single call's bits; a bad row raises no numpy warning.
+the SPD maps reject a matrix with a NaN or infinite entry.  A single
+call outside the domain raises DomainError.  A stacked call returns
+NaN on each row outside the domain, the stacked form of that error,
+and every other row keeps the single call's bits; a bad row raises no
+numpy warning.
 
 The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base points
 or stacks of them, keyed by their bytes, so outputs are bit for bit
