@@ -69,7 +69,7 @@ def test_criterion_02_lmo_against_brute_force():
                 worst_gap = max(worst_gap, (brute - res.objective) / scale)
                 count += 1
                 u1, u2, _, _ = _section_frame(k, x, w, k.norm(x, w),
-                                           k.log(x, ball.center))
+                                              k.log(x, ball.center))
                 a = max(float(np.dot(ball.center, x)), c)
                 b = (np.cos(res.phi) * float(np.dot(ball.center, u1))
                      + np.sin(res.phi) * float(np.dot(ball.center, u2)))

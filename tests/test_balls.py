@@ -11,9 +11,9 @@ from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
                  boundary_section_grid, lmo_brute_force,
                  random_boundary_best)
 import rfw.balls
-from rfw.scalars import bisect_root
 from rfw.balls import (ORACLE_KERNELS, _alpha_phi_bisect, _section_frame,
                        grid_objectives)
+from rfw.scalars import bisect_root
 
 
 def sphere_ball(n=3, r=0.8, seed=0):
