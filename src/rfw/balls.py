@@ -148,8 +148,8 @@ class GeodesicBall:
         # on [-pi/2, pi/2] and one on its inward half-plane (from a
         # boundary point only that wedge is feasible, and it can be
         # narrower than the first grid's spacing)
-        rows = np.ndim(x) > 1
-        m = np if rows else math
+        m = _arith(norm_w)
+        rows = m is _Arrays
         g = k.log(x, x0)
         u1, u2, g1, line = _section_frame(k, x, w, norm_w, g)
         b1, b2 = product(x0, u1), product(x0, u2)
@@ -193,10 +193,31 @@ class GeodesicBall:
         return res
 
 
+class _Floats:
+    """A pair's arithmetic: `math` on Python floats."""
+    sqrt, log, atan, atan2 = math.sqrt, math.log, math.atan, math.atan2
+    cos, sin, sinh, maximum = math.cos, math.sin, math.sinh, max
+
+
+class _Arrays:
+    """Stacked rows' arithmetic: numpy, elementwise.  np.maximum returns
+    the other zero where max picks the first (max(-0.0, 0.0))."""
+    sqrt, log, atan, atan2 = np.sqrt, np.log, np.arctan, np.arctan2
+    cos, sin, sinh, maximum = np.cos, np.sin, np.sinh, np.maximum
+
+
+def _arith(a, b=None):
+    """_Arrays when a or b is an ndarray, else _Floats (numbers)."""
+    if type(a) is np.ndarray or type(b) is np.ndarray:
+        return _Arrays
+    return _Floats
+
+
 def alpha_phi_sphere(a, b, c, slope=False):
     """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c,
-    for a float b or elementwise over arrays a and b, in the oracle's
-    regime a >= c > 0; with slope, (alpha, dalpha/db) of _exit_slopes.
+    for numbers a and b (a Python float back) or elementwise when either
+    is an array, in the oracle's regime a >= c > 0; with slope, (alpha,
+    dalpha/db) of _exit_slopes.
 
     This is the travel distance from a point x in a spherical cap of
     radius r < pi/2 to the cap boundary along a unit direction p, with
@@ -204,8 +225,8 @@ def alpha_phi_sphere(a, b, c, slope=False):
     tangent half-angle substitution.  Raises NoIntersectionError for
     x outside the cap (a < c), where a ray can miss the boundary.
     """
-    m, top = (np, np.maximum) if type(b) is np.ndarray else (math, max)
-    if not (c > 0.0 and (_all(a >= c) if m is np else a >= c)):
+    m = _arith(a, b)
+    if not (c > 0.0 and _all(a >= c)):
         raise NoIntersectionError(
             "alpha_phi_sphere: need a >= c > 0, got "
             f"a={np.min(a):.6g}, c={c:.6g}")
@@ -213,18 +234,18 @@ def alpha_phi_sphere(a, b, c, slope=False):
     # inside the cap sqrt(disc) >= |b|, so a negative numerator is
     # boundary roundoff and the exit root is 0
     root = m.sqrt((a - c) * (a + c) + b * b)
-    alpha = 2.0 * m.atan(top(b + root, 0.0) / (a + c))
+    alpha = 2.0 * m.atan(m.maximum(b + root, 0.0) / (a + c))
     return _exit_slopes(alpha, m.sin(alpha), root) if slope else alpha
 
 
 def _alpha_phi_hyperboloid(a, b, c, slope=False):
-    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, for a float
-    b or over arrays a and b: t = e^s solves (a - b) t^2 - 2c t + (a +
+    """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, for numbers
+    a and b or over arrays: t = e^s solves (a - b) t^2 - 2c t + (a +
     b) = 0 with a - b > 0; t < 1 is roundoff on an outward ray from the
     boundary.  With slope, the pair (s, ds/db) of _exit_slopes."""
-    m, top = (np, np.maximum) if type(b) is np.ndarray else (math, max)
+    m = _arith(a, b)
     root = m.sqrt((c - a) * (c + a) + b * b)
-    s = m.log(top((c + root) / (a - b), 1.0))
+    s = m.log(m.maximum((c + root) / (a - b), 1.0))
     return _exit_slopes(s, m.sinh(s), root) if slope else s
 
 
@@ -325,8 +346,8 @@ def _phi_slope(exit_at, a, b1, b2, c):
     plane, with (alpha, dalpha/db) = exit_at(a, b, c, slope=True) at
     b(phi) = cos(phi) b1 + sin(phi) b2, in the arithmetic of b1: floats
     for a pair, arrays over stacked rows."""
-    cos, sin = (np.cos, np.sin) if type(b1) is np.ndarray else (
-        math.cos, math.sin)
+    m = _arith(b1)
+    cos, sin = m.cos, m.sin
 
     def slope(phi):
         cp, sp = cos(phi), sin(phi)

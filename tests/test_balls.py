@@ -352,9 +352,9 @@ def _exit_cases(kernel, radius, rng, n=40):
     ("hyperboloid", 2.0, rfw.balls._alpha_phi_hyperboloid)],
     ids=["sphere-0.3", "sphere-1.2", "hyperboloid-1", "hyperboloid-2"])
 def test_exit_formulas_against_bracketing_solve(kernel, radius, exit_at):
-    # one formula serves a float b (math, a Python float back) and arrays
-    # of b (numpy); both solve the exit equation, and an outward ray
-    # from the boundary exits at 0
+    # one formula serves float a and b (math, a Python float back) and
+    # arrays on either side (numpy); both solve the exit equation, and an
+    # outward ray from the boundary exits at 0
     cases = list(_exit_cases(kernel, radius, np.random.default_rng(8)))
     a = np.array([case[0] for case in cases])
     b = np.array([case[1] for case in cases])
@@ -364,6 +364,7 @@ def test_exit_formulas_against_bracketing_solve(kernel, radius, exit_at):
         assert type(one) is float
         ref = _exit_reference(g, 2.0 * radius + 1.0)
         assert abs(one - ref) <= 1e-9 and abs(rows[i] - ref) <= 1e-9, i
+        assert exit_at(a, bi, c)[i] == rows[i] == exit_at(ai, b, c)[i], i
     assert rows[-1] == 0.0 < rows[-2]
 
 
