@@ -140,8 +140,7 @@ class GeodesicBall:
             product, exit_at = _dot, alpha_phi_sphere
         else:
             c = math.cosh(r)
-            a = -k.minkowski(x0, x)
-            a = _where(c < a, c, a)
+            a = -_atleast(k.minkowski(x0, x), -c)
             product, exit_at = k.minkowski, _alpha_phi_hyperboloid
         # maximize F(phi) = alpha(phi) cos(phi), alpha the travel distance
         # to the boundary along p = cos(phi) u1 + sin(phi) u2, over a grid
@@ -149,7 +148,6 @@ class GeodesicBall:
         # boundary point only that wedge is feasible, and it can be
         # narrower than the first grid's spacing)
         m = _arith(norm_w)
-        rows = m is _Arrays
         g = k.log(x, x0)
         u1, u2, g1, line = _section_frame(k, x, w, norm_w, g)
         b1, b2 = product(x0, u1), product(x0, u2)
@@ -160,7 +158,7 @@ class GeodesicBall:
         slope = _phi_slope(exit_at, a, b1, b2, c)
         ends = slope(lo), slope(hi)
         singles = {}
-        if rows:
+        if m is _Arrays:
             # the rows whose F' changes sign across the bracket, on a
             # plane that is not a line (x at the center, or w along
             # log_x(center)), bisect together; the others take the
@@ -200,24 +198,21 @@ class _Floats:
 
 
 class _Arrays:
-    """Stacked rows' arithmetic: numpy, elementwise.  np.maximum returns
-    the other zero where max picks the first (max(-0.0, 0.0))."""
+    """Stacked rows' arithmetic: numpy, elementwise."""
     sqrt, log, atan, atan2 = np.sqrt, np.log, np.arctan, np.arctan2
     cos, sin, sinh, maximum = np.cos, np.sin, np.sinh, np.maximum
 
 
 def _arith(a, b=None):
     """_Arrays when a or b is an ndarray, else _Floats (numbers)."""
-    if type(a) is np.ndarray or type(b) is np.ndarray:
-        return _Arrays
-    return _Floats
+    return (_Arrays if type(a) is np.ndarray or type(b) is np.ndarray
+            else _Floats)
 
 
 def alpha_phi_sphere(a, b, c, slope=False):
     """Smallest nonnegative root of a*cos(alpha) + b*sin(alpha) = c,
-    for numbers a and b (a Python float back) or elementwise when either
-    is an array, in the oracle's regime a >= c > 0; with slope, (alpha,
-    dalpha/db) of _exit_slopes.
+    for numbers, or elementwise if a or b is an array, in the oracle's
+    regime a >= c > 0; with slope, (alpha, dalpha/db) of _exit_slopes.
 
     This is the travel distance from a point x in a spherical cap of
     radius r < pi/2 to the cap boundary along a unit direction p, with
@@ -275,9 +270,7 @@ def _exit_slopes(s, sn, root):
     arrays."""
     if type(sn) is np.ndarray:
         return s, np.divide(sn, root, out=np.zeros_like(sn), where=sn != 0.0)
-    if sn == 0.0:
-        return s, 0.0
-    return s, sn / root
+    return s, sn / root if sn != 0.0 else 0.0
 
 
 def _entry_norm(w, x, ball):
@@ -347,10 +340,9 @@ def _phi_slope(exit_at, a, b1, b2, c):
     b(phi) = cos(phi) b1 + sin(phi) b2, in the arithmetic of b1: floats
     for a pair, arrays over stacked rows."""
     m = _arith(b1)
-    cos, sin = m.cos, m.sin
 
     def slope(phi):
-        cp, sp = cos(phi), sin(phi)
+        cp, sp = m.cos(phi), m.sin(phi)
         s, ds = exit_at(a, cp * b1 + sp * b2, c, slope=True)
         return ds * (cp * b2 - sp * b1) * cp - s * sp
     return slope
