@@ -16,16 +16,19 @@ the worst margin seen:
 * approximate scaling inequality: the same with a curvature residual
   term built from the double exponential map subtracted.
 
-A certificate is built in three stages.  A loop over the samples only
-draws from the random generator (_Draws), in the order in which a loop
-drawing and measuring one sample at a time would draw.  The geometry
-(sample points, chords, midpoints, unit tangents, required clearances,
-the approx_scaling residual) is computed over all rows at once, with
-stacked kernel calls that give each row's bits.  One loop over the rows
-(_worst_case) then keeps the lowest margin and its witness, so the
-certificate is bit for bit that of the per-sample loop; for the scaling
-notions, up to the last bits in which a stacked oracle row may differ
-from a single call (GeodesicBall.lmo).
+A certificate is built in three stages.  Its random draws come first
+(_Draws), one generator call per slot of the sample's layout over all
+samples, in layout order: n normals for a direction, n uniforms for a
+time, a ball's point as its normals and then its uniforms.  The
+geometry (sample points, chords, midpoints, unit tangents, required
+clearances, the approx_scaling residual) is then computed over all
+rows at once, with stacked kernel calls that give each row's bits; a
+unit tangent whose projection vanished is drawn again there, after
+all the blocks.  One loop over the rows (_worst_case) then keeps the
+lowest margin and its witness, so the certificate is bit for bit that
+of a loop measuring one sample at a time on the same draws; for the
+scaling notions, up to the last bits in which a stacked oracle row may
+differ from a single call (GeodesicBall.lmo).
 
 Margins for the membership-based notions are the gap between the
 admissible travel distance along the sampled direction and the required
@@ -133,12 +136,19 @@ class ConvexityCertificate:
 # clearances along rays, one stacked bisection on membership
 # ---------------------------------------------------------------------------
 
+def _ball_of(method, func):
+    """The GeodesicBall whose method func is the bound method, or None."""
+    if getattr(method, "__func__", None) is func:
+        return method.__self__
+    return None
+
+
 def _members(cset, z):
     """Whether each row of the stacked points z is in the set: a ball
     answers them in one call, any other set row by row.  A NaN row (a
     ray that left the exp domain) is not a member, and only the ball
     sees it."""
-    if getattr(cset.membership, "__func__", None) is GeodesicBall.membership:
+    if _ball_of(cset.membership, GeodesicBall.membership) is not None:
         return cset.membership(z)
     return np.array([not np.isnan(p).any() and bool(cset.membership(p))
                      for p in z], dtype=bool)
@@ -198,82 +208,77 @@ POINT, TIME, TANGENT = "point", "time", "tangent"
 
 
 class _Draws:
-    """Stage 1 of a certificate: the random draws of its n samples,
-    taken from rng in the order in which a loop over the samples would
-    take them.  layout names the draws of one sample: POINT (a point of
-    the set), TIME (a uniform on [0, 1)) or TANGENT (a standard normal in
-    the point's shape, made a unit tangent once its base point is
-    known).  A GeodesicBall's point is drawn as its sample method draws
-    it, a TANGENT at the center and a TIME, and placed in stage 2; any
-    other set's sampler is called in turn.  extra[(i, j)] counts the
-    normals drawn and dropped before the one kept at draw j of sample
-    i.  Stage 2 reads the rows through column, points and tangents."""
+    """Stage 1 of a certificate: the random draws of its n samples, one
+    generator call per slot of layout, in layout order.  A slot is a
+    TANGENT, rng.standard_normal((n,) + point_shape), made unit tangents
+    once their base points are known; a TIME, rng.random(n), uniforms
+    on [0, 1); or a POINT, n points of the set.  A GeodesicBall's POINT
+    is a TANGENT block at the center, then a TIME block, as its sample
+    method draws a normal and then a uniform, and is placed in stage 2;
+    any other set's POINT is its sampler called n times, in the slot's
+    turn.  Stage 2 reads the slots through column, points and tangents,
+    each slot once; a unit tangent whose projection vanished is drawn
+    again then, after all the blocks (_units)."""
 
-    def __init__(self, cset, rng, n_samples, layout, extra):
+    def __init__(self, cset, rng, n, layout):
         k, sampler = cset.kernel, cset.sampler
-        by_ball = getattr(sampler, "__func__", None) is GeodesicBall.sample
-        self.kernel, self.ball = k, sampler.__self__ if by_ball else None
-        self.index, kinds = [], []
+        self.kernel, self.rng = k, rng
+        self.ball = _ball_of(sampler, GeodesicBall.sample)
+        shape = (n,) + k.point_shape
+        self.slots = []
         for slot in layout:
-            self.index.append(len(kinds))
-            kinds += [TANGENT, TIME] if by_ball and slot == POINT else [slot]
-        # rng.random(None) gives the bits of rng.uniform(), faster
-        take = {TANGENT: (rng.standard_normal, k.point_shape),
-                TIME: (rng.random, None), POINT: (sampler, rng)}
-        self.cols = [[] for _ in kinds]
-        plan = [(c.append,) + take[kind] for c, kind in zip(self.cols, kinds)]
-        for i in range(n_samples):
-            for j, (keep, draw, arg) in enumerate(plan):
-                for _ in range(extra.get((i, j), 0) if extra else 0):
-                    draw(arg)
-                keep(draw(arg))
-        self.missing = []
+            if slot == TANGENT:
+                block = rng.standard_normal(shape)
+            elif slot == TIME:
+                block = rng.random(n)
+            elif self.ball is not None:
+                block = rng.standard_normal(shape), rng.random(n)
+            else:
+                block = np.array([sampler(rng) for _ in range(n)],
+                                 dtype=float).reshape(shape)
+            self.slots.append(block)
 
-    def column(self, slot, shape=()):
-        col = self.cols[self.index[slot]]
-        return np.array(col, dtype=float).reshape((len(col),) + shape)
+    def column(self, slot):
+        return self.slots[slot]
 
     def points(self, slot):
         if self.ball is None:
-            return self.column(slot, self.kernel.point_shape)
-        return self.ball._place(self.tangents(slot, self.ball.center),
-                                self.cols[self.index[slot] + 1])
+            return self.slots[slot]
+        g, s = self.slots[slot]
+        # _place takes its radius power on Python floats
+        return self.ball._place(self._units(g, self.ball.center), s.tolist())
 
     def tangents(self, slot, base):
-        """Unit tangents at the rows of base; the first row whose
-        projection vanished is noted in missing as (sample, draw)."""
-        g = self.column(slot, self.kernel.point_shape)
-        u, ok = self.kernel._unit_tangent(base, g)
-        if not ok.all():
-            self.missing.append((int(np.argmin(ok)), self.index[slot]))
+        return self._units(self.slots[slot], base)
+
+    def _units(self, g, base):
+        """Unit tangents at the rows of base (or at the one point base)
+        from the normals g.  A row whose projection vanished gets a
+        fresh normal from rng, the bad rows in row order, until none is
+        left; as for random_unit_tangent, 64 normals in a row that all
+        vanish are a ContractError.  g keeps the normals used."""
+        k = self.kernel
+        one = np.ndim(base) == len(k.point_shape)
+        u, ok = k._unit_tangent(base, g)
+        tries = 1
+        while not ok.all():
+            if tries == 64:
+                raise ContractError(f"{k.name}: could not draw a unit tangent")
+            bad = np.flatnonzero(~ok)
+            g[bad] = self.rng.standard_normal((len(bad),) + k.point_shape)
+            u[bad], ok[bad] = k._unit_tangent(base if one else base[bad],
+                                              g[bad])
+            tries += 1
         return u
 
 
 def _sample(cset, rng, n_samples, layout, geometry):
-    """Stages 1 and 2: geometry(draws) over the _Draws of n_samples.  A
-    unit tangent whose projection vanished is drawn again at its own
-    place in the stream, as random_unit_tangent draws it: the draws are
-    taken afresh from rng's starting state, with one more normal at the
-    first such place, until there is none.  The first place is the
-    least (sample, draw) noted; a later one may rest on a dropped
-    tangent, and is judged again on the next pass.  n_samples must be
-    an integer >= 0."""
+    """Stages 1 and 2: geometry(draws) over the _Draws of n_samples, an
+    integer >= 0."""
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 0):
         raise ConfigError(
             f"n_samples must be an integer >= 0, got {n_samples!r}")
-    start = rng.bit_generator.state
-    extra = {}
-    while True:
-        draws = _Draws(cset, rng, n_samples, layout, extra)
-        rows = geometry(draws)
-        if not draws.missing:
-            return rows
-        at = min(draws.missing)
-        extra[at] = extra.get(at, 0) + 1
-        if extra[at] == 64:
-            raise ContractError(
-                f"{cset.kernel.name}: could not draw a unit tangent")
-        rng.bit_generator.state = start
+    return geometry(_Draws(cset, rng, n_samples, layout))
 
 
 def _stacked(rows, like):
@@ -345,7 +350,14 @@ def _geodesic(cset, alpha, distance, rng, n_samples):
 
 def _riemannian(cset, alpha, distance, rng, n_samples):
     """Strong convexity of the tangent-space pullback log_x(C),
-    uniformly over sampled base points x in C."""
+    uniformly over sampled base points x in C.  On a GeodesicBall each
+    row is probed along two directions, racing in one _clearances call,
+    and keeps the lower margin: the drawn z and the outward direction
+    combo - log_x(center), normalised at x (z alone where that vector
+    vanishes).  A clearance below the required one in any direction is
+    a violation, and a random z in a high-dimensional tangent space
+    rarely points out of the ball.  The witness names the direction
+    that won, z on a tie."""
     k = cset.kernel
 
     def geometry(draws):
@@ -357,8 +369,22 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
         return x, p, q, t, (1.0 - tc) * p + tc * q, draws.tangents(4, x), rho
     x, p, q, t, combo, z, rho = _sample(
         cset, rng, n_samples, (POINT, POINT, POINT, TIME, TANGENT), geometry)
-    return (_clearances(cset, x, z, rho, combo),
-            _rows(x=x, p=p, q=q, t=t, direction=z, required=rho))
+    ball = _ball_of(cset.membership, GeodesicBall.membership)
+    out, o = np.arange(0), z[:0]  # the outward rows and their directions
+    if ball is not None:
+        v = combo - k.log(x, ball.center)
+        size = k._norm(x, v)
+        out = np.flatnonzero(size > 1e-12)
+        o = v[out] / _col(size[out], len(k.point_shape))
+    both = _clearances(cset, *(np.concatenate((a, b)) for a, b in (
+        (x, x[out]), (z, o), (rho, rho[out]), (combo, combo[out]))))
+    margins, direction = both[:len(x)], z.copy()
+    for j, i in enumerate(out.tolist()):
+        m = both[len(x) + j]
+        if m is not None and (margins[i] is None or m < margins[i]):
+            margins[i], direction[i] = m, o[j]
+    return (margins,
+            _rows(x=x, p=p, q=q, t=t, direction=direction, required=rho))
 
 
 def _scaling(cset, alpha, distance, rng, n_samples, approx=False):

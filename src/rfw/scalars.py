@@ -3,12 +3,15 @@ golden-section search for a minimizer and a bracketing root finder
 (Chandrupatla's method), each on a function value alone.  The root
 finder also runs row-wise, on arrays of brackets."""
 
+import math
+
 import numpy as np
 
 from .errors import BracketError
 
-INVPHI = (np.sqrt(5.0) - 1.0) / 2.0   # 1/phi
-INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
+# Python floats: golden-section steps in numpy scalars take ~3x as long
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi
+INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
 def minimize_1d(fun, lo, hi, tol=1e-12):

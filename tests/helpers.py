@@ -92,12 +92,26 @@ def geometry_invariant_worst(kernel, n_samples, rng, spread=1.0):
 # ---------------------------------------------------------------------------
 # per-sample reference certifiers
 # ---------------------------------------------------------------------------
-# The certifiers as a loop over samples, each drawn and measured on its
-# own with the scalar kernel calls.  run_checker builds a certificate's
-# whole sample as stacked arrays instead, from the same random stream,
-# and must give the same certificate bit for bit.  The membership
-# notions' clearances are bisected here ray by ray, with no code shared
-# with the stacked bisection of rfw.convexity.
+# The certifiers as a loop over samples, each measured on its own with
+# the scalar kernel calls.  The draws are the documented blocks, one
+# generator call per slot of the certificate's layout: a TANGENT is
+# rng.standard_normal((n,) + point_shape), a TIME rng.random(n), a
+# GeodesicBall's POINT its normal block then its uniform block, any
+# other set's POINT its sampler called n times.  A unit tangent whose
+# projection vanishes is drawn again after all the blocks, slot by
+# slot.  run_checker builds a certificate's whole sample as stacked
+# arrays instead, and must give the same certificate bit for bit.  The
+# membership notions' clearances are bisected here ray by ray, with no
+# code shared with the stacked bisection of rfw.convexity.
+
+LAYOUTS = {  # the slots of one sample, per certificate
+    "geodesic": ("point", "point", "time", "tangent"),
+    "double_geodesic": ("point", "point", "time", "tangent"),
+    "riemannian": ("point", "point", "point", "time", "tangent"),
+    "scaling": ("point", "tangent"), "approx_scaling": ("point", "tangent"),
+    "smoothness_gradient_bound": ("point",),
+    "gconvexity": ("point", "point", "time")}
+
 
 def sup_member(member_at, hi_cap, resolution):
     """sup{s in [0, hi_cap] : member_at(s)}; assumes membership along
@@ -145,76 +159,162 @@ def ray_margin(cset, point_at, required, worst):
     return sup_member(member_at, hi_cap, resolution) - required
 
 
-def _reference_draws(cset, alpha, distance):
+def unit_rows(kernel, rng, normals, bases):
+    """Unit tangents at bases[i] from normals[i], one call per row.  The
+    rows whose projection vanished take a fresh normal each, in row
+    order, pass after pass until none is left; a row with 64 such
+    normals is a ContractError."""
+    from rfw.errors import ContractError
+    units, bad = [None] * len(normals), range(len(normals))
+    for tries in range(64):
+        left = []
+        for i in bad:
+            if tries:
+                normals[i] = rng.standard_normal(kernel.point_shape)
+            u, ok = kernel._unit_tangent(bases[i], normals[i])
+            if ok:
+                units[i] = u
+            else:
+                left.append(i)
+        if not left:
+            return units
+        bad = left
+    raise ContractError(f"{kernel.name}: could not draw a unit tangent")
+
+
+class Blocks:
+    """The documented blocks of n samples for a layout, drawn at once;
+    point(j) and unit(j, bases) resolve a slot's rows, each called once
+    per slot and in slot order."""
+
+    def __init__(self, cset, rng, n, layout):
+        from rfw import GeodesicBall
+        k = self.kernel = cset.kernel
+        self.rng, self.n = rng, n
+        ball = getattr(cset.sampler, "__self__", None)
+        self.ball = ball if isinstance(ball, GeodesicBall) else None
+        self.slots = []
+        for slot in layout:
+            if slot == "tangent":
+                self.slots.append(rng.standard_normal((n,) + k.point_shape))
+            elif slot == "time":
+                self.slots.append(rng.random(n).tolist())
+            elif self.ball is not None:
+                self.slots.append((rng.standard_normal((n,) + k.point_shape),
+                                   rng.random(n).tolist()))
+            else:
+                self.slots.append([cset.sampler(rng) for _ in range(n)])
+
+    def point(self, j):
+        if self.ball is None:
+            return self.slots[j]
+        normals, times = self.slots[j]
+        units = unit_rows(self.kernel, self.rng, normals,
+                          [self.ball.center] * self.n)
+        return [self.ball._place(u[None], [s])[0]
+                for u, s in zip(units, times)]
+
+    def unit(self, j, bases):
+        return unit_rows(self.kernel, self.rng, self.slots[j], bases)
+
+
+def _reference_samples(cset, alpha, distance, rng, n, notion):
+    """Per sample, measure(i, worst) -> (margin, witness) or None, after
+    all of the certificate's draws."""
+    from rfw import GeodesicBall
     from rfw.convexity import residual
     from rfw.errors import DomainError
     k = cset.kernel
+    draws = Blocks(cset, rng, n, LAYOUTS[notion])
 
-    def double_geodesic(rng, worst, distance=distance):
-        x, y = cset.sampler(rng), cset.sampler(rng)
-        t = rng.uniform()
-        d = k.dist(x, y) if distance is None else distance(k, x, y)
-        m = k.geodesic(x, y, t)
-        rho = alpha * t * (1.0 - t) * d * d
-        u = k.random_unit_tangent(m, rng)
-        margin = ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
-        if margin is None:
-            return None
-        return margin, {"x": x, "y": y, "t": t, "direction": u,
-                        "required": rho, "margin": margin}
+    def double_geodesic(distance):
+        xs, ys, ts = draws.point(0), draws.point(1), draws.slots[2]
+        ms = [k.geodesic(x, y, t) for x, y, t in zip(xs, ys, ts)]
+        us = draws.unit(3, ms)
 
-    def riemannian(rng, worst):
-        x = cset.sampler(rng)
-        p = k.log(x, cset.sampler(rng))
-        q = k.log(x, cset.sampler(rng))
-        t = rng.uniform()
-        pq = p - q
-        combo = (1.0 - t) * p + t * q
-        rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
-        zdir = k.random_unit_tangent(x, rng)
-        margin = ray_margin(cset, lambda s: k.exp(x, combo + s * zdir),
-                            rho, worst)
-        if margin is None:
-            return None
-        return margin, {"x": x, "p": p, "q": q, "t": t, "direction": zdir,
-                        "required": rho, "margin": margin}
+        def measure(i, worst):
+            x, y, t, m, u = xs[i], ys[i], ts[i], ms[i], us[i]
+            d = k.dist(x, y) if distance is None else distance(k, x, y)
+            rho = alpha * t * (1.0 - t) * d * d
+            margin = ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
+            if margin is None:
+                return None
+            return margin, {"x": x, "y": y, "t": t, "direction": u,
+                            "required": rho, "margin": margin}
+        return measure
 
-    def scaling(rng, worst):
-        x = cset.sampler(rng)
-        w = k.random_unit_tangent(x, rng)
-        res = cset.lmo(w, x)
-        margin = res.objective - alpha * k._inner(x, res.log, res.log)
-        return margin, {"x": x, "w": w, "vertex": res.vertex,
-                        "lhs": res.objective, "margin": margin}
+    def riemannian():
+        xs = draws.point(0)
+        ps = [k.log(x, y) for x, y in zip(xs, draws.point(1))]
+        qs = [k.log(x, y) for x, y in zip(xs, draws.point(2))]
+        ts, zs = draws.slots[3], draws.unit(4, xs)
+        ball = getattr(cset.membership, "__self__", None)
+        center = ball.center if isinstance(ball, GeodesicBall) else None
 
-    def approx_scaling(rng, worst):
-        x = cset.sampler(rng)
-        w = k.random_unit_tangent(x, rng)
-        res = cset.lmo(w, x)
-        v, lx = res.vertex, res.log
-        d = k.dist(x, v)
-        if d < 1e-12:
-            return None
-        omega = (0.25 * alpha * d * d) * w
-        try:
-            r_x = residual(k, x, 0.5 * lx, omega)
-        except DomainError as exc:
-            return -np.inf, {"x": x, "w": w, "vertex": v,
-                             "domain_error": str(exc), "margin": -np.inf}
-        margin = res.objective - alpha * d * d - k._inner(x, w, r_x)
-        return margin, {"x": x, "w": w, "vertex": v, "lhs": res.objective,
-                        "residual": r_x, "margin": margin}
+        def measure(i, worst):
+            x, p, q, t = xs[i], ps[i], qs[i], ts[i]
+            pq = p - q
+            combo = (1.0 - t) * p + t * q
+            rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
+            directions = [zs[i]]
+            if center is not None:  # the outward direction of the ball
+                v = combo - k.log(x, center)
+                size = k._norm(x, v)
+                if size > 1e-12:
+                    directions.append(v / size)
+            best = None
+            for u in directions:
+                bar = worst if best is None else min(worst, best[0])
+                margin = ray_margin(cset, lambda s: k.exp(x, combo + s * u),
+                                    rho, bar)
+                if margin is not None and (best is None or margin < best[0]):
+                    best = margin, u
+            if best is None:
+                return None
+            margin, u = best
+            return margin, {"x": x, "p": p, "q": q, "t": t, "direction": u,
+                            "required": rho, "margin": margin}
+        return measure
 
-    return {"geodesic": lambda rng, worst: double_geodesic(rng, worst, None),
-            "riemannian": riemannian, "double_geodesic": double_geodesic,
-            "scaling": scaling, "approx_scaling": approx_scaling}
+    def scaling(approx):
+        xs = draws.point(0)
+        ws = draws.unit(1, xs)
+
+        def measure(i, worst):
+            x, w = xs[i], ws[i]
+            res = cset.lmo(w, x)
+            v, lx = res.vertex, res.log
+            if not approx:
+                margin = res.objective - alpha * k._inner(x, lx, lx)
+                return margin, {"x": x, "w": w, "vertex": v,
+                                "lhs": res.objective, "margin": margin}
+            d = k.dist(x, v)
+            if d < 1e-12:
+                return None
+            omega = (0.25 * alpha * d * d) * w
+            try:
+                r_x = residual(k, x, 0.5 * lx, omega)
+            except DomainError as exc:
+                return -np.inf, {"x": x, "w": w, "vertex": v,
+                                 "domain_error": str(exc), "margin": -np.inf}
+            margin = res.objective - alpha * d * d - k._inner(x, w, r_x)
+            return margin, {"x": x, "w": w, "vertex": v,
+                            "lhs": res.objective, "residual": r_x,
+                            "margin": margin}
+        return measure
+
+    return {"geodesic": lambda: double_geodesic(None),
+            "double_geodesic": lambda: double_geodesic(distance),
+            "riemannian": riemannian,
+            "scaling": lambda: scaling(False),
+            "approx_scaling": lambda: scaling(True)}[notion]()
 
 
-def _reference_worst(notion, alpha, n_samples, rng, draw, refine_all):
+def _reference_worst(notion, alpha, n_samples, measure, refine_all):
     from rfw.convexity import ConvexityCertificate
     worst, witness = np.inf, {}
-    for _ in range(n_samples):
-        sample = draw(rng, np.inf if refine_all else worst)
+    for i in range(n_samples):
+        sample = measure(i, np.inf if refine_all else worst)
         if sample is None:
             continue
         margin, wit = sample
@@ -233,8 +333,9 @@ def reference_certificate(notion, cset, alpha, n_samples, rng, distance=None,
     """run_checker as a loop over samples.  With refine_all, every
     membership sample's clearance is bisected, not only those that can
     lower the worst margin."""
-    draw = _reference_draws(cset, alpha, distance)[notion]
-    return _reference_worst(notion, alpha, n_samples, rng, draw, refine_all)
+    measure = _reference_samples(cset, alpha, distance, rng, n_samples,
+                                 notion)
+    return _reference_worst(notion, alpha, n_samples, measure, refine_all)
 
 
 def assert_certificates_close(cert, ref, tol):
@@ -257,19 +358,21 @@ def assert_certificates_close(cert, ref, tol):
 def reference_function_check(check, fn, cset, n_samples, rng):
     """check_gconvexity_of_function ("gconvexity") or
     check_smoothness_gradient_bound ("smoothness_gradient_bound") as a
-    loop over samples."""
+    loop over samples, on the documented blocks."""
     k = cset.kernel
+    draws = Blocks(cset, rng, n_samples, LAYOUTS[check])
+    xs = draws.point(0)
+    ys = draws.point(1) if check == "gconvexity" else None
 
-    def smoothness(rng, worst):
-        x = cset.sampler(rng)
+    def smoothness(i, worst):
+        x = xs[i]
         fx, gx = fn.value_grad(x)
         gap = max(fx - fn.fstar, 0.0)
         margin = np.sqrt(2.0 * fn.L * gap) - k.norm(x, gx)
         return margin, {"x": x, "margin": margin}
 
-    def gconvexity(rng, worst):
-        x, y = cset.sampler(rng), cset.sampler(rng)
-        t = rng.uniform()
+    def gconvexity(i, worst):
+        x, y, t = xs[i], ys[i], draws.slots[2][i]
         d = k.dist(x, y)
         fx, gx = fn.value_grad(x)
         fy = fn.value_grad(y)[0]
@@ -282,6 +385,6 @@ def reference_function_check(check, fn, cset, n_samples, rng):
         return margin, {"x": x, "y": y, "t": t, "convexity": convexity,
                         "smoothness": smooth}
 
-    draw = {"gconvexity": gconvexity,
-            "smoothness_gradient_bound": smoothness}[check]
-    return _reference_worst(check, None, n_samples, rng, draw, False)
+    measure = {"gconvexity": gconvexity,
+               "smoothness_gradient_bound": smoothness}[check]
+    return _reference_worst(check, None, n_samples, measure, False)

@@ -16,7 +16,7 @@ from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
 from rfw.convexity import NOTIONS, _clearances, _worst_case
 from rfw.manifolds import CurvatureInfo
 
-from helpers import (assert_certificates_close, ray_margin,
+from helpers import (LAYOUTS, Blocks, assert_certificates_close, ray_margin,
                      reference_certificate, reference_function_check)
 
 
@@ -458,9 +458,9 @@ def test_pruned_certificate_equals_full_refinement(kernel, radius, good, bad,
 # batched samples against the per-sample reference
 # ---------------------------------------------------------------------------
 
-EDGE_BALLS = [  # kernel class, radius, a failing alpha, edge reached
-    (Spd, 2.0, 10.0, False), (Spd, 2.0, 20.0, True),
-    (Sphere, 1.2, 10.0, True)]
+EDGE_BALLS = [  # kernel class, radius, a failing alpha, seeds at the edge
+    (Spd, 2.0, 10.0, ()), (Spd, 2.0, 20.0, (0, 5)),
+    (Sphere, 1.2, 10.0, (0, 1, 5))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -493,7 +493,7 @@ def test_domain_edge_certificate_equals_per_sample_reference(
     cs = ball_set(GeodesicBall(k, k.base_point(), radius))
     cert = run_checker(notion, cs, alpha, 30,
                        np.random.default_rng([seed, 0]))
-    assert calls["nan rows"] > 0 or not edge
+    assert calls["nan rows"] > 0 or seed not in edge
     assert calls["dist"] <= 40
     ref = reference_certificate(notion, cs, alpha, 30,
                                 np.random.default_rng([seed, 0]))
@@ -561,11 +561,22 @@ def test_double_geodesic_distance_is_one_call_on_stacked_chords(kernel,
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_sphere_benchmark_stream_redraws_the_first_tangent(seed):
-    # the collision the test above relies on
+    # the collision the test above relies on: the first row of the
+    # certificate's first block, a ball point's normals at the center,
+    # is the center's own normal.  Its projection vanishes, and one
+    # more normal is drawn for it after all the blocks
     k = Sphere(3)
     center = k.random_point(np.random.default_rng(seed))
-    g = np.random.default_rng([seed, 0]).standard_normal(3)
-    assert not k._unit_tangent(center, g)[1]
+    cs = ball_set(GeodesicBall(k, center, 0.3))
+    rng, twin = (np.random.default_rng([seed, 0]) for _ in range(2))
+    run_checker("scaling", cs, 1.5, 30, rng)
+    g = twin.standard_normal((30, 3))
+    assert not k._unit_tangent(center, g[0])[1]
+    assert k._unit_tangent(center, g[1:])[1].all()
+    twin.random(30)
+    twin.standard_normal((30, 3))
+    twin.standard_normal(3)  # the redrawn row
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -590,37 +601,46 @@ def test_certify_sphere_stream_scaling_verdicts(seed):
             assert_certificates_close(cert, ref, 1e-12)
 
 
-def _next_normal_sampler(ball):
-    """Points of the ball that are the (normalized) normal the stream
-    is about to give: a direction drawn at such a point is first the
-    point itself, and is drawn again."""
-    k = ball.kernel
+class _Sticky(Sphere):
+    """A sphere whose unit tangents reject every normal with a first
+    coordinate above 1 (~16% of draws), so that certificates redraw
+    on many rows, some of them more than once."""
 
-    def sampler(rng):
-        while True:
-            peek = np.random.Generator(np.random.PCG64())
-            peek.bit_generator.state = rng.bit_generator.state
-            x = k.random_point(peek)
-            if ball.membership(x):
-                return x
-            rng.standard_normal(k.point_shape)
-    return sampler
+    calls = []  # the rows of each stacked call
+
+    def _unit_tangent(self, x, g):
+        u, ok = super()._unit_tangent(x, g)
+        if np.ndim(g) > 1:
+            self.calls.append(len(g))
+        return u, ok & ~(np.asarray(g)[..., 0] > 1.0)
 
 
-@pytest.mark.parametrize("notion", ["scaling", "approx_scaling"])
+@pytest.mark.parametrize("notion", NOTIONS)
 def test_batched_redraws_where_the_per_sample_loop_does(notion):
-    k = Sphere(3)
-    ball = GeodesicBall(k, k.base_point(), 1.2)
-    cs = ConvexSet(k, ball.membership, _next_normal_sampler(ball), ball.lmo,
-                   ball.diameter)
+    # the rejected rows of a slot take fresh normals after all the
+    # blocks, in row order and pass after pass, at the center for the
+    # ball's points and at the rows' base points for the directions.
+    # On the stream of seed 6 every notion rejects some row twice
+    k = _Sticky(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 1.2))
+    # the slots that are made unit tangents: the points and the direction
+    slots = {"riemannian": 4, "scaling": 2, "approx_scaling": 2}.get(notion, 3)
     for alpha in (0.2, 3.0):
-        cert = run_checker(notion, cs, alpha, 25, np.random.default_rng(3))
-        ref = reference_certificate(notion, cs, alpha, 25,
-                                    np.random.default_rng(3))
+        rng = np.random.default_rng(6)
+        k.calls = []
+        cert = run_checker(notion, cs, alpha, 25, rng)
+        # one call per slot, then one per redraw pass: more passes than
+        # slots means that some row was rejected twice
+        assert len(k.calls) > 2 * slots
+        ref_rng = np.random.default_rng(6)
+        ref = reference_certificate(notion, cs, alpha, 25, ref_rng)
         assert cert.to_json() == ref.to_json()
+        assert rng.random() == ref_rng.random()
 
 
 def test_a_tangent_that_never_projects_is_a_contract_error():
+    # all 64 normals of each row vanish: the certificate gives up after
+    # the blocks and 63 passes over the 4 rows of its first point slot
     class Degenerate(Sphere):
         def project_tangent(self, x, a):
             return 0.0 * np.asarray(a, dtype=float)
@@ -628,8 +648,82 @@ def test_a_tangent_that_never_projects_is_a_contract_error():
     k = Degenerate(3)
     cs = ball_set(GeodesicBall(k, k.base_point(), 0.3))
     for certify in (run_checker, reference_certificate):
+        rng, twin = (np.random.default_rng(0) for _ in range(2))
         with pytest.raises(ContractError, match="could not draw"):
-            certify("geodesic", cs, 1.0, 4, np.random.default_rng(0))
+            certify("geodesic", cs, 1.0, 4, rng)
+        for _ in range(2):
+            twin.standard_normal((4, 3))
+            twin.random(4)
+        twin.random(4)
+        twin.standard_normal((4 + 63 * 4, 3))
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("on_ball", [True, False], ids=["ball", "sampler"])
+@pytest.mark.parametrize("check", [*NOTIONS, "gconvexity",
+                                   "smoothness_gradient_bound",
+                                   "min_gradient_norm"])
+def test_a_check_takes_exactly_its_documented_blocks(check, on_ball):
+    # one generator call per slot over all samples, in layout order,
+    # and nothing more where no projection vanishes: the generator's
+    # next draw is that of a twin that took the blocks alone.  A set
+    # other than a ball has its sampler called n times per point slot
+    from rfw import SquaredDistanceObjective
+    k = Sphere(3)
+    ball = GeodesicBall(k, k.base_point(), 0.3)
+    cs = ball_set(ball)
+    if not on_ball:
+        def sampler(rng):
+            return k.exp(ball.center, 0.2 * k._unit_tangent(
+                ball.center, rng.standard_normal(3))[0])
+        cs = ConvexSet(k, ball.membership, sampler, ball.lmo, ball.diameter)
+    fn = SquaredDistanceObjective(k, ball.center).as_smooth_fn(ball.radius)
+    run = {"gconvexity": partial(check_gconvexity_of_function, fn),
+           "smoothness_gradient_bound": partial(
+               check_smoothness_gradient_bound, fn),
+           "min_gradient_norm": partial(min_gradient_norm, fn)}.get(
+               check, lambda cs, n, rng: run_checker(check, cs, 1.0, n, rng))
+    n = 17
+    rng, twin = (np.random.default_rng(12) for _ in range(2))
+    run(cs, n, rng)
+    Blocks(cs, twin, n, LAYOUTS.get(check, ("point",)))
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riemannian_probes_a_ball_along_its_outward_direction(seed):
+    # on a Euclidean ball the outward direction from x + combo is radial,
+    # the least clearance of all directions: the certificate's worst
+    # margin is min over samples of r + tol - |x + combo - c| - rho,
+    # up to the bisection's resolution, and its witness direction is
+    # that sample's unit radial vector.  The samples are rebuilt from
+    # the documented blocks
+    from rfw.balls import MEMBERSHIP_TOL
+    k, n, dim, r, alpha = Euclidean(6), 40, 6, 1.0, 2.0
+    c = np.random.default_rng(seed).standard_normal(dim)
+    cs = ball_set(GeodesicBall(k, c, r))
+    cert = run_checker("riemannian", cs, alpha, n,
+                       np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(3):
+        g, s = rng.standard_normal((n, dim)), rng.random(n)
+        u = g / np.linalg.norm(g, axis=1)[:, None]
+        pts.append(c + np.array([r * t ** (1.0 / dim) for t in s])[:, None]
+                   * u)
+    t = rng.random(n)
+    x, p, q = pts[0], pts[1] - pts[0], pts[2] - pts[0]
+    combo = (1.0 - t)[:, None] * p + t[:, None] * q
+    rho = alpha * t * (1.0 - t) * np.sum((p - q) ** 2, axis=1)
+    radial = x + combo - c
+    exact = r + MEMBERSHIP_TOL - np.linalg.norm(radial, axis=1) - rho
+    i = int(np.argmin(exact))
+    assert abs(cert.worst_margin - exact[i]) <= 1e-10
+    assert not cert.passed
+    np.testing.assert_allclose(cert.witness["x"], x[i], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        cert.witness["direction"], radial[i] / np.linalg.norm(radial[i]),
+        rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kernel, radius", [

@@ -1,7 +1,10 @@
-"""The scripts in tools/: their command lines, and bench_pairs' summary."""
+"""The scripts in tools/: their command lines, bench_pairs' summary and
+the verdict sweep."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,72 @@ def test_bench_pairs_summarizes_any_workload_by_the_registered_metrics():
         _runs({"parent": per_pair, "change": per_pair}), spec)
     assert list(out) == names
     assert all(m["wins"] == 0 and m["ratio"] == 1.0 for m in out.values())
+
+
+def test_bench_pairs_counts_failed_operations_per_side():
+    runs = [{"pair": pair, "side": side,
+             "result": {"failed": failed, "attempted": 100}}
+            for pair, side, failed in ((0, "parent", 0), (0, "change", 1),
+                                       (1, "change", 0), (1, "parent", 2),
+                                       (2, "parent", 1), (2, "change", 1),
+                                       (3, "parent", 0), (3, "change", 3))]
+    out = _load("bench_pairs").operations(runs)
+    assert out == {"parent": {"failed": 3, "attempted": 400},
+                   "change": {"failed": 5, "attempted": 400},
+                   "worse_pairs": [0, 3]}
+
+
+def test_verdict_sweep_parses_seed_lists():
+    parse = _load("verdict_sweep").parse_seeds
+    assert parse("0-9,86") == list(range(10)) + [86]
+    assert parse("5") == [5]
+    assert parse("2-2,7-8") == [2, 7, 8]
+
+
+class _Flaky:
+    """A workload whose operation i returns i, checked wrong when i is a
+    multiple of 3, and that raises at i = 4."""
+
+    def build(self, rfw, seed, out_dir):
+        return seed
+
+    def run(self, rfw, inputs, i):
+        if i == 4:
+            raise ValueError("bad op")
+        return 1, i
+
+    def check(self, rfw, inputs, i, result):
+        return "multiple of 3" if result % 3 == 0 else None
+
+
+def test_verdict_sweep_lists_every_wrong_operation(tmp_path):
+    sweep = _load("verdict_sweep")
+    wrong = list(sweep.wrong_verdicts(None, _Flaky(), 0, 8, tmp_path))
+    assert wrong == [(0, "multiple of 3"), (3, "multiple of 3"),
+                     (4, "raised ValueError: bad op"), (6, "multiple of 3")]
+
+
+def test_verdict_sweep_runs_a_tree_and_exits_1_on_a_wrong_verdict(tmp_path):
+    # a tree whose certify workload expects the pass case to fail: every
+    # pass-case op is a wrong verdict, and the tree is left unwritten
+    root = TOOLS.parent
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "src").symlink_to(root / "src")
+    text = (root / "perfbench" / "workloads.py").read_text()
+    flipped = text.replace("((0.05, True), (2.0, False))",
+                           "((0.05, False), (2.0, False))")
+    assert flipped != text
+    (tree / "perfbench" / "workloads.py").write_text(flipped)
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "verdict_sweep.py"), str(tree),
+         "--workload", "certify-spd", "--seeds", "3", "--ops", "6"],
+        capture_output=True, text=True, check=False)
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        "certify-spd seed 3 op 0: geodesic at alpha=0.05 should fail",
+        "certify-spd seed 3 op 2: riemannian at alpha=0.05 should fail",
+        "certify-spd seed 3 op 4: double_geodesic at alpha=0.05 should fail",
+        "certify-spd: 3 wrong of 6 ops (seeds 1, ops 0-5 each)"]
+    assert sorted(p.name for p in (tree / "perfbench").iterdir()) == [
+        "workloads.py"]

@@ -12,8 +12,11 @@ every run's env line and last-line JSON, and per end-to-end metric of
 BENCHMARK.json each side's median and quartiles (statistics.quantiles,
 inclusive method), the ratio of the medians (change / parent) and the
 number of pairs the change won, by the metric's `better` direction
-(ties count for neither).  A run that exits non-zero or prints no JSON
-stops the tool.
+(ties count for neither).  Next to them it holds each side's failed and
+attempted operations, summed over its runs, and the pairs whose change
+run failed more operations than its parent run; those pairs are also
+named on stderr.  A run that exits non-zero or prints no JSON stops
+the tool.
 """
 
 import argparse
@@ -64,6 +67,22 @@ def summary(runs, spec):
     return out
 
 
+def operations(runs):
+    """Per side, failed and attempted operations summed over its runs,
+    and worse_pairs: the pairs whose change run failed more operations
+    than its parent run."""
+    out = {side: {"failed": 0, "attempted": 0}
+           for side in ("parent", "change")}
+    failed = {}
+    for r in runs:
+        for key in ("failed", "attempted"):
+            out[r["side"]][key] += r["result"][key]
+        failed.setdefault(r["pair"], {})[r["side"]] = r["result"]["failed"]
+    out["worse_pairs"] = sorted(
+        pair for pair, f in failed.items() if f["change"] > f["parent"])
+    return out
+
+
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -99,8 +118,12 @@ def main(argv=None):
                 print(f"{workload} pair {pair} {side}: correct="
                       f"{result['correct']} failed={result['failed']}/"
                       f"{result['attempted']}", file=sys.stderr)
+        ops = operations(runs)
+        if ops["worse_pairs"]:
+            print(f"{workload}: the change failed more operations than its "
+                  f"parent in pairs {ops['worse_pairs']}", file=sys.stderr)
         report["workloads"][workload] = {"metrics": summary(runs, spec),
-                                         "runs": runs}
+                                         "operations": ops, "runs": runs}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -12,8 +12,11 @@ byte-identical outputs must leave no line different.  The grid:
   2 and Spd(3) r 1, at a passing and a failing alpha, around the base
   point and around random_point(default_rng(s)), with the certificate's
   generator default_rng([s, 0]) for s in 0, 1, 5 (the streams of the
-  benchmark's certify workloads, whose first tangent at such a center
-  is redrawn);
+  benchmark's certify workloads: on the sphere the first normal of the
+  first block is such a center's own, and is drawn again).  The next
+  draw pins how much of the stream a certificate took: one block per
+  slot of its sample's layout, then a normal per unit tangent drawn
+  again;
 * the same double_geodesic certificates under the distance d = 2 dist,
   at a quarter of each alpha (the same required clearances);
 * certificates at the edge of a kernel's domain, around the base point
