@@ -31,10 +31,16 @@ scaling notions, up to the last bits in which a stacked oracle row may
 differ from a single call (GeodesicBall.lmo).
 
 Margins for the membership-based notions are the gap between the
-admissible travel distance along the sampled direction and the required
-one, bisected on membership for all rows at once (_clearances); rows
-that cannot be the lowest leave early, so the certificate is that of
-refining every row.  The scaling notions make one oracle call on all
+admissible travel distance along a direction and the required one.  On
+a GeodesicBall the geodesic and double geodesic notions take it exact,
+over all directions at once: by the triangle inequality no direction
+travels less than the outward radial one, and that geodesic is
+minimizing within the ball, so the margin is the ball's radius less
+the distance from its center, less the required travel (one stacked
+dist call).  Elsewhere, and for riemannian everywhere, it is bisected
+on membership for all rows at once (_clearances); rows that cannot be
+the lowest leave early, so the certificate is that of refining every
+row.  The scaling notions make one oracle call on all
 the rows stacked and have analytic margins.  A NaN margin is a violation.
 run_checker is the entry point; the function-class checks return the
 same ConvexityCertificate with alpha_tested None.  Every certificate
@@ -50,7 +56,7 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, ContractError, DomainError, NumericsError
 from .manifolds import CurvatureInfo, Manifold, _col
-from .balls import ORACLE_KERNELS, GeodesicBall
+from .balls import MEMBERSHIP_TOL, ORACLE_KERNELS, GeodesicBall
 
 DEFAULT_CERT_TOL = 1e-8
 log = logging.getLogger("rfw")
@@ -321,12 +327,23 @@ def _worst_case(notion, alpha, n_samples, margins, witness):
 
 
 def _double_geodesic(cset, alpha, distance, rng, n_samples):
-    """Sample chords (x, y) and times t; every z at gamma(t) with
-    norm(z) <= alpha*t*(1-t)*d(x,y)^2 must exponentiate into the set (a
-    missing exp counts as failure), probing the worst direction drawn
-    uniformly on the tangent sphere.  d is distance(kernel, x, y),
-    called once on the stacked chords, or the Riemannian distance when
-    distance is None."""
+    """Sample chords (x, y) and times t; every z at m = gamma(t) with
+    norm(z) <= rho = alpha*t*(1-t)*d(x,y)^2 must exponentiate into the
+    set.  d is distance(kernel, x, y), called once on the stacked
+    chords, or the Riemannian distance when distance is None.
+
+    On a GeodesicBall of center c and radius r the margin is exact:
+    max(r + MEMBERSHIP_TOL - d(c, m), 0) - rho, one stacked dist call.
+    d(c, exp_m(s u)) <= d(c, m) + s for every unit u by the triangle
+    inequality, with equality along the outward radial geodesic, which
+    is minimizing on every ball the kernels accept (r < pi/2 on the
+    sphere, any r on the Hadamard kernels); a start outside the ball
+    travels 0, as in _clearances.  The witness direction is the unit
+    outward radial one, -log_m(c) normalised, from one single log call
+    (the drawn u where m is the center, as every direction is worst
+    there).  Any other set probes the drawn u, bisected on membership
+    (_clearances; a missing exp counts as failure).  The draws are the
+    same on every set."""
     k = cset.kernel
 
     def geometry(draws):
@@ -337,8 +354,21 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
         return x, y, t, m, draws.tangents(3, m), rho
     x, y, t, m, u, rho = _sample(cset, rng, n_samples,
                                  (POINT, POINT, TIME, TANGENT), geometry)
-    return (_clearances(cset, m, u, rho),
-            _rows(x=x, y=y, t=t, direction=u, required=rho))
+    rows = _rows(x=x, y=y, t=t, direction=u, required=rho)
+    ball = _ball_of(cset.membership, GeodesicBall.membership)
+    if ball is None:
+        return _clearances(cset, m, u, rho), rows
+    travel = ball.radius + MEMBERSHIP_TOL - k.dist(ball.center, m)
+    margins = np.maximum(travel, 0.0) - rho  # NaN kept
+
+    def witness(i, margin):
+        found = rows(i, margin)
+        g = k.log(m[i], ball.center)
+        size = k._norm(m[i], g)
+        if size > 1e-12:
+            found["direction"] = -g / size
+        return found
+    return margins.tolist(), witness
 
 
 def _geodesic(cset, alpha, distance, rng, n_samples):

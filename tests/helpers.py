@@ -102,7 +102,9 @@ def geometry_invariant_worst(kernel, n_samples, rng, spread=1.0):
 # slot.  run_checker builds a certificate's whole sample as stacked
 # arrays instead, and must give the same certificate bit for bit.  The
 # membership notions' clearances are bisected here ray by ray, with no
-# code shared with the stacked bisection of rfw.convexity.
+# code shared with the stacked bisection of rfw.convexity; on a ball
+# the geodesic notions take the radial margin from single dist and log
+# calls instead.
 
 LAYOUTS = {  # the slots of one sample, per certificate
     "geodesic": ("point", "point", "time", "tangent"),
@@ -222,10 +224,13 @@ def _reference_samples(cset, alpha, distance, rng, n, notion):
     """Per sample, measure(i, worst) -> (margin, witness) or None, after
     all of the certificate's draws."""
     from rfw import GeodesicBall
+    from rfw.balls import MEMBERSHIP_TOL
     from rfw.convexity import residual
     from rfw.errors import DomainError
     k = cset.kernel
     draws = Blocks(cset, rng, n, LAYOUTS[notion])
+    ball = getattr(cset.membership, "__self__", None)
+    ball = ball if isinstance(ball, GeodesicBall) else None
 
     def double_geodesic(distance):
         xs, ys, ts = draws.point(0), draws.point(1), draws.slots[2]
@@ -236,7 +241,16 @@ def _reference_samples(cset, alpha, distance, rng, n, notion):
             x, y, t, m, u = xs[i], ys[i], ts[i], ms[i], us[i]
             d = k.dist(x, y) if distance is None else distance(k, x, y)
             rho = alpha * t * (1.0 - t) * d * d
-            margin = ray_margin(cset, lambda s: k.exp(m, s * u), rho, worst)
+            if ball is not None:  # the outward radial ray, in closed form
+                travel = ball.radius + MEMBERSHIP_TOL - k.dist(ball.center, m)
+                margin = max(travel, 0.0) - rho
+                g = k.log(m, ball.center)
+                size = k._norm(m, g)
+                if size > 1e-12:
+                    u = -g / size
+            else:
+                margin = ray_margin(cset, lambda s: k.exp(m, s * u), rho,
+                                    worst)
             if margin is None:
                 return None
             return margin, {"x": x, "y": y, "t": t, "direction": u,
@@ -248,8 +262,7 @@ def _reference_samples(cset, alpha, distance, rng, n, notion):
         ps = [k.log(x, y) for x, y in zip(xs, draws.point(1))]
         qs = [k.log(x, y) for x, y in zip(xs, draws.point(2))]
         ts, zs = draws.slots[3], draws.unit(4, xs)
-        ball = getattr(cset.membership, "__self__", None)
-        center = ball.center if isinstance(ball, GeodesicBall) else None
+        center = None if ball is None else ball.center
 
         def measure(i, worst):
             x, p, q, t = xs[i], ps[i], qs[i], ts[i]
