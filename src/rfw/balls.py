@@ -71,8 +71,9 @@ class GeodesicBall:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
         self.kernel.check_point(self.center)
-        if not self.radius > 0.0:
-            raise ConfigError("GeodesicBall: radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ConfigError(
+                "GeodesicBall: radius must be positive and finite")
         K = self.kernel.curvature.K
         if self.kernel.curvature.kappa_max > 0.0 and K > 0.0:
             rmax = np.pi / (2.0 * np.sqrt(K))

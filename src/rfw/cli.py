@@ -51,9 +51,13 @@ class ExperimentConfig:
     center: str = "ones"  # "ones" or "random"
 
     def validate(self):
+        """Raise ConfigError unless every field has its type (an int for
+        a float, a bool for neither) and a value in range; json.load
+        reads NaN and Infinity, so gap_tol must also be finite."""
         for f in fields(self):
+            value = getattr(self, f.name)
             kinds = (int, float) if f.type is float else f.type
-            if not isinstance(getattr(self, f.name), kinds):
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(
                     f"config field {f.name} must be {f.type.__name__}")
         if self.manifold != "sphere":
@@ -64,7 +68,7 @@ class ExperimentConfig:
             raise ConfigError("radius_ratio must be in (0, 1)")
         if self.center not in ("ones", "random"):
             raise ConfigError("center must be 'ones' or 'random'")
-        if self.max_iter < 1 or self.gap_tol < 0.0:
+        if self.max_iter < 1 or not 0.0 <= self.gap_tol < np.inf:
             raise ConfigError("bad solver limits in config")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")

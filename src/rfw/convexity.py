@@ -24,11 +24,13 @@ geometry (sample points, chords, midpoints, unit tangents, required
 clearances, the approx_scaling residual) is then computed over all
 rows at once, with stacked kernel calls that give each row's bits; a
 unit tangent whose projection vanished is drawn again there, after
-all the blocks.  One loop over the rows (_worst_case) then keeps the
-lowest margin and its witness, so the certificate is bit for bit that
-of a loop measuring one sample at a time on the same draws; for the
-scaling notions, up to the last bits in which a stacked oracle row may
-differ from a single call (GeodesicBall.lmo).
+all the blocks.  The margins come out as one float array, a row each,
++inf for a row with nothing to certify; one argmin over it
+(_worst_case) then keeps the first lowest margin and its witness, so
+the certificate is bit for bit that of a loop measuring one sample at
+a time on the same draws; for the scaling notions, up to the last
+bits in which a stacked oracle row may differ from a single call
+(GeodesicBall.lmo).
 
 Margins for the membership-based notions are the gap between the
 admissible travel distance along a direction and the required one.  On
@@ -162,9 +164,9 @@ def _members(cset, z):
 
 def _clearances(cset, base, direction, required, offset=None):
     """Margins, travel distance minus required[i], along the rays s ->
-    exp(base[i], offset[i] + s direction[i]) (offset 0 when None), as a
-    list with None for a row that cannot be the lowest; leaving the exp
-    domain counts as a violation.  A row's travel distance is that of a
+    exp(base[i], offset[i] + s direction[i]) (offset 0 when None), as an
+    array with +inf for a row that cannot be the lowest; leaving the
+    exp domain counts as a violation.  A row's travel distance is that of a
     bisection on membership: 0 from a start outside the set, else
     [0, hi_cap] halved to the resolution, then hi_cap if a member there
     and hi never moved, else the midpoint (exact when membership along
@@ -174,8 +176,9 @@ def _clearances(cset, base, direction, required, offset=None):
     margin), as by monotone rounding its margin is above the lowest."""
     k, n = cset.kernel, len(required)
     cap = cset.diameter if cset.diameter is not None else 1.0
-    hi_cap = np.array([max(cap, 2.0 * r, 1e-9) for r in required.tolist()])
-    resolution = 1e-11 * np.array([max(1.0, h) for h in hi_cap.tolist()])
+    # fmax: a NaN required leaves its cap at max(cap, 1e-9)
+    hi_cap = np.fmax(np.fmax(cap, 2.0 * required), 1e-9)
+    resolution = 1e-11 * np.fmax(1.0, hi_cap)
 
     def ray(rows, s):
         v = _col(s, len(k.point_shape)) * direction[rows]
@@ -203,7 +206,7 @@ def _clearances(cset, base, direction, required, offset=None):
         if not keep.all():
             rows, lo, hi, moved, settled = (
                 a[keep] for a in (rows, lo, hi, moved, settled))
-    return [m if d else None for m, d in zip(margin.tolist(), done.tolist())]
+    return np.where(done, margin, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +217,24 @@ POINT, TIME, TANGENT = "point", "time", "tangent"
 
 
 class _Draws:
-    """Stage 1 of a certificate: the random draws of its n samples, one
-    generator call per slot of layout, in layout order.  A slot is a
+    """Stage 1 of a certificate: the random draws of its n samples (an
+    integer >= 0, not a bool), one generator call per slot of layout,
+    in layout order.  A slot is a
     TANGENT, rng.standard_normal((n,) + point_shape), made unit tangents
     once their base points are known; a TIME, rng.random(n), uniforms
     on [0, 1); or a POINT, n points of the set.  A GeodesicBall's POINT
     is a TANGENT block at the center, then a TIME block, as its sample
     method draws a normal and then a uniform, and is placed in stage 2;
     any other set's POINT is its sampler called n times, in the slot's
-    turn.  Stage 2 reads the slots through column, points and tangents,
-    each slot once; a unit tangent whose projection vanished is drawn
-    again then, after all the blocks (_units)."""
+    turn.  Stage 2, in each check's own body, reads every slot once: a
+    TIME as slots[j], a POINT through points and a TANGENT through
+    tangents; a unit tangent whose projection vanished is drawn again
+    then, after all the blocks (_units)."""
 
     def __init__(self, cset, rng, n, layout):
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                and n >= 0):
+            raise ConfigError(f"n_samples must be an integer >= 0, got {n!r}")
         k, sampler = cset.kernel, cset.sampler
         self.kernel, self.rng = k, rng
         self.ball = _ball_of(sampler, GeodesicBall.sample)
@@ -243,9 +251,6 @@ class _Draws:
                 block = np.array([sampler(rng) for _ in range(n)],
                                  dtype=float).reshape(shape)
             self.slots.append(block)
-
-    def column(self, slot):
-        return self.slots[slot]
 
     def points(self, slot):
         if self.ball is None:
@@ -278,15 +283,6 @@ class _Draws:
         return u
 
 
-def _sample(cset, rng, n_samples, layout, geometry):
-    """Stages 1 and 2: geometry(draws) over the _Draws of n_samples, an
-    integer >= 0."""
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 0):
-        raise ConfigError(
-            f"n_samples must be an integer >= 0, got {n_samples!r}")
-    return geometry(_Draws(cset, rng, n_samples, layout))
-
-
 def _stacked(rows, like):
     """Rows stacked in an array shaped as like (also with no rows)."""
     return np.array(rows, dtype=float).reshape(like.shape)
@@ -301,29 +297,25 @@ def _rows(**rows):
 
 
 # ---------------------------------------------------------------------------
-# the loop over margins and the five notions
+# the worst margin and the five notions
 # ---------------------------------------------------------------------------
 
 def _worst_case(notion, alpha, n_samples, margins, witness):
-    """Stage 3, the one loop of every certificate: the lowest of the
-    list margins, rows 0, 1, ... in order, None for a row with nothing
-    to certify or one that left the race of _clearances.  witness(i,
-    margin) is the witness of the row kept.  A NaN margin is a
-    violation: it counts as -inf, and the witness says so."""
-    worst, best, nan_row = np.inf, None, False
-    for i, margin in enumerate(margins):
-        if margin is None:
-            continue
-        is_nan = margin != margin
-        if is_nan:
-            margin = -np.inf
-        if margin < worst:
-            worst, best, nan_row = margin, i, is_nan
-    found = {} if best is None else witness(best, float(worst))
-    if nan_row:
-        found["reason"] = "margin is NaN"
-    return ConvexityCertificate(notion, alpha, int(n_samples), float(worst),
-                                found)
+    """Stage 3 of every certificate: the first lowest of the float
+    array margins, one per row, +inf for a row with nothing to certify
+    or one that left the race of _clearances.  witness(i, margin) is
+    the witness of the row kept; with no row below +inf (no rows, or
+    all +inf) the worst margin is +inf and the witness empty.  A NaN
+    margin is a violation: it counts as -inf, and the witness says
+    so."""
+    low = np.append(np.where(np.isnan(margins), -np.inf, margins), np.inf)
+    best = int(np.argmin(low))  # the first of the lowest
+    worst, found = float(low[best]), {}
+    if worst < np.inf:
+        found = witness(best, worst)
+        if np.isnan(margins[best]):
+            found["reason"] = "margin is NaN"
+    return ConvexityCertificate(notion, alpha, int(n_samples), worst, found)
 
 
 def _double_geodesic(cset, alpha, distance, rng, n_samples):
@@ -345,15 +337,12 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
     (_clearances; a missing exp counts as failure).  The draws are the
     same on every set."""
     k = cset.kernel
-
-    def geometry(draws):
-        x, y, t = draws.points(0), draws.points(1), draws.column(2)
-        d = k.dist(x, y) if distance is None else distance(k, x, y)
-        m = k.geodesic(x, y, t)
-        rho = alpha * t * (1.0 - t) * d * d
-        return x, y, t, m, draws.tangents(3, m), rho
-    x, y, t, m, u, rho = _sample(cset, rng, n_samples,
-                                 (POINT, POINT, TIME, TANGENT), geometry)
+    draws = _Draws(cset, rng, n_samples, (POINT, POINT, TIME, TANGENT))
+    x, y, t = draws.points(0), draws.points(1), draws.slots[2]
+    d = k.dist(x, y) if distance is None else distance(k, x, y)
+    m = k.geodesic(x, y, t)
+    rho = alpha * t * (1.0 - t) * d * d
+    u = draws.tangents(3, m)
     rows = _rows(x=x, y=y, t=t, direction=u, required=rho)
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     if ball is None:
@@ -368,7 +357,7 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
         if size > 1e-12:
             found["direction"] = -g / size
         return found
-    return margins.tolist(), witness
+    return margins, witness
 
 
 def _geodesic(cset, alpha, distance, rng, n_samples):
@@ -389,16 +378,13 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
     rarely points out of the ball.  The witness names the direction
     that won, z on a tie."""
     k = cset.kernel
-
-    def geometry(draws):
-        x = draws.points(0)
-        p, q = k.log(x, draws.points(1)), k.log(x, draws.points(2))
-        t = draws.column(3)
-        pq, tc = p - q, _col(t, len(k.point_shape))
-        rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
-        return x, p, q, t, (1.0 - tc) * p + tc * q, draws.tangents(4, x), rho
-    x, p, q, t, combo, z, rho = _sample(
-        cset, rng, n_samples, (POINT, POINT, POINT, TIME, TANGENT), geometry)
+    draws = _Draws(cset, rng, n_samples, (POINT, POINT, POINT, TIME, TANGENT))
+    x = draws.points(0)
+    p, q = k.log(x, draws.points(1)), k.log(x, draws.points(2))
+    t = draws.slots[3]
+    pq, tc = p - q, _col(t, len(k.point_shape))
+    rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
+    combo, z = (1.0 - tc) * p + tc * q, draws.tangents(4, x)
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     out, o = np.arange(0), z[:0]  # the outward rows and their directions
     if ball is not None:
@@ -408,11 +394,11 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
         o = v[out] / _col(size[out], len(k.point_shape))
     both = _clearances(cset, *(np.concatenate((a, b)) for a, b in (
         (x, x[out]), (z, o), (rho, rho[out]), (combo, combo[out]))))
-    margins, direction = both[:len(x)], z.copy()
-    for j, i in enumerate(out.tolist()):
-        m = both[len(x) + j]
-        if m is not None and (margins[i] is None or m < margins[i]):
-            margins[i], direction[i] = m, o[j]
+    n, direction = len(x), z.copy()
+    margins = both[:n]
+    lower = both[n:] < margins[out]  # z kept on a tie
+    margins[out[lower]] = both[n:][lower]
+    direction[out[lower]] = o[lower]
     return (margins,
             _rows(x=x, p=p, q=q, t=t, direction=direction, required=rho))
 
@@ -435,24 +421,21 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
         notion = "approx_scaling" if approx else "scaling"
         raise ConfigError(f"{notion}: set has no oracle")
     k = cset.kernel
-
-    def geometry(draws):
-        x = draws.points(0)
-        return x, draws.tangents(1, x)
-    x, w = _sample(cset, rng, n_samples, (POINT, TANGENT), geometry)
+    draws = _Draws(cset, rng, n_samples, (POINT, TANGENT))
+    x = draws.points(0)
+    w = draws.tangents(1, x)
     res = cset.lmo(w, x)
     v, lx = res.vertex, res.log
     lhs = np.asarray(res.objective, dtype=float)
     if not approx:
         margins = lhs - alpha * k._inner(x, lx, lx)
-        return margins.tolist(), _rows(x=x, w=w, vertex=v, lhs=lhs)
+        return margins, _rows(x=x, w=w, vertex=v, lhs=lhs)
     d = k.dist(x, v)
     omega = _col(0.25 * alpha * d * d, len(k.point_shape)) * w
     r_x = residual(k, x, 0.5 * lx, omega)
     wr = k._inner(x, w, r_x)
     margins = np.where(np.isnan(wr), -np.inf, lhs - alpha * d * d - wr)
-    margins = [m if keep else None
-               for m, keep in zip(margins.tolist(), (~(d < 1e-12)).tolist())]
+    margins = np.where(d < 1e-12, np.inf, margins)
     found = _rows(x=x, w=w, vertex=v, lhs=lhs, residual=r_x)
     failed = _rows(x=x, w=w, vertex=v)
 
@@ -645,7 +628,7 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng):
     sqrt(2 L (f(x) - fstar)) on the set."""
     if fn.fstar is None:
         raise ConfigError("check_smoothness_gradient_bound: fstar required")
-    x = _sample(cset, rng, n_samples, (POINT,), lambda d: d.points(0))
+    x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
     fx, gx = [], []
     for xi in x:
         f, g = fn.value_grad(xi)
@@ -656,7 +639,7 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng):
     norms = cset.kernel.norm(x, _stacked(gx, x))
     margins = np.sqrt(2.0 * fn.L * gap) - norms
     return _worst_case("smoothness_gradient_bound", None, n_samples,
-                       margins.tolist(), _rows(x=x))
+                       margins, _rows(x=x))
 
 
 def check_gconvexity_of_function(fn, cset, n_samples, rng):
@@ -664,8 +647,8 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng):
     along sampled chords of the set; the worst of the two margins is
     reported, and a NaN in either makes the sample a violation."""
     k = cset.kernel
-    x, y, t = _sample(cset, rng, n_samples, (POINT, POINT, TIME), lambda d: (
-        d.points(0), d.points(1), d.column(2)))
+    draws = _Draws(cset, rng, n_samples, (POINT, POINT, TIME))
+    x, y, t = draws.points(0), draws.points(1), draws.slots[2]
     d, mid = k.dist(x, y), k.geodesic(x, y, t)
     fx, gx, fy, fmid = [], [], [], []
     for xi, yi, mi in zip(x, y, mid):  # in the order of a per-sample loop
@@ -681,7 +664,7 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng):
     smooth = 0.5 * fn.L * d * d - np.abs(lin)
     # min(convexity, smooth), keeping a NaN in either
     worse = np.where((smooth < convexity) | np.isnan(smooth), smooth,
-                     convexity).tolist()
+                     convexity)
     rows = _rows(x=x, y=y, t=t, convexity=convexity, smoothness=smooth)
 
     def witness(i, margin):

@@ -4,7 +4,7 @@ function-class checks."""
 import numpy as np
 from dataclasses import dataclass
 
-from .convexity import (POINT, SmoothStronglyConvexFn, _sample, _stacked,
+from .convexity import (POINT, SmoothStronglyConvexFn, _Draws, _stacked,
                         delta, zeta)
 from .errors import ConfigError, NumericsError
 from .manifolds import Euclidean, Manifold, Sphere
@@ -113,7 +113,7 @@ def min_gradient_norm(objective, cset, n_samples, rng):
     lower bound fed to the contraction check when the unconstrained
     optimum lies outside the set.  A NaN norm raises NumericsError: it
     would otherwise hide a sample and overstate the bound."""
-    x = _sample(cset, rng, n_samples, (POINT,), lambda d: d.points(0))
+    x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
     norms = cset.kernel.norm(
         x, _stacked([objective.value_grad(xi)[1] for xi in x], x))
     if np.isnan(norms).any():

@@ -72,6 +72,14 @@ def test_sphere_ball_radius_cap():
         GeodesicBall(k, k.base_point(), -0.1)
 
 
+@pytest.mark.parametrize("k", [Euclidean(3), Hyperboloid(3), Spd(3)],
+                         ids=lambda k: k.name)
+@pytest.mark.parametrize("radius", [np.inf, np.nan, -np.inf])
+def test_ball_radius_must_be_finite(k, radius):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        GeodesicBall(k, k.base_point(), radius)
+
+
 def test_euclidean_lmo_closed_form():
     k = Euclidean(3)
     ball = GeodesicBall(k, np.array([1.0, 0.0, 0.0]), 2.0)

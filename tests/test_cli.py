@@ -296,6 +296,26 @@ def test_bad_config_file_is_rejected(tmp_path, capsys, content):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("content", [
+    '{"gap_tol": Infinity}', '{"gap_tol": NaN}', '{"gap_tol": false}',
+    '{"seed": true}', '{"max_iter": true}', '{"ambient_dim": true}'],
+    ids=["inf-tol", "nan-tol", "bool-tol", "bool-seed", "bool-iters",
+         "bool-dim"])
+def test_config_rejects_non_finite_tolerance_and_bools(tmp_path, capsys,
+                                                       content):
+    # json.load reads NaN, Infinity and true; none is a valid value
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({**SMALL, **json.loads(content)}
+                                   ).validate()
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    rc = main(["run-experiment", "--config", str(path),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_module_entry_point_and_logging(tmp_path):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "m.csv")

@@ -852,9 +852,9 @@ def test_race_drops_only_rows_that_cannot_be_lowest():
         for order in (slice(None), slice(None, None, -1)):
             raced, full = _rows_and_their_margins(c[order], required[order])
             low = min(-np.inf if m != m else m for m in full)
-            assert any(m is not None for m in raced)
+            assert (raced != np.inf).any()
             for got, want in zip(raced, full):
-                if got is None:
+                if got == np.inf:
                     assert want > low
                 else:
                     assert got == want or got != got and want != want
@@ -1140,6 +1140,49 @@ def test_every_sampled_check_rejects_a_non_integer_count(n):
     for call in calls:
         with pytest.raises(ConfigError, match="must be an integer >= 0"):
             call(n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [True, False, np.True_],
+                         ids=["true", "false", "numpy-true"])
+def test_every_sampled_check_rejects_a_bool_count(n):
+    # a bool is an int to isinstance, but not a sample count
+    from rfw import SquaredDistanceObjective
+    k, cs = cap(0.3)
+    objective = SquaredDistanceObjective(k, k.random_point(
+        np.random.default_rng(1)))
+    fn = objective.as_smooth_fn(0.3)
+    calls = [partial(run_checker, notion, cs, 0.5) for notion in NOTIONS]
+    calls += [partial(check, fn, cs) for check in (
+        check_gconvexity_of_function, check_smoothness_gradient_bound)]
+    calls += [partial(estimate_alpha, cs, notion) for notion in NOTIONS]
+    calls += [partial(min_gradient_norm, objective, cs)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="must be an integer >= 0"):
+            call(n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("margins, row, reason", [
+    ([0.2, -0.1, -0.1], 1, False),
+    ([np.nan, -np.inf], 0, True),
+    ([-np.inf, np.nan], 0, False),
+    ([np.inf, np.inf], None, False),
+    ([], None, False),
+], ids=["first-lowest", "nan-first", "nan-second", "all-inf", "empty"])
+def test_worst_case_keeps_the_first_lowest_row(margins, row, reason):
+    # a NaN counts as -inf and ties keep the earlier row; +inf rows have
+    # nothing to certify
+    witness = lambda i, margin: {"row": i, "margin": margin}
+    cert = _worst_case("geodesic", 1.0, len(margins),
+                       np.array(margins, dtype=float), witness)
+    d = cert.to_dict()
+    if row is None:
+        assert cert.worst_margin == np.inf and d["worst_margin"] is None
+        assert cert.witness == {} and cert.passed
+        return
+    assert cert.witness["row"] == row
+    low = -np.inf if np.isnan(margins[row]) else margins[row]
+    assert cert.worst_margin == low == cert.witness["margin"]
+    assert ("reason" in cert.witness) == reason
 
 
 @pytest.mark.parametrize("notion", NOTIONS)

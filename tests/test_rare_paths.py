@@ -137,7 +137,7 @@ def test_sup_member_is_zero_from_a_start_outside_the_set(member, start,
     required = np.array([0.0, 0.3, 1.7, 4.5])
     margins = _clearances(cset, np.tile(start, (4, 1)),
                           np.tile(direction, (4, 1)), required)
-    assert margins == [0.0 - r for r in required.tolist()]
+    assert margins.tolist() == [0.0 - r for r in required.tolist()]
 
 
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)

@@ -25,6 +25,17 @@ byte-identical outputs must leave no line different.  The grid:
   that are not positive definite) and on Sphere(3) r 1.2 at alpha 10
   (rays longer than pi), and approx_scaling on Sphere(3) r 1 at
   alpha 4 (residuals that leave the exp domain);
+* certificates of the three membership notions on two sets that are
+  not balls, made from each ball of the grid around the base point, at
+  the grid's passing and failing alpha, with the generator
+  default_rng([s, 0]) for s in 0, 1, 5: the ball with its membership
+  and sampler wrapped in lambdas (membership answered row by row, the
+  sampler called once per point) and the ball cut by the half-space
+  {z : last coordinate of z <= that of the center + radius / 4} (its
+  sampler rejects points of the ball until one lies in the cut);
+* zero-sample certificates of every notion and both function-class
+  checks, with the generator's next draw, on each ball of the grid
+  around the base point;
 * the `rfw certify --out` file, exit code and printed line of every
   notion on the sphere cap of radius 0.3 and the SPD ball of radius 1,
   at a passing and a failing alpha, and of the riemannian notion on
@@ -63,8 +74,8 @@ from pathlib import Path
 import numpy as np
 
 import rfw
-from rfw import (GeodesicBall, QuadraticOnEmbedded, SquaredDistanceObjective,
-                 ball_set, check_gconvexity_of_function,
+from rfw import (ConvexSet, GeodesicBall, QuadraticOnEmbedded,
+                 SquaredDistanceObjective, ball_set, check_gconvexity_of_function,
                  check_smoothness_gradient_bound, estimate_alpha,
                  make_manifold, min_gradient_norm, run_checker)
 from rfw.cli import PRESETS, build_parser, run_single_experiment
@@ -152,6 +163,57 @@ def edge_certificates(out):
             for seed in SEEDS:
                 out[f"edge/{k.name}/r{radius}/a{alpha}/{notion}/s{seed}"] = (
                     certificate(cset, notion, alpha, seed))
+
+
+def other_sets(ball):
+    """(tag, set) of the two sets that are not balls made from ball: the
+    ball behind lambdas, and the ball cut by a half-space."""
+    k = ball.kernel
+    yield "wrapped", ConvexSet(k, lambda z: ball.membership(z),
+                               lambda rng: ball.sample(rng),
+                               diameter=ball.diameter)
+    cut = ball.center.ravel()[-1] + 0.25 * ball.radius
+
+    def sample(rng):
+        while True:
+            z = ball.sample(rng)
+            if z.ravel()[-1] <= cut:
+                return z
+    yield "cut", ConvexSet(
+        k, lambda z: bool(ball.membership(z)) and z.ravel()[-1] <= cut,
+        sample, diameter=ball.diameter)
+
+
+def set_certificates(out):
+    for kernel, dim, radius in BALLS:
+        k = make_manifold(kernel, dim)
+        ball = GeodesicBall(k, k.base_point(), radius)
+        for tag, cset in other_sets(ball):
+            for verdict, scale in ALPHAS:
+                for notion in MEMBERSHIP:
+                    for seed in SEEDS:
+                        out[f"{tag}/{k.name}/r{radius}/{notion}/{verdict}"
+                            f"/s{seed}"] = certificate(
+                                cset, notion, scale / radius, seed)
+
+
+def zero_samples(out):
+    checks = (("smoothness", check_smoothness_gradient_bound),
+              ("gconvexity", check_gconvexity_of_function))
+    for kernel, dim, radius in BALLS:
+        k = make_manifold(kernel, dim)
+        ball = GeodesicBall(k, k.base_point(), radius)
+        cset = ball_set(ball)
+        fn = SquaredDistanceObjective(k, ball.center).as_smooth_fn(radius)
+        runs = [(notion, functools.partial(run_checker, notion, cset, 1.0))
+                for notion in NOTIONS]
+        runs += [(tag, functools.partial(check, fn, cset))
+                 for tag, check in checks]
+        for tag, run in runs:
+            def cert():
+                rng = np.random.default_rng(0)
+                return run(0, rng).to_json(sort_keys=True), rng.random()
+            out[f"zero/{k.name}/r{radius}/{tag}"] = digest(cert)
 
 
 def certify(tmp, manifold, radius, notion, alpha, samples):
@@ -289,9 +351,9 @@ def main(argv):
         return 2
     t0 = time.perf_counter()
     out = {}
-    for part in (certificates, edge_certificates, cli_certificates,
-                 function_checks, alpha_estimates, oracle_results,
-                 experiments):
+    for part in (certificates, edge_certificates, set_certificates,
+                 zero_samples, cli_certificates, function_checks,
+                 alpha_estimates, oracle_results, experiments):
         part(out)
     os.makedirs(argv[1], exist_ok=True)
     path = os.path.join(argv[1], "hashes.json")
