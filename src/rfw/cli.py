@@ -51,9 +51,9 @@ class ExperimentConfig:
     center: str = "ones"  # "ones" or "random"
 
     def validate(self):
-        """Raise ConfigError unless every field has its type (an int for
-        a float, a bool for neither) and a value in range; json.load
-        reads NaN and Infinity, so gap_tol must also be finite."""
+        """Raise ConfigError unless every field has its type (an int
+        will do for a float, a bool for no field) and a value in range;
+        json.load reads NaN and Infinity, so gap_tol must be finite."""
         for f in fields(self):
             value = getattr(self, f.name)
             kinds = (int, float) if f.type is float else f.type

@@ -75,7 +75,8 @@ import numpy as np
 
 import rfw
 from rfw import (ConvexSet, GeodesicBall, QuadraticOnEmbedded,
-                 SquaredDistanceObjective, ball_set, check_gconvexity_of_function,
+                 SquaredDistanceObjective, ball_set,
+                 check_gconvexity_of_function,
                  check_smoothness_gradient_bound, estimate_alpha,
                  make_manifold, min_gradient_norm, run_checker)
 from rfw.cli import PRESETS, build_parser, run_single_experiment
@@ -92,6 +93,8 @@ EDGES = (  # kernel, dim, radius, alpha, notions
     ("spd", 3, 2.0, 10.0, MEMBERSHIP), ("spd", 3, 2.0, 20.0, MEMBERSHIP),
     ("sphere", 3, 1.2, 10.0, MEMBERSHIP),
     ("sphere", 3, 1.0, 4.0, ("approx_scaling",)))
+CHECKS = (("smoothness", check_smoothness_gradient_bound),
+          ("gconvexity", check_gconvexity_of_function))
 
 
 def encode(value):
@@ -198,8 +201,6 @@ def set_certificates(out):
 
 
 def zero_samples(out):
-    checks = (("smoothness", check_smoothness_gradient_bound),
-              ("gconvexity", check_gconvexity_of_function))
     for kernel, dim, radius in BALLS:
         k = make_manifold(kernel, dim)
         ball = GeodesicBall(k, k.base_point(), radius)
@@ -208,7 +209,7 @@ def zero_samples(out):
         runs = [(notion, functools.partial(run_checker, notion, cset, 1.0))
                 for notion in NOTIONS]
         runs += [(tag, functools.partial(check, fn, cset))
-                 for tag, check in checks]
+                 for tag, check in CHECKS]
         for tag, run in runs:
             def cert():
                 rng = np.random.default_rng(0)
@@ -245,14 +246,12 @@ def cli_certificates(out):
 
 
 def function_checks(out):
-    checks = (("smoothness", check_smoothness_gradient_bound),
-              ("gconvexity", check_gconvexity_of_function))
     for name, ball in balls(0):
         k = ball.kernel
         fn = SquaredDistanceObjective(k, ball.center).as_smooth_fn(ball.radius)
         cset = ball_set(ball)
         for seed in SEEDS:
-            for tag, check in checks:
+            for tag, check in CHECKS:
                 def cert():
                     rng = np.random.default_rng(seed)
                     c = check(fn, cset, SAMPLES, rng)
@@ -269,7 +268,7 @@ def function_checks(out):
     for seed in SEEDS:
         q = QuadraticOnEmbedded.random(k, 3, np.random.default_rng(seed))
         fn = q.as_smooth_fn(fstar=0.0)
-        for tag, check in checks:
+        for tag, check in CHECKS:
             out[f"fncheck/{k.name}/quadratic/{tag}/s{seed}"] = digest(
                 lambda: check(fn, cset, SAMPLES, np.random.default_rng(seed)
                               ).to_json(sort_keys=True))
