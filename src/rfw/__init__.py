@@ -16,10 +16,10 @@ from .convexity import (ConvexSet, ConvexityCertificate,
                         check_gconvexity_of_function,
                         check_smoothness_gradient_bound, delta, double_exp,
                         estimate_alpha, exp_map_operator, levelset_alpha,
-                        residual, riemannian_strong_convexity_radius,
-                        run_checker, strong_convexity_radius, zeta)
-from .objectives import (QuadraticOnEmbedded, SquaredDistanceObjective,
-                         min_gradient_norm)
+                        min_gradient_norm, residual,
+                        riemannian_strong_convexity_radius, run_checker,
+                        strong_convexity_radius, zeta)
+from .objectives import QuadraticOnEmbedded, SquaredDistanceObjective
 from .solver import (ContractionReport, RfwProblem, RfwTrace, StepRule,
                      contraction_check, fw_vertex, load_trace_csv, rfw_run,
                      short_step)

@@ -22,15 +22,15 @@ samples, in layout order: n normals for a direction, n uniforms for a
 time, a ball's point as its normals and then its uniforms.  The
 geometry (sample points, chords, midpoints, unit tangents, required
 clearances, the approx_scaling residual) is then computed over all
-rows at once, with stacked kernel calls that give each row's bits; a
-unit tangent whose projection vanished is drawn again there, after
-all the blocks.  The margins come out as one float array, a row each,
-+inf for a row with nothing to certify; one argmin over it
-(_worst_case) then keeps the first lowest margin and its witness, so
-the certificate is bit for bit that of a loop measuring one sample at
-a time on the same draws; for the scaling notions, up to the last
-bits in which a stacked oracle row may differ from a single call
-(GeodesicBall.lmo).
+rows at once, and only what the check reads, with stacked kernel
+calls that give each row's bits; a unit tangent whose projection
+vanished is drawn again there, after all the blocks.  The margins come
+out as one float array, a row each, +inf for a row with nothing to
+certify; one argmin over it (_worst_case) then keeps the first lowest
+margin and its witness, so the certificate is bit for bit that of a
+loop measuring one sample at a time on the same draws; for the
+scaling notions, up to the last bits in which a stacked oracle row
+may differ from a single call (GeodesicBall.lmo).
 
 Margins for the membership-based notions are the gap between the
 admissible travel distance along a direction and the required one.  On
@@ -85,6 +85,8 @@ class ConvexSet:
     def __post_init__(self):
         if not callable(self.membership) or not callable(self.sampler):
             raise ConfigError("ConvexSet needs a membership test and a sampler")
+        if self.diameter is not None and not 0.0 < self.diameter < np.inf:
+            raise ConfigError(f"ConvexSet: bad diameter {self.diameter}")
 
 
 def ball_set(ball: GeodesicBall) -> ConvexSet:
@@ -226,10 +228,10 @@ class _Draws:
     is a TANGENT block at the center, then a TIME block, as its sample
     method draws a normal and then a uniform, and is placed in stage 2;
     any other set's POINT is its sampler called n times, in the slot's
-    turn.  Stage 2, in each check's own body, reads every slot once: a
-    TIME as slots[j], a POINT through points and a TANGENT through
-    tangents; a unit tangent whose projection vanished is drawn again
-    then, after all the blocks (_units)."""
+    turn.  Stage 2, in each check's own body, reads each slot at most
+    once: a TIME as slots[j], a POINT through points, a TANGENT through
+    units on the rows it reads; a unit tangent whose projection
+    vanished is drawn again then, after all the blocks."""
 
     def __init__(self, cset, rng, n, layout):
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
@@ -257,12 +259,9 @@ class _Draws:
             return self.slots[slot]
         g, s = self.slots[slot]
         # _place takes its radius power on Python floats
-        return self.ball._place(self._units(g, self.ball.center), s.tolist())
+        return self.ball._place(self.units(g, self.ball.center), s.tolist())
 
-    def tangents(self, slot, base):
-        return self._units(self.slots[slot], base)
-
-    def _units(self, g, base):
+    def units(self, g, base):
         """Unit tangents at the rows of base (or at the one point base)
         from the normals g.  A row whose projection vanished gets a
         fresh normal from rng, the bad rows in row order, until none is
@@ -281,11 +280,6 @@ class _Draws:
                                               g[bad])
             tries += 1
         return u
-
-
-def _stacked(rows, like):
-    """Rows stacked in an array shaped as like (also with no rows)."""
-    return np.array(rows, dtype=float).reshape(like.shape)
 
 
 def _rows(**rows):
@@ -331,32 +325,32 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
     is minimizing on every ball the kernels accept (r < pi/2 on the
     sphere, any r on the Hadamard kernels); a start outside the ball
     travels 0, as in _clearances.  The witness direction is the unit
-    outward radial one, -log_m(c) normalised, from one single log call
-    (the drawn u where m is the center, as every direction is worst
-    there).  Any other set probes the drawn u, bisected on membership
-    (_clearances; a missing exp counts as failure).  The draws are the
-    same on every set."""
+    outward radial one, -log_m(c) normalised, from one single log call;
+    where m is the center, as every direction is worst there, the unit
+    tangent of its row's normal, the one row made so.  Any other set
+    probes the drawn u, bisected on membership (_clearances; a missing
+    exp counts as failure).  The blocks are the same on every set."""
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, POINT, TIME, TANGENT))
     x, y, t = draws.points(0), draws.points(1), draws.slots[2]
     d = k.dist(x, y) if distance is None else distance(k, x, y)
     m = k.geodesic(x, y, t)
     rho = alpha * t * (1.0 - t) * d * d
-    u = draws.tangents(3, m)
-    rows = _rows(x=x, y=y, t=t, direction=u, required=rho)
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     if ball is None:
-        return _clearances(cset, m, u, rho), rows
+        u = draws.units(draws.slots[3], m)
+        return (_clearances(cset, m, u, rho),
+                _rows(x=x, y=y, t=t, direction=u, required=rho))
     travel = ball.radius + MEMBERSHIP_TOL - k.dist(ball.center, m)
     margins = np.maximum(travel, 0.0) - rho  # NaN kept
+    rows = _rows(x=x, y=y, t=t)
 
     def witness(i, margin):
-        found = rows(i, margin)
         g = k.log(m[i], ball.center)
         size = k._norm(m[i], g)
-        if size > 1e-12:
-            found["direction"] = -g / size
-        return found
+        u = (-g / size if size > 1e-12
+             else draws.units(draws.slots[3][i:i + 1], m[i])[0])
+        return rows(i, margin, direction=u, required=float(rho[i]))
     return margins, witness
 
 
@@ -384,7 +378,7 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
     t = draws.slots[3]
     pq, tc = p - q, _col(t, len(k.point_shape))
     rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
-    combo, z = (1.0 - tc) * p + tc * q, draws.tangents(4, x)
+    combo, z = (1.0 - tc) * p + tc * q, draws.units(draws.slots[4], x)
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     out, o = np.arange(0), z[:0]  # the outward rows and their directions
     if ball is not None:
@@ -423,7 +417,7 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, TANGENT))
     x = draws.points(0)
-    w = draws.tangents(1, x)
+    w = draws.units(draws.slots[1], x)
     res = cset.lmo(w, x)
     v, lx = res.vertex, res.log
     lhs = np.asarray(res.objective, dtype=float)
@@ -623,21 +617,24 @@ class SmoothStronglyConvexFn:
                     "SmoothStronglyConvexFn: grad(xstar) is not zero")
 
 
+def _value_grads(value_grad, x):
+    """f and grad f at the stacked points x, in row order: a float
+    array, and the gradients stacked like x (also with no rows)."""
+    pairs = [value_grad(p) for p in x]
+    return (np.array([f for f, _ in pairs], dtype=float),
+            np.array([g for _, g in pairs], dtype=float).reshape(x.shape))
+
+
 def check_smoothness_gradient_bound(fn, cset, n_samples, rng):
     """Self-bounding property of smooth functions: norm(grad f(x)) <=
     sqrt(2 L (f(x) - fstar)) on the set."""
     if fn.fstar is None:
         raise ConfigError("check_smoothness_gradient_bound: fstar required")
     x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
-    fx, gx = [], []
-    for xi in x:
-        f, g = fn.value_grad(xi)
-        fx.append(f)
-        gx.append(g)
-    gap = np.array(fx, dtype=float) - fn.fstar
+    fx, gx = _value_grads(fn.value_grad, x)
+    gap = fx - fn.fstar
     gap = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0), NaN kept
-    norms = cset.kernel.norm(x, _stacked(gx, x))
-    margins = np.sqrt(2.0 * fn.L * gap) - norms
+    margins = np.sqrt(2.0 * fn.L * gap) - cset.kernel.norm(x, gx)
     return _worst_case("smoothness_gradient_bound", None, n_samples,
                        margins, _rows(x=x))
 
@@ -649,18 +646,13 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng):
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, POINT, TIME))
     x, y, t = draws.points(0), draws.points(1), draws.slots[2]
-    d, mid = k.dist(x, y), k.geodesic(x, y, t)
-    fx, gx, fy, fmid = [], [], [], []
-    for xi, yi, mi in zip(x, y, mid):  # in the order of a per-sample loop
-        f, g = fn.value_grad(xi)
-        fx.append(f)
-        gx.append(g)
-        fy.append(fn.value_grad(yi)[0])
-        fmid.append(fn.value_grad(mi)[0])
-    fx, fy, fmid = (np.array(f, dtype=float) for f in (fx, fy, fmid))
+    d, lxy = k.dist(x, y), k.log(x, y)
+    mid = k.exp(x, _col(t, len(k.point_shape)) * lxy)  # geodesic's bits
+    f, g = _value_grads(fn.value_grad, np.concatenate((x, y, mid)))
+    fx, fy, fmid = f.reshape(3, len(x))
     convexity = ((1.0 - t) * fx + t * fy
                  - 0.5 * fn.mu * t * (1.0 - t) * d * d - fmid)
-    lin = fy - fx - k.inner(x, _stacked(gx, x), k.log(x, y))
+    lin = fy - fx - k.inner(x, g[:len(x)], lxy)
     smooth = 0.5 * fn.L * d * d - np.abs(lin)
     # min(convexity, smooth), keeping a NaN in either
     worse = np.where((smooth < convexity) | np.isnan(smooth), smooth,
@@ -672,3 +664,15 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng):
         del found["margin"]
         return found
     return _worst_case("gconvexity", None, n_samples, worse, witness)
+
+
+def min_gradient_norm(objective, cset, n_samples, rng):
+    """Empirical min of norm(grad) over sampled points of the set; the
+    lower bound fed to the contraction check when the unconstrained
+    optimum lies outside the set.  A NaN norm raises NumericsError: it
+    would otherwise hide a sample and overstate the bound."""
+    x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
+    norms = cset.kernel.norm(x, _value_grads(objective.value_grad, x)[1])
+    if np.isnan(norms).any():
+        raise NumericsError("min_gradient_norm: a gradient norm is NaN")
+    return float(norms.min(initial=np.inf))

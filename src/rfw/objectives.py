@@ -4,9 +4,8 @@ function-class checks."""
 import numpy as np
 from dataclasses import dataclass
 
-from .convexity import (POINT, SmoothStronglyConvexFn, _Draws, _stacked,
-                        delta, zeta)
-from .errors import ConfigError, NumericsError
+from .convexity import SmoothStronglyConvexFn, delta, zeta
+from .errors import ConfigError
 from .manifolds import Euclidean, Manifold, Sphere
 
 
@@ -106,16 +105,3 @@ class SquaredDistanceObjective:
             self.kernel, self.value_grad,
             mu=self.mu_on(radius), L=self.L_on(radius),
             fstar=0.0, xstar=self.center)
-
-
-def min_gradient_norm(objective, cset, n_samples, rng):
-    """Empirical min of norm(grad) over sampled points of the set; the
-    lower bound fed to the contraction check when the unconstrained
-    optimum lies outside the set.  A NaN norm raises NumericsError: it
-    would otherwise hide a sample and overstate the bound."""
-    x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
-    norms = cset.kernel.norm(
-        x, _stacked([objective.value_grad(xi)[1] for xi in x], x))
-    if np.isnan(norms).any():
-        raise NumericsError("min_gradient_norm: a gradient norm is NaN")
-    return float(norms.min(initial=np.inf))

@@ -89,9 +89,12 @@ def load_trace_csv(path):
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            t, fval, gap, s, d = line.strip().split(",")
-            trace.append(int(t), float(fval), float(gap), float(s), float(d))
+        for row, line in enumerate(fh, start=2):
+            try:
+                t, fval, gap, s, d = line.strip().split(",")
+                trace.append(int(t), *map(float, (fval, gap, s, d)))
+            except ValueError:
+                raise ConfigError(f"trace row {row}: not 5 numbers") from None
     return trace
 
 
@@ -190,10 +193,15 @@ def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0):
     kicks in once dist(x_t, v_t)^2 <= alpha c / (2 diameter L c_tilde);
     iterations before that burn-in, and those with h_t at roundoff
     level, are skipped."""
+    if not (0.0 <= alpha < np.inf and 0.0 <= c < np.inf and 0.0 < L < np.inf
+            and 0.0 <= c_tilde < np.inf):
+        raise ConfigError("contraction_check: need finite alpha, c, c_tilde "
+                          f">= 0 and L > 0, got {alpha}, {c}, {c_tilde}, {L}")
     factor = max(0.5, 1.0 - alpha * c / (2.0 * L))
     if c_tilde > 0.0:
-        if diameter is None:
-            raise ConfigError("contraction_check: c_tilde needs a diameter")
+        if diameter is None or not 0.0 < diameter < np.inf:
+            raise ConfigError("contraction_check: c_tilde needs a positive, "
+                              f"finite diameter, got {diameter}")
         threshold = alpha * c / (2.0 * diameter * L * c_tilde)
     else:
         threshold = np.inf

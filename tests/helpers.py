@@ -104,7 +104,8 @@ def geometry_invariant_worst(kernel, n_samples, rng, spread=1.0):
 # membership notions' clearances are bisected here ray by ray, with no
 # code shared with the stacked bisection of rfw.convexity; on a ball
 # the geodesic notions take the radial margin from single dist and log
-# calls instead.
+# calls instead, and make no unit tangent of their direction normals
+# but the witness's own where its midpoint is the center.
 
 LAYOUTS = {  # the slots of one sample, per certificate
     "geodesic": ("point", "point", "time", "tangent"),
@@ -235,10 +236,10 @@ def _reference_samples(cset, alpha, distance, rng, n, notion):
     def double_geodesic(distance):
         xs, ys, ts = draws.point(0), draws.point(1), draws.slots[2]
         ms = [k.geodesic(x, y, t) for x, y, t in zip(xs, ys, ts)]
-        us = draws.unit(3, ms)
+        us = draws.unit(3, ms) if ball is None else None
 
         def measure(i, worst):
-            x, y, t, m, u = xs[i], ys[i], ts[i], ms[i], us[i]
+            x, y, t, m = xs[i], ys[i], ts[i], ms[i]
             d = k.dist(x, y) if distance is None else distance(k, x, y)
             rho = alpha * t * (1.0 - t) * d * d
             if ball is not None:  # the outward radial ray, in closed form
@@ -248,7 +249,11 @@ def _reference_samples(cset, alpha, distance, rng, n, notion):
                 size = k._norm(m, g)
                 if size > 1e-12:
                     u = -g / size
+                else:  # m is the center: made for the witness alone
+                    u = lambda: unit_rows(k, draws.rng,
+                                          draws.slots[3][i:i + 1], [m])[0]
             else:
+                u = us[i]
                 margin = ray_margin(cset, lambda s: k.exp(m, s * u), rho,
                                     worst)
             if margin is None:
@@ -337,6 +342,8 @@ def _reference_worst(notion, alpha, n_samples, measure, refine_all):
                 wit["margin"] = margin
         if margin < worst:
             worst, witness = margin, wit
+    # a witness value left as a function is made for the kept row only
+    witness = {k: v() if callable(v) else v for k, v in witness.items()}
     return ConvexityCertificate(notion, alpha, n_samples, float(worst),
                                 witness)
 

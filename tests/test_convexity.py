@@ -623,22 +623,67 @@ def test_batched_redraws_where_the_per_sample_loop_does(notion):
     # the rejected rows of a slot take fresh normals after all the
     # blocks, in row order and pass after pass, at the center for the
     # ball's points and at the rows' base points for the directions.
-    # On the stream of seed 6 every notion rejects some row twice
+    # On the stream of seed 4 every notion rejects some row twice
     k = _Sticky(3)
     cs = ball_set(GeodesicBall(k, k.base_point(), 1.2))
-    # the slots that are made unit tangents: the points and the direction
-    slots = {"riemannian": 4, "scaling": 2, "approx_scaling": 2}.get(notion, 3)
+    # the slots that are made unit tangents: the points and the
+    # direction, but for the geodesic notions, whose witness direction
+    # on a ball is the radial one
+    slots = {"riemannian": 4}.get(notion, 2)
     for alpha in (0.2, 3.0):
-        rng = np.random.default_rng(6)
+        rng = np.random.default_rng(4)
         k.calls = []
         cert = run_checker(notion, cs, alpha, 25, rng)
         # one call per slot, then one per redraw pass: more passes than
         # slots means that some row was rejected twice
         assert len(k.calls) > 2 * slots
-        ref_rng = np.random.default_rng(6)
+        ref_rng = np.random.default_rng(4)
         ref = reference_certificate(notion, cs, alpha, 25, ref_rng)
         assert cert.to_json() == ref.to_json()
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("notion", ["geodesic", "double_geodesic"])
+def test_ball_geodesic_notions_make_no_unit_tangent_at_their_midpoints(
+        notion):
+    # the TANGENT block is drawn, but on a ball the witness direction is
+    # the outward radial one: every unit tangent made is a ball point's,
+    # at the center, and none is made at the midpoints m
+    bases = []
+
+    class Counted(Sphere):
+        def _unit_tangent(self, x, g):
+            bases.append(np.array(x))
+            return super()._unit_tangent(x, g)
+
+    k = Counted(3)
+    ball = GeodesicBall(k, k.base_point(), 1.2)
+    for alpha in (0.2, 3.0):
+        bases.clear()
+        cert = run_checker(notion, ball_set(ball), alpha, 25,
+                           np.random.default_rng(6))
+        assert len(bases) == 2  # one per POINT slot, nothing redrawn
+        assert all(np.array_equal(b, ball.center) for b in bases)
+        assert cert.witness["direction"].shape == (3,)
+
+
+@pytest.mark.parametrize("seed", [1, 27])
+@pytest.mark.parametrize("notion", ["geodesic", "double_geodesic"])
+def test_ball_geodesic_witness_at_the_center_takes_its_own_normal(notion,
+                                                                  seed):
+    # every midpoint of a ball of radius 1e-13 is within 1e-12 of the
+    # center, where no direction is outward: the witness direction is
+    # the unit tangent of the witness row's own normal, drawn again only
+    # for that row (on seed 27 its normal is rejected), as in the
+    # per-sample loop
+    k = _Sticky(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 1e-13))
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    cert = run_checker(notion, cs, 1.0, 25, rng)
+    ref = reference_certificate(notion, cs, 1.0, 25, ref_rng)
+    assert cert.to_json() == ref.to_json()
+    assert rng.random() == ref_rng.random()
+    assert np.linalg.norm(cert.witness["direction"]) == pytest.approx(1.0)
 
 
 def test_a_tangent_that_never_projects_is_a_contract_error():
@@ -979,6 +1024,16 @@ def test_estimate_alpha_approx_scaling_survives_domain_errors():
 def test_convex_set_requires_sampler():
     with pytest.raises(ConfigError):
         ConvexSet(Euclidean(2), lambda x: True, None)
+
+
+@pytest.mark.parametrize("diameter", [0.0, -1.0, np.nan, np.inf])
+def test_convex_set_rejects_a_diameter_that_is_not_positive_and_finite(
+        diameter):
+    # diameter 0 made estimate_alpha divide by zero, and NaN failed later
+    # as a NaN alpha
+    with pytest.raises(ConfigError, match="diameter"):
+        ConvexSet(Euclidean(2), lambda x: True, lambda rng: np.zeros(2),
+                  diameter=diameter)
 
 
 def test_zero_alpha_always_passes():

@@ -143,6 +143,44 @@ def test_contraction_check_flags_violations():
     assert not report.passed
 
 
+@pytest.mark.parametrize("args, keywords", [
+    ((-0.5, 1.0, 1.0), {}), ((np.nan, 1.0, 1.0), {}),
+    ((np.inf, 1.0, 1.0), {}), ((1.0, -1.0, 1.0), {}),
+    ((1.0, np.nan, 1.0), {}), ((1.0, 1.0, 0.0), {}),
+    ((1.0, 1.0, -1.0), {}), ((1.0, 1.0, np.nan), {}),
+    ((1.0, 1.0, np.inf), {}), ((1.0, 1.0, 1.0), {"c_tilde": -0.5}),
+    ((1.0, 1.0, 1.0), {"c_tilde": np.nan}),
+    ((1.0, 1.0, 1.0), {"c_tilde": 1.0, "diameter": -1.0}),
+    ((1.0, 1.0, 1.0), {"c_tilde": 1.0, "diameter": 0.0}),
+    ((1.0, 1.0, 1.0), {"c_tilde": 1.0, "diameter": np.inf}),
+    ((1.0, 1.0, 1.0), {"c_tilde": 1.0, "diameter": np.nan}),
+], ids=["alpha-negative", "alpha-nan", "alpha-inf", "c-negative", "c-nan",
+        "L-zero", "L-negative", "L-nan", "L-inf", "c_tilde-negative",
+        "c_tilde-nan", "diameter-negative", "diameter-zero", "diameter-inf",
+        "diameter-nan"])
+def test_contraction_check_rejects_bad_constants(args, keywords):
+    # diameter -1 used to skip every row and pass with nothing checked,
+    # L = 0 to divide by zero and L = NaN to give the factor 1/2
+    trace = RfwTrace()
+    for t, fv in enumerate([1.0, 0.5, 0.25]):
+        trace.append(t, fv, 1.0, 0.5, 0.1)
+    with pytest.raises(ConfigError, match="contraction_check"):
+        contraction_check(trace, *args, 0.0, **keywords)
+
+
+@pytest.mark.parametrize("row", ["1,0.5,0.1,0.5", "1,0.5,0.1,0.5,0.2,9",
+                                 "1,0.5,x,0.5,0.2", "1.5,0.5,0.1,0.5,0.2",
+                                 ""],
+                         ids=["four", "six", "word", "fractional-iter",
+                              "blank"])
+def test_trace_csv_rejects_a_row_that_is_not_five_numbers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("iter,f,dual_gap,step,dist_xv\n0,1.0,0.5,0.5,0.2\n"
+                    + row + "\n")
+    with pytest.raises(ConfigError, match="row 3: not 5 numbers"):
+        load_trace_csv(path)
+
+
 def test_trace_csv_roundtrip(tmp_path):
     problem, _, _, _ = _r3_problem()
     trace, _ = rfw_run(problem, max_iter=50)

@@ -97,6 +97,22 @@ def test_verdict_sweep_parses_seed_lists():
     assert parse("2-2,7-8") == [2, 7, 8]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "9-0", "--ops", "5"], "empty seed range '9-0'"),
+    (["--seeds", "0-9,5-4", "--ops", "5"], "empty seed range '5-4'"),
+    (["--seeds", "0", "--ops", "0"], "must be at least 1, got 0"),
+    (["--seeds", "0", "--ops", "-3"], "must be at least 1, got -3"),
+], ids=["empty-range", "empty-second-range", "zero-ops", "negative-ops"])
+def test_verdict_sweep_rejects_a_sweep_of_no_operations(flags, message,
+                                                         capsys):
+    # these used to print "0 wrong of 0 ops" and exit 0
+    with pytest.raises(SystemExit) as exit_:
+        _load("verdict_sweep").parse_args(
+            ["tree", "--workload", "certify-spd", *flags])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 class _Flaky:
     """A workload whose operation i returns i, checked wrong when i is a
     multiple of 3, and that raises at i = 4."""

@@ -25,12 +25,23 @@ from pathlib import Path
 
 
 def parse_seeds(text):
-    """Seeds from a comma list of integers and inclusive ranges A-B."""
+    """Seeds from a comma list of integers and inclusive ranges A-B with
+    A <= B; an empty range would make a sweep that checks nothing."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     return seeds
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def load(tree):
@@ -70,7 +81,7 @@ def parse_args(argv=None):
     ap.add_argument("tree", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True)
-    ap.add_argument("--ops", type=int, required=True)
+    ap.add_argument("--ops", type=positive_int, required=True)
     return ap.parse_args(argv)
 
 
