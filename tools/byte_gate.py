@@ -49,7 +49,20 @@ byte-identical outputs must leave no line different.  The grid:
   the caps of radius 0.3 its F' keeps its sign across the grid
   bracket), each from a single call, and all 44 (w, x) pairs again as
   the rows of one stacked call;
-* the paper-desk trace CSV and summary for seeds 0 and 42.
+* the paper-desk trace CSV and summary for seeds 0 and 42;
+* per kernel at n = 3 (kernel/): name, n, dim, point_shape, curvature
+  and base_point(); random_point from default_rng(s), and
+  random_unit_tangent at the base point and at that random point (on
+  the sphere its first normal is the point's own, and is drawn again)
+  from default_rng(s), each with the generator's next draw, for s in
+  0, 1, 5; exp, log, dist, transport, project_tangent and geodesic on
+  six rows (tangent lengths 0, 1e-13, 0.7, 1.9, one outside exp's
+  domain and a NaN row; targets exp_x of an in-domain tangent but a
+  negated and a NaN one), at a random point per row and at the base
+  point broadcast, each row as a single call and all six as one stacked
+  call; the check_point and check_tangent verdicts on points and
+  vectors of the wrong shape, off the embedding constraint, or fine;
+  and the ConfigError of n = 1.
 
 An output that raises an rfw error is hashed as its type and message.
 BLAS is pinned to one thread, as in the benchmark.
@@ -95,6 +108,11 @@ EDGES = (  # kernel, dim, radius, alpha, notions
     ("sphere", 3, 1.0, 4.0, ("approx_scaling",)))
 CHECKS = (("smoothness", check_smoothness_gradient_bound),
           ("gconvexity", check_gconvexity_of_function))
+KERNELS = ("euclidean", "sphere", "hyperboloid", "spd")
+# a tangent length outside each kernel's exp domain (Euclidean has none;
+# SPD's row is 400 X, whose middle factor X^{-1/2} V X^{-1/2} has every
+# eigenvalue 400)
+OUT_OF_EXP = {"euclidean": 10.0, "sphere": 3.5, "hyperboloid": 301.0}
 
 
 def encode(value):
@@ -344,6 +362,78 @@ def experiments(out):
                     p.read_bytes()).hexdigest()
 
 
+def map_rows(kernel, k, x, rng):
+    """{map: (function, rows of its arguments)} of the kernel maps at
+    the points x, a stack of six rows or one point broadcast: tangents
+    of lengths 0, 1e-13, 0.7, 1.9, one outside exp's domain and NaN,
+    targets exp_x of the first four, then -x and NaN, unit tangents,
+    ambient normals and times."""
+    bases = x if x.ndim > len(k.point_shape) else np.array([x] * 6)
+    u = np.array([k.random_unit_tangent(p, rng) for p in bases])
+    sizes = np.array([0.0, 1e-13, 0.7, 1.9, OUT_OF_EXP.get(kernel, 0.0),
+                      np.nan])
+    v = sizes.reshape((6,) + (1,) * len(k.point_shape)) * u
+    if kernel == "spd":
+        v[4] = 400.0 * bases[4]
+    y = np.array([k.exp(p, s * w) for p, w, s in zip(bases, u, sizes[:4])]
+                 + [-bases[4], np.full(k.point_shape, np.nan)])
+    t = rng.random(6)
+    a = rng.standard_normal(u.shape)
+    return {"exp": (k.exp, (v,)), "log": (k.log, (y,)),
+            "dist": (k.dist, (y,)), "transport": (k.transport, (y, u)),
+            "project_tangent": (k.project_tangent, (a,)),
+            "geodesic": (k.geodesic, (y, t))}
+
+
+def kernels(out):
+    for kernel in KERNELS:
+        k = make_manifold(kernel, 3)
+        tag = f"kernel/{kernel}"
+        c = k.curvature
+        for attr, value in (
+                ("name", k.name), ("n", k.n), ("dim", k.dim),
+                ("point_shape", k.point_shape),
+                ("curvature", (c.kappa_min, c.kappa_max,
+                               c.grad_curvature_bound, c.K)),
+                ("base_point", k.base_point())):
+            out[f"{tag}/{attr}"] = digest(lambda: value)
+        out[f"{tag}/n1"] = digest(lambda: make_manifold(kernel, 1))
+        for seed in SEEDS:
+            def drawn(draw):
+                rng = np.random.default_rng(seed)
+                return draw(rng), rng.random()
+            point = k.random_point(np.random.default_rng(seed))
+            out[f"{tag}/random_point/s{seed}"] = digest(
+                lambda: drawn(k.random_point))
+            for at, p in (("base", k.base_point()), ("point", point)):
+                out[f"{tag}/random_unit_tangent/{at}/s{seed}"] = digest(
+                    lambda: drawn(lambda rng: k.random_unit_tangent(p, rng)))
+        rng = np.random.default_rng(7)
+        for at, x in (("rows", np.array([k.random_point(rng)
+                                         for _ in range(6)])),
+                      ("base", k.base_point())):
+            stacked = x.ndim > len(k.point_shape)
+            for name, (fn, args) in map_rows(kernel, k, x, rng).items():
+                for i in range(6):
+                    out[f"{tag}/{at}/{name}/{i}"] = digest(lambda: fn(
+                        x[i] if stacked else x, *(a[i] for a in args)))
+                out[f"{tag}/{at}/{name}/stacked"] = digest(
+                    lambda: fn(x, *args))
+        b = k.base_point()
+        off = b + 1e-3 * np.arange(b.size).reshape(b.shape)
+        wrong = np.zeros(b.shape[:-1] + (b.shape[-1] + 1,))
+        unit = k.random_unit_tangent(b, np.random.default_rng(0))
+        for what, p in (("fine", b.tolist()), ("scalar", 1.0),
+                        ("shape", wrong), ("scaled", 2.0 * b),
+                        ("negated", -b), ("off", off)):
+            out[f"{tag}/check_point/{what}"] = digest(
+                lambda: k.check_point(p))
+        for what, w in (("fine", unit), ("scalar", 0.0), ("shape", wrong),
+                        ("off", off), ("stacked", np.array([unit, off]))):
+            out[f"{tag}/check_tangent/{what}"] = digest(
+                lambda: k.check_tangent(b, w))
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -352,7 +442,7 @@ def main(argv):
     out = {}
     for part in (certificates, edge_certificates, set_certificates,
                  zero_samples, cli_certificates, function_checks,
-                 alpha_estimates, oracle_results, experiments):
+                 alpha_estimates, oracle_results, experiments, kernels):
         part(out)
     os.makedirs(argv[1], exist_ok=True)
     path = os.path.join(argv[1], "hashes.json")
