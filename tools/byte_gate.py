@@ -117,8 +117,12 @@ OUT_OF_EXP = {"euclidean": 10.0, "sphere": 3.5, "hyperboloid": 301.0}
 
 def encode(value):
     """Bytes that pin a value down bit for bit: arrays by dtype, shape
-    and contents, floats by their hex form."""
+    and contents, floats by their hex form.  Every NaN is written as
+    numpy's: the sign a NaN takes through numpy's vector loops depends
+    on the alignment of its operands, so it differs from run to run."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            value = np.where(np.isnan(value), np.nan, value)
         return (f"{value.dtype.str}{value.shape}".encode()
                 + np.ascontiguousarray(value).tobytes())
     if isinstance(value, (float, np.floating)):
