@@ -230,8 +230,9 @@ class _Draws:
     any other set's POINT is its sampler called n times, in the slot's
     turn.  Stage 2, in each check's own body, reads each slot at most
     once: a TIME as slots[j], a POINT through points, a TANGENT through
-    units on the rows it reads; a unit tangent whose projection
-    vanished is drawn again then, after all the blocks."""
+    the kernel's _unit_tangents on the rows it reads, with this
+    sample's rng: a unit tangent whose projection vanished is drawn
+    again then, after all the blocks."""
 
     def __init__(self, cset, rng, n, layout):
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
@@ -259,27 +260,9 @@ class _Draws:
             return self.slots[slot]
         g, s = self.slots[slot]
         # _place takes its radius power on Python floats
-        return self.ball._place(self.units(g, self.ball.center), s.tolist())
-
-    def units(self, g, base):
-        """Unit tangents at the rows of base (or at the one point base)
-        from the normals g.  A row whose projection vanished gets a
-        fresh normal from rng, the bad rows in row order, until none is
-        left; as for random_unit_tangent, 64 normals in a row that all
-        vanish are a ContractError.  g keeps the normals used."""
-        k = self.kernel
-        one = np.ndim(base) == len(k.point_shape)
-        u, ok = k._unit_tangent(base, g)
-        tries = 1
-        while not ok.all():
-            if tries == 64:
-                raise ContractError(f"{k.name}: could not draw a unit tangent")
-            bad = np.flatnonzero(~ok)
-            g[bad] = self.rng.standard_normal((len(bad),) + k.point_shape)
-            u[bad], ok[bad] = k._unit_tangent(base if one else base[bad],
-                                              g[bad])
-            tries += 1
-        return u
+        return self.ball._place(
+            self.kernel._unit_tangents(self.ball.center, g, self.rng),
+            s.tolist())
 
 
 def _rows(**rows):
@@ -338,7 +321,7 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
     rho = alpha * t * (1.0 - t) * d * d
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     if ball is None:
-        u = draws.units(draws.slots[3], m)
+        u = k._unit_tangents(m, draws.slots[3], draws.rng)
         return (_clearances(cset, m, u, rho),
                 _rows(x=x, y=y, t=t, direction=u, required=rho))
     travel = ball.radius + MEMBERSHIP_TOL - k.dist(ball.center, m)
@@ -349,7 +332,8 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
         g = k.log(m[i], ball.center)
         size = k._norm(m[i], g)
         u = (-g / size if size > 1e-12
-             else draws.units(draws.slots[3][i:i + 1], m[i])[0])
+             else k._unit_tangents(m[i], draws.slots[3][i:i + 1],
+                                   draws.rng)[0])
         return rows(i, margin, direction=u, required=float(rho[i]))
     return margins, witness
 
@@ -378,7 +362,8 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
     t = draws.slots[3]
     pq, tc = p - q, _col(t, len(k.point_shape))
     rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
-    combo, z = (1.0 - tc) * p + tc * q, draws.units(draws.slots[4], x)
+    combo = (1.0 - tc) * p + tc * q
+    z = k._unit_tangents(x, draws.slots[4], draws.rng)
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     out, o = np.arange(0), z[:0]  # the outward rows and their directions
     if ball is not None:
@@ -417,7 +402,7 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, TANGENT))
     x = draws.points(0)
-    w = draws.units(draws.slots[1], x)
+    w = k._unit_tangents(x, draws.slots[1], draws.rng)
     res = cset.lmo(w, x)
     v, lx = res.vertex, res.log
     lhs = np.asarray(res.objective, dtype=float)
@@ -600,7 +585,8 @@ def ball_strong_convexity_alpha(curv: CurvatureInfo, r):
 @dataclass
 class SmoothStronglyConvexFn:
     """Value/gradient oracle, value_grad(x) -> (f(x), grad f(x)), with
-    declared geodesic constants."""
+    declared geodesic constants: finite mu and L, and fstar None or
+    finite (an infinite one would make every check pass)."""
 
     kernel: Manifold
     value_grad: Callable
@@ -610,6 +596,11 @@ class SmoothStronglyConvexFn:
     xstar: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not (np.isfinite(self.mu) and np.isfinite(self.L)
+                and (self.fstar is None or np.isfinite(self.fstar))):
+            raise ConfigError("SmoothStronglyConvexFn: need finite mu and L "
+                              "and fstar None or finite, got "
+                              f"{self.mu}, {self.L}, {self.fstar}")
         if self.xstar is not None:
             _, g = self.value_grad(self.xstar)
             if self.kernel.norm(self.xstar, g) > 1e-8:

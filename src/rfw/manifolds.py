@@ -148,12 +148,23 @@ class CurvatureInfo:
 
 
 class Manifold:
-    """Base class; concrete kernels fill in the metric and the maps."""
+    """Base class; concrete kernels fill in the metric and the maps, and
+    what their size n >= 2 means: size names it, _shape maps it."""
 
-    name = "manifold"
-    dim = 0
+    size = "dimension"
     curvature = CurvatureInfo(0.0, 0.0)
-    point_shape = ()  # of one point; stacked rows add leading axes
+
+    def __init__(self, n):
+        kind = type(self).__name__
+        if n < 2:
+            raise ConfigError(f"{kind}: {self.size} must be >= 2")
+        self.n, self.name = n, f"{kind.lower()}({n})"
+        # point_shape: of one point; stacked rows add leading axes
+        self.dim, self.point_shape = self._shape(n)
+
+    def _shape(self, n):
+        """(dim, point_shape) of the kernel of size n."""
+        raise NotImplementedError
 
     # --- metric -----------------------------------------------------
 
@@ -200,9 +211,16 @@ class Manifold:
     # --- validation ---------------------------------------------------
 
     def check_point(self, x):
-        """Raise ContractError unless x satisfies the embedding
-        constraint within POINT_TOL."""
-        raise NotImplementedError
+        """Raise ContractError unless x has the point shape and
+        satisfies the embedding constraint within POINT_TOL."""
+        x = np.asarray(x)
+        if x.shape != self.point_shape:
+            raise ContractError(f"{self.name}: point has shape {x.shape}")
+        self._check_embedding(x)
+
+    def _check_embedding(self, x):
+        """check_point's constraint on an array x of the point shape;
+        none on flat space."""
 
     def check_tangent(self, x, v):
         """Raise ContractError unless v is tangent at x within TANGENT_TOL
@@ -237,16 +255,30 @@ class Manifold:
         ok = n > 1e-12
         return v / _col(_where(ok, n, 1.0), len(self.point_shape)), ok
 
+    def _unit_tangents(self, base, g, rng):
+        """Unit tangents at the rows of base (or at the one point base)
+        from the stacked normals g, which keeps the normals used.  The
+        rows whose projection vanished draw again from rng, in row
+        order, pass after pass; 64 vanished normals are a ContractError."""
+        one = np.ndim(base) == len(self.point_shape)
+        u, ok = self._unit_tangent(base, g)
+        tries = 1
+        while not ok.all():
+            if tries == 64:
+                raise ContractError(
+                    f"{self.name}: could not draw a unit tangent")
+            bad = np.flatnonzero(~ok)
+            g[bad] = rng.standard_normal((len(bad),) + self.point_shape)
+            u[bad], ok[bad] = self._unit_tangent(base if one else base[bad],
+                                                 g[bad])
+            tries += 1
+        return u
+
     def random_unit_tangent(self, x, rng):
-        """random_tangent at x scaled to unit norm, drawn again while its
-        projection is too short; the norm goes unchecked, as the vector
-        was just built at x."""
-        for _ in range(64):
-            g = rng.standard_normal(self.point_shape)
-            u, ok = self._unit_tangent(x, g)
-            if ok:
-                return u
-        raise ContractError(f"{self.name}: could not draw a unit tangent")
+        """random_tangent at x scaled to unit norm: _unit_tangents on
+        one row."""
+        g = rng.standard_normal((1,) + self.point_shape)
+        return self._unit_tangents(x, g, rng)[0]
 
     def base_point(self):
         """A canonical point, used as a deterministic default."""
@@ -256,14 +288,8 @@ class Manifold:
 class Euclidean(Manifold):
     """Flat R^n with the standard inner product."""
 
-    def __init__(self, n):
-        if n < 2:
-            raise ConfigError("Euclidean: dimension must be >= 2")
-        self.n = n
-        self.dim = n
-        self.point_shape = (n,)
-        self.name = f"euclidean({n})"
-        self.curvature = CurvatureInfo(0.0, 0.0)
+    def _shape(self, n):
+        return n, (n,)
 
     def _inner(self, x, u, v):
         return _dot(u, v)
@@ -284,16 +310,6 @@ class Euclidean(Manifold):
     def project_tangent(self, x, a):
         return np.asarray(a, dtype=float)
 
-    def check_point(self, x):
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ContractError(f"{self.name}: point has shape {x.shape}")
-
-    def check_tangent(self, x, v):
-        # every vector of R^n is tangent at every point
-        if np.ndim(v) < 1 or np.shape(v)[-1:] != (self.n,):
-            raise ContractError(f"{self.name}: tangent has wrong shape")
-
     def random_point(self, rng):
         return rng.standard_normal(self.n)
 
@@ -309,14 +325,11 @@ class Sphere(Manifold):
     otherwise.
     """
 
-    def __init__(self, n):
-        if n < 2:
-            raise ConfigError("Sphere: ambient dimension must be >= 2")
-        self.n = n
-        self.dim = n - 1
-        self.point_shape = (n,)
-        self.name = f"sphere({n})"
-        self.curvature = CurvatureInfo(1.0, 1.0)
+    size = "ambient dimension"
+    curvature = CurvatureInfo(1.0, 1.0)
+
+    def _shape(self, n):
+        return n - 1, (n,)
 
     def _inner(self, x, u, v):
         return _dot(u, v)
@@ -373,10 +386,7 @@ class Sphere(Manifold):
                                - _col(np.sin(theta)) * x)
         return _where(_col(flat), np.array(u, copy=True), moved)
 
-    def check_point(self, x):
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ContractError(f"{self.name}: point has shape {x.shape}")
+    def _check_embedding(self, x):
         if abs(np.linalg.norm(x) - 1.0) > POINT_TOL:
             raise ContractError(f"{self.name}: point is not unit norm")
 
@@ -400,14 +410,11 @@ class Hyperboloid(Manifold):
     tangent spaces.
     """
 
-    def __init__(self, n):
-        if n < 2:
-            raise ConfigError("Hyperboloid: intrinsic dimension must be >= 2")
-        self.n = n
-        self.dim = n
-        self.point_shape = (n + 1,)
-        self.name = f"hyperboloid({n})"
-        self.curvature = CurvatureInfo(-1.0, -1.0)
+    size = "intrinsic dimension"
+    curvature = CurvatureInfo(-1.0, -1.0)
+
+    def _shape(self, n):
+        return n, (n + 1,)
 
     @staticmethod
     def minkowski(u, v):
@@ -471,10 +478,7 @@ class Hyperboloid(Manifold):
                                + _col(np.sinh(theta)) * x)
         return _where(_col(flat), np.array(u, copy=True), moved)
 
-    def check_point(self, x):
-        x = np.asarray(x)
-        if x.shape != (self.n + 1,):
-            raise ContractError(f"{self.name}: point has shape {x.shape}")
+    def _check_embedding(self, x):
         if abs(self.minkowski(x, x) + 1.0) > POINT_TOL or x[0] <= 0.0:
             raise ContractError(f"{self.name}: point is not on the hyperboloid")
 
@@ -524,9 +528,12 @@ def _eig_rows(eig, s):
         return _fill(out, bad, np.nan)
 
 
-def _eigh_apply(s, fun):
-    """fun applied to the eigenvalues of a symmetric matrix (or stack)."""
+def _eigh_apply(s, fun, bad=None, message=None):
+    """fun applied to the eigenvalues w, ascending, of a symmetric matrix
+    (or stack), outside the domain (_outside) where bad(w) holds."""
     w, v = _eig_rows(np.linalg.eigh, _sym(s))
+    if bad is not None:
+        w = _outside(w, bad(w), lambda: message)
     return (v * _rowvec(fun(w))) @ _swap(v)
 
 
@@ -538,18 +545,16 @@ class Spd(Manifold):
     and dist(X, Y) = sqrt(sum_i log^2 lambda_i(X^-1 Y)).
     """
 
-    def __init__(self, n):
-        if n < 2:
-            raise ConfigError("Spd: matrix size must be >= 2")
-        self.n = n
-        self.dim = n * (n + 1) // 2
-        self.point_shape = (n, n)
-        self.name = f"spd({n})"
-        self.curvature = CurvatureInfo(-0.5, 0.0)
-        # [(key, (X^{1/2}, X^{-1/2}))] of the last two base points, most
-        # recent first; replaced, never changed in place, so a kernel
-        # shared by threads can at worst lose an entry
-        self._sqrt_memo = []
+    size = "matrix size"
+    curvature = CurvatureInfo(-0.5, 0.0)
+    # [(key, (X^{1/2}, X^{-1/2}))] of the last two base points, most
+    # recent first; replaced, never changed in place (so this empty
+    # class default serves every kernel until its first entry, and a
+    # kernel shared by threads can at worst lose an entry)
+    _sqrt_memo = ()
+
+    def _shape(self, n):
+        return n * (n + 1) // 2, (n, n)
 
     def _sqrt_pair(self, x):
         """(X^{1/2}, X^{-1/2}) by eigh, read-only, for a matrix or a
@@ -586,23 +591,21 @@ class Spd(Manifold):
     def project_tangent(self, x, a):
         return _sym(np.asarray(a, dtype=float))
 
-    def exp(self, x, v):
+    def _spectral(self, x, a, fun, bad, message):
+        """X^{1/2} fun(X^{-1/2} A X^{-1/2}) X^{1/2} (_eigh_apply, with
+        the domain's row test bad and its message)."""
         s, si = self._sqrt_pair(x)
-        w, q = _eig_rows(np.linalg.eigh, _sym(si @ v @ si))
+        return _sym(s @ _eigh_apply(si @ a @ si, fun, bad, message) @ s)
+
+    def exp(self, x, v):
         # as on the hyperboloid: exp overflows doubles long before this
         # is a sane request
-        w = _outside(w, w[..., -1] > 300.0, lambda: (
-            "spd exp: tangent too large for exp"))
-        m = (q * _rowvec(np.exp(w))) @ _swap(q)
-        return _sym(s @ m @ s)
+        return self._spectral(x, v, np.exp, lambda w: w[..., -1] > 300.0,
+                              "spd exp: tangent too large for exp")
 
     def log(self, x, y):
-        s, si = self._sqrt_pair(x)
-        w, q = _eig_rows(np.linalg.eigh, _sym(si @ y @ si))
-        w = _outside(w, w[..., 0] <= 0.0, lambda: (
-            "spd log: target is not positive definite"))
-        m = (q * _rowvec(np.log(w))) @ _swap(q)
-        return _sym(s @ m @ s)
+        return self._spectral(x, y, np.log, lambda w: w[..., 0] <= 0.0,
+                              "spd log: target is not positive definite")
 
     def dist(self, x, y):
         s, si = self._sqrt_pair(x)
@@ -618,10 +621,7 @@ class Spd(Manifold):
         m = s @ half @ si  # = (y x^-1)^{1/2}
         return _sym(m @ u @ _swap(m))
 
-    def check_point(self, x):
-        x = np.asarray(x)
-        if x.shape != (self.n, self.n):
-            raise ContractError(f"{self.name}: point has shape {x.shape}")
+    def _check_embedding(self, x):
         if np.linalg.norm(x - x.T) > POINT_TOL * max(np.linalg.norm(x), 1.0):
             raise ContractError(f"{self.name}: point is not symmetric")
         if np.linalg.eigvalsh(_sym(x))[0] <= 0.0:

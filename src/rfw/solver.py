@@ -192,11 +192,12 @@ def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0):
     With a curvature residual constant c_tilde > 0 the guarantee only
     kicks in once dist(x_t, v_t)^2 <= alpha c / (2 diameter L c_tilde);
     iterations before that burn-in, and those with h_t at roundoff
-    level, are skipped."""
+    level, are skipped.  A NaN ratio is a violation (max_ratio NaN)."""
     if not (0.0 <= alpha < np.inf and 0.0 <= c < np.inf and 0.0 < L < np.inf
-            and 0.0 <= c_tilde < np.inf):
+            and 0.0 <= c_tilde < np.inf and -np.inf < fstar < np.inf):
         raise ConfigError("contraction_check: need finite alpha, c, c_tilde "
-                          f">= 0 and L > 0, got {alpha}, {c}, {c_tilde}, {L}")
+                          ">= 0, L > 0 and fstar, got "
+                          f"{alpha}, {c}, {c_tilde}, {L}, {fstar}")
     factor = max(0.5, 1.0 - alpha * c / (2.0 * L))
     if c_tilde > 0.0:
         if diameter is None or not 0.0 < diameter < np.inf:
@@ -207,14 +208,13 @@ def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0):
         threshold = np.inf
     h = np.asarray(trace.f, dtype=float) - fstar
     d2 = np.square(np.asarray(trace.dist_xv, dtype=float))
-    checked, violations, max_ratio = [], [], 0.0
+    checked, violations, ratios = [], [], []
     for t in range(len(h) - 1):
         if d2[t] > threshold or h[t] <= H_FLOOR:
             continue
         checked.append(t)
-        ratio = h[t + 1] / h[t]
-        max_ratio = max(max_ratio, ratio)
-        if ratio > factor + CONTRACTION_SLACK:
+        ratios.append(h[t + 1] / h[t])
+        if not ratios[-1] <= factor + CONTRACTION_SLACK:
             violations.append(t)
     return ContractionReport(factor, threshold, checked, violations,
-                             float(max_ratio))
+                             float(np.max(ratios, initial=0.0)))

@@ -686,25 +686,47 @@ def test_ball_geodesic_witness_at_the_center_takes_its_own_normal(notion,
     assert np.linalg.norm(cert.witness["direction"]) == pytest.approx(1.0)
 
 
-def test_a_tangent_that_never_projects_is_a_contract_error():
-    # all 64 normals of each row vanish: the certificate gives up after
-    # the blocks and 63 passes over the 4 rows of its first point slot
-    class Degenerate(Sphere):
-        def project_tangent(self, x, a):
-            return 0.0 * np.asarray(a, dtype=float)
+class _Degenerate(Sphere):
+    """A sphere on which no normal has a tangent projection."""
 
-    k = Degenerate(3)
-    cs = ball_set(GeodesicBall(k, k.base_point(), 0.3))
-    for certify in (run_checker, reference_certificate):
-        rng, twin = (np.random.default_rng(0) for _ in range(2))
-        with pytest.raises(ContractError, match="could not draw"):
-            certify("geodesic", cs, 1.0, 4, rng)
-        for _ in range(2):
-            twin.standard_normal((4, 3))
-            twin.random(4)
+    def project_tangent(self, x, a):
+        return 0.0 * np.asarray(a, dtype=float)
+
+
+def _certificate_blocks(twin):
+    # the blocks of a 4-sample geodesic certificate, then the 63 passes
+    # over the 4 rows of its first point slot
+    for _ in range(2):
+        twin.standard_normal((4, 3))
         twin.random(4)
-        twin.standard_normal((4 + 63 * 4, 3))
-        assert rng.random() == twin.random()
+    twin.random(4)
+    twin.standard_normal((4 + 63 * 4, 3))
+
+
+@pytest.mark.parametrize("draw", ["run_checker", "reference_certificate",
+                                  "random_unit_tangent", "sample"])
+def test_a_tangent_that_never_projects_is_a_contract_error(draw):
+    # all 64 normals of each row vanish: the certificate gives up after
+    # its blocks and 63 redraw passes, a single unit tangent (and a
+    # ball's sample, through it) after 64 normals
+    k = _Degenerate(3)
+    ball = GeodesicBall(k, k.base_point(), 0.3)
+    cs = ball_set(ball)
+    call, taken = {
+        "run_checker": (partial(run_checker, "geodesic", cs, 1.0, 4),
+                        _certificate_blocks),
+        "reference_certificate": (
+            partial(reference_certificate, "geodesic", cs, 1.0, 4),
+            _certificate_blocks),
+        "random_unit_tangent": (partial(k.random_unit_tangent, ball.center),
+                                lambda twin: twin.standard_normal((64, 3))),
+        "sample": (ball.sample, lambda twin: twin.standard_normal((64, 3))),
+    }[draw]
+    rng, twin = (np.random.default_rng(0) for _ in range(2))
+    with pytest.raises(ContractError, match="could not draw"):
+        call(rng)
+    taken(twin)
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("on_ball", [True, False], ids=["ball", "sampler"])
@@ -1123,6 +1145,21 @@ def test_gradient_bound_needs_fstar():
     fn = quad.as_smooth_fn(xstar=None)  # no fstar
     with pytest.raises(ConfigError):
         check_smoothness_gradient_bound(fn, cs, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("constants", [
+    {"mu": -np.inf, "L": np.inf}, {"mu": np.nan}, {"L": np.inf},
+    {"L": np.nan}, {"fstar": -np.inf}, {"fstar": np.inf},
+    {"fstar": np.nan}], ids=["mu-L-infinite", "mu-nan", "L-inf", "L-nan",
+                             "fstar-minus-inf", "fstar-inf", "fstar-nan"])
+def test_smooth_fn_constants_must_be_finite(constants):
+    # mu = -inf with L = inf made check_gconvexity_of_function pass with
+    # worst margin +inf, and fstar = -inf (or L = inf) made
+    # check_smoothness_gradient_bound pass the same way
+    quad, cs, target = quadratic_fn()
+    declared = {"mu": quad.mu, "L": quad.L, "fstar": 0.0, **constants}
+    with pytest.raises(ConfigError, match="SmoothStronglyConvexFn"):
+        SmoothStronglyConvexFn(quad.kernel, quad.value_grad, **declared)
 
 
 def test_smooth_fn_validates_stationary_point():

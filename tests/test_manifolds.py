@@ -6,6 +6,7 @@ import pytest
 from rfw import (ConfigError, ContractError, DomainError, Euclidean,
                  GeodesicBall, Hyperboloid, Manifold, RfwProblem, Spd, Sphere,
                  ball_set, double_exp, make_manifold, rfw_run)
+from rfw.manifolds import CurvatureInfo
 from helpers import geometry_invariant_worst
 
 KERNELS = [Euclidean(5), Sphere(4), Hyperboloid(3), Spd(3)]
@@ -418,6 +419,29 @@ def test_curvature_info():
     assert spd.kappa_min == -0.5 and spd.kappa_max == 0.0
     assert spd.K == 0.5
     assert spd.grad_curvature_bound == 0.0
+
+
+@pytest.mark.parametrize("kernel, name, dim, shape, curvature", [
+    (Euclidean(3), "euclidean(3)", 3, (3,), (0.0, 0.0)),
+    (Sphere(3), "sphere(3)", 2, (3,), (1.0, 1.0)),
+    (Hyperboloid(3), "hyperboloid(3)", 3, (4,), (-1.0, -1.0)),
+    (Spd(3), "spd(3)", 6, (3, 3), (-0.5, 0.0)),
+], ids=kid)
+def test_kernel_attributes(kernel, name, dim, shape, curvature):
+    assert (kernel.name, kernel.n, kernel.dim) == (name, 3, dim)
+    assert kernel.point_shape == shape
+    assert kernel.curvature == CurvatureInfo(*curvature)
+    assert kernel.base_point().shape == shape
+
+
+@pytest.mark.parametrize("cls, size", [
+    (Euclidean, "dimension"), (Sphere, "ambient dimension"),
+    (Hyperboloid, "intrinsic dimension"), (Spd, "matrix size")])
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_kernel_size_below_two_is_a_config_error(cls, size, n):
+    with pytest.raises(ConfigError) as info:
+        cls(n)
+    assert str(info.value) == f"{cls.__name__}: {size} must be >= 2"
 
 
 def test_make_manifold_registry():

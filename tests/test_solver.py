@@ -143,6 +143,31 @@ def test_contraction_check_flags_violations():
     assert not report.passed
 
 
+def test_contraction_check_counts_a_nan_ratio_as_a_violation():
+    # NaN > factor + slack is False, so a trace whose f turns NaN used
+    # to pass row 1 unseen, with max_ratio 0.5
+    trace = RfwTrace()
+    for t, fv in enumerate([1.0, 0.5, np.nan]):
+        trace.append(t, fv, 1.0, 0.5, 0.1)
+    report = contraction_check(trace, 0.25, 1.0, 1.0, 0.0)
+    assert report.factor == 0.875
+    assert report.checked == [0, 1]
+    assert report.violations == [1]
+    assert np.isnan(report.max_ratio)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("fstar", [np.nan, np.inf, -np.inf])
+def test_contraction_check_needs_a_finite_fstar(fstar):
+    # fstar = NaN made every ratio NaN, and the check passed with rows
+    # 0 and 1 checked
+    trace = RfwTrace()
+    for t, fv in enumerate([1.0, 0.5, 0.25]):
+        trace.append(t, fv, 1.0, 0.5, 0.1)
+    with pytest.raises(ConfigError, match="contraction_check"):
+        contraction_check(trace, 1.0, 1.0, 1.0, fstar)
+
+
 @pytest.mark.parametrize("args, keywords", [
     ((-0.5, 1.0, 1.0), {}), ((np.nan, 1.0, 1.0), {}),
     ((np.inf, 1.0, 1.0), {}), ((1.0, -1.0, 1.0), {}),
