@@ -528,12 +528,9 @@ def _eig_rows(eig, s):
         return _fill(out, bad, np.nan)
 
 
-def _eigh_apply(s, fun, bad=None, message=None):
-    """fun applied to the eigenvalues w, ascending, of a symmetric matrix
-    (or stack), outside the domain (_outside) where bad(w) holds."""
+def _eigh_apply(s, fun):
+    """fun applied to the eigenvalues of a symmetric matrix (or stack)."""
     w, v = _eig_rows(np.linalg.eigh, _sym(s))
-    if bad is not None:
-        w = _outside(w, bad(w), lambda: message)
     return (v * _rowvec(fun(w))) @ _swap(v)
 
 
@@ -592,10 +589,13 @@ class Spd(Manifold):
         return _sym(np.asarray(a, dtype=float))
 
     def _spectral(self, x, a, fun, bad, message):
-        """X^{1/2} fun(X^{-1/2} A X^{-1/2}) X^{1/2} (_eigh_apply, with
-        the domain's row test bad and its message)."""
+        """X^{1/2} fun(X^{-1/2} A X^{-1/2}) X^{1/2}, outside the domain
+        (_outside) on the rows where bad(w) holds for the eigenvalues w,
+        ascending, of the middle factor."""
         s, si = self._sqrt_pair(x)
-        return _sym(s @ _eigh_apply(si @ a @ si, fun, bad, message) @ s)
+        w, q = _eig_rows(np.linalg.eigh, _sym(si @ a @ si))
+        w = _outside(w, bad(w), lambda: message)
+        return _sym(s @ ((q * _rowvec(fun(w))) @ _swap(q)) @ s)
 
     def exp(self, x, v):
         # as on the hyperboloid: exp overflows doubles long before this

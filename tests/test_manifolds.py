@@ -421,27 +421,22 @@ def test_curvature_info():
     assert spd.grad_curvature_bound == 0.0
 
 
-@pytest.mark.parametrize("kernel, name, dim, shape, curvature", [
-    (Euclidean(3), "euclidean(3)", 3, (3,), (0.0, 0.0)),
-    (Sphere(3), "sphere(3)", 2, (3,), (1.0, 1.0)),
-    (Hyperboloid(3), "hyperboloid(3)", 3, (4,), (-1.0, -1.0)),
-    (Spd(3), "spd(3)", 6, (3, 3), (-0.5, 0.0)),
-], ids=kid)
-def test_kernel_attributes(kernel, name, dim, shape, curvature):
-    assert (kernel.name, kernel.n, kernel.dim) == (name, 3, dim)
-    assert kernel.point_shape == shape
+@pytest.mark.parametrize("cls, size, dim, shape, curvature", [
+    (Euclidean, "dimension", 3, (3,), (0.0, 0.0)),
+    (Sphere, "ambient dimension", 2, (3,), (1.0, 1.0)),
+    (Hyperboloid, "intrinsic dimension", 3, (4,), (-1.0, -1.0)),
+    (Spd, "matrix size", 6, (3, 3), (-0.5, 0.0)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_kernel_attributes(cls, size, dim, shape, curvature):
+    kernel = cls(3)
+    assert kernel.name == f"{cls.__name__.lower()}(3)"
+    assert (kernel.n, kernel.dim, kernel.point_shape) == (3, dim, shape)
     assert kernel.curvature == CurvatureInfo(*curvature)
     assert kernel.base_point().shape == shape
-
-
-@pytest.mark.parametrize("cls, size", [
-    (Euclidean, "dimension"), (Sphere, "ambient dimension"),
-    (Hyperboloid, "intrinsic dimension"), (Spd, "matrix size")])
-@pytest.mark.parametrize("n", [1, 0, -3])
-def test_kernel_size_below_two_is_a_config_error(cls, size, n):
-    with pytest.raises(ConfigError) as info:
-        cls(n)
-    assert str(info.value) == f"{cls.__name__}: {size} must be >= 2"
+    for n in (1, 0):
+        with pytest.raises(ConfigError) as info:
+            cls(n)
+        assert str(info.value) == f"{cls.__name__}: {size} must be >= 2"
 
 
 def test_make_manifold_registry():
