@@ -50,6 +50,18 @@ byte-identical outputs must leave no line different.  The grid:
   bracket), each from a single call, and all 44 (w, x) pairs again as
   the rows of one stacked call;
 * the paper-desk trace CSV and summary for seeds 0 and 42;
+* draws (draws/): GeodesicBall.sample on each ball of the grid, around
+  the base point and around random_point(default_rng(s)), from
+  default_rng(s), with the generator's next draw, for s in 0, 1, 5 (on
+  the sphere the random center's first normal is its own, and is drawn
+  again); per oracle ball around the base point and around
+  random_point(default_rng(0)), random_boundary_best (200 points,
+  default_rng(23), with its next draw) and lmo_brute_force (2000
+  points) at seven of the oracle's pairs (four drawn, x at the center,
+  and w along +-log_x(center)); and the contraction_check report
+  (factor, threshold, checked rows, violations, largest ratio) on four
+  fixed traces: one that passes, one with a violation, one with a NaN
+  ratio and one with a burn-in;
 * per kernel at n = 3 (kernel/): name, n, dim, point_shape, curvature
   and base_point(); random_point from default_rng(s), and
   random_unit_tangent at the base point and at that random point (on
@@ -90,10 +102,12 @@ import rfw
 from rfw import (ConvexSet, GeodesicBall, QuadraticOnEmbedded,
                  SquaredDistanceObjective, ball_set,
                  check_gconvexity_of_function,
-                 check_smoothness_gradient_bound, estimate_alpha,
-                 make_manifold, min_gradient_norm, run_checker)
+                 check_smoothness_gradient_bound, contraction_check,
+                 estimate_alpha, lmo_brute_force, make_manifold,
+                 min_gradient_norm, random_boundary_best, run_checker)
 from rfw.cli import PRESETS, build_parser, run_single_experiment
 from rfw.convexity import NOTIONS
+from rfw.solver import RfwTrace
 
 SEEDS = (0, 1, 5)
 BALLS = (("euclidean", 3, 1.0), ("sphere", 3, 0.3), ("sphere", 3, 1.2),
@@ -366,6 +380,50 @@ def experiments(out):
                     p.read_bytes()).hexdigest()
 
 
+BOUNDARY_PAIRS = ("00", "01", "02", "03", "center", "inward", "outward")
+TRACES = (  # tag, f, dist_xv, contraction_check's alpha, c, L, keywords
+    ("pass", [8.0, 4.0, 1.5, 0.5, 0.125], [1.0, 0.8, 0.5, 0.2, 0.0],
+     0.5, 1.0, 1.0, {}),
+    ("violation", [1.0, 0.6, 0.59, 0.2, 0.1], [0.5] * 5, 1.0, 1.0, 1.0, {}),
+    ("nan", [1.0, 0.5, np.nan, 0.1], [0.1] * 4, 0.25, 1.0, 1.0, {}),
+    ("burn-in", [8.0, 4.0, 2.0, 1.0, 1e-20, 5e-21],
+     [2.0, 1.5, 0.9, 0.5, 0.1, 0.0], 1.0, 1.0, 1.0,
+     {"diameter": 1.0, "c_tilde": 0.5}))
+
+
+def draws(out):
+    for seed in SEEDS:
+        for name, ball in balls(seed):
+            def sample():
+                rng = np.random.default_rng(seed)
+                return ball.sample(rng), rng.random()
+            out[f"draws/sample/{name}/s{seed}"] = digest(sample)
+    for name, ball in balls(0):
+        if ball.kernel.name.startswith("spd"):
+            continue
+        pairs = oracle_pairs(ball, np.random.default_rng(11))
+        for tag, w, x in pairs:
+            if tag not in BOUNDARY_PAIRS:
+                continue
+
+            def best():
+                rng = np.random.default_rng(23)
+                return random_boundary_best(ball, w, x, 200, rng), rng.random()
+            out[f"draws/boundary_best/{name}/{tag}"] = digest(best)
+            out[f"draws/brute_force/{name}/{tag}"] = digest(
+                lambda: lmo_brute_force(ball, w, x, 2000))
+    for tag, f, dist, alpha, c, L, keywords in TRACES:
+        trace = RfwTrace()
+        for t, row in enumerate(zip(f, dist)):
+            trace.append(t, row[0], 1.0, 0.5, row[1])
+
+        def report():
+            r = contraction_check(trace, alpha, c, L, 0.0, **keywords)
+            return (r.factor, r.threshold_dist2, r.checked, r.violations,
+                    r.max_ratio)
+        out[f"draws/contraction/{tag}"] = digest(report)
+
+
 def map_rows(kernel, k, x, rng):
     """{map: (function, rows of its arguments)} of the kernel maps at
     the points x, a stack of six rows or one point broadcast: tangents
@@ -446,7 +504,8 @@ def main(argv):
     out = {}
     for part in (certificates, edge_certificates, set_certificates,
                  zero_samples, cli_certificates, function_checks,
-                 alpha_estimates, oracle_results, experiments, kernels):
+                 alpha_estimates, oracle_results, experiments, draws,
+                 kernels):
         part(out)
     os.makedirs(argv[1], exist_ok=True)
     path = os.path.join(argv[1], "hashes.json")
