@@ -100,15 +100,17 @@ class GeodesicBall:
         """Interior point, uniform-ish: random direction at the center,
         radius scaled so the push-forward is uniform in the flat limit."""
         u = self.kernel.random_unit_tangent(self.center, rng)
-        return self._place(u[None], [rng.uniform()])[0]
+        return self._place(u, rng.uniform())
 
     def _place(self, u, s):
-        """The sample points for rows u of unit tangents at the center
-        and uniforms s on [0, 1): exp_center(radius s^(1/dim) u).  The
-        power is taken on Python floats; numpy's array power differs
-        from it in the last bit on a few percent of inputs."""
+        """The sample point exp_center(radius s^(1/dim) u) for a unit
+        tangent u at the center and a uniform s on [0, 1), or the
+        points for rows u and a list s.  The power is taken on Python
+        floats; numpy's array power differs from it in the last bit on
+        a few percent of inputs."""
         p = 1.0 / self.kernel.dim
-        rho = np.array([self.radius * t ** p for t in s])
+        rho = (self.radius * s ** p if type(s) is float
+               else np.array([self.radius * t ** p for t in s]))
         return self.kernel.exp(self.center,
                                _col(rho, len(self.kernel.point_shape)) * u)
 
@@ -358,16 +360,13 @@ def _center_frame(ball, x, w):
     the center, x and (transported) w; completes the frame with a
     deterministic direction when the span degenerates."""
     k, x0 = ball.kernel, ball.center
-    cands = []
     if k.dist(x0, x) > 1e-12:
-        cands.append(k.log(x0, x))
-        cands.append(k.transport(x, x0, w))
+        cands = [k.log(x0, x), k.transport(x, x0, w)]
     else:
-        cands.append(np.array(w, copy=True))
+        cands = [np.array(w, copy=True)]
     # deterministic completions in case of rank deficiency
-    rng = np.random.default_rng(0)
-    for _ in range(4):
-        cands.append(k.random_tangent(x0, rng))
+    g = np.random.default_rng(0).standard_normal((4,) + k.point_shape)
+    cands.extend(k.project_tangent(x0, g))
 
     frame = []
     for cand in cands:
@@ -436,6 +435,6 @@ def random_boundary_best(ball, w, x, n, rng):
     """Best objective over n random boundary points (full boundary
     sphere, not just the section); a domination check for the oracle."""
     k, x0, r = ball.kernel, ball.center, ball.radius
-    z = np.asarray([k.exp(x0, r * k.random_unit_tangent(x0, rng))
-                    for _ in range(n)])
+    g = rng.standard_normal((n,) + k.point_shape)
+    z = k.exp(x0, r * k._unit_tangents(x0, g, rng))
     return float(np.max(grid_objectives(k, x, w, z)))

@@ -332,8 +332,7 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
         g = k.log(m[i], ball.center)
         size = k._norm(m[i], g)
         u = (-g / size if size > 1e-12
-             else k._unit_tangents(m[i], draws.slots[3][i:i + 1],
-                                   draws.rng)[0])
+             else k._unit_tangents(m[i], draws.slots[3][i], draws.rng))
         return rows(i, margin, direction=u, required=float(rho[i]))
     return margins, witness
 

@@ -23,12 +23,12 @@ sphere exp is limited to ``norm(v) < pi``, sphere log rejects
 near-antipodal pairs, where the minimizing geodesic stops being unique,
 hyperboloid exp rejects tangent norms above 300, SPD exp rejects
 tangents V at X whose X^{-1/2} V X^{-1/2} has an eigenvalue above 300,
-SPD log and dist reject targets that are not positive definite, and
-the SPD maps reject a matrix with a NaN or infinite entry.  A single
-call outside the domain raises DomainError.  A stacked call returns
-NaN on each row outside the domain, the stacked form of that error,
-and every other row keeps the single call's bits; a bad row raises no
-numpy warning.
+SPD log, dist and transport reject targets that are not positive
+definite, and the SPD maps reject a matrix with a NaN or infinite
+entry.  A single call outside the domain raises DomainError.  A stacked
+call returns NaN on each row outside the domain, the stacked form of
+that error, and every other row keeps the single call's bits; a bad row
+raises no numpy warning.
 
 The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base points
 or stacks of them, keyed by their bytes, so outputs are bit for bit
@@ -257,11 +257,14 @@ class Manifold:
 
     def _unit_tangents(self, base, g, rng):
         """Unit tangents at the rows of base (or at the one point base)
-        from the stacked normals g, which keeps the normals used.  The
+        from the stacked normals g, or the one unit tangent from the
+        normal g of the point shape; g keeps the normals used.  The
         rows whose projection vanished draw again from rng, in row
         order, pass after pass; 64 vanished normals are a ContractError."""
-        one = np.ndim(base) == len(self.point_shape)
         u, ok = self._unit_tangent(base, g)
+        if np.ndim(ok) == 0:  # one normal, on floats
+            return u if ok else self._unit_tangents(base, g[None], rng)[0]
+        one = np.ndim(base) == len(self.point_shape)
         tries = 1
         while not ok.all():
             if tries == 64:
@@ -276,9 +279,9 @@ class Manifold:
 
     def random_unit_tangent(self, x, rng):
         """random_tangent at x scaled to unit norm: _unit_tangents on
-        one row."""
-        g = rng.standard_normal((1,) + self.point_shape)
-        return self._unit_tangents(x, g, rng)[0]
+        one normal."""
+        return self._unit_tangents(x, rng.standard_normal(self.point_shape),
+                                   rng)
 
     def base_point(self):
         """A canonical point, used as a deterministic default."""
@@ -617,8 +620,10 @@ class Spd(Manifold):
     def transport(self, x, y, u):
         self.check_tangent(x, u)
         s, si = self._sqrt_pair(x)
-        half = _eigh_apply(si @ y @ si, np.sqrt)
-        m = s @ half @ si  # = (y x^-1)^{1/2}
+        w, q = _eig_rows(np.linalg.eigh, _sym(si @ y @ si))
+        w = _outside(w, w[..., 0] <= 0.0, lambda: (
+            "spd transport: target is not positive definite"))
+        m = s @ ((q * _rowvec(np.sqrt(w))) @ _swap(q)) @ si  # (y x^-1)^{1/2}
         return _sym(m @ u @ _swap(m))
 
     def _check_embedding(self, x):

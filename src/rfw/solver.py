@@ -208,13 +208,9 @@ def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0):
         threshold = np.inf
     h = np.asarray(trace.f, dtype=float) - fstar
     d2 = np.square(np.asarray(trace.dist_xv, dtype=float))
-    checked, violations, ratios = [], [], []
-    for t in range(len(h) - 1):
-        if d2[t] > threshold or h[t] <= H_FLOOR:
-            continue
-        checked.append(t)
-        ratios.append(h[t + 1] / h[t])
-        if not ratios[-1] <= factor + CONTRACTION_SLACK:
-            violations.append(t)
-    return ContractionReport(factor, threshold, checked, violations,
+    # NaN rows are checked, and a NaN ratio is no contraction
+    t = np.flatnonzero(~(d2[:-1] > threshold) & ~(h[:-1] <= H_FLOOR))
+    ratios = h[t + 1] / h[t]
+    bad = ~(ratios <= factor + CONTRACTION_SLACK)
+    return ContractionReport(factor, threshold, t.tolist(), t[bad].tolist(),
                              float(np.max(ratios, initial=0.0)))

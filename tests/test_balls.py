@@ -399,6 +399,25 @@ def test_boundary_section_grid_lies_on_boundary():
                 ball.radius, abs=1e-9)
 
 
+@pytest.mark.parametrize("k, radius", [(Sphere(3), 0.5), (Hyperboloid(3), 0.8),
+                                       (Euclidean(3), 1.5)],
+                         ids=["sphere", "hyperboloid", "euclidean"])
+def test_random_boundary_best_is_a_loop_of_single_draws(k, radius):
+    # the block of n normals made unit tangents and exponentiated in one
+    # stacked call is the loop of n single draws, bit for bit, and it
+    # takes the same stream
+    ball = GeodesicBall(k, k.random_point(np.random.default_rng(21)), radius)
+    rng = np.random.default_rng(22)
+    x = ball.sample(rng)
+    w = k.random_unit_tangent(x, rng)
+    block, loop = (np.random.default_rng(23) for _ in range(2))
+    z = np.array([k.exp(ball.center, radius * k.random_unit_tangent(
+        ball.center, loop)) for _ in range(300)])
+    best = random_boundary_best(ball, w, x, 300, block)
+    assert best == float(np.max(grid_objectives(k, x, w, z)))
+    assert block.random() == loop.random()
+
+
 def test_grid_objectives_matches_pointwise():
     for k, ball in [sphere_ball(n=3, r=0.5, seed=18),
                     (Hyperboloid(3), GeodesicBall(Hyperboloid(3),

@@ -86,6 +86,7 @@ def _domain_edge_stacks():
     px, pv = _tangent_rows(p, [1.0, 2.0, 0.5, 3.0], 5)
     pv[1] = 400.0 * px[1]  # X^{-1/2} V X^{-1/2} = 400 I
     far = p.exp(px, pv)  # a NaN row, as a far probe hands the next map
+    tv = _tangent_rows(p, [1.0] * 5, 6)[1]  # symmetric, so tangent anywhere
     return [pytest.param(s.exp, (sx, sv), id="sphere-exp"),
             pytest.param(s.log, (lx, ly), id="sphere-log"),
             pytest.param(h.exp, (hx, hv), id="hyperboloid-exp"),
@@ -93,6 +94,8 @@ def _domain_edge_stacks():
                          id="hyperboloid-renormalize"),
             pytest.param(p.log, (2.0 * np.eye(3), targets), id="spd-log"),
             pytest.param(p.dist, (2.0 * np.eye(3), targets), id="spd-dist"),
+            pytest.param(p.transport, (2.0 * np.eye(3), targets, tv),
+                         id="spd-transport"),
             pytest.param(p.exp, (px, pv), id="spd-exp"),
             pytest.param(p.log, (px, far), id="spd-log-nan"),
             pytest.param(p.dist, (px, far), id="spd-dist-nan"),

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rfw import (ConfigError, ContractError, ConvexSet, DomainError,
-                 Euclidean, GeodesicBall, LmoResult, QuadraticOnEmbedded,
-                 RfwProblem, RfwTrace, Sphere, StepRule, ball_set,
-                 contraction_check, estimate_alpha, fw_vertex,
-                 lmo_brute_force, load_trace_csv, min_gradient_norm, rfw_run,
-                 short_step)
+                 Euclidean, GeodesicBall, Hyperboloid, LmoResult,
+                 QuadraticOnEmbedded, RfwProblem, RfwTrace, Sphere,
+                 SquaredDistanceObjective, StepRule, ball_set,
+                 ball_strong_convexity_alpha, contraction_check,
+                 estimate_alpha, fw_vertex, lmo_brute_force, load_trace_csv,
+                 min_gradient_norm, rfw_run, short_step)
 from helpers import ball_quadratic_fstar
 
 # Exterior-optimum quadratic over the unit ball in R^3; the dual
@@ -401,3 +402,54 @@ def test_objective_error_sets_error_status(rule, rows):
     trace, _ = rfw_run(problem, rule=rule, max_iter=20)
     assert trace.status == "error"
     assert len(trace) == rows
+
+
+def _hyperbolic_contraction(radius, target_dist, seed, rule):
+    """contraction_check of one run of f = 0.5 d(x, t)^2 over the ball of
+    the given radius at the base point of Hyperboloid(10), t at
+    target_dist > radius from the center, with every constant proven:
+    f* = 0.5 (target_dist - radius)^2 at the ball point nearest t;
+    c = target_dist - radius, as norm(grad f(x)) = d(x, t) >= c on the
+    ball; L = zeta(radius + target_dist), the largest Hessian
+    eigenvalue of 0.5 d^2 in curvature -1 within that distance of t;
+    and alpha the ball's certified strong-convexity constant."""
+    k = Hyperboloid(10)
+    center = k.base_point()
+    rng = np.random.default_rng(seed)
+    target = k.exp(center, target_dist * k.random_unit_tangent(center, rng))
+    ball = GeodesicBall(k, center, radius)
+    objective = SquaredDistanceObjective(k, target)
+    L = objective.L_on(radius + target_dist)
+    problem = RfwProblem(k, objective, ball_set(ball), L, ball.sample(rng))
+    trace, _ = rfw_run(problem, rule=rule, max_iter=200, gap_tol=1e-13)
+    gap = target_dist - radius
+    return trace, contraction_check(
+        trace, ball_strong_convexity_alpha(k.curvature, radius), gap, L,
+        0.5 * gap * gap)
+
+
+@pytest.mark.parametrize("radius, target_dist",
+                         [(1.0, 2.0), (1.0, 1.3), (0.5, 1.0), (2.0, 2.5)])
+def test_linear_rate_on_the_hyperboloid_with_proven_constants(radius,
+                                                              target_dist):
+    # the paper's per-step contraction (Garber & Hazan 2015, proof of
+    # their Theorem 2) holds on every checked row of the short step
+    checked = 0
+    for seed in range(20):
+        trace, report = _hyperbolic_contraction(radius, target_dist, seed,
+                                                "short-step")
+        assert trace.status == "converged", seed
+        assert report.violations == [], seed
+        checked += len(report.checked)
+    assert checked > 300
+
+
+def test_proven_hyperbolic_contraction_flags_the_open_loop_schedule():
+    # the same check on the 2/(t+2) schedule, which converges sublinearly,
+    # fails on most rows: it can tell a wrong step rule
+    violations = checked = 0
+    for seed in range(3):
+        _, report = _hyperbolic_contraction(1.0, 2.0, seed, "fixed-schedule")
+        violations += len(report.violations)
+        checked += len(report.checked)
+    assert violations > checked // 2
