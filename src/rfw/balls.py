@@ -103,11 +103,10 @@ class GeodesicBall:
         return self._place(u, rng.uniform())
 
     def _place(self, u, s):
-        """The sample point exp_center(radius s^(1/dim) u) for a unit
-        tangent u at the center and a uniform s on [0, 1), or the
-        points for rows u and a list s.  The power is taken on Python
-        floats; numpy's array power differs from it in the last bit on
-        a few percent of inputs."""
+        """exp_center(radius s^(1/dim) u) for a unit tangent u at the
+        center and a uniform s on [0, 1), or for rows u and a list s.
+        The power is taken on Python floats; numpy's array power differs
+        from it in the last bit on a few percent of inputs."""
         p = 1.0 / self.kernel.dim
         rho = (self.radius * s ** p if type(s) is float
                else np.array([self.radius * t ** p for t in s]))

@@ -257,12 +257,11 @@ class Manifold:
 
     def _unit_tangents(self, base, g, rng):
         """Unit tangents at the rows of base (or at the one point base)
-        from the stacked normals g, or the one unit tangent from the
-        normal g of the point shape; g keeps the normals used.  The
+        from the normals g, stacked or one, which keeps those used.  The
         rows whose projection vanished draw again from rng, in row
         order, pass after pass; 64 vanished normals are a ContractError."""
         u, ok = self._unit_tangent(base, g)
-        if np.ndim(ok) == 0:  # one normal, on floats
+        if type(ok) is not np.ndarray:  # one normal, on floats
             return u if ok else self._unit_tangents(base, g[None], rng)[0]
         one = np.ndim(base) == len(self.point_shape)
         tries = 1
@@ -531,12 +530,6 @@ def _eig_rows(eig, s):
         return _fill(out, bad, np.nan)
 
 
-def _eigh_apply(s, fun):
-    """fun applied to the eigenvalues of a symmetric matrix (or stack)."""
-    w, v = _eig_rows(np.linalg.eigh, _sym(s))
-    return (v * _rowvec(fun(w))) @ _swap(v)
-
-
 class Spd(Manifold):
     """Symmetric positive definite n x n matrices with the
     affine-invariant metric <u,v>_X = tr(X^-1 u X^-1 v).
@@ -642,7 +635,8 @@ class Spd(Manifold):
 
     def random_point(self, rng):
         g = rng.standard_normal((self.n, self.n))
-        return _eigh_apply(0.5 * _sym(g), np.exp)
+        w, v = np.linalg.eigh(_sym(0.5 * _sym(g)))
+        return (v * np.exp(w)) @ v.T
 
     def base_point(self):
         return np.eye(self.n)

@@ -1,8 +1,9 @@
-"""The scripts in tools/: their command lines, bench_pairs' summary and
-the verdict sweep."""
+"""The scripts in tools/: their command lines, bench_pairs' summary,
+the verdict sweep and the in-process A/B timing."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -160,3 +161,26 @@ def test_verdict_sweep_runs_a_tree_and_exits_1_on_a_wrong_verdict(tmp_path):
         "certify-spd: 3 wrong of 6 ops (seeds 1, ops 0-5 each)"]
     assert sorted(p.name for p in (tree / "perfbench").iterdir()) == [
         "workloads.py"]
+
+
+def test_bench_ab_times_a_copy_of_a_tree_inside_its_null_band(tmp_path):
+    # the same code under two package names: every case's median ratio
+    # lies inside the spread of the parent-against-itself pass
+    root = TOOLS.parent
+    copy = tmp_path / "copy"
+    shutil.copytree(root / "src", copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "ab.json"
+    subprocess.run(
+        [sys.executable, str(TOOLS / "bench_ab.py"), str(root), str(copy),
+         "--rounds", "5", "--batch-seconds", "0.002", "--out", str(path)],
+        capture_output=True, text=True, check=True)
+    report = json.loads(path.read_text())
+    lo, hi = report["null_band"]
+    assert lo <= 1.0 <= hi
+    names = set(report["cases"])
+    assert {"random_unit_tangent/spd(3)", "sample/sphere(3)/r0.3",
+            "random_boundary_best/sphere(10)/n1000",
+            "certify-spd/riemannian/a2"} <= names
+    for name, case in report["cases"].items():
+        assert case["inside_null_band"], (name, case["ratio"], lo, hi)
