@@ -22,10 +22,10 @@ per call.  A null pass runs first: the parent against itself, with
 fresh inputs on the second side.  Its null band is the lowest and the
 highest per-round ratio of any of its cases, the spread that timing
 noise alone gives in this process; a change ratio outside it is more
-than noise.  The output holds each case's median ratio, its null-pass
-median and both sides' median seconds per call, the null band, and
-whether the ratio lies inside it.  BLAS is pinned to one thread, as in
-the benchmark.  This is evidence, not a gate: BENCHMARK.json and
+than noise.  The output names the two tree directories and holds each
+case's median ratio, its null-pass median and both sides' median
+seconds per call, the null band, and whether the ratio lies inside it.
+BLAS is pinned to one thread, as in the benchmark.  This is evidence, not a gate: BENCHMARK.json and
 tools/bench_pairs.py are the gate.
 """
 
@@ -142,7 +142,8 @@ def report(parent_tree, change_tree, rounds, batch_seconds):
                      "parent_s": statistics.median(a),
                      "change_s": statistics.median(b),
                      "inside_null_band": band[0] <= ratio <= band[1]}
-    return {"parent": str(parent_tree), "change": str(change_tree),
+    return {"parent": Path(parent_tree).resolve().name,
+            "change": Path(change_tree).resolve().name,
             "rounds": rounds, "batch_seconds": batch_seconds,
             "null_band": list(band), "cases": out}
 
