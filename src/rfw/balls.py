@@ -91,10 +91,17 @@ class GeodesicBall:
         whose distance the kernel rejects (raises, or NaN in a stack) is
         not."""
         try:
-            d = self.kernel.dist(self.center, x)
+            slack = self._slack(x)
         except DomainError:
             return False
-        return d <= self.radius + MEMBERSHIP_TOL
+        return slack >= 0.0  # the verdict of d <= radius + MEMBERSHIP_TOL
+
+    def _slack(self, x):
+        """radius + MEMBERSHIP_TOL - dist(center, x), for x or each row
+        of stacked x: x is a member exactly where it is >= 0.  NaN on a
+        stacked row whose distance the kernel rejects; a single such x
+        raises DomainError."""
+        return self.radius + MEMBERSHIP_TOL - self.kernel.dist(self.center, x)
 
     def sample(self, rng):
         """Interior point, uniform-ish: random direction at the center,

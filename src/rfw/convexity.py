@@ -39,11 +39,15 @@ over all directions at once: by the triangle inequality no direction
 travels less than the outward radial one, and that geodesic is
 minimizing within the ball, so the margin is the ball's radius less
 the distance from its center, less the required travel (one stacked
-dist call).  Elsewhere, and for riemannian everywhere, it is bisected
-on membership for all rows at once (_clearances); rows that cannot be
-the lowest leave early, so the certificate is that of refining every
-row.  The scaling notions make one oracle call on all
-the rows stacked and have analytic margins.  A NaN margin is a violation.
+dist call).  Elsewhere, and for riemannian everywhere, it is that of a
+bisection on membership, for all rows at once (_clearances); rows that
+cannot be the lowest leave early, so the certificate is that of
+refining every row.  On a ball the crossings are first bracketed by a
+few stacked Chandrupatla steps on the ball's slack, and the rows left
+replay the bisection on floats, its guesses confirmed by one stacked
+probe, with the bisection's margins bit for bit.  The scaling notions
+make one oracle call on all the rows stacked and have analytic
+margins.  A NaN margin is a violation.
 run_checker is the entry point; the function-class checks return the
 same ConvexityCertificate with alpha_tested None.  Every certificate
 passes when its worst margin is at least -DEFAULT_CERT_TOL.
@@ -58,7 +62,8 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, ContractError, DomainError, NumericsError
 from .manifolds import CurvatureInfo, Manifold, _col
-from .balls import MEMBERSHIP_TOL, ORACLE_KERNELS, GeodesicBall
+from .scalars import _step_fraction, _step_point
+from .balls import ORACLE_KERNELS, GeodesicBall
 
 DEFAULT_CERT_TOL = 1e-8
 log = logging.getLogger("rfw")
@@ -143,7 +148,7 @@ class ConvexityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# clearances along rays, one stacked bisection on membership
+# clearances along rays: a bisection on membership, bracketed on a ball
 # ---------------------------------------------------------------------------
 
 def _ball_of(method, func):
@@ -154,12 +159,9 @@ def _ball_of(method, func):
 
 
 def _members(cset, z):
-    """Whether each row of the stacked points z is in the set: a ball
-    answers them in one call, any other set row by row.  A NaN row (a
-    ray that left the exp domain) is not a member, and only the ball
-    sees it."""
-    if _ball_of(cset.membership, GeodesicBall.membership) is not None:
-        return cset.membership(z)
+    """Whether each row of the stacked points z is in a set that is not
+    a ball, asked row by row.  A NaN row (a ray that left the exp
+    domain) is not a member, and the set never sees it."""
     return np.array([not np.isnan(p).any() and bool(cset.membership(p))
                      for p in z], dtype=bool)
 
@@ -172,10 +174,12 @@ def _clearances(cset, base, direction, required, offset=None):
     bisection on membership: 0 from a start outside the set, else
     [0, hi_cap] halved to the resolution, then hi_cap if a member there
     and hi never moved, else the midpoint (exact when membership along
-    the ray is an initial interval, as for convex sets).  All rows step
-    at once, racing to the lowest margin: a row leaves once lo -
-    required exceeds a row's upper bound (hi - required, or a finished
-    margin), as by monotone rounding its margin is above the lowest."""
+    the ray is an initial interval, as for convex sets).  On a
+    GeodesicBall the crossings are bracketed first (_ball_clearances);
+    on any other set all rows bisect at once, racing to the lowest
+    margin: a row leaves once lo - required exceeds a row's upper bound
+    (hi - required, or a finished margin), as by monotone rounding its
+    margin is above the lowest."""
     k, n = cset.kernel, len(required)
     cap = cset.diameter if cset.diameter is not None else 1.0
     # fmax: a NaN required leaves its cap at max(cap, 1e-9)
@@ -186,6 +190,9 @@ def _clearances(cset, base, direction, required, offset=None):
         v = _col(s, len(k.point_shape)) * direction[rows]
         return k.exp(base[rows], v if offset is None else offset[rows] + v)
 
+    ball = _ball_of(cset.membership, GeodesicBall.membership)
+    if ball is not None:
+        return _ball_clearances(ball, ray, required, hi_cap, resolution)
     margin = 0.0 - required  # of a ray that starts outside the set
     done = ~_members(cset, ray(np.arange(n), np.zeros(n)))
     rows = np.flatnonzero(~done)
@@ -209,6 +216,114 @@ def _clearances(cset, base, direction, required, offset=None):
             rows, lo, hi, moved, settled = (
                 a[keep] for a in (rows, lo, hi, moved, settled))
     return np.where(done, margin, np.inf)
+
+
+def _ball_clearances(ball, ray, required, hi_cap, resolution):
+    """_clearances on a ball, its bisection's margins in a few stacked
+    probes.  A probe reads the ball's slack r + MEMBERSHIP_TOL -
+    d(c, ray(s)), a member where it is >= 0 (NaN outside the exp domain
+    is not).  Two stacked calls probe every ray at 0 and at hi_cap: a
+    start outside travels 0, as in the bisection, and a member at
+    hi_cap takes the bracket lo = hi = hi_cap.  Each other row brackets
+    its crossing, a member end lo and an outside end hi, by
+    Chandrupatla's steps on the slack (rfw.scalars), the first a secant
+    step, one stacked probe per step on the rows still moving, until
+    the bracket is at most 1/64 of the resolution wide.  The rows race
+    as the bisection's do: a row whose lo - near - required exceeds
+    some row's hi + near - required, or a finished margin, cannot be
+    the lowest and leaves.  near, 1e4 resolutions, bounds how far the
+    bisection's final midpoint lies from a row's bracket: within a
+    resolution where membership along the ray is an initial interval,
+    and further by the width of any flicker of membership about the
+    crossing (a kernel's roundoff).  The rows left replay the bisection
+    (_replays), so each margin is the bisection's bit for bit."""
+    n = len(required)
+    every = np.arange(n)
+    f0, f1 = (ball._slack(ray(every, s)) for s in (np.zeros(n), hi_cap))
+    start, far = f0 >= 0.0, f1 >= 0.0
+    margin = np.where(start, np.inf, 0.0 - required)
+    pending = start.copy()
+    lo, hi = np.where(far, hi_cap, 0.0), hi_cap.copy()
+    tol, near = resolution / 64.0, 1e4 * resolution
+    rows = np.flatnonzero(start & ~far)
+    a, fa, b, fb = lo[rows], f0[rows], hi[rows], f1[rows]
+    # the first step is the secant's where the far slack is finite
+    c, fc, t = b, fb, np.where(np.isfinite(fb), fa / (fa - fb), 0.5)
+    moving = np.ones(len(rows), dtype=bool)
+    # a bracket's divisions may fail on rows whose step bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(101):  # after 100 steps, replayed as it stands
+            least = np.where(pending, (hi + near) - required,
+                             margin).min(initial=np.inf)
+            pending &= ~((lo - near) - required > least)
+            keep = moving & pending[rows]
+            if step == 100 or not keep.any():
+                break
+            if not keep.all():
+                rows, a, fa, b, fb, c, fc, t = (
+                    v[keep] for v in (rows, a, fa, b, fb, c, fc, t))
+            close = tol[rows]
+            x = _step_point(a, b, t, close)
+            fx = ball._slack(ray(rows, x))
+            # a is the newest point, [a, b] the bracket, c the point dropped
+            inside = fx >= 0.0
+            same = inside == (fa >= 0.0)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = x, fx
+            t = _step_fraction(a, fa, b, fb, c, fc)
+            lo[rows], hi[rows] = np.where(inside, a, b), np.where(inside, b, a)
+            moving = np.abs(b - a) > close
+    left = np.flatnonzero(pending)
+    bounds = zip(*(v[left].tolist()
+                   for v in (lo, hi, hi_cap, resolution, required)))
+    margin[left] = _replays(ball, ray, left, far[left].tolist(), list(bounds))
+    return margin
+
+
+def _replays(ball, ray, rows, far, bounds):
+    """The bisection's margins on rows, replayed from their brackets:
+    bounds[j] is (lo, hi, hi_cap, resolution, required) of rows[j] as
+    floats, far[j] its membership at hi_cap.  Each replay (_replay) is
+    confirmed: the midpoints it guessed are probed, all rows' in one
+    stacked call, and a row that guessed any of them wrong replays again
+    with the answers so far, until it guesses none wrong.  Its margin is
+    then the bisection's whatever membership along the ray is."""
+    answers = [{b[2]: f} for b, f in zip(bounds, far)]
+    margins, todo = [None] * len(bounds), list(range(len(bounds)))
+    while todo:
+        guesses = {}
+        for j in todo:
+            margins[j], guesses[j] = _replay(answers[j], *bounds[j])
+        probed = [(j, s) for j in todo for s in guesses[j]]
+        if probed:
+            who, where = zip(*probed)
+            truth = ball._slack(ray(rows[list(who)], np.array(where))) >= 0.0
+            for (j, s), inside in zip(probed, truth.tolist()):
+                answers[j][s] = inside
+        todo = [j for j in todo
+                if any(answers[j][s] != g for s, g in guesses[j].items())]
+    return margins
+
+
+def _replay(answers, lo_end, hi_end, hi_cap, resolution, required):
+    """_clearances' bisection on one row that starts in the set, on
+    Python floats: its margin, and the {midpoint: membership} it
+    guessed.  A midpoint in answers takes its answer; any other is
+    guessed from the bracket [lo_end, hi_end] of the crossing, in on
+    the half nearer lo_end."""
+    lo, hi, moved, settled = 0.0, hi_cap, False, False
+    guesses = {}
+    while True:
+        s = hi_cap if settled else 0.5 * (lo + hi)
+        inside = answers.get(s)
+        if inside is None:
+            inside = guesses[s] = s - lo_end <= hi_end - s
+        moved = moved or settled or not inside
+        lo, hi = (s, hi) if inside else (lo, s)
+        settled = not hi - lo > resolution
+        if settled and moved:
+            return 0.5 * (lo + hi) - required, guesses
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +439,7 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
         u = k._unit_tangents(m, draws.slots[3], draws.rng)
         return (_clearances(cset, m, u, rho),
                 _rows(x=x, y=y, t=t, direction=u, required=rho))
-    travel = ball.radius + MEMBERSHIP_TOL - k.dist(ball.center, m)
+    travel = ball._slack(m)
     margins = np.maximum(travel, 0.0) - rho  # NaN kept
     rows = _rows(x=x, y=y, t=t)
 

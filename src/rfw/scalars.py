@@ -1,7 +1,9 @@
 """One-dimensional solvers used by the linear minimization oracles: a
 golden-section search for a minimizer and a bracketing root finder
 (Chandrupatla's method), each on a function value alone.  The root
-finder also runs row-wise, on arrays of brackets."""
+finder also runs row-wise, on arrays of brackets; its row-wise step
+(_step_point, _step_fraction) also brackets the clearances of a ball's
+rays in rfw.convexity."""
 
 import math
 
@@ -125,10 +127,7 @@ def _bisect_rows(fun, a, b, tol):
             live = ~(done | (np.abs(b - a) <= tol))
             if not live.any():
                 break
-            edge = 0.5 * tol / np.abs(b - a)
-            t = np.where(t < edge, edge, np.where(t > 1.0 - edge, 1.0 - edge,
-                                                  t))
-            x = np.where(live, a + t * (b - a), a)
+            x = np.where(live, _step_point(a, b, t, tol), a)
             fx = fun(x)
             hit = live & (fx == 0.0)
             root = np.where(hit, x, root)
@@ -140,9 +139,28 @@ def _bisect_rows(fun, a, b, tol):
             flip = live & ~same
             b, fb = np.where(flip, a, b), np.where(flip, fa, fb)
             a, fa = np.where(live, x, a), np.where(live, fx, fa)
-            xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
-            t = np.where((ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi),
-                         fa / (fb - fa) * fc / (fb - fc)
-                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
-                         0.5)
+            t = _step_fraction(a, fa, b, fb, c, fc)
     return np.where(done, root, np.where(np.abs(fa) < np.abs(fb), a, b))
+
+
+def _step_point(a, b, t, tol):
+    """Chandrupatla's next point a + t (b - a) of rows of brackets
+    [a, b], a the newest point, with t held at least tol/2 from either
+    end."""
+    edge = 0.5 * tol / np.abs(b - a)
+    t = np.where(t < edge, edge, np.where(t > 1.0 - edge, 1.0 - edge, t))
+    return a + t * (b - a)
+
+
+def _step_fraction(a, fa, b, fb, c, fc):
+    """Chandrupatla's next t for rows: a is the newest point, [a, b] the
+    bracket and c the point dropped, with values fa, fb, fc.  The
+    inverse quadratic step through the three points where their values
+    are monotone enough to trust it, else 0.5 (a NaN value fails the
+    test).  The divisions of a row that fails it may fail too: callers
+    silence numpy's warnings."""
+    xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
+    return np.where((ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi),
+                    fa / (fb - fa) * fc / (fb - fc)
+                    + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
+                    0.5)

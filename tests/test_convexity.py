@@ -13,11 +13,12 @@ from rfw import (ConfigError, ContractError, ConvexSet, ConvexityCertificate,
                  min_gradient_norm, residual,
                  riemannian_strong_convexity_radius, run_checker,
                  strong_convexity_radius, zeta)
-from rfw.convexity import NOTIONS, _clearances, _worst_case
+from rfw.convexity import NOTIONS, _clearances, _replays, _worst_case
 from rfw.manifolds import CurvatureInfo
 
 from helpers import (LAYOUTS, Blocks, assert_certificates_close, ray_margin,
-                     reference_certificate, reference_function_check)
+                     reference_certificate, reference_function_check,
+                     sup_member)
 
 
 def disk(radius=1.0):
@@ -473,12 +474,12 @@ def test_domain_edge_certificate_equals_per_sample_reference(
     # 2 required > pi for some rows: a stacked dist or exp returns NaN
     # on such rows, which are not members, and the other rows keep
     # their bits.  Every seed's riemannian certificate reaches the edge
-    # (2-3 NaN calls with 39-44 NaN rows on SPD, 4-10 calls with 40-132
-    # rows on the caps), and its bisection stays one stacked call per
-    # step (38 dist calls here, where redoing a stack row by row made up
-    # to 89).  On a ball the geodesic notions take the exact radial
-    # margin and probe no ray, so they never reach the edge.  The
-    # certificate is the per-sample loop's
+    # (3-4 NaN calls with 50-86 NaN rows on SPD, 6-12 calls with 114-240
+    # rows on the caps), and its clearances stay one stacked call per
+    # step (10-14 dist calls here, where the bisection made 38 and
+    # redoing a stack row by row up to 89).  On a ball the geodesic
+    # notions take the exact radial margin and probe no ray, so they
+    # never reach the edge.  The certificate is the per-sample loop's
     k = cls(3)
     calls = {"dist": 0, "nan": 0}
     maps = {name: getattr(k, name) for name in ("exp", "dist")}
@@ -497,7 +498,7 @@ def test_domain_edge_certificate_equals_per_sample_reference(
     cert = run_checker(notion, cs, alpha, 30,
                        np.random.default_rng([seed, 0]))
     assert (calls["nan"] > 0) == (notion == "riemannian")
-    assert calls["dist"] <= 40
+    assert calls["dist"] <= 16
     ref = reference_certificate(notion, cs, alpha, 30,
                                 np.random.default_rng([seed, 0]))
     assert not cert.passed
@@ -882,13 +883,18 @@ def test_batched_function_checks_equal_per_sample_reference(kernel, radius):
         assert cert.to_json() == ref.to_json()
 
 
-def _rows_and_their_margins(c, required):
-    """Rays s -> (1 - c[i] + s, 0) into the half-plane {z[0] <= 1}, whose
-    clearance is c[i]: the race's margins, and each row's margin
-    bisected on its own, as the per-sample reference bisects it."""
-    k = Euclidean(2)
-    cs = ConvexSet(k, lambda z: z[0] <= 1.0, lambda rng: np.zeros(2),
-                   diameter=2.0)
+RACE_SETS = {  # sets of diameter 2 whose boundary meets the x axis at 1
+    "half-plane": ConvexSet(Euclidean(2), lambda z: z[0] <= 1.0,
+                            lambda rng: np.zeros(2), diameter=2.0),
+    "disk": ball_set(GeodesicBall(Euclidean(2), np.zeros(2), 1.0))}
+
+
+def _rows_and_their_margins(cs, c, required):
+    """Rays s -> (1 - c[i] + s, 0) into the set cs, whose clearance is
+    c[i] where they start in it: the race's margins, and each row's
+    margin bisected on its own, as the per-sample reference bisects
+    it."""
+    k = cs.kernel
     base = np.stack([1.0 - np.asarray(c), np.zeros(len(c))], axis=1)
     direction = np.tile([1.0, 0.0], (len(c), 1))
     required = np.asarray(required, dtype=float)
@@ -897,12 +903,15 @@ def _rows_and_their_margins(c, required):
     return _clearances(cs, base, direction, required), full
 
 
-def test_race_drops_only_rows_that_cannot_be_lowest():
+@pytest.mark.parametrize("name", list(RACE_SETS))
+def test_race_drops_only_rows_that_cannot_be_lowest(name):
     # margins within the bisection's resolution of each other, tied
-    # rows, rays that start outside, a clearance past hi_cap, a NaN
+    # rows, rays that start outside, a clearance past hi_cap (the
+    # half-plane's; the disk's rays start outside there), a NaN
     # required and random rows: every row left in the race has the
     # margin of its own bisection, every row dropped is strictly above
-    # the lowest, and the certificate is that of every row refined
+    # the lowest, and the certificate is that of every row refined.
+    # The disk is a ball: its rows are bracketed, then replayed
     res = 1e-11 * 2.0
     offsets = [-1e-9, -res, -res / 2, -res / 4, 0.0, res / 4, res / 2, res,
                1e-9]
@@ -917,7 +926,8 @@ def test_race_drops_only_rows_that_cannot_be_lowest():
     witness = lambda i, margin: {"row": i, "margin": margin}
     for c, required in cases:
         for order in (slice(None), slice(None, None, -1)):
-            raced, full = _rows_and_their_margins(c[order], required[order])
+            raced, full = _rows_and_their_margins(
+                RACE_SETS[name], c[order], required[order])
             low = min(-np.inf if m != m else m for m in full)
             assert (raced != np.inf).any()
             for got, want in zip(raced, full):
@@ -930,23 +940,114 @@ def test_race_drops_only_rows_that_cannot_be_lowest():
                                               witness).to_dict())
 
 
-def test_race_takes_a_raising_exp_step_row_by_row():
-    # rays from the center of a cap of radius 1.2: the rows whose
-    # bisection probes s >= pi make a stacked exp raise, and the other
-    # rows of that step keep their own answers.  A NaN required keeps
-    # every row in the race, so each margin is its own bisection's
-    k = Sphere(3)
-    cs = ball_set(GeodesicBall(k, k.base_point(), 1.2))
-    rng = np.random.default_rng(0)
-    required = np.array([4.0, 0.1, 0.5, 3.0, np.nan, 0.2, 0.0])
-    center = k.base_point()
-    direction = np.array([k.random_unit_tangent(center, rng)
-                          for _ in required])
-    raced = _clearances(cs, np.tile(center, (len(required), 1)), direction,
-                        required)
-    full = [ray_margin(cs, lambda s, u=u: k.exp(center, s * u), r, np.inf)
-            for u, r in zip(direction, required.tolist())]
+RAY_BALLS = [  # kernel, radius, a required clearance whose probes leave
+    # the exp domain (sphere, hyperboloid) or dist's (SPD: not positive
+    # definite); Euclidean space has no edge
+    (Euclidean(3), 1.0, 4.0), (Sphere(3), 0.3, 4.0), (Sphere(3), 1.2, 4.0),
+    (Hyperboloid(3), 1.0, 160.0), (Hyperboloid(3), 2.0, 160.0),
+    (Spd(3), 2.0, 160.0)]
+
+
+def _ball_rays(k, radius, far, with_offset, rng):
+    """Rays on the ball of radius around the base point c, as (base,
+    direction, offset or None, required): rows 0-6 start at half the
+    radius from c, with required far, a few fractions of the radius,
+    NaN and 0; row 7 starts outside, at 1.5 radius; row 8 runs along a
+    diameter from a boundary point p through c, a member at hi_cap =
+    2 radius.  With an offset, rows 0-7 are based at c and start at
+    exp_c(offset), and row 8 has offset 0; without, each start is its
+    row's base."""
+    c = k.base_point()
+    required = np.array([far, 0.1, 0.5, 1.0, np.nan, 0.2, 0.0, 0.1, 0.5])
+    required[1:] *= radius
+    starts = [r * radius * k.random_unit_tangent(c, rng)
+              for r in [0.5] * 7 + [1.5]]
+    base = [c] * 8 if with_offset else [k.exp(c, v) for v in starts]
+    direction = [k.random_unit_tangent(b, rng) for b in base]
+    p = k.exp(c, radius * k.random_unit_tangent(c, rng))
+    g = k.log(p, c)
+    base, direction = np.array(base + [p]), np.array(direction
+                                                     + [g / k.norm(p, g)])
+    offset = np.array(starts + [np.zeros_like(c)]) if with_offset else None
+    return base, direction, offset, required
+
+
+@pytest.mark.parametrize("with_offset", [False, True],
+                         ids=["ray", "offset"])
+@pytest.mark.parametrize("kernel, radius, far", RAY_BALLS,
+                         ids=[f"{type(k).__name__}-{r}"
+                              for k, r, _ in RAY_BALLS])
+def test_race_takes_a_raising_exp_step_row_by_row(kernel, radius, far,
+                                                  with_offset, monkeypatch):
+    # a stacked probe past the exp or dist domain returns NaN on those
+    # rows, and the other rows of that call keep their own answers.  A
+    # NaN required keeps every row in the race, so each margin of the
+    # stack is its own bisection's; each row alone is too, a start
+    # outside and a member at hi_cap included
+    k = kernel
+    cs = ball_set(GeodesicBall(k, k.base_point(), radius))
+    base, direction, offset, required = _ball_rays(
+        k, radius, far, with_offset, np.random.default_rng(0))
+
+    def point_at(i):
+        if offset is None:
+            return lambda s: k.exp(base[i], s * direction[i])
+        return lambda s: k.exp(base[i], offset[i] + s * direction[i])
+
+    full = np.array([ray_margin(cs, point_at(i), r, np.inf)
+                     for i, r in enumerate(required.tolist())])
+    assert full[7] == -required[7]
+    assert full[8] == 2.0 * radius - required[8]
+    nan_rows = [0]
+    maps = {name: getattr(k, name) for name in ("exp", "dist")}
+
+    def counted(name):
+        def call(x, y):
+            out = maps[name](x, y)
+            nan_rows[0] += np.isnan(out).any(
+                axis=tuple(range(1, out.ndim))).sum()
+            return out
+        return call
+
+    for name in maps:
+        monkeypatch.setattr(k, name, counted(name))
+    raced = _clearances(cs, base, direction, required, offset)
     np.testing.assert_array_equal(raced, full)
+    assert (nan_rows[0] > 0) == (type(k) is not Euclidean)
+    for i in range(len(required)):
+        one = slice(i, i + 1)
+        alone = _clearances(cs, base[one], direction[one], required[one],
+                            None if offset is None else offset[one])
+        np.testing.assert_array_equal(alone, full[one])
+
+
+def test_replay_is_the_bisection_whatever_the_membership():
+    # a replay guesses the bisection's probes from a bracket and probes
+    # its guesses: its margin is the bisection's even where membership
+    # flickers near the crossing (a noisy distance) and the bracket is
+    # off
+    rng = np.random.default_rng(3)
+    hi_cap, resolution, required = 2.0, 2e-11, 0.3
+    for _ in range(100):
+        crossing = rng.uniform(0.1, 1.9)
+        width = 10.0 ** rng.uniform(-13.0, -9.0)
+        salt = int(rng.integers(1 << 30))
+
+        def member(s):
+            if abs(s - crossing) < width:
+                return hash((salt, s)) % 2 == 0
+            return s < crossing
+
+        class Ball:  # its rays' points are their times s
+            def _slack(self, s):
+                return np.array([1.0 if member(v) else -1.0 for v in s])
+
+        lo = crossing + width * rng.uniform(-2.0, 1.0)
+        hi = lo + width * rng.uniform(0.0, 2.0)
+        got = _replays(Ball(), lambda rows, s: s, np.array([0]),
+                       [member(hi_cap)],
+                       [(lo, hi, hi_cap, resolution, required)])
+        assert got == [sup_member(member, hi_cap, resolution) - required]
 
 
 def test_pruning_bounds_membership_probes():
@@ -968,9 +1069,11 @@ def test_pruning_bounds_membership_probes():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
     # the certify-spd benchmark's ball, samples and streams: riemannian's
-    # stacked bisection makes ~38 membership calls per certificate,
-    # whatever the number of rows (one per row and step would be ~130).
-    # The geodesic notions take the exact radial margin: no membership
+    # clearances read the ball's slack, not its membership (the bound is
+    # that of a stacked bisection on membership, ~38 calls whatever the
+    # number of rows, where one per row and step would be ~130; the
+    # stacked probes are counted below).  The geodesic notions take the
+    # exact radial margin: no membership
     # call, no exp beyond the sample's three (the two ball points and
     # the chords' geodesic) and one dist call beyond the chord distances
     calls = []
@@ -1007,6 +1110,37 @@ def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
         else:
             assert (len(calls), kernel_calls["exp"], kernel_calls["dist"]) == (
                 0, 3, 2), (notion, alpha)
+
+
+CERTIFY_BALLS = [  # the certify workloads' balls: kernel, radius, samples,
+    # and the riemannian cases' alphas, operations 2 and 3 of a round
+    (Sphere(3), 0.3, 400, (1.5, 4.0)), (Spd(3), 1.0, 30, (0.05, 2.0))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("kernel, radius, n, alphas", CERTIFY_BALLS,
+                         ids=["certify-sphere", "certify-spd"])
+def test_riemannian_clearances_take_few_stacked_probes(kernel, radius, n,
+                                                        alphas, seed,
+                                                        monkeypatch):
+    # a riemannian certificate brackets its rows' clearances in a few
+    # stacked probes, each one exp and one dist call: 7 here, where a
+    # bisection of every row to the resolution made 37-38
+    k = kernel
+    cs = ball_set(GeodesicBall(k, k.random_point(np.random.default_rng(seed)),
+                               radius))
+    dist, calls = k.dist, [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return dist(x, y)
+
+    monkeypatch.setattr(k, "dist", counted)
+    for op, alpha in enumerate(alphas, start=2):
+        calls[0] = 0
+        run_checker("riemannian", cs, alpha, n,
+                    np.random.default_rng([seed, op]))
+        assert calls[0] <= 10, (alpha, calls[0])
 
 
 def test_approx_scaling_domain_error_is_a_violation():

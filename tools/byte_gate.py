@@ -62,6 +62,20 @@ byte-identical outputs must leave no line different.  The grid:
   (factor, threshold, checked rows, violations, largest ratio) on four
   fixed traces: one that passes, one with a violation, one with a NaN
   ratio and one with a burn-in;
+* clearances (clearances/): the private _clearances of rfw.convexity
+  on each ball of the grid, around the base point and around
+  random_point(default_rng(s)), from default_rng([s, 1]) for s in 0, 1,
+  5, on CLEARANCE_ROWS rays, with and without an offset.  Without one,
+  a ray starts at its base, a point exp_c(rho u) at a uniform rho of
+  up to 1.5 radius from the center c (a third of them outside); with
+  one, its base is a sample of the ball and its offset log_x of
+  another such point.  Directions are unit tangents at the bases;
+  required clearances are uniform up to twice the radius, but for
+  0, NaN and one far one whose probes go past the exp domain (past
+  dist's on SPD).  A last row runs along a diameter, from a boundary
+  point through c (offset 0), a member at hi_cap.  Each row alone (so
+  that no row leaves a race), and the first lowest row of the stack
+  without the NaN row, with its margin;
 * per kernel at n = 3 (kernel/): name, n, dim, point_shape, curvature
   and base_point(); random_point from default_rng(s), and
   random_unit_tangent at the base point and at that random point (on
@@ -106,7 +120,7 @@ from rfw import (ConvexSet, GeodesicBall, QuadraticOnEmbedded,
                  estimate_alpha, lmo_brute_force, make_manifold,
                  min_gradient_norm, random_boundary_best, run_checker)
 from rfw.cli import PRESETS, build_parser, run_single_experiment
-from rfw.convexity import NOTIONS
+from rfw.convexity import NOTIONS, _clearances
 from rfw.solver import RfwTrace
 
 SEEDS = (0, 1, 5)
@@ -114,6 +128,7 @@ BALLS = (("euclidean", 3, 1.0), ("sphere", 3, 0.3), ("sphere", 3, 1.2),
          ("hyperboloid", 3, 1.0), ("hyperboloid", 3, 2.0), ("spd", 3, 1.0))
 ALPHAS = (("pass", 0.1), ("fail", 5.0))  # times 1/radius
 SAMPLES = 30
+CLEARANCE_ROWS = 24
 ORACLE_CALLS = 40
 MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
 EDGES = (  # kernel, dim, radius, alpha, notions
@@ -424,6 +439,58 @@ def draws(out):
         out[f"draws/contraction/{tag}"] = digest(report)
 
 
+def clearance_rays(ball, rng, with_offset):
+    """(base, direction, required, offset or None) of CLEARANCE_ROWS
+    rays on ball, as the clearances/ family describes them."""
+    k, c, r = ball.kernel, ball.center, ball.radius
+    n = CLEARANCE_ROWS - 1
+    offset = None
+    if with_offset:
+        base = np.array([ball.sample(rng) for _ in range(n)])
+        offset = np.array([k.log(x, ball.sample(rng)) for x in base])
+    else:
+        u = np.array([k.random_unit_tangent(c, rng) for _ in range(n)])
+        rho = 1.5 * r * rng.random(n)
+        base = k.exp(c, rho.reshape((n,) + (1,) * c.ndim) * u)
+    direction = np.array([k.random_unit_tangent(x, rng) for x in base])
+    required = 2.0 * r * rng.random(n)
+    required[:3] = 0.0, np.nan, OUT_OF_EXP.get(type(k).__name__.lower(),
+                                               160.0)
+    p = k.exp(c, r * k.random_unit_tangent(c, rng))
+    g = k.log(p, c)
+    rays = (np.append(base, [p], 0),
+            np.append(direction, [g / k.norm(p, g)], 0),
+            np.append(required, 0.5 * r))
+    if offset is None:
+        return rays + (None,)
+    return rays + (np.append(offset, [np.zeros_like(c)], 0),)
+
+
+def clearances(out):
+    def take(rays, rows):
+        return tuple(None if a is None else a[rows] for a in rays)
+
+    for seed in SEEDS:
+        for name, ball in balls(seed):
+            cset = ball_set(ball)
+            for tag in ("ray", "offset"):
+                rays = clearance_rays(ball, np.random.default_rng([seed, 1]),
+                                      tag == "offset")
+
+                def rows():
+                    return [_clearances(cset, *take(rays, [i]))
+                            for i in range(CLEARANCE_ROWS)]
+
+                def stack():
+                    margins = _clearances(
+                        cset, *take(rays, ~np.isnan(rays[2])))
+                    low = np.where(np.isnan(margins), -np.inf, margins)
+                    i = int(np.argmin(low))
+                    return i, margins[i]
+                out[f"clearances/{name}/{tag}/s{seed}/rows"] = digest(rows)
+                out[f"clearances/{name}/{tag}/s{seed}/stack"] = digest(stack)
+
+
 def map_rows(kernel, k, x, rng):
     """{map: (function, rows of its arguments)} of the kernel maps at
     the points x, a stack of six rows or one point broadcast: tangents
@@ -505,7 +572,7 @@ def main(argv):
     for part in (certificates, edge_certificates, set_certificates,
                  zero_samples, cli_certificates, function_checks,
                  alpha_estimates, oracle_results, experiments, draws,
-                 kernels):
+                 clearances, kernels):
         part(out)
     os.makedirs(argv[1], exist_ok=True)
     path = os.path.join(argv[1], "hashes.json")
