@@ -40,14 +40,15 @@ travels less than the outward radial one, and that geodesic is
 minimizing within the ball, so the margin is the ball's radius less
 the distance from its center, less the required travel (one stacked
 dist call).  Elsewhere, and for riemannian everywhere, it is that of a
-bisection on membership, for all rows at once (_clearances); rows that
-cannot be the lowest leave early, so the certificate is that of
-refining every row.  On a ball the crossings are first bracketed by a
-few stacked Chandrupatla steps on the ball's slack, and the rows left
-replay the bisection on floats, its guesses confirmed by one stacked
-probe, with the bisection's margins bit for bit.  The scaling notions
-make one oracle call on all the rows stacked and have analytic
-margins.  A NaN margin is a violation.
+bisection on membership, for all rows at once, by one routine on every
+set (_clearances): the crossings are bracketed by stacked
+Chandrupatla steps on a slack (a ball's signed clearance, or +-1 on
+any other set, where each step is the bisection's own midpoint), rows
+that cannot be the lowest leave early, and the rows left replay the
+bisection on floats, its guesses confirmed by one stacked probe, so
+the certificate is that of refining every row, bit for bit.  The
+scaling notions make one oracle call on all the rows stacked and have
+analytic margins.  A NaN margin is a violation.
 run_checker is the entry point; the function-class checks return the
 same ConvexityCertificate with alpha_tested None.  Every certificate
 passes when its worst margin is at least -DEFAULT_CERT_TOL.
@@ -148,7 +149,7 @@ class ConvexityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# clearances along rays: a bisection on membership, bracketed on a ball
+# clearances along rays: a bisection on membership, raced on a slack
 # ---------------------------------------------------------------------------
 
 def _ball_of(method, func):
@@ -174,12 +175,10 @@ def _clearances(cset, base, direction, required, offset=None):
     bisection on membership: 0 from a start outside the set, else
     [0, hi_cap] halved to the resolution, then hi_cap if a member there
     and hi never moved, else the midpoint (exact when membership along
-    the ray is an initial interval, as for convex sets).  On a
-    GeodesicBall the crossings are bracketed first (_ball_clearances);
-    on any other set all rows bisect at once, racing to the lowest
-    margin: a row leaves once lo - required exceeds a row's upper bound
-    (hi - required, or a finished margin), as by monotone rounding its
-    margin is above the lowest."""
+    the ray is an initial interval, as for convex sets).  Every set is
+    raced on a slack, a member where it is >= 0 (_race): a ball's is
+    r + MEMBERSHIP_TOL - d(c, z), probed at hi_cap up front, any other
+    set's is +1 on a member and -1 elsewhere, unknown at hi_cap."""
     k, n = cset.kernel, len(required)
     cap = cset.diameter if cset.diameter is not None else 1.0
     # fmax: a NaN required leaves its cap at max(cap, 1e-9)
@@ -192,54 +191,38 @@ def _clearances(cset, base, direction, required, offset=None):
 
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     if ball is not None:
-        return _ball_clearances(ball, ray, required, hi_cap, resolution)
-    margin = 0.0 - required  # of a ray that starts outside the set
-    done = ~_members(cset, ray(np.arange(n), np.zeros(n)))
-    rows = np.flatnonzero(~done)
-    lo, hi = np.zeros(len(rows)), hi_cap[rows]
-    moved, settled = np.zeros((2, len(rows)), dtype=bool)
-    while len(rows):
-        # a settled row is probed at hi_cap, which hi never left; a
-        # member there ends as lo = hi = hi_cap
-        s = np.where(settled, hi_cap[rows], 0.5 * (lo + hi))
-        inside = _members(cset, ray(rows, s))
-        lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
-        moved |= settled | ~inside
-        req, settled = required[rows], ~(hi - lo > resolution[rows])
-        over = settled & moved  # bisected: the midpoint
-        if over.any():
-            margin[rows[over]] = 0.5 * (lo[over] + hi[over]) - req[over]
-            done[rows[over]] = True
-        least = np.minimum(margin[done].min(initial=np.inf), (hi - req).min())
-        keep = ~over & ~(lo - req > least)
-        if not keep.all():
-            rows, lo, hi, moved, settled = (
-                a[keep] for a in (rows, lo, hi, moved, settled))
-    return np.where(done, margin, np.inf)
+        slack = ball._slack
+        f1 = slack(ray(np.arange(n), hi_cap))
+    else:
+        def slack(z):
+            return np.where(_members(cset, z), 1.0, -1.0)
+        f1 = np.full(n, np.nan)
+    return _race(slack, ray, required, hi_cap, resolution, f1)
 
 
-def _ball_clearances(ball, ray, required, hi_cap, resolution):
-    """_clearances on a ball, its bisection's margins in a few stacked
-    probes.  A probe reads the ball's slack r + MEMBERSHIP_TOL -
-    d(c, ray(s)), a member where it is >= 0 (NaN outside the exp domain
-    is not).  Two stacked calls probe every ray at 0 and at hi_cap: a
-    start outside travels 0, as in the bisection, and a member at
-    hi_cap takes the bracket lo = hi = hi_cap.  Each other row brackets
-    its crossing, a member end lo and an outside end hi, by
-    Chandrupatla's steps on the slack (rfw.scalars), the first a secant
-    step, one stacked probe per step on the rows still moving, until
-    the bracket is at most 1/64 of the resolution wide.  The rows race
-    as the bisection's do: a row whose lo - near - required exceeds
-    some row's hi + near - required, or a finished margin, cannot be
-    the lowest and leaves.  near, 1e4 resolutions, bounds how far the
-    bisection's final midpoint lies from a row's bracket: within a
-    resolution where membership along the ray is an initial interval,
-    and further by the width of any flicker of membership about the
-    crossing (a kernel's roundoff).  The rows left replay the bisection
-    (_replays), so each margin is the bisection's bit for bit."""
+def _race(slack, ray, required, hi_cap, resolution, f1):
+    """_clearances' bisection margins in a few stacked probes of
+    slack(ray(rows, s)), f1 the slack at hi_cap, NaN where it is not
+    known (or a ray left the exp domain there).  One stacked call probes
+    every ray at 0: a start outside travels 0, as in the bisection, and
+    a member at hi_cap takes the bracket lo = hi = hi_cap.  Each other
+    row brackets its crossing, a member end lo and an outside end hi,
+    by Chandrupatla's steps on the slack (rfw.scalars), the first a
+    secant step where f1 is finite, one stacked probe per step on the
+    rows still moving, until the bracket is at most 1/64 of the
+    resolution wide.  On a slack of +-1 every step is the bisection's
+    own midpoint: its brackets are [0, s] or have hi <= 2 lo, so b - a
+    is exact.  The rows race as the bisection's do: a row whose
+    lo - near - required exceeds some row's hi + near - required, or a
+    finished margin, cannot be the lowest and leaves.  near, 1e4
+    resolutions, bounds how far the bisection's final midpoint lies
+    from a row's bracket: within a resolution where membership along
+    the ray is an initial interval, and further by the width of any
+    flicker of membership about the crossing (a kernel's roundoff).
+    The rows left replay the bisection (_replays), so each margin is
+    the bisection's bit for bit."""
     n = len(required)
-    every = np.arange(n)
-    f0, f1 = (ball._slack(ray(every, s)) for s in (np.zeros(n), hi_cap))
+    f0 = slack(ray(np.arange(n), np.zeros(n)))
     start, far = f0 >= 0.0, f1 >= 0.0
     margin = np.where(start, np.inf, 0.0 - required)
     pending = start.copy()
@@ -264,7 +247,7 @@ def _ball_clearances(ball, ray, required, hi_cap, resolution):
                     v[keep] for v in (rows, a, fa, b, fb, c, fc, t))
             close = tol[rows]
             x = _step_point(a, b, t, close)
-            fx = ball._slack(ray(rows, x))
+            fx = slack(ray(rows, x))
             # a is the newest point, [a, b] the bracket, c the point dropped
             inside = fx >= 0.0
             same = inside == (fa >= 0.0)
@@ -277,19 +260,21 @@ def _ball_clearances(ball, ray, required, hi_cap, resolution):
     left = np.flatnonzero(pending)
     bounds = zip(*(v[left].tolist()
                    for v in (lo, hi, hi_cap, resolution, required)))
-    margin[left] = _replays(ball, ray, left, far[left].tolist(), list(bounds))
+    margin[left] = _replays(slack, ray, left, f1[left].tolist(), list(bounds))
     return margin
 
 
-def _replays(ball, ray, rows, far, bounds):
+def _replays(slack, ray, rows, far, bounds):
     """The bisection's margins on rows, replayed from their brackets:
     bounds[j] is (lo, hi, hi_cap, resolution, required) of rows[j] as
-    floats, far[j] its membership at hi_cap.  Each replay (_replay) is
-    confirmed: the midpoints it guessed are probed, all rows' in one
-    stacked call, and a row that guessed any of them wrong replays again
-    with the answers so far, until it guesses none wrong.  Its margin is
-    then the bisection's whatever membership along the ray is."""
-    answers = [{b[2]: f} for b, f in zip(bounds, far)]
+    floats, far[j] its slack at hi_cap (NaN: unknown).  Each replay
+    (_replay) is confirmed: the midpoints it guessed are probed, all
+    rows' in one stacked call, and a row that guessed any of them wrong
+    replays again with the answers so far, until it guesses none wrong.
+    Its margin is then the bisection's whatever membership along the
+    ray is."""
+    answers = [{} if f != f else {b[2]: f >= 0.0}
+               for b, f in zip(bounds, far)]
     margins, todo = [None] * len(bounds), list(range(len(bounds)))
     while todo:
         guesses = {}
@@ -298,7 +283,7 @@ def _replays(ball, ray, rows, far, bounds):
         probed = [(j, s) for j in todo for s in guesses[j]]
         if probed:
             who, where = zip(*probed)
-            truth = ball._slack(ray(rows[list(who)], np.array(where))) >= 0.0
+            truth = slack(ray(rows[list(who)], np.array(where))) >= 0.0
             for (j, s), inside in zip(probed, truth.tolist()):
                 answers[j][s] = inside
         todo = [j for j in todo

@@ -211,11 +211,15 @@ class Manifold:
     # --- validation ---------------------------------------------------
 
     def check_point(self, x):
-        """Raise ContractError unless x has the point shape and
-        satisfies the embedding constraint within POINT_TOL."""
+        """Raise ContractError unless x has the point shape, finite
+        entries and satisfies the embedding constraint within
+        POINT_TOL."""
         x = np.asarray(x)
         if x.shape != self.point_shape:
             raise ContractError(f"{self.name}: point has shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ContractError(f"{self.name}: point has a NaN or infinite "
+                                "entry")
         self._check_embedding(x)
 
     def _check_embedding(self, x):

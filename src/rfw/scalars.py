@@ -2,8 +2,8 @@
 golden-section search for a minimizer and a bracketing root finder
 (Chandrupatla's method), each on a function value alone.  The root
 finder also runs row-wise, on arrays of brackets; its row-wise step
-(_step_point, _step_fraction) also brackets the clearances of a ball's
-rays in rfw.convexity."""
+(_step_point, _step_fraction) also brackets the clearances along rays
+of rfw.convexity, on every set."""
 
 import math
 

@@ -972,20 +972,29 @@ def _ball_rays(k, radius, far, with_offset, rng):
     return base, direction, offset, required
 
 
+@pytest.mark.parametrize("wrapped", [False, True], ids=["ball", "wrapped"])
 @pytest.mark.parametrize("with_offset", [False, True],
                          ids=["ray", "offset"])
 @pytest.mark.parametrize("kernel, radius, far", RAY_BALLS,
                          ids=[f"{type(k).__name__}-{r}"
                               for k, r, _ in RAY_BALLS])
 def test_race_takes_a_raising_exp_step_row_by_row(kernel, radius, far,
-                                                  with_offset, monkeypatch):
+                                                  with_offset, wrapped,
+                                                  monkeypatch):
     # a stacked probe past the exp or dist domain returns NaN on those
     # rows, and the other rows of that call keep their own answers.  A
     # NaN required keeps every row in the race, so each margin of the
     # stack is its own bisection's; each row alone is too, a start
-    # outside and a member at hi_cap included
+    # outside and a member at hi_cap included.  The ball behind a
+    # lambda is a set that is not a ball: it races on a slack of +-1,
+    # unknown at hi_cap, and asks membership row by row (a single dist
+    # call past SPD's domain raises, and is not a member)
     k = kernel
     cs = ball_set(GeodesicBall(k, k.base_point(), radius))
+    if wrapped:
+        ball = cs
+        cs = ConvexSet(k, lambda z: ball.membership(z), ball.sampler,
+                       diameter=ball.diameter)
     base, direction, offset, required = _ball_rays(
         k, radius, far, with_offset, np.random.default_rng(0))
 
@@ -998,14 +1007,13 @@ def test_race_takes_a_raising_exp_step_row_by_row(kernel, radius, far,
                      for i, r in enumerate(required.tolist())])
     assert full[7] == -required[7]
     assert full[8] == 2.0 * radius - required[8]
-    nan_rows = [0]
+    nan_calls = [0]
     maps = {name: getattr(k, name) for name in ("exp", "dist")}
 
     def counted(name):
         def call(x, y):
             out = maps[name](x, y)
-            nan_rows[0] += np.isnan(out).any(
-                axis=tuple(range(1, out.ndim))).sum()
+            nan_calls[0] += np.isnan(out).any()  # a call with a NaN row
             return out
         return call
 
@@ -1013,7 +1021,8 @@ def test_race_takes_a_raising_exp_step_row_by_row(kernel, radius, far,
         monkeypatch.setattr(k, name, counted(name))
     raced = _clearances(cs, base, direction, required, offset)
     np.testing.assert_array_equal(raced, full)
-    assert (nan_rows[0] > 0) == (type(k) is not Euclidean)
+    edge = type(k) not in ((Euclidean, Spd) if wrapped else (Euclidean,))
+    assert (nan_calls[0] > 0) == edge
     for i in range(len(required)):
         one = slice(i, i + 1)
         alone = _clearances(cs, base[one], direction[one], required[one],
@@ -1021,11 +1030,39 @@ def test_race_takes_a_raising_exp_step_row_by_row(kernel, radius, far,
         np.testing.assert_array_equal(alone, full[one])
 
 
-def test_replay_is_the_bisection_whatever_the_membership():
+@pytest.mark.parametrize("crossing", [0.3, 1.0, 1.7, 2.0 - 1e-12, 3.0])
+def test_a_set_that_is_not_a_ball_is_probed_at_the_bisections_midpoints(
+        crossing):
+    # on a slack of +-1 each raced step lands on the bisection's own
+    # midpoint: a row of a set that is not a ball is probed at 0, then at
+    # the reference bisection's midpoints in order, up to where it
+    # settles, and its margin is the reference's
+    probed, seen = [], []
+
+    def member(z):
+        probed.append(float(z[0]))
+        return z[0] <= crossing
+
+    def member_at(s):
+        seen.append(s)
+        return s <= crossing
+
+    cs = ConvexSet(Euclidean(2), member, lambda rng: np.zeros(2),
+                   diameter=2.0)
+    got = _clearances(cs, np.zeros((1, 2)), np.array([[1.0, 0.0]]),
+                      np.array([0.5]))
+    assert got.tolist() == [sup_member(member_at, 2.0, 2e-11) - 0.5]
+    # the reference asks 0 and hi_cap, then bisects
+    assert probed[:len(seen) - 1] == seen[:1] + seen[2:]
+
+
+@pytest.mark.parametrize("known", [True, False], ids=["far", "unknown"])
+def test_replay_is_the_bisection_whatever_the_membership(known):
     # a replay guesses the bisection's probes from a bracket and probes
     # its guesses: its margin is the bisection's even where membership
     # flickers near the crossing (a noisy distance) and the bracket is
-    # off
+    # off, whether the slack at hi_cap is known or not (NaN, as on a
+    # set that is not a ball)
     rng = np.random.default_rng(3)
     hi_cap, resolution, required = 2.0, 2e-11, 0.3
     for _ in range(100):
@@ -1038,14 +1075,13 @@ def test_replay_is_the_bisection_whatever_the_membership():
                 return hash((salt, s)) % 2 == 0
             return s < crossing
 
-        class Ball:  # its rays' points are their times s
-            def _slack(self, s):
-                return np.array([1.0 if member(v) else -1.0 for v in s])
+        def slack(s):  # the rays' points are their times s
+            return np.array([1.0 if member(v) else -1.0 for v in s])
 
         lo = crossing + width * rng.uniform(-2.0, 1.0)
         hi = lo + width * rng.uniform(0.0, 2.0)
-        got = _replays(Ball(), lambda rows, s: s, np.array([0]),
-                       [member(hi_cap)],
+        far = slack([hi_cap])[0] if known else np.nan
+        got = _replays(slack, lambda rows, s: s, np.array([0]), [far],
                        [(lo, hi, hi_cap, resolution, required)])
         assert got == [sup_member(member, hi_cap, resolution) - required]
 
@@ -1068,14 +1104,12 @@ def test_pruning_bounds_membership_probes():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
-    # the certify-spd benchmark's ball, samples and streams: riemannian's
-    # clearances read the ball's slack, not its membership (the bound is
-    # that of a stacked bisection on membership, ~38 calls whatever the
-    # number of rows, where one per row and step would be ~130; the
-    # stacked probes are counted below).  The geodesic notions take the
-    # exact radial margin: no membership
-    # call, no exp beyond the sample's three (the two ball points and
-    # the chords' geodesic) and one dist call beyond the chord distances
+    # the certify-spd benchmark's ball, samples and streams: no notion
+    # calls the ball's membership.  riemannian's clearances read the
+    # ball's slack (its stacked probes are counted below), and the
+    # geodesic notions take the exact radial margin: no exp beyond the
+    # sample's three (the two ball points and the chords' geodesic) and
+    # one dist call beyond the chord distances
     calls = []
     member = GeodesicBall.membership
 
@@ -1105,11 +1139,10 @@ def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
         calls.clear()
         kernel_calls.update(exp=0, dist=0)
         run_checker(notion, cs, alpha, 30, np.random.default_rng([seed, op]))
-        if notion == "riemannian":
-            assert len(calls) <= 45, (notion, alpha)
-        else:
-            assert (len(calls), kernel_calls["exp"], kernel_calls["dist"]) == (
-                0, 3, 2), (notion, alpha)
+        assert len(calls) == 0, (notion, alpha)
+        if notion != "riemannian":
+            assert (kernel_calls["exp"], kernel_calls["dist"]) == (3, 2), (
+                notion, alpha)
 
 
 CERTIFY_BALLS = [  # the certify workloads' balls: kernel, radius, samples,

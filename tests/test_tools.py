@@ -181,6 +181,7 @@ def test_bench_ab_times_a_copy_of_a_tree_inside_its_null_band(tmp_path):
     names = set(report["cases"])
     assert {"random_unit_tangent/spd(3)", "sample/sphere(3)/r0.3",
             "random_boundary_best/sphere(10)/n1000",
-            "certify-spd/riemannian/a2"} <= names
+            "certify-spd/riemannian/a2",
+            "wrapped/sphere(3)/r0.3/riemannian/a4"} <= names
     for name, case in report["cases"].items():
         assert case["inside_null_band"], (name, case["ratio"], lo, hi)

@@ -11,7 +11,11 @@ package names in this process and times a fixed list of cases on both:
 * random_boundary_best with 1000 points on a Sphere(10) ball;
 * one certificate of each case of the benchmark's certify workloads
   (perfbench/workloads.py of the repository this tool lives in), as
-  operation i of the workload at seed 0.
+  operation i of the workload at seed 0;
+* one certificate of each membership notion, at both alphas of the
+  certify-sphere workload, with 200 samples, on its Sphere(3) cap of
+  radius 0.3 behind lambdas (membership answered row by row, the
+  sampler called once per point): a set that is not a ball.
 
 Each side draws its own copy of every input and generator, so both make
 the same calls on the same numbers.  A round times each case once per
@@ -48,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = (("euclidean", 3, 1.0), ("sphere", 3, 0.3), ("hyperboloid", 4, 1.0),
            ("spd", 3, 1.0))  # kernel, size, radius of the sampled ball
 SEED = 0
+MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
 
 
 def import_tree(tree, name):
@@ -94,6 +99,18 @@ def cases(rfw, workloads):
             out[f"{workload.name}/{notion}/a{alpha:g}"] = (
                 lambda workload=workload, inputs=inputs, i=i:
                 workload.run(rfw, inputs, i))
+    # new names: the lambdas above read k and ball when called
+    s3 = rfw.make_manifold("sphere", 3)
+    cap = rfw.GeodesicBall(s3, s3.random_point(np.random.default_rng(SEED)),
+                           0.3)
+    wrapped = rfw.ConvexSet(s3, lambda z: cap.membership(z),
+                            lambda rng: cap.sample(rng),
+                            diameter=cap.diameter)
+    for i, (notion, alpha) in enumerate(
+            (notion, alpha) for notion in MEMBERSHIP for alpha in (1.5, 4.0)):
+        out[f"wrapped/{s3.name}/r0.3/{notion}/a{alpha:g}"] = (
+            lambda notion=notion, alpha=alpha, i=i: rfw.run_checker(
+                notion, wrapped, alpha, 200, np.random.default_rng([SEED, i])))
     return out
 
 

@@ -75,7 +75,9 @@ byte-identical outputs must leave no line different.  The grid:
   dist's on SPD).  A last row runs along a diameter, from a boundary
   point through c (offset 0), a member at hi_cap.  Each row alone (so
   that no row leaves a race), and the first lowest row of the stack
-  without the NaN row, with its margin;
+  without the NaN row, with its margin; on the ball and on both sets
+  that are not balls made from it (as above, clearances/wrapped/ and
+  clearances/cut/), on the same rays;
 * per kernel at n = 3 (kernel/): name, n, dim, point_shape, curvature
   and base_point(); random_point from default_rng(s), and
   random_unit_tangent at the base point and at that random point (on
@@ -472,23 +474,26 @@ def clearances(out):
 
     for seed in SEEDS:
         for name, ball in balls(seed):
-            cset = ball_set(ball)
+            sets = [("", ball_set(ball))]
+            sets += [(f"{set_tag}/", cset) for set_tag, cset in
+                     other_sets(ball)]
             for tag in ("ray", "offset"):
                 rays = clearance_rays(ball, np.random.default_rng([seed, 1]),
                                       tag == "offset")
+                for set_tag, cset in sets:
+                    def rows():
+                        return [_clearances(cset, *take(rays, [i]))
+                                for i in range(CLEARANCE_ROWS)]
 
-                def rows():
-                    return [_clearances(cset, *take(rays, [i]))
-                            for i in range(CLEARANCE_ROWS)]
-
-                def stack():
-                    margins = _clearances(
-                        cset, *take(rays, ~np.isnan(rays[2])))
-                    low = np.where(np.isnan(margins), -np.inf, margins)
-                    i = int(np.argmin(low))
-                    return i, margins[i]
-                out[f"clearances/{name}/{tag}/s{seed}/rows"] = digest(rows)
-                out[f"clearances/{name}/{tag}/s{seed}/stack"] = digest(stack)
+                    def stack():
+                        margins = _clearances(
+                            cset, *take(rays, ~np.isnan(rays[2])))
+                        low = np.where(np.isnan(margins), -np.inf, margins)
+                        i = int(np.argmin(low))
+                        return i, margins[i]
+                    at = f"clearances/{set_tag}{name}/{tag}/s{seed}"
+                    out[f"{at}/rows"] = digest(rows)
+                    out[f"{at}/stack"] = digest(stack)
 
 
 def map_rows(kernel, k, x, rng):
