@@ -10,23 +10,28 @@ that plane and alpha(phi) the travel distance to the boundary.
 `GeodesicBall.lmo` is the oracle on the ORACLE_KERNELS.  On the sphere
 and the hyperboloid alpha has a closed form in b(phi), the (Minkowski)
 product of the center with p(phi).  Two 33-point phi grids locate the
-maximizer of alpha(phi) cos(phi), the second one confined to the
-feasible wedge at a boundary point.  The root of its phi-derivative,
-found by `bisect_root` in the grid bracket, pins it down, with alpha's
-b-derivative from implicit differentiation of the exit equation.  The
-oracle checks its entry once (w a nonzero finite tangent at x, x in
-the ball), not what it builds.  The references below the oracle
-(`lmo_brute_force`, `random_boundary_best`) share none of its plane
-reduction: they evaluate the objective on boundary points built from
-the center.
+maximizer of alpha(phi) cos(phi): the half-plane [-pi/2, pi/2], whose
+cos and sin are module constants, and the feasible wedge at a boundary
+point, the only angles that take trig per call.  The grid bracket is
+read from the two grids' argmaxes, without sorting their merge.  The
+root of the phi-derivative F', found by `bisect_root` in that bracket
+starting from F' at its ends as the sign test took them, pins the
+maximizer down, with alpha's b-derivative from implicit
+differentiation of the exit equation.  The oracle checks its entry
+once (w a nonzero finite tangent at x, x in the ball), not what it
+builds.  The references below the oracle (`lmo_brute_force`,
+`random_boundary_best`) share none of its plane reduction: they
+evaluate the objective on boundary points built from the center.
 
 `GeodesicBall.lmo` answers a pair (w, x) or stacked rows of pairs with
 one algorithm.  The arithmetic is chosen at the leaves: a pair's
-scalars are Python floats and `math`, rows are numpy arrays, and a row
-is the single call's answer up to the last bits of numpy's functions.
+scalars are Python floats and `math` (its grid bracket bisects lists),
+rows are numpy arrays, and a row is the single call's answer up to the
+last bits of numpy's functions.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 from dataclasses import dataclass
@@ -42,6 +47,12 @@ MEMBERSHIP_TOL = 1e-9
 LMO_TOL = 1e-12  # phi resolution of the oracle's refinement
 PHI_GRID = 33  # points per grid of the oracle's phi search
 _UNIT_GRID = np.linspace(0.0, 1.0, PHI_GRID)
+# the first phi grid, on [-pi/2, pi/2], the same on every call, and its
+# neighbours' lookups with a sentinel past either end
+_HALF_GRID = np.pi * _UNIT_GRID - 0.5 * np.pi
+_COS_HALF, _SIN_HALF = np.cos(_HALF_GRID), np.sin(_HALF_GRID)
+_HALF_LIST = _HALF_GRID.tolist()
+_PADDED = [-0.5 * np.pi, *_HALF_LIST, math.inf]
 ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 
@@ -136,7 +147,10 @@ class GeodesicBall:
         too).  A pair and rows take the same steps (a pair's scalars in
         floats and `math`, rows in numpy) up to the refinement's last:
         there a row whose plane degenerates or whose F' keeps its sign
-        across the bracket takes the single call."""
+        across the bracket takes the single call.  Per call only the
+        wedge's angles take trig, the bracket needs no sort, and F' at
+        its ends is taken once, by the sign test, on a pair and on
+        rows."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
@@ -160,10 +174,8 @@ class GeodesicBall:
         g = k.log(x, x0)
         u1, u2, g1, line = _section_frame(k, x, w, norm_w, g)
         b1, b2 = product(x0, u1), product(x0, u2)
-        grid = _phi_grid(m.atan2(k._inner(x, g, u2), g1))
-        alpha = exit_at(_col(a), np.cos(grid) * _col(b1)
-                        + np.sin(grid) * _col(b2), c)
-        lo, hi = _bracket(grid, alpha * np.cos(grid))
+        lo, hi = _grid_bracket(exit_at, a, b1, b2, c,
+                               m.atan2(k._inner(x, g, u2), g1))
         slope = _phi_slope(exit_at, a, b1, b2, c)
         ends = slope(lo), slope(hi)
         singles = {}
@@ -175,7 +187,12 @@ class GeodesicBall:
             ok = ~line & (ends[0] > 0.0) & (0.0 > ends[1])
             phi = np.empty(len(x))
             slopes = _phi_slope(exit_at, a[ok], b1[ok], b2[ok], c)
-            phi[ok] = bisect_root(slopes, lo[ok], hi[ok], tol=LMO_TOL)
+            # bisect_root starts from F' at the ends, known already
+            known = {lo[ok].tobytes(): ends[0][ok],
+                     hi[ok].tobytes(): ends[1][ok]}
+            phi[ok] = bisect_root(
+                lambda t: known[t.tobytes()] if t.tobytes() in known
+                else slopes(t), lo[ok], hi[ok], tol=LMO_TOL)
             singles = {i: self.lmo(w[i], x[i]) for i in np.flatnonzero(~ok)}
             for i, one in singles.items():
                 phi[i] = one.phi
@@ -321,26 +338,50 @@ def _section_frame(kernel, x, w, norm_w, g):
     return u1, u2, g1, flat
 
 
-def _phi_grid(psi):
-    """Both phi grids, merged in order: [-pi/2, pi/2], and the inward
-    half-plane from max(-pi/2, psi - pi/2) to pi/2, psi the angle of
-    log_x(center) in the plane.  One row per psi for an array psi."""
-    half = 0.5 * np.pi
+def _grid_bracket(exit_at, a, b1, b2, c, psi):
+    """The neighbours (lo, hi) of the maximizer of F(phi) = alpha(phi)
+    cos(phi) in the merge, in order, of two phi grids: _HALF_GRID on
+    [-pi/2, pi/2], and the wedge, the inward half-plane from max(-pi/2,
+    psi - pi/2) to pi/2, psi the angle of log_x(center) in the plane.
+    alpha is exit_at(a, cos(phi) b1 + sin(phi) b2, c).  Floats for a
+    pair, arrays over stacked rows.
+
+    Only the wedge takes trig, and the merge is never sorted: the
+    maximizer is the grids' first argmax of larger F (the smaller phi
+    on a tie, first in the merge); lo is the largest grid value below
+    it and hi the smallest above, each the maximizer itself where there
+    is none, and hi also where the maximizer lies on both grids (where
+    psi <= 0 the wedge is _HALF_GRID, bit for bit)."""
+    half, n = 0.5 * np.pi, PHI_GRID
     edge = _col(_where(psi - half > -half, psi - half, -half))
     wedge = (half - edge) * _UNIT_GRID + edge
-    full = np.pi * _UNIT_GRID - half
-    if wedge.ndim > 1:
-        full = np.broadcast_to(full, wedge.shape)
-    return np.sort(np.concatenate((full, wedge), axis=-1), axis=-1)
-
-
-def _bracket(grid, f):
-    """The grid neighbours (lo, hi) of the maximizer of f on each grid
-    row: floats for one grid, arrays for stacked rows."""
-    i, last = np.argmax(f, axis=-1), grid.shape[-1] - 1
-    if grid.ndim == 1:
-        return float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
-    return grid[np.arange(len(grid)), np.clip(i + [[-1], [1]], 0, last)]
+    cw, b1, b2 = np.cos(wedge), _col(b1), _col(b2)
+    alpha = exit_at(_col(a), np.concatenate(
+        (_COS_HALF * b1 + _SIN_HALF * b2, cw * b1 + np.sin(wedge) * b2),
+        axis=-1), c)
+    fh, fw = alpha[..., :n] * _COS_HALF, alpha[..., n:] * cw
+    i, j = fh.argmax(-1), fw.argmax(-1)
+    # h0 and w0 count the grid values below the maximizer, h1 and w1 those
+    # up to it; _PADDED is _HALF_GRID between -pi/2 and inf
+    if wedge.ndim == 1:  # a pair: Python floats, bisect on lists
+        ph, wl = _HALF_LIST[i], wedge.tolist()
+        star = wl[j] if (fw[j], -wl[j]) > (fh[i], -ph) else ph
+        h0, h1 = bisect_left(_HALF_LIST, star), bisect_right(_HALF_LIST, star)
+        w0, w1 = bisect_left(wl, star), bisect_right(wl, star)
+        lo = max(_PADDED[h0], wl[w0 - 1] if w0 else -half)
+        hi = min(_PADDED[h1 + 1], wl[w1] if w1 < n else math.inf)
+        return lo, star if h1 - h0 + w1 - w0 > 1 or hi == math.inf else hi
+    rows = np.arange(len(wedge))
+    ph, pw = _HALF_GRID[i], wedge[rows, j]
+    fh, fw = fh[rows, i], fw[rows, j]
+    star = np.where((fw > fh) | (fw == fh) & (pw < ph), pw, ph)
+    h0, h1 = (_HALF_GRID.searchsorted(star, side) for side in ("left", "right"))
+    w0, w1 = (wedge < star[:, None]).sum(-1), (wedge <= star[:, None]).sum(-1)
+    padded = np.array(_PADDED)
+    lo = np.maximum(padded[h0], np.where(w0 > 0, wedge[rows, w0 - 1], -half))
+    hi = np.minimum(padded[h1 + 1], np.where(
+        w1 < n, wedge[rows, np.minimum(w1, n - 1)], np.inf))
+    return lo, np.where((h1 - h0 + w1 - w0 > 1) | (hi == np.inf), star, hi)
 
 
 def _phi_slope(exit_at, a, b1, b2, c):

@@ -116,6 +116,45 @@ LAYOUTS = {  # the slots of one sample, per certificate
     "gconvexity": ("point", "point", "time")}
 
 
+def phi_grid(psi):
+    """Both phi grids of the ball oracle, merged in order by np.sort:
+    [-pi/2, pi/2], and the inward half-plane from max(-pi/2, psi - pi/2)
+    to pi/2, psi the angle of log_x(center) in the plane.  One row per
+    psi for an array psi."""
+    from rfw.balls import PHI_GRID
+
+    unit, half = np.linspace(0.0, 1.0, PHI_GRID), 0.5 * np.pi
+    psi = psi[:, None] if isinstance(psi, np.ndarray) else psi
+    edge = np.where(psi - half > -half, psi - half, -half)
+    wedge = (half - edge) * unit + edge
+    full = np.broadcast_to(np.pi * unit - half, wedge.shape)
+    return np.sort(np.concatenate((full, wedge), axis=-1), axis=-1)
+
+
+def merged_objective(exit_at, a, b1, b2, c, psi):
+    """phi_grid(psi) and F(phi) = alpha(phi) cos(phi) on it, alpha =
+    exit_at(a, cos(phi) b1 + sin(phi) b2, c): one row per psi for an
+    array psi."""
+    grid = phi_grid(psi)
+    col = (lambda v: v[:, None]) if grid.ndim > 1 else float
+    return grid, exit_at(col(a), np.cos(grid) * col(b1)
+                         + np.sin(grid) * col(b2), c) * np.cos(grid)
+
+
+def sorted_grid_bracket(exit_at, a, b1, b2, c, psi):
+    """The ball oracle's grid bracket the sorting way: the grid
+    neighbours of np.argmax of merged_objective, clipped at either end;
+    floats for a float psi, arrays over an array psi.  The reference of
+    rfw.balls._grid_bracket, which reads the bracket from the unsorted
+    grids."""
+    grid, f = merged_objective(exit_at, a, b1, b2, c, psi)
+    i, last = np.argmax(f, axis=-1), grid.shape[-1] - 1
+    if grid.ndim == 1:
+        return float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
+    lo, hi = grid[np.arange(len(grid)), np.clip(i + [[-1], [1]], 0, last)]
+    return lo, hi
+
+
 def sup_member(member_at, hi_cap, resolution):
     """sup{s in [0, hi_cap] : member_at(s)}; assumes membership along
     the ray is an initial interval (true for convex sets)."""

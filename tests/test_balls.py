@@ -15,6 +15,8 @@ from rfw.balls import (ORACLE_KERNELS, _alpha_phi_bisect, _section_frame,
                        grid_objectives)
 from rfw.scalars import bisect_root
 
+from helpers import merged_objective, sorted_grid_bracket
+
 
 def sphere_ball(n=3, r=0.8, seed=0):
     k = Sphere(n)
@@ -207,12 +209,14 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
     # bracket down to LMO_TOL alone would take ~40 exit evaluations;
     # F' at the bracket ends is taken once, by the sign test.  Counted
     # are the scalar exit evaluations (a float b), not the grid's call
-    calls = [0]
+    calls, rows, steps, inside = [0], [0, 0], [0], [False]
     for name in ("alpha_phi_sphere", "_alpha_phi_hyperboloid"):
         exit_at = getattr(rfw.balls, name)
 
         def counted(a, b, c, slope=False, exit_at=exit_at):
             calls[0] += type(b) is float
+            if type(a) is np.ndarray:  # row-wise, inside bisect_root or not
+                rows[inside[0]] += 1
             return exit_at(a, b, c, slope=slope)
         monkeypatch.setattr(rfw.balls, name, counted)
     rng = np.random.default_rng(23)
@@ -229,6 +233,33 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
         ball.lmo(w, x)
         worst = max(worst, calls[0])
     assert 0 < worst <= 14
+    # stacked rows: the row bisection starts from F' at its bracket ends
+    # as the sign test took them, so all of its calls but the first two
+    # evaluate the exit distance.  The call makes one row-wise
+    # evaluation on the grid, two for the sign test, one per bisection
+    # step and one for the vertex (the rows that take the single call
+    # evaluate on floats)
+    bisect = rfw.balls.bisect_root
+
+    def traced(fun, lo, hi, tol):
+        if type(lo) is not np.ndarray:
+            return bisect(fun, lo, hi, tol=tol)
+
+        def stepped(t):
+            steps[0] += 1
+            return fun(t)
+        inside[0] = True
+        try:
+            return bisect(stepped, lo, hi, tol=tol)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(rfw.balls, "bisect_root", traced)
+    for seed in range(4):
+        w, x = _oracle_rows(k, ball, np.random.default_rng(seed), 100)
+        rows[:], steps[0] = [0, 0], 0
+        ball.lmo(w, x)
+        assert steps[0] > 2 and rows == [4, steps[0] - 2]
+        assert rows[1] <= 10
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
@@ -559,3 +590,107 @@ def test_stacked_lmo_checks_every_row_at_entry(cls):
         ball.lmo(k.project_tangent(far, w), far)
     with pytest.raises(ContractError, match="shape"):
         ball.lmo(w[0], x)
+
+
+# ---------------------------------------------------------------------------
+# the grid bracket against the sorted merge of both grids
+# ---------------------------------------------------------------------------
+
+BRACKET_BALLS = [(Sphere(3), 0.3), (Sphere(3), 1.2), (Sphere(3), 1.5),
+                 (Hyperboloid(3), 1.0), (Hyperboloid(3), 2.0)]
+
+
+def _bracket_rows(k, ball, rng):
+    """(w, x) rows on the bracket's corners: x at the center, and w
+    along +-log_x(center) (the wedge is the first grid where psi <= 0);
+    x on the boundary with w its outward normal, exact (F ties at 0
+    over every grid value where x is on the boundary to the last bit)
+    and tilted by 1e-12 to 1 (F is 0 over the run of outward rays); and
+    random interior rows."""
+    ws, xs = [k.random_unit_tangent(ball.center, rng)], [ball.center]
+    for _ in range(4):
+        x = ball.sample(rng)
+        g = k.log(x, ball.center)
+        ws += [g / k.norm(x, g), -g / k.norm(x, g)]
+        xs += [x, x]
+        for tilt in (0.0, 1e-12, 1e-6, 1e-2, 1.0):
+            x, w = _boundary_point_and_tilted_normal(k, ball, rng, tilt)
+            ws.append(w)
+            xs.append(x)
+    for _ in range(12):
+        xs.append(ball.sample(rng))
+        ws.append(k.random_unit_tangent(xs[-1], rng))
+    return np.array(ws), np.array(xs)
+
+
+def _assert_brackets_sorted(calls):
+    """Each (arguments, bracket) of _grid_bracket is the sorted
+    reference's, bit for bit: floats for a pair, arrays for rows."""
+    for args, (lo, hi) in calls:
+        ref = sorted_grid_bracket(*args)
+        if type(args[-1]) is float:
+            assert type(lo) is float and type(hi) is float
+            assert (lo, hi) == ref, (args, (lo, hi), ref)
+        else:
+            for got, want in zip((lo, hi), ref):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), np.flatnonzero(
+                    got != want)
+
+
+@pytest.mark.parametrize("k,radius", BRACKET_BALLS,
+                         ids=[f"{k.name}-{r:g}" for k, r in BRACKET_BALLS])
+def test_grid_bracket_is_the_sorted_merge(monkeypatch, k, radius):
+    # the bracket read from the two grids' argmaxes is the one the
+    # sorted merge of both grids gives, on stacked rows and on pairs
+    calls = []
+    grid_bracket = rfw.balls._grid_bracket
+
+    def spy(*args):
+        calls.append((args, grid_bracket(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(rfw.balls, "_grid_bracket", spy)
+    ball = GeodesicBall(k, k.random_point(np.random.default_rng(5)), radius)
+    w, x = _bracket_rows(k, ball, np.random.default_rng(6))
+    ball.lmo(w, x)
+    stacked = calls[0][0]
+    for i in range(len(x)):
+        ball.lmo(w[i], x[i])
+    _assert_brackets_sorted(calls)
+    # the rows reach two corners: a wedge that is the first grid, and F
+    # tied at its maximum over several grid values
+    grid, f = merged_objective(*stacked)
+    top = f == f.max(axis=-1, keepdims=True)
+    assert np.any(stacked[-1] - 0.5 * np.pi <= -0.5 * np.pi)
+    assert np.any([len(set(g[t])) > 1 for g, t in zip(grid, top)])
+
+
+MADE_UP_EXITS = {  # b = sin(phi): alpha is any function of phi
+    "zero": lambda a, b, c: 0.0 * b,
+    "zero-past-pi/6": lambda a, b, c: np.minimum(b - 0.5, 0.0),
+    "negative-at-pi/2": lambda a, b, c: np.where(b >= 1.0, -1.0, 0.0),
+    "wiggly": lambda a, b, c: np.sin(40.0 * b) + 2.0}
+
+
+@pytest.mark.parametrize("name", list(MADE_UP_EXITS))
+def test_grid_bracket_is_the_sorted_merge_on_made_up_exits(name):
+    # F = alpha cos(phi) with alpha a made-up function of b = sin(phi):
+    # ties over a run (the first grid value wins them, or the smaller
+    # phi across the grids), and the maximum at the last grid value
+    # where the wedge ends past pi/2 and cos(phi) < 0 there
+    exit_at = MADE_UP_EXITS[name]
+    rng = np.random.default_rng(7)
+    psi = np.concatenate(([0.0, 1e-300, 1e-16, np.pi, np.pi - 1e-15],
+                          rng.uniform(0.0, np.pi, 200)))
+    ones, zeros = np.ones(len(psi)), np.zeros(len(psi))
+    rows = (exit_at, ones, zeros, ones, 0.5, psi)
+    calls = [(rows, rfw.balls._grid_bracket(*rows))]
+    for p in psi.tolist():
+        one = (exit_at, 1.0, 0.0, 1.0, 0.5, p)
+        calls.append((one, rfw.balls._grid_bracket(*one)))
+    _assert_brackets_sorted(calls)
+    first = np.argmax(merged_objective(*rows)[1], axis=-1)
+    if name == "negative-at-pi/2":
+        assert np.any(first == 2 * rfw.balls.PHI_GRID - 1)
+    elif name.startswith("zero"):
+        assert np.any(first == 0) == (name == "zero")

@@ -15,7 +15,11 @@ package names in this process and times a fixed list of cases on both:
 * one certificate of each membership notion, at both alphas of the
   certify-sphere workload, with 200 samples, on its Sphere(3) cap of
   radius 0.3 behind lambdas (membership answered row by row, the
-  sampler called once per point): a set that is not a ball.
+  sampler called once per point): a set that is not a ball;
+* one GeodesicBall.lmo call on a pair and one on 400 stacked pairs (x
+  sampled in the ball, w a random unit tangent at x), on the
+  certify-sphere workload's Sphere(3) cap of radius 0.3 and on a
+  Hyperboloid(4) ball of radius 1.
 
 Each side draws its own copy of every input and generator, so both make
 the same calls on the same numbers.  A round times each case once per
@@ -23,14 +27,16 @@ side, a batch of calls sized at the start to take --batch-seconds, the
 two sides in turn and the side that goes first alternating by round;
 a case's ratio is the median over the rounds of change / parent time
 per call.  A null pass runs first: the parent against itself, with
-fresh inputs on the second side.  Its null band is the lowest and the
-highest per-round ratio of any of its cases, the spread that timing
-noise alone gives in this process; a change ratio outside it is more
-than noise.  The output names the two tree directories and holds each
-case's median ratio, its null-pass median and both sides' median
-seconds per call, the null band, and whether the ratio lies inside it.
-BLAS is pinned to one thread, as in the benchmark.  This is evidence, not a gate: BENCHMARK.json and
-tools/bench_pairs.py are the gate.
+fresh inputs on the second side.  A case's null band is the lowest and
+the highest of its own per-round ratios in that pass, the spread that
+timing noise alone gives the case in this process; a change ratio
+outside it is more than noise.  The output names the two tree
+directories and holds each case's median ratio, its null-pass median
+and band, both sides' median seconds per call and whether the ratio
+lies inside the band, and, for reference, the overall band: the lowest
+and the highest per-round ratio of any case in the null pass.  BLAS is
+pinned to one thread, as in the benchmark.  This is evidence, not a
+gate: BENCHMARK.json and tools/bench_pairs.py are the gate.
 """
 
 import os
@@ -53,6 +59,10 @@ KERNELS = (("euclidean", 3, 1.0), ("sphere", 3, 0.3), ("hyperboloid", 4, 1.0),
            ("spd", 3, 1.0))  # kernel, size, radius of the sampled ball
 SEED = 0
 MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
+# the certify-sphere workload's cap and a hyperbolic ball: one oracle call
+# on a pair and one on ORACLE_ROWS stacked pairs, x sampled in the ball
+ORACLE_BALLS = (("sphere", 3, 0.3), ("hyperboloid", 4, 1.0))
+ORACLE_ROWS = 400
 
 
 def import_tree(tree, name):
@@ -111,6 +121,22 @@ def cases(rfw, workloads):
         out[f"wrapped/{s3.name}/r0.3/{notion}/a{alpha:g}"] = (
             lambda notion=notion, alpha=alpha, i=i: rfw.run_checker(
                 notion, wrapped, alpha, 200, np.random.default_rng([SEED, i])))
+    return out | oracle_cases(rfw)
+
+
+def oracle_cases(rfw):
+    """{case name: a call taking no argument} of the oracle cases."""
+    out = {}
+    for kernel, n, radius in ORACLE_BALLS:
+        k = rfw.make_manifold(kernel, n)
+        rng = np.random.default_rng(SEED)
+        ball = rfw.GeodesicBall(k, k.random_point(rng), radius)
+        x = np.array([ball.sample(rng) for _ in range(ORACLE_ROWS)])
+        w = np.array([k.random_unit_tangent(row, rng) for row in x])
+        out[f"lmo/{k.name}/r{radius:g}/single"] = (
+            lambda ball=ball, w=w[0], x=x[0]: ball.lmo(w, x))
+        out[f"lmo/{k.name}/r{radius:g}/rows{ORACLE_ROWS}"] = (
+            lambda ball=ball, w=w, x=x: ball.lmo(w, x))
     return out
 
 
@@ -147,22 +173,24 @@ def report(parent_tree, change_tree, rounds, batch_seconds):
     change = import_tree(change_tree, "rfw_ab_change")
     null = compare(cases(parent, workloads), cases(parent, workloads),
                    rounds, batch_seconds)
-    band = (min(min(r) for r, _, _ in null.values()),
-            max(max(r) for r, _, _ in null.values()))
+    bands = {name: (min(r), max(r)) for name, (r, _, _) in null.items()}
     ab = compare(cases(parent, workloads), cases(change, workloads),
                  rounds, batch_seconds)
     out = {}
     for name, (ratios, a, b) in ab.items():
-        ratio = statistics.median(ratios)
+        ratio, band = statistics.median(ratios), bands[name]
         out[name] = {"ratio": ratio,
                      "null_ratio": statistics.median(null[name][0]),
+                     "null_band": list(band),
                      "parent_s": statistics.median(a),
                      "change_s": statistics.median(b),
                      "inside_null_band": band[0] <= ratio <= band[1]}
     return {"parent": Path(parent_tree).resolve().name,
             "change": Path(change_tree).resolve().name,
             "rounds": rounds, "batch_seconds": batch_seconds,
-            "null_band": list(band), "cases": out}
+            "null_band": [min(lo for lo, _ in bands.values()),
+                          max(hi for _, hi in bands.values())],
+            "cases": out}
 
 
 def parse_args(argv=None):
@@ -185,8 +213,9 @@ def main(argv=None):
     lo, hi = out["null_band"]
     print(f"null band {lo:.3f}x .. {hi:.3f}x")
     for name, case in out["cases"].items():
-        print(f"{case['ratio']:7.3f}x  (null {case['null_ratio']:.3f}x, "
-              f"parent {case['parent_s'] * 1e6:9.1f} us)  {name}")
+        band = "{:.3f}-{:.3f}x".format(*case["null_band"])
+        print(f"{case['ratio']:7.3f}x  (null {case['null_ratio']:.3f}x in "
+              f"{band}, parent {case['parent_s'] * 1e6:9.1f} us)  {name}")
     return 0
 
 

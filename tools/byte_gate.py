@@ -49,6 +49,12 @@ byte-identical outputs must leave no line different.  The grid:
   the caps of radius 0.3 its F' keeps its sign across the grid
   bracket), each from a single call, and all 44 (w, x) pairs again as
   the rows of one stacked call;
+* the oracle's ties and duplicates (lmo-ties/ and lmo-ties-rows/): per
+  oracle ball, three times x at the center, w along log_x(center) at a
+  sampled x (both phi grids are the same values there) and a boundary
+  point with w its outward normal, exact and tilted by 1e-12, 1e-6 and
+  1e-2 (F ties at 0 over the outward rays), from default_rng(13), each
+  from a single call and all 18 again as the rows of one stacked call;
 * the paper-desk trace CSV and summary for seeds 0 and 42;
 * draws (draws/): GeodesicBall.sample on each ball of the grid, around
   the base point and around random_point(default_rng(s)), from
@@ -132,6 +138,7 @@ ALPHAS = (("pass", 0.1), ("fail", 5.0))  # times 1/radius
 SAMPLES = 30
 CLEARANCE_ROWS = 24
 ORACLE_CALLS = 40
+TIE_TILTS = (0.0, 1e-12, 1e-6, 1e-2)
 MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
 EDGES = (  # kernel, dim, radius, alpha, notions
     ("spd", 3, 2.0, 10.0, MEMBERSHIP), ("spd", 3, 2.0, 20.0, MEMBERSHIP),
@@ -362,27 +369,59 @@ def oracle_pairs(ball, rng):
     yield "inward", g / k.norm(x, g), x
     yield "outward", -g / k.norm(x, g), x
     x = k.exp(x0, (r - 1e-12) * k.random_unit_tangent(x0, rng))
-    g = k.log(x, x0)
+    yield "nosign", tilted_normals(ball, x, rng, (1e-6,))[0], x
+
+
+def tilted_normals(ball, x, rng, tilts):
+    """x's outward normal (away from the center) plus each tilt times
+    one unit tangent orthogonal to it, drawn from rng."""
+    k = ball.kernel
+    g = k.log(x, ball.center)
     normal = -g / k.norm(x, g)
     t = k.random_tangent(x, rng)
     t = t - k.inner(x, normal, t) * normal
-    yield "nosign", normal + 1e-6 * t / k.norm(x, t), x
+    return [normal + tilt * t / k.norm(x, t) for tilt in tilts]
+
+
+def oracle_digests(out, family, name, ball, pairs):
+    """Each pair's oracle result as a single call (family/name/tag), and
+    all of them as the rows of one stacked call (family-rows/name/tag)."""
+    for tag, w, x in pairs:
+        out[f"{family}/{name}/{tag}"] = digest(
+            lambda: lmo_fields(ball.lmo(w, x)))
+    w = np.array([w for _, w, _ in pairs])
+    x = np.array([x for _, _, x in pairs])
+    stacked = functools.cache(lambda: ball.lmo(w, x))
+    for i, (tag, _, _) in enumerate(pairs):
+        out[f"{family}-rows/{name}/{tag}"] = digest(
+            lambda: lmo_fields(stacked(), i))
 
 
 def oracle_results(out):
     for name, ball in balls(0):
         if ball.kernel.name.startswith("spd"):
             continue
-        pairs = list(oracle_pairs(ball, np.random.default_rng(11)))
-        for tag, w, x in pairs:
-            out[f"lmo/{name}/{tag}"] = digest(
-                lambda: lmo_fields(ball.lmo(w, x)))
-        w = np.array([w for _, w, _ in pairs])
-        x = np.array([x for _, _, x in pairs])
-        stacked = functools.cache(lambda: ball.lmo(w, x))
-        for i, (tag, _, _) in enumerate(pairs):
-            out[f"lmo-rows/{name}/{tag}"] = digest(
-                lambda: lmo_fields(stacked(), i))
+        oracle_digests(out, "lmo", name, ball,
+                       list(oracle_pairs(ball, np.random.default_rng(11))))
+        oracle_digests(out, "lmo-ties", name, ball,
+                       list(tie_pairs(ball, np.random.default_rng(13))))
+
+
+def tie_pairs(ball, rng):
+    """(tag, w, x) of the oracle's tie and duplicate rows on one ball:
+    three times x at the center, w along log_x(center) from a sampled x
+    (where psi <= 0 both phi grids are the same values) and a boundary
+    point with w its outward normal tilted by each of TIE_TILTS (F
+    ties at 0 over the outward rays)."""
+    k, x0, r = ball.kernel, ball.center, ball.radius
+    for i in range(3):
+        yield f"center{i}", k.random_unit_tangent(x0, rng), x0
+        x = ball.sample(rng)
+        g = k.log(x, x0)
+        yield f"inward{i}", g / k.norm(x, g), x
+        x = k.exp(x0, r * k.random_unit_tangent(x0, rng))
+        for tilt, w in zip(TIE_TILTS, tilted_normals(ball, x, rng, TIE_TILTS)):
+            yield f"boundary{i}/tilt{tilt:g}", w, x
 
 
 def experiments(out):
