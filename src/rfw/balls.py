@@ -13,8 +13,8 @@ product of the center with p(phi).  Two 33-point phi grids locate the
 maximizer of alpha(phi) cos(phi): the half-plane [-pi/2, pi/2], whose
 cos and sin are module constants, and the feasible wedge at a boundary
 point, the only angles that take trig per call.  The grid bracket is
-read from the two grids' argmaxes, without sorting their merge.  The
-root of the phi-derivative F', found by `bisect_root` in that bracket
+read from the two grids' argmaxes; stacked rows never sort their merge.
+The root of the phi-derivative F', found by `bisect_root` in that bracket
 starting from F' at its ends as the sign test took them, pins the
 maximizer down, with alpha's b-derivative from implicit
 differentiation of the exit equation.  The oracle checks its entry
@@ -25,13 +25,13 @@ evaluate the objective on boundary points built from the center.
 
 `GeodesicBall.lmo` answers a pair (w, x) or stacked rows of pairs with
 one algorithm.  The arithmetic is chosen at the leaves: a pair's
-scalars are Python floats and `math` (its grid bracket bisects lists),
+scalars are Python floats and `math` (its grid bracket merges lists),
 rows are numpy arrays, and a row is the single call's answer up to the
 last bits of numpy's functions.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import numpy as np
 from dataclasses import dataclass
@@ -47,12 +47,13 @@ MEMBERSHIP_TOL = 1e-9
 LMO_TOL = 1e-12  # phi resolution of the oracle's refinement
 PHI_GRID = 33  # points per grid of the oracle's phi search
 _UNIT_GRID = np.linspace(0.0, 1.0, PHI_GRID)
-# the first phi grid, on [-pi/2, pi/2], the same on every call, and its
-# neighbours' lookups with a sentinel past either end
+# the first phi grid, on [-pi/2, pi/2], the same on every call: its cos
+# and sin, its list for a pair's merge, and for rows the grid between
+# -pi/2 and inf, so that _PADDED[k] is the grid value below index k
 _HALF_GRID = np.pi * _UNIT_GRID - 0.5 * np.pi
 _COS_HALF, _SIN_HALF = np.cos(_HALF_GRID), np.sin(_HALF_GRID)
 _HALF_LIST = _HALF_GRID.tolist()
-_PADDED = [-0.5 * np.pi, *_HALF_LIST, math.inf]
+_PADDED = np.concatenate(([-0.5 * np.pi], _HALF_GRID, [np.inf]))
 ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 
@@ -148,9 +149,9 @@ class GeodesicBall:
         floats and `math`, rows in numpy) up to the refinement's last:
         there a row whose plane degenerates or whose F' keeps its sign
         across the bracket takes the single call.  Per call only the
-        wedge's angles take trig, the bracket needs no sort, and F' at
-        its ends is taken once, by the sign test, on a pair and on
-        rows."""
+        wedge's angles take trig, the rows' bracket needs no sort, and
+        F' at its ends is taken once, by the sign test, on a pair and
+        on rows."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
@@ -270,20 +271,6 @@ def _alpha_phi_hyperboloid(a, b, c, slope=False):
     return _exit_slopes(s, m.sinh(s), root) if slope else s
 
 
-def _alpha_phi_bisect(a, b, c):
-    """alpha_phi_sphere by a scan of [0, 2pi] and `bisect_root`,
-    outside the oracle's regime too: the tests' independent reference."""
-    f = lambda t: a * np.cos(t) + b * np.sin(t) - c
-    grid = np.linspace(0.0, 2.0 * np.pi, 721)
-    vals = f(grid)
-    for i in range(720):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] <= 0.0:
-            return float(bisect_root(f, grid[i], grid[i + 1], tol=1e-14))
-    raise NumericsError("alpha_phi_sphere: no root located on (0, 2pi]")
-
-
 def _exit_slopes(s, sn, root):
     """(s, ds/db) for the exit root s of a cos(s) + b sin(s) = c (sn =
     sin s) or of a cosh(s) - b sinh(s) = c (sn = sinh s).
@@ -346,12 +333,13 @@ def _grid_bracket(exit_at, a, b1, b2, c, psi):
     alpha is exit_at(a, cos(phi) b1 + sin(phi) b2, c).  Floats for a
     pair, arrays over stacked rows.
 
-    Only the wedge takes trig, and the merge is never sorted: the
-    maximizer is the grids' first argmax of larger F (the smaller phi
-    on a tie, first in the merge); lo is the largest grid value below
-    it and hi the smallest above, each the maximizer itself where there
-    is none, and hi also where the maximizer lies on both grids (where
-    psi <= 0 the wedge is _HALF_GRID, bit for bit)."""
+    Only the wedge takes trig.  The maximizer is the grids' first
+    argmax of larger F (the smaller phi on a tie, first in the merge).
+    A pair merges the two sorted lists and reads its neighbours there;
+    rows never sort: lo is the largest grid value below it and hi the
+    smallest above, each the maximizer itself where there is none, and
+    hi also where the maximizer lies on both grids (where psi <= 0 the
+    wedge is _HALF_GRID, bit for bit)."""
     half, n = 0.5 * np.pi, PHI_GRID
     edge = _col(_where(psi - half > -half, psi - half, -half))
     wedge = (half - edge) * _UNIT_GRID + edge
@@ -361,26 +349,21 @@ def _grid_bracket(exit_at, a, b1, b2, c, psi):
         axis=-1), c)
     fh, fw = alpha[..., :n] * _COS_HALF, alpha[..., n:] * cw
     i, j = fh.argmax(-1), fw.argmax(-1)
+    at = (np.arange(len(wedge)),) if wedge.ndim > 1 else ()
+    ph, pw = _HALF_GRID[i], wedge[at + (j,)]
+    fh, fw = fh[at + (i,)], fw[at + (j,)]
+    star = _where((fw > fh) | (fw == fh) & (pw < ph), pw, ph)
+    if not at:  # a pair: Python's sort merges the two sorted lists
+        grid = sorted(_HALF_LIST + wedge.tolist())
+        k = bisect_left(grid, star)
+        return grid[max(k - 1, 0)], grid[min(k + 1, 2 * n - 1)]
     # h0 and w0 count the grid values below the maximizer, h1 and w1 those
-    # up to it; _PADDED is _HALF_GRID between -pi/2 and inf
-    if wedge.ndim == 1:  # a pair: Python floats, bisect on lists
-        ph, wl = _HALF_LIST[i], wedge.tolist()
-        star = wl[j] if (fw[j], -wl[j]) > (fh[i], -ph) else ph
-        h0, h1 = bisect_left(_HALF_LIST, star), bisect_right(_HALF_LIST, star)
-        w0, w1 = bisect_left(wl, star), bisect_right(wl, star)
-        lo = max(_PADDED[h0], wl[w0 - 1] if w0 else -half)
-        hi = min(_PADDED[h1 + 1], wl[w1] if w1 < n else math.inf)
-        return lo, star if h1 - h0 + w1 - w0 > 1 or hi == math.inf else hi
-    rows = np.arange(len(wedge))
-    ph, pw = _HALF_GRID[i], wedge[rows, j]
-    fh, fw = fh[rows, i], fw[rows, j]
-    star = np.where((fw > fh) | (fw == fh) & (pw < ph), pw, ph)
+    # up to it
     h0, h1 = (_HALF_GRID.searchsorted(star, side) for side in ("left", "right"))
     w0, w1 = (wedge < star[:, None]).sum(-1), (wedge <= star[:, None]).sum(-1)
-    padded = np.array(_PADDED)
-    lo = np.maximum(padded[h0], np.where(w0 > 0, wedge[rows, w0 - 1], -half))
-    hi = np.minimum(padded[h1 + 1], np.where(
-        w1 < n, wedge[rows, np.minimum(w1, n - 1)], np.inf))
+    lo = np.maximum(_PADDED[h0], np.where(w0 > 0, wedge[at + (w0 - 1,)], -half))
+    hi = np.minimum(_PADDED[h1 + 1], np.where(
+        w1 < n, wedge[at + (np.minimum(w1, n - 1),)], np.inf))
     return lo, np.where((h1 - h0 + w1 - w0 > 1) | (hi == np.inf), star, hi)
 
 

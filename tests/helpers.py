@@ -36,6 +36,20 @@ def ball_quadratic_fstar(matrix, target, center, radius):
     return 0.5 * float(d @ matrix @ d), xs
 
 
+def alpha_phi_bisect(a, b, c):
+    """rfw.balls.alpha_phi_sphere by a scan of [0, 2pi] and `bisect_root`,
+    outside the oracle's regime too: an independent reference."""
+    f = lambda t: a * np.cos(t) + b * np.sin(t) - c
+    grid = np.linspace(0.0, 2.0 * np.pi, 721)
+    vals = f(grid)
+    for i in range(720):
+        if vals[i] == 0.0:
+            return float(grid[i])
+        if vals[i] * vals[i + 1] <= 0.0:
+            return float(bisect_root(f, grid[i], grid[i + 1], tol=1e-14))
+    raise AssertionError("alpha_phi_sphere: no root located on (0, 2pi]")
+
+
 def fd_directional(kernel, value, x, u, h=1e-6):
     """Central finite difference of a scalar field along exp(x, t u)."""
     return (value(kernel.exp(x, h * u)) - value(kernel.exp(x, -h * u))) / (2 * h)

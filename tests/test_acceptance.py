@@ -17,14 +17,14 @@ from rfw import (Euclidean, GeodesicBall, Hyperboloid, QuadraticOnEmbedded,
                  RfwProblem, Spd, Sphere, SquaredDistanceObjective, ball_set,
                  contraction_check, estimate_alpha, min_gradient_norm,
                  residual, rfw_run, run_checker, strong_convexity_radius)
-from rfw.balls import (_alpha_phi_bisect, _section_frame, alpha_phi_sphere,
-                       lmo_brute_force, random_boundary_best)
+from rfw.balls import (_section_frame, alpha_phi_sphere, lmo_brute_force,
+                       random_boundary_best)
 from rfw.cli import PRESETS, run_single_experiment
 from rfw.convexity import (SmoothStronglyConvexFn, ball_strong_convexity_alpha,
                            check_gconvexity_of_function,
                            check_smoothness_gradient_bound)
-from helpers import (ball_quadratic_fstar, geometry_invariant_worst,
-                     hadamard_slacks)
+from helpers import (alpha_phi_bisect, ball_quadratic_fstar,
+                     geometry_invariant_worst, hadamard_slacks)
 
 
 def _verdict(num, name, ok, elapsed, cap, detail):
@@ -74,7 +74,7 @@ def test_criterion_02_lmo_against_brute_force():
                 b = (np.cos(res.phi) * float(np.dot(ball.center, u1))
                      + np.sin(res.phi) * float(np.dot(ball.center, u2)))
                 worst_alpha = max(worst_alpha, abs(
-                    alpha_phi_sphere(a, b, c) - _alpha_phi_bisect(a, b, c)))
+                    alpha_phi_sphere(a, b, c) - alpha_phi_bisect(a, b, c)))
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-5 and worst_alpha <= 1e-8 and count == 100
     _verdict(2, "ball oracle vs boundary grid", ok, elapsed, 30.0,

@@ -11,11 +11,10 @@ from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
                  boundary_section_grid, lmo_brute_force,
                  random_boundary_best)
 import rfw.balls
-from rfw.balls import (ORACLE_KERNELS, _alpha_phi_bisect, _section_frame,
-                       grid_objectives)
+from rfw.balls import ORACLE_KERNELS, _section_frame, grid_objectives
 from rfw.scalars import bisect_root
 
-from helpers import merged_objective, sorted_grid_bracket
+from helpers import alpha_phi_bisect, merged_objective, sorted_grid_bracket
 
 
 def sphere_ball(n=3, r=0.8, seed=0):
@@ -335,7 +334,7 @@ def test_alpha_phi_closed_form_against_bisection():
         b = float(ball.center @ p)
         c = np.cos(ball.radius)
         worst = max(worst, abs(alpha_phi_sphere(a, b, c)
-                               - _alpha_phi_bisect(a, b, c)))
+                               - alpha_phi_bisect(a, b, c)))
         checked += 1
     assert checked > 10
     assert worst <= 1e-8
