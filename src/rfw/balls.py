@@ -148,10 +148,11 @@ class GeodesicBall:
         too).  A pair and rows take the same steps (a pair's scalars in
         floats and `math`, rows in numpy) up to the refinement's last:
         there a row whose plane degenerates or whose F' keeps its sign
-        across the bracket takes the single call.  Per call only the
-        wedge's angles take trig, the rows' bracket needs no sort, and
-        F' at its ends is taken once, by the sign test, on a pair and
-        on rows."""
+        across the bracket takes the single call, its whole answer
+        written over its row after the stacked vertex step.  Per call
+        only the wedge's angles take trig, the rows' bracket needs no
+        sort, and F' at its ends is taken once, by the sign test, whose
+        values `bisect_root` starts from, on a pair and on rows."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
@@ -179,31 +180,18 @@ class GeodesicBall:
                                m.atan2(k._inner(x, g, u2), g1))
         slope = _phi_slope(exit_at, a, b1, b2, c)
         ends = slope(lo), slope(hi)
-        singles = {}
-        if m is _Arrays:
-            # the rows whose F' changes sign across the bracket, on a
-            # plane that is not a line (x at the center, or w along
-            # log_x(center)), bisect together; the others take the
-            # single call
-            ok = ~line & (ends[0] > 0.0) & (0.0 > ends[1])
-            phi = np.empty(len(x))
-            slopes = _phi_slope(exit_at, a[ok], b1[ok], b2[ok], c)
-            # bisect_root starts from F' at the ends, known already
-            known = {lo[ok].tobytes(): ends[0][ok],
-                     hi[ok].tobytes(): ends[1][ok]}
+        # F' changes sign across the bracket on a plane that is not a line
+        # (x at the center, or w along log_x(center)): bisect from its ends
+        ok = _where(line, False, (ends[0] > 0.0) & (0.0 > ends[1]))
+        if m is _Arrays:  # the other rows take the single call below
+            phi = np.zeros(len(x))
             phi[ok] = bisect_root(
-                lambda t: known[t.tobytes()] if t.tobytes() in known
-                else slopes(t), lo[ok], hi[ok], tol=LMO_TOL)
-            singles = {i: self.lmo(w[i], x[i]) for i in np.flatnonzero(~ok)}
-            for i, one in singles.items():
-                phi[i] = one.phi
+                _phi_slope(exit_at, a[ok], b1[ok], b2[ok], c), lo[ok], hi[ok],
+                tol=LMO_TOL, ends=(ends[0][ok], ends[1][ok]))
+        elif ok:
+            phi = bisect_root(slope, lo, hi, tol=LMO_TOL, ends=ends)
         elif line:  # p = u1
             phi = 0.0
-        elif ends[0] > 0.0 > ends[1]:
-            # bisect_root starts from F' at the ends, known already
-            known = {lo: ends[0], hi: ends[1]}
-            phi = bisect_root(lambda t: known[t] if t in known else slope(t),
-                              lo, hi, tol=LMO_TOL)
         else:  # a flat run of outward rays, or a kink at the wedge edge
             phi = minimize_1d(lambda t: -math.cos(t) * exit_at(
                 a, math.cos(t) * b1 + math.sin(t) * b2, c), lo, hi,
@@ -213,8 +201,11 @@ class GeodesicBall:
         v = k.exp(x, _col(travel) * (_col(cp) * u1 + _col(sp) * u2))
         lx = k.log(x, v)
         res = LmoResult(v, k._inner(x, w, lx), lx, phi)
-        for i, one in singles.items():
-            v[i], lx[i], res.objective[i] = one.vertex, one.log, one.objective
+        if m is _Arrays:
+            for i in np.flatnonzero(~ok):
+                one = self.lmo(w[i], x[i])
+                v[i], lx[i], res.objective[i], phi[i] = (
+                    one.vertex, one.log, one.objective, one.phi)
         return res
 
 

@@ -33,7 +33,7 @@ from .convexity import NOTIONS, _finite_or_none, ball_set, run_checker
 from .errors import ConfigError, RfwError
 from .manifolds import MANIFOLDS, Sphere, make_manifold
 from .objectives import QuadraticOnEmbedded, gram_matrix
-from .solver import RfwProblem, rfw_run
+from .solver import RfwProblem, StepRule, rfw_run
 
 log = logging.getLogger("rfw")
 
@@ -72,6 +72,9 @@ class ExperimentConfig:
             raise ConfigError("bad solver limits in config")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        rules = [rule.value for rule in StepRule]
+        if self.step_rule not in rules:
+            raise ConfigError(f"step_rule must be one of {rules}")
 
     def to_json(self, **kw):
         return json.dumps(asdict(self), **kw)

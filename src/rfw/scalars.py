@@ -1,9 +1,10 @@
 """One-dimensional solvers used by the linear minimization oracles: a
 golden-section search for a minimizer and a bracketing root finder
 (Chandrupatla's method), each on a function value alone.  The root
-finder also runs row-wise, on arrays of brackets; its row-wise step
-(_step_point, _step_fraction) also brackets the clearances along rays
-of rfw.convexity, on every set."""
+finder also runs row-wise, on arrays of brackets, and starts from the
+values at the bracket ends when its caller has measured them; its
+row-wise step (_step_point, _step_fraction) also brackets the
+clearances along rays of rfw.convexity, on every set."""
 
 import math
 
@@ -19,9 +20,10 @@ INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 def minimize_1d(fun, lo, hi, tol=1e-12):
     """Golden-section search for a minimizer of fun on [lo, hi].
 
-    Returns (x, fun(x)) with the final bracket width <= tol.  Assumes
-    fun is unimodal on the interval; on a multimodal function it finds
-    some local minimizer, so callers seed several brackets.
+    Returns (x, fun(x)) once the bracket is <= tol wide, or after 200
+    steps (a tol below the float spacing of the bracket is never met).
+    Assumes fun is unimodal on the interval; on a multimodal function it
+    finds some local minimizer, so callers seed several brackets.
     """
     a, b = float(lo), float(hi)
     h = b - a
@@ -31,7 +33,9 @@ def minimize_1d(fun, lo, hi, tol=1e-12):
     c = a + INVPHI2 * h
     d = a + INVPHI * h
     fc, fd = fun(c), fun(d)
-    while h > tol:
+    for _ in range(200):
+        if not h > tol:
+            break
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -46,7 +50,7 @@ def minimize_1d(fun, lo, hi, tol=1e-12):
     return x, fun(x)
 
 
-def bisect_root(fun, lo, hi, tol=1e-12):
+def bisect_root(fun, lo, hi, tol=1e-12, ends=None):
     """Root of fun on [lo, hi] by Chandrupatla's bracketing method: an
     inverse quadratic step through the last three points where their
     values are monotone enough to trust it, a bisection step otherwise
@@ -58,17 +62,19 @@ def bisect_root(fun, lo, hi, tol=1e-12):
     Requires fun(lo) and fun(hi) to have opposite signs (or one of them
     to vanish); raises BracketError otherwise.  Returns the end of the
     sign-change bracket with the smaller |fun| once the bracket is
-    <= tol wide, or after 200 steps.
+    <= tol wide, or after 200 steps.  ends, if given, is (fun(lo),
+    fun(hi)) as the caller measured it: the same root, two calls fewer.
 
     With arrays lo and hi each row is a bracket of its own: fun maps an
-    array of points, one per row, to their values, and the roots come
-    back as an array, each row's the one a call on that row returns.
+    array of points, one per row, to their values (ends, if given, are
+    two such arrays), and the roots come back as an array, each row's
+    the one a call on that row returns.
     """
     if np.ndim(lo):
         return _bisect_rows(fun, np.array(lo, dtype=float),
-                            np.array(hi, dtype=float), tol)
+                            np.array(hi, dtype=float), tol, ends)
     a, b = float(lo), float(hi)
-    fa, fb = fun(a), fun(b)
+    fa, fb = (fun(a), fun(b)) if ends is None else ends
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -106,41 +112,41 @@ def bisect_root(fun, lo, hi, tol=1e-12):
     return a if abs(fa) < abs(fb) else b
 
 
-def _bisect_rows(fun, a, b, tol):
+def _bisect_rows(fun, a, b, tol, ends):
     """bisect_root over rows: each row takes the scalar call's steps in
-    the same arithmetic, and a row is done once its bracket is <= tol
-    wide or one of its points is a root (as in scipy's row-wise
-    Chandrupatla).  fun is called on every row at each step; a done row
-    is held at a point it has already taken."""
-    fa, fb = fun(a), fun(b)
-    done = (fa == 0.0) | (fb == 0.0)
-    root = np.where(fa == 0.0, a, b)
-    unbracketed = np.count_nonzero(~done & (fa * fb > 0.0))
+    the same arithmetic.  A row's bracket is its only state: a root, at
+    an end (lo's first, as the scalar call checks them) or at a step,
+    closes the bracket on itself, and a row is done once its bracket is
+    <= tol wide (as in scipy's row-wise Chandrupatla).  fun is called on
+    every row at each step; a done row is held at its bracket's a."""
+    fa, fb = (fun(a), fun(b)) if ends is None else ends
+    unbracketed = np.count_nonzero(fa * fb > 0.0)
     if unbracketed:
         raise BracketError(f"bisect_root: no sign change on {unbracketed} "
                            f"of {a.size} rows")
+    b, fb = np.where(fa == 0.0, a, b), np.where(fa == 0.0, fa, fb)
+    a, fa = np.where(fb == 0.0, b, a), np.where(fb == 0.0, fb, fa)
     t = np.full(a.shape, 0.5)
     # a done row's bracket may have shrunk to a point, and its values
     # are never used: its divisions may fail silently
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(200):
-            live = ~(done | (np.abs(b - a) <= tol))
+            live = ~(np.abs(b - a) <= tol)
             if not live.any():
                 break
             x = np.where(live, _step_point(a, b, t, tol), a)
             fx = fun(x)
-            hit = live & (fx == 0.0)
-            root = np.where(hit, x, root)
-            done |= hit
-            live &= ~hit
-            # a is the newest point, [a, b] the bracket, c the point dropped
+            # a is the newest point, [a, b] the bracket, c the point
+            # dropped; a root is both a and b
             same = (fx > 0.0) == (fa > 0.0)
             c, fc = np.where(same, a, b), np.where(same, fa, fb)
             flip = live & ~same
             b, fb = np.where(flip, a, b), np.where(flip, fa, fb)
             a, fa = np.where(live, x, a), np.where(live, fx, fa)
+            hit = live & (fx == 0.0)
+            b, fb = np.where(hit, a, b), np.where(hit, fa, fb)
             t = _step_fraction(a, fa, b, fb, c, fc)
-    return np.where(done, root, np.where(np.abs(fa) < np.abs(fb), a, b))
+    return np.where(np.abs(fa) < np.abs(fb), a, b)
 
 
 def _step_point(a, b, t, tol):

@@ -129,8 +129,12 @@ def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,
     visited (the row for a converged iterate carries step 0).  Objective
     failures (at the iterate or in the line search), oracle or geometry
     failures, a non-finite value or gap, and a negative gap close the
-    trace with status 'error' instead of propagating."""
-    rule = StepRule(rule)
+    trace with status 'error' instead of propagating; a rule that names
+    no StepRule is a ConfigError."""
+    try:
+        rule = StepRule(rule)
+    except ValueError:
+        raise ConfigError(f"rfw_run: unknown step rule {rule!r}") from None
     k = problem.kernel
     x = np.array(problem.x0, copy=True)
     trace = RfwTrace()

@@ -233,23 +233,22 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
         worst = max(worst, calls[0])
     assert 0 < worst <= 14
     # stacked rows: the row bisection starts from F' at its bracket ends
-    # as the sign test took them, so all of its calls but the first two
-    # evaluate the exit distance.  The call makes one row-wise
-    # evaluation on the grid, two for the sign test, one per bisection
-    # step and one for the vertex (the rows that take the single call
-    # evaluate on floats)
+    # as the sign test took them, so every call of its fun evaluates the
+    # exit distance.  The call makes one row-wise evaluation on the
+    # grid, two for the sign test, one per bisection step and one for
+    # the vertex (the rows that take the single call evaluate on floats)
     bisect = rfw.balls.bisect_root
 
-    def traced(fun, lo, hi, tol):
+    def traced(fun, lo, hi, tol, ends=None):
         if type(lo) is not np.ndarray:
-            return bisect(fun, lo, hi, tol=tol)
+            return bisect(fun, lo, hi, tol=tol, ends=ends)
 
         def stepped(t):
             steps[0] += 1
             return fun(t)
         inside[0] = True
         try:
-            return bisect(stepped, lo, hi, tol=tol)
+            return bisect(stepped, lo, hi, tol=tol, ends=ends)
         finally:
             inside[0] = False
     monkeypatch.setattr(rfw.balls, "bisect_root", traced)
@@ -257,7 +256,7 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
         w, x = _oracle_rows(k, ball, np.random.default_rng(seed), 100)
         rows[:], steps[0] = [0, 0], 0
         ball.lmo(w, x)
-        assert steps[0] > 2 and rows == [4, steps[0] - 2]
+        assert steps[0] > 0 and rows == [4, steps[0]]
         assert rows[1] <= 10
 
 

@@ -47,6 +47,7 @@ def test_config_roundtrip_and_unknown_keys():
     {"gap_tol": -1.0},
     {"ambient_dim": "x"},
     {"seed": -1},
+    {"step_rule": "bogus"},
 ])
 def test_config_validate_rejects(bad):
     with pytest.raises(ConfigError):
@@ -314,6 +315,21 @@ def test_config_rejects_non_finite_tolerance_and_bools(tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_unknown_step_rule_is_a_config_error(tmp_path):
+    # exit 2 with one error line, before any run, where StepRule's
+    # ValueError would end the process with a traceback
+    cfg = _write_config(tmp_path, {"step_rule": "bogus"})
+    out = tmp_path / "t.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rfw.cli", "run-experiment",
+         "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: step_rule must be one of")
+    assert "Traceback" not in proc.stderr and not out.exists()
 
 
 def test_module_entry_point_and_logging(tmp_path):

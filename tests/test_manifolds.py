@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfw import (ConfigError, ContractError, DomainError, Euclidean,
                  GeodesicBall, Hyperboloid, Manifold, RfwProblem, Spd, Sphere,
@@ -57,6 +59,64 @@ def test_stacked_rows_are_the_single_calls(kernel):
         assert len(rows) == n, name
         for r, one in zip(rows, single):
             assert np.asarray(r).tobytes() == np.asarray(one).tobytes(), name
+
+
+# the edges of the tangent lengths the property test below draws, per
+# kernel: to build a second point y (sphere log refuses its cut locus)
+# and as an argument of exp (sphere exp refuses a norm of pi, hyperboloid
+# exp one above 300 and SPD exp an eigenvalue above 300, at most the
+# tangent's norm)
+_EDGES = {Euclidean: (1e3, 1e3), Sphere: (np.pi - 1e-6, np.pi),
+          Hyperboloid: (300.0, 300.0), Spd: (300.0, 300.0)}
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=kid)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       rows=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1,
+                     max_size=8))
+def test_stacked_rows_are_the_single_calls_at_every_length(kernel, seed,
+                                                           rows):
+    # tangent lengths log-uniform from 1e-14 (inside the flat limit's
+    # series switch) up to each map's domain edge: every row of a
+    # stacked call is bit for bit the single call on that row, the sign
+    # of a zero included, NaN where the single call is NaN (which sign
+    # a NaN takes is the platform's) and all NaN where it raises
+    # DomainError (far from the apex, hyperboloid exp leaves the
+    # timelike cone in roundoff well before its edge)
+    to_y, to_exp = _EDGES[type(kernel)]
+    rng = np.random.default_rng(seed)
+    fy, fv, t = np.array(rows).T
+
+    def tangents(x, frac, edge):
+        return np.array([1e-14 * (edge / 1e-14) ** f
+                         * kernel.random_unit_tangent(p, rng)
+                         for f, p in zip(frac, x)])
+    x = np.array([kernel.random_point(rng) for _ in rows])
+    u, v = tangents(x, fy, to_y), tangents(x, fv, to_exp)
+    y = kernel.exp(x, u)
+    ops = {
+        "exp to y": lambda x, u, v, y, t: kernel.exp(x, u),
+        "exp": lambda x, u, v, y, t: kernel.exp(x, v),
+        "log": lambda x, u, v, y, t: kernel.log(x, y),
+        "dist": lambda x, u, v, y, t: kernel.dist(x, y),
+        "transport": lambda x, u, v, y, t: kernel.transport(x, y, v),
+        "project": lambda x, u, v, y, t: kernel.project_tangent(x, v + y),
+        "geodesic": lambda x, u, v, y, t: kernel.geodesic(x, y, t),
+        "inner": lambda x, u, v, y, t: kernel.inner(x, v, u),
+        "norm": lambda x, u, v, y, t: kernel.norm(x, v),
+    }
+    for name, op in ops.items():
+        stacked = op(x, u, v, y, t)
+        for i, args in enumerate(zip(x, u, v, y, t)):
+            try:
+                one = np.asarray(op(*args))
+            except DomainError:
+                assert np.isnan(stacked[i]).all(), (name, i)
+            else:
+                row, nan = np.asarray(stacked[i]), np.isnan(one)
+                assert (np.isnan(row) == nan).all(), (name, i)
+                assert row[~nan].tobytes() == one[~nan].tobytes(), (name, i)
 
 
 def _tangent_rows(kernel, lengths, seed):

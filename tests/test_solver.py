@@ -261,6 +261,12 @@ def test_other_step_rules_converge():
     assert trace_fs.f[-1] - FSTAR_R3 <= 1e-2 * h0
 
 
+def test_unknown_step_rule_is_a_config_error():
+    problem, _, _, _ = _r3_problem()
+    with pytest.raises(ConfigError, match="unknown step rule 'bogus'"):
+        rfw_run(problem, rule="bogus")
+
+
 def test_sphere_problem_runs():
     k = Sphere(4)
     rng = np.random.default_rng(9)
