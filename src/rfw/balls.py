@@ -9,29 +9,28 @@ that plane and alpha(phi) the travel distance to the boundary.
 
 `GeodesicBall.lmo` is the oracle on the ORACLE_KERNELS.  On the sphere
 and the hyperboloid alpha has a closed form in b(phi), the (Minkowski)
-product of the center with p(phi).  Two 33-point phi grids locate the
-maximizer of alpha(phi) cos(phi): the half-plane [-pi/2, pi/2], whose
-cos and sin are module constants, and the feasible wedge at a boundary
-point, the only angles that take trig per call.  The grid bracket is
-read from the two grids' argmaxes; stacked rows never sort their merge.
-The root of the phi-derivative F', found by `bisect_root` in that bracket
-starting from F' at its ends as the sign test took them, pins the
-maximizer down, with alpha's b-derivative from implicit
-differentiation of the exit equation.  The oracle checks its entry
-once (w a nonzero finite tangent at x, x in the ball), not what it
-builds.  The references below the oracle (`lmo_brute_force`,
+product of the center with p(phi).  F(phi) = alpha(phi) cos(phi) has
+one peak on [-pi/2, pi/2], and the oracle brackets it with three angles
+every plane defines: -pi/2, the wedge edge e = max(psi - pi/2, -pi/2)
+(psi the angle of log_x(center) in the plane; from a boundary point
+only the wedge (e, pi/2] is feasible) and pi/2.  The sign of F' at e
+says which side holds the peak, and `bisect_root` finds the root of F'
+there, starting from F' at the bracket's ends, with alpha's b-derivative
+from implicit differentiation of the exit equation.  That F has one
+peak is not proven here: a hypothesis property test against
+`lmo_brute_force` is the evidence.  The oracle checks its entry once (w
+a nonzero finite tangent at x, x in the ball), not what it builds.  The
+references below the oracle (`lmo_brute_force`,
 `random_boundary_best`) share none of its plane reduction: they
 evaluate the objective on boundary points built from the center.
 
 `GeodesicBall.lmo` answers a pair (w, x) or stacked rows of pairs with
 one algorithm.  The arithmetic is chosen at the leaves: a pair's
-scalars are Python floats and `math` (its grid bracket merges lists),
-rows are numpy arrays, and a row is the single call's answer up to the
-last bits of numpy's functions.
+scalars are Python floats and `math`, rows are numpy arrays, and a row
+is the single call's answer up to the last bits of numpy's functions.
 """
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 from dataclasses import dataclass
@@ -41,19 +40,10 @@ from .errors import (ConfigError, ContractError, DomainError,
                      NoIntersectionError, NumericsError)
 from .manifolds import (Euclidean, Hyperboloid, Manifold, Sphere,
                         _all, _atleast, _col, _dot, _fill, _where)
-from .scalars import bisect_root, minimize_1d
+from .scalars import bisect_root
 
 MEMBERSHIP_TOL = 1e-9
 LMO_TOL = 1e-12  # phi resolution of the oracle's refinement
-PHI_GRID = 33  # points per grid of the oracle's phi search
-_UNIT_GRID = np.linspace(0.0, 1.0, PHI_GRID)
-# the first phi grid, on [-pi/2, pi/2], the same on every call: its cos
-# and sin, its list for a pair's merge, and for rows the grid between
-# -pi/2 and inf, so that _PADDED[k] is the grid value below index k
-_HALF_GRID = np.pi * _UNIT_GRID - 0.5 * np.pi
-_COS_HALF, _SIN_HALF = np.cos(_HALF_GRID), np.sin(_HALF_GRID)
-_HALF_LIST = _HALF_GRID.tolist()
-_PADDED = np.concatenate(([-0.5 * np.pi], _HALF_GRID, [np.inf]))
 ORACLE_KERNELS = (Euclidean, Sphere, Hyperboloid)
 
 
@@ -139,20 +129,21 @@ class GeodesicBall:
         a is snapped so that a point within the membership tolerance
         outside the ball counts as on its boundary: outward rays exit at
         0.  Along the search plane b(phi) = cos(phi) b1 + sin(phi) b2 is
-        a scalar, so the grid takes one vectorized exit-distance call.
-        Euclidean balls have the vertex in closed form.
+        a scalar.  Euclidean balls have the vertex in closed form.
+
+        F(phi) = alpha(phi) cos(phi) is bracketed by three angles: -pi/2,
+        the wedge edge e and pi/2.  A point on the (snapped) boundary,
+        or one where F'(e) > 0, has its peak in [e, pi/2]; any other in
+        [-pi/2, e].  F' at e is shared by both, and `bisect_root` starts
+        from F' at the bracket's ends; a bracket whose ends show no sign
+        change raises `BracketError`.  Where the plane degenerates to a
+        line (x at the center, or w along log_x(center)) p = u1, phi = 0.
 
         w and x may also be stacked rows of one shape, with a leading
         axis as the kernel maps take them.  Every row is checked at
         entry, and the result holds one row per pair, in arrays (phi
-        too).  A pair and rows take the same steps (a pair's scalars in
-        floats and `math`, rows in numpy) up to the refinement's last:
-        there a row whose plane degenerates or whose F' keeps its sign
-        across the bracket takes the single call, its whole answer
-        written over its row after the stacked vertex step.  Per call
-        only the wedge's angles take trig, the rows' bracket needs no
-        sort, and F' at its ends is taken once, by the sign test, whose
-        values `bisect_root` starts from, on a pair and on rows."""
+        too).  A pair and rows take the same steps, a pair's scalars in
+        floats and `math`, rows in numpy."""
         k, x0, r = self.kernel, self.center, self.radius
         norm_w = _entry_norm(w, x, self)
         if isinstance(k, Euclidean):
@@ -168,45 +159,29 @@ class GeodesicBall:
             a = -_atleast(k.minkowski(x0, x), -c)
             product, exit_at = k.minkowski, _alpha_phi_hyperboloid
         # maximize F(phi) = alpha(phi) cos(phi), alpha the travel distance
-        # to the boundary along p = cos(phi) u1 + sin(phi) u2, over a grid
-        # on [-pi/2, pi/2] and one on its inward half-plane (from a
-        # boundary point only that wedge is feasible, and it can be
-        # narrower than the first grid's spacing)
+        # to the boundary along p = cos(phi) u1 + sin(phi) u2
         m = _arith(norm_w)
         g = k.log(x, x0)
         u1, u2, g1, line = _section_frame(k, x, w, norm_w, g)
         b1, b2 = product(x0, u1), product(x0, u2)
-        lo, hi = _grid_bracket(exit_at, a, b1, b2, c,
-                               m.atan2(k._inner(x, g, u2), g1))
         slope = _phi_slope(exit_at, a, b1, b2, c)
-        ends = slope(lo), slope(hi)
-        # F' changes sign across the bracket on a plane that is not a line
-        # (x at the center, or w along log_x(center)): bisect from its ends
-        ok = _where(line, False, (ends[0] > 0.0) & (0.0 > ends[1]))
-        if m is _Arrays:  # the other rows take the single call below
-            phi = np.zeros(len(x))
-            phi[ok] = bisect_root(
-                _phi_slope(exit_at, a[ok], b1[ok], b2[ok], c), lo[ok], hi[ok],
-                tol=LMO_TOL, ends=(ends[0][ok], ends[1][ok]))
-        elif ok:
-            phi = bisect_root(slope, lo, hi, tol=LMO_TOL, ends=ends)
-        elif line:  # p = u1
-            phi = 0.0
-        else:  # a flat run of outward rays, or a kink at the wedge edge
-            phi = minimize_1d(lambda t: -math.cos(t) * exit_at(
-                a, math.cos(t) * b1 + math.sin(t) * b2, c), lo, hi,
-                tol=LMO_TOL)[0]
+        half = 0.5 * math.pi
+        edge = _atleast(m.atan2(k._inner(x, g, u2), g1) - half, -half)
+        at_edge = slope(edge)
+        inward = (a == c) | (at_edge > 0.0)
+        far = _where(inward, half, -half)
+        at_far = slope(far)
+        # a line's bracket starts at its root, phi = 0
+        lo = _where(line, 0.0, _where(inward, edge, far))
+        ends = (_where(line, 0.0, _where(inward, at_edge, at_far)),
+                _where(inward, at_far, at_edge))
+        phi = bisect_root(slope, lo, _where(inward, far, edge), tol=LMO_TOL,
+                          ends=ends)
         cp, sp = m.cos(phi), m.sin(phi)
         travel = exit_at(a, cp * b1 + sp * b2, c)
         v = k.exp(x, _col(travel) * (_col(cp) * u1 + _col(sp) * u2))
         lx = k.log(x, v)
-        res = LmoResult(v, k._inner(x, w, lx), lx, phi)
-        if m is _Arrays:
-            for i in np.flatnonzero(~ok):
-                one = self.lmo(w[i], x[i])
-                v[i], lx[i], res.objective[i], phi[i] = (
-                    one.vertex, one.log, one.objective, one.phi)
-        return res
+        return LmoResult(v, k._inner(x, w, lx), lx, phi)
 
 
 class _Floats:
@@ -248,7 +223,7 @@ def alpha_phi_sphere(a, b, c, slope=False):
     # boundary roundoff and the exit root is 0
     root = m.sqrt((a - c) * (a + c) + b * b)
     alpha = 2.0 * m.atan(m.maximum(b + root, 0.0) / (a + c))
-    return _exit_slopes(alpha, m.sin(alpha), root) if slope else alpha
+    return _exit_slopes(alpha, m.sin(alpha), root, c) if slope else alpha
 
 
 def _alpha_phi_hyperboloid(a, b, c, slope=False):
@@ -259,22 +234,24 @@ def _alpha_phi_hyperboloid(a, b, c, slope=False):
     m = _arith(a, b)
     root = m.sqrt((c - a) * (c + a) + b * b)
     s = m.log(m.maximum((c + root) / (a - b), 1.0))
-    return _exit_slopes(s, m.sinh(s), root) if slope else s
+    return _exit_slopes(s, m.sinh(s), root, c) if slope else s
 
 
-def _exit_slopes(s, sn, root):
+def _exit_slopes(s, sn, root, c):
     """(s, ds/db) for the exit root s of a cos(s) + b sin(s) = c (sn =
     sin s) or of a cosh(s) - b sinh(s) = c (sn = sinh s).
     Differentiating the equation in b gives ds/db = sn / D with D =
     a sn - b cos(s) (resp. a sinh(s) - b cosh(s)).  At the exit D equals
     root, the square root of the discriminant: (a cos(s) + b sn)^2 + D^2
     = a^2 + b^2 (on the hyperboloid (a cosh(s) - b sn)^2 - D^2 = a^2 -
-    b^2), so D carries no cancellation.  An outward ray from the
-    boundary exits at s = 0 for every nearby b.  Elementwise over
-    arrays."""
+    b^2), so D carries no cancellation.  Where s = 0 (x on the boundary,
+    and p at the wedge edge or outward) ds/db is its limit from inside
+    the wedge, 2/c: at a = c and b > 0 the exit is 2 atan(b/c), resp.
+    log((c + b)/(c - b)).  Elementwise over arrays."""
     if type(sn) is np.ndarray:
-        return s, np.divide(sn, root, out=np.zeros_like(sn), where=sn != 0.0)
-    return s, sn / root if sn != 0.0 else 0.0
+        return s, np.divide(sn, root, out=np.full_like(sn, 2.0 / c),
+                            where=sn != 0.0)
+    return s, sn / root if sn != 0.0 else 2.0 / c
 
 
 def _entry_norm(w, x, ball):
@@ -314,48 +291,6 @@ def _section_frame(kernel, x, w, norm_w, g):
     flat = n_perp <= 1e-10 * _atleast(kernel._norm(x, g), 1.0)
     u2 = _fill(g_perp / _col(_where(flat, 1.0, n_perp)), flat, 0.0)
     return u1, u2, g1, flat
-
-
-def _grid_bracket(exit_at, a, b1, b2, c, psi):
-    """The neighbours (lo, hi) of the maximizer of F(phi) = alpha(phi)
-    cos(phi) in the merge, in order, of two phi grids: _HALF_GRID on
-    [-pi/2, pi/2], and the wedge, the inward half-plane from max(-pi/2,
-    psi - pi/2) to pi/2, psi the angle of log_x(center) in the plane.
-    alpha is exit_at(a, cos(phi) b1 + sin(phi) b2, c).  Floats for a
-    pair, arrays over stacked rows.
-
-    Only the wedge takes trig.  The maximizer is the grids' first
-    argmax of larger F (the smaller phi on a tie, first in the merge).
-    A pair merges the two sorted lists and reads its neighbours there;
-    rows never sort: lo is the largest grid value below it and hi the
-    smallest above, each the maximizer itself where there is none, and
-    hi also where the maximizer lies on both grids (where psi <= 0 the
-    wedge is _HALF_GRID, bit for bit)."""
-    half, n = 0.5 * np.pi, PHI_GRID
-    edge = _col(_where(psi - half > -half, psi - half, -half))
-    wedge = (half - edge) * _UNIT_GRID + edge
-    cw, b1, b2 = np.cos(wedge), _col(b1), _col(b2)
-    alpha = exit_at(_col(a), np.concatenate(
-        (_COS_HALF * b1 + _SIN_HALF * b2, cw * b1 + np.sin(wedge) * b2),
-        axis=-1), c)
-    fh, fw = alpha[..., :n] * _COS_HALF, alpha[..., n:] * cw
-    i, j = fh.argmax(-1), fw.argmax(-1)
-    at = (np.arange(len(wedge)),) if wedge.ndim > 1 else ()
-    ph, pw = _HALF_GRID[i], wedge[at + (j,)]
-    fh, fw = fh[at + (i,)], fw[at + (j,)]
-    star = _where((fw > fh) | (fw == fh) & (pw < ph), pw, ph)
-    if not at:  # a pair: Python's sort merges the two sorted lists
-        grid = sorted(_HALF_LIST + wedge.tolist())
-        k = bisect_left(grid, star)
-        return grid[max(k - 1, 0)], grid[min(k + 1, 2 * n - 1)]
-    # h0 and w0 count the grid values below the maximizer, h1 and w1 those
-    # up to it
-    h0, h1 = (_HALF_GRID.searchsorted(star, side) for side in ("left", "right"))
-    w0, w1 = (wedge < star[:, None]).sum(-1), (wedge <= star[:, None]).sum(-1)
-    lo = np.maximum(_PADDED[h0], np.where(w0 > 0, wedge[at + (w0 - 1,)], -half))
-    hi = np.minimum(_PADDED[h1 + 1], np.where(
-        w1 < n, wedge[at + (np.minimum(w1, n - 1),)], np.inf))
-    return lo, np.where((h1 - h0 + w1 - w0 > 1) | (hi == np.inf), star, hi)
 
 
 def _phi_slope(exit_at, a, b1, b2, c):

@@ -16,7 +16,8 @@ formula, and each row of a stacked call is bit for bit the single call
 on that row: dot products are stacked matmuls, which take np.dot's
 arithmetic, clamps are selections that keep Python's max/min on signed
 zeros, and stacked LAPACK calls factor each matrix as a single call
-does.
+does.  A NaN is the exception: a stacked row is NaN where the single
+call's answer is, but the NaN may carry another sign bit or payload.
 
 Operations that have a restricted domain do not silently extrapolate:
 sphere exp is limited to ``norm(v) < pi``, sphere log rejects

@@ -1,9 +1,9 @@
-"""One-dimensional solvers used by the linear minimization oracles: a
-golden-section search for a minimizer and a bracketing root finder
-(Chandrupatla's method), each on a function value alone.  The root
-finder also runs row-wise, on arrays of brackets, and starts from the
-values at the bracket ends when its caller has measured them; its
-row-wise step (_step_point, _step_fraction) also brackets the
+"""One-dimensional solvers: a golden-section search for a minimizer
+(the solver's line search) and a bracketing root finder (Chandrupatla's
+method, the ball oracle's refinement), each on a function value alone.
+The root finder also runs row-wise, on arrays of brackets, and starts
+from the values at the bracket ends when its caller has measured them;
+its row-wise step (_step_point, _step_fraction) also brackets the
 clearances along rays of rfw.convexity, on every set."""
 
 import math

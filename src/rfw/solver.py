@@ -146,7 +146,7 @@ def rfw_run(problem, rule=StepRule.SHORT_STEP, max_iter=500,
         except RfwError:
             trace.status = "error"
             break
-        d = k.dist(x, v)
+        d = k._norm(x, lx)
         if not (np.isfinite(fval) and np.isfinite(gap)) or gap < -1e-9:
             trace.append(t, fval, gap, 0.0, d)
             trace.status = "error"

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
-                 Hyperboloid,
-                 NoIntersectionError, Spd, Sphere, alpha_phi_sphere,
+                 Hyperboloid, NoIntersectionError, NumericsError, Spd,
+                 Sphere, alpha_phi_sphere,
                  boundary_section_grid, lmo_brute_force,
                  random_boundary_best)
 import rfw.balls
 from rfw.balls import ORACLE_KERNELS, _section_frame, grid_objectives
 from rfw.scalars import bisect_root
 
-from helpers import alpha_phi_bisect, merged_objective, sorted_grid_bracket
+from helpers import alpha_phi_bisect
 
 
 def sphere_ball(n=3, r=0.8, seed=0):
@@ -204,20 +204,29 @@ def test_lmo_finds_boundary_wedge(k, radius, seed, tilt):
     (Hyperboloid(3), 2.0)], ids=["sphere-0.3", "sphere-1.2",
                                  "hyperboloid-1", "hyperboloid-2"])
 def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
-    # the refinement's root finder is superlinear: bisecting a grid
-    # bracket down to LMO_TOL alone would take ~40 exit evaluations;
-    # F' at the bracket ends is taken once, by the sign test.  Counted
-    # are the scalar exit evaluations (a float b), not the grid's call
-    calls, rows, steps, inside = [0], [0, 0], [0], [False]
+    # every exit evaluation of a call is counted, a row-wise one once per
+    # row: F' at the wedge edge and at the bracket's other end (the sign
+    # test, whose values the root finder starts from), one per step of
+    # the root finder and one for the vertex.  The root finder is
+    # superlinear: bisecting [-pi/2, pi/2] down to LMO_TOL alone would
+    # take ~42 steps.  A stacked call steps all its rows until the last
+    # is done
+    evals, steps = [0], [0]
     for name in ("alpha_phi_sphere", "_alpha_phi_hyperboloid"):
         exit_at = getattr(rfw.balls, name)
 
         def counted(a, b, c, slope=False, exit_at=exit_at):
-            calls[0] += type(b) is float
-            if type(a) is np.ndarray:  # row-wise, inside bisect_root or not
-                rows[inside[0]] += 1
+            evals[0] += np.size(b)
             return exit_at(a, b, c, slope=slope)
         monkeypatch.setattr(rfw.balls, name, counted)
+    bisect = rfw.balls.bisect_root
+
+    def traced(fun, lo, hi, tol, ends=None):
+        def stepped(t):
+            steps[0] += 1
+            return fun(t)
+        return bisect(stepped, lo, hi, tol=tol, ends=ends)
+    monkeypatch.setattr(rfw.balls, "bisect_root", traced)
     rng = np.random.default_rng(23)
     ball = GeodesicBall(k, k.random_point(rng), radius)
     worst = 0
@@ -228,36 +237,17 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
         else:
             x = ball.sample(rng)
             w = k.random_unit_tangent(x, rng)
-        calls[0] = 0
+        evals[0] = steps[0] = 0
         ball.lmo(w, x)
-        worst = max(worst, calls[0])
-    assert 0 < worst <= 14
-    # stacked rows: the row bisection starts from F' at its bracket ends
-    # as the sign test took them, so every call of its fun evaluates the
-    # exit distance.  The call makes one row-wise evaluation on the
-    # grid, two for the sign test, one per bisection step and one for
-    # the vertex (the rows that take the single call evaluate on floats)
-    bisect = rfw.balls.bisect_root
-
-    def traced(fun, lo, hi, tol, ends=None):
-        if type(lo) is not np.ndarray:
-            return bisect(fun, lo, hi, tol=tol, ends=ends)
-
-        def stepped(t):
-            steps[0] += 1
-            return fun(t)
-        inside[0] = True
-        try:
-            return bisect(stepped, lo, hi, tol=tol, ends=ends)
-        finally:
-            inside[0] = False
-    monkeypatch.setattr(rfw.balls, "bisect_root", traced)
+        assert evals[0] == 3 + steps[0]
+        worst = max(worst, evals[0])
+    assert 0 < worst <= 17
     for seed in range(4):
         w, x = _oracle_rows(k, ball, np.random.default_rng(seed), 100)
-        rows[:], steps[0] = [0, 0], 0
+        evals[0] = steps[0] = 0
         ball.lmo(w, x)
-        assert steps[0] > 0 and rows == [4, steps[0]]
-        assert rows[1] <= 10
+        assert steps[0] > 0 and evals[0] == len(x) * (3 + steps[0])
+        assert 3 + steps[0] <= 17
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
@@ -298,6 +288,65 @@ def test_lmo_vertex_on_boundary_and_optimal(kernel, radius_frac, tilt_exp,
     assert res.objective >= brute - 1e-9 * max(1.0, abs(brute))
     best = random_boundary_best(ball, w, x, 500, rng)
     assert res.objective >= best - 1e-9 * max(1.0, abs(best))
+
+
+PROPERTY_KERNELS = (Sphere(3), Sphere(50), Hyperboloid(3), Hyperboloid(10))
+
+
+def _property_pairs(k, ball, rng, depth_exp, tilt_exp):
+    """(w, x, depth) rows: x interior, on the boundary, 10^depth_exp of
+    the radius inside it and up to 0.9 MEMBERSHIP_TOL outside it (depth
+    is dist(center, x) - radius there, else 0), each with w random, the
+    outward normal and the outward normal tilted by 10^tilt_exp."""
+    x0, r = ball.center, ball.radius
+    scales = (rng.uniform(), 1.0, 1.0 - 10.0 ** depth_exp,
+              1.0 + 0.9 * rng.uniform() * rfw.balls.MEMBERSHIP_TOL / r)
+    for scale in scales:
+        x = k.exp(x0, scale * r * k.random_unit_tangent(x0, rng))
+        depth = max(k.dist(x0, x) - r, 0.0) if scale > 1.0 else 0.0
+        g = k.log(x, x0)
+        normal = -g / k.norm(x, g)
+        t = k.random_tangent(x, rng)
+        t = t - k.inner(x, normal, t) * normal
+        for w in (k.random_unit_tangent(x, rng), normal,
+                  normal + 10.0 ** tilt_exp * t / k.norm(x, t)):
+            yield w, x, depth
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.sampled_from(PROPERTY_KERNELS), radius_frac=st.floats(0.0, 1.0),
+       depth_exp=st.floats(-16.0, -9.0), tilt_exp=st.floats(-14.0, 0.0),
+       seed=st.integers(0, 2**16))
+def test_lmo_beats_the_section_grid_at_and_near_the_boundary(
+        k, radius_frac, depth_exp, tilt_exp, seed):
+    # the oracle's three-point bracket holds where F has one peak, which
+    # is not proven: every pair of _property_pairs, as a single call and
+    # as a row of one stacked call, is bracketed (no BracketError, a
+    # NumericsError) and at least the dense section grid's maximum,
+    # less 1e-9 max(1, |grid|), plus, from x outside the ball, 2 |w|
+    # depth / cos(r) on the sphere and 2 |w| depth on the hyperboloid:
+    # the oracle snaps such an x onto the boundary.  Radii log-uniform
+    # from 1e-4 to pi/2 - 1e-3 on the sphere and to 2 on the hyperboloid,
+    # whose balls sit at its base point (far from it its exp loses digits
+    # of its own)
+    top = 0.5 * np.pi - 1e-3 if isinstance(k, Sphere) else 2.0
+    radius = 1e-4 * (top / 1e-4) ** radius_frac
+    rng = np.random.default_rng(seed)
+    center = k.random_point(rng) if isinstance(k, Sphere) else k.base_point()
+    ball = GeodesicBall(k, center, radius)
+    w, x, depth = map(np.array, zip(*_property_pairs(
+        k, ball, rng, depth_exp, tilt_exp)))
+    try:
+        rows = ball.lmo(w, x)
+        singles = [ball.lmo(w[i], x[i]).objective for i in range(len(x))]
+    except NumericsError as err:
+        pytest.fail(f"the oracle's bracket failed: {err}")
+    snap = 2.0 / (math.cos(radius) if isinstance(k, Sphere) else 1.0)
+    for i in range(len(x)):
+        _, grid = lmo_brute_force(ball, w[i], x[i], 20000)
+        bound = (1e-9 * max(1.0, abs(grid))
+                 + snap * k.norm(x[i], w[i]) * depth[i])
+        assert min(singles[i], rows.objective[i]) >= grid - bound, (i, grid)
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
@@ -405,6 +454,24 @@ def test_exit_formulas_against_bracketing_solve(kernel, radius, exit_at):
     assert rows[-1] == 0.0 < rows[-2]
 
 
+@pytest.mark.parametrize("exit_at,c", [
+    (alpha_phi_sphere, math.cos(0.8)),
+    (rfw.balls._alpha_phi_hyperboloid, math.cosh(1.5))],
+    ids=["sphere", "hyperboloid"])
+def test_exit_slope_at_a_zero_exit_is_its_limit_from_inside(exit_at, c):
+    # from a boundary point (a = c) a ray exits at 0 for b <= 0 and at
+    # ~(2/c) b for a small b > 0: where the exit is 0 its b-slope is
+    # that one-sided limit, the slope the oracle's F' at the wedge edge
+    # reads.  A pair and rows alike
+    b = np.array([0.0, -1e-12, -0.3])
+    s, ds = exit_at(np.full(3, c), b, c, slope=True)
+    assert s.tolist() == [0.0] * 3 and ds.tolist() == [2.0 / c] * 3
+    for bi in b.tolist():
+        assert exit_at(c, bi, c, slope=True) == (0.0, 2.0 / c)
+    for h in (1e-5, 1e-7):
+        assert abs(exit_at(c, h, c) / h - 2.0 / c) <= 1e-6
+
+
 def test_alpha_phi_positive_wrap():
     a, b, c = 0.95, -0.2, np.cos(0.4)
     al = alpha_phi_sphere(a, b, c)
@@ -494,7 +561,7 @@ def _row_tolerance(k, radius):
 def _oracle_rows(k, ball, rng, n=40):
     """(w, x) rows: interior points with random directions alternating
     with boundary points whose outward normals are tilted by
-    10^U(-6, 1) (the wedge grid), then x at the center and w along
+    10^U(-6, 1) (the narrow wedge), then x at the center and w along
     +-log_x(center) (the plane degenerates to a line)."""
     ws, xs = [], []
     for i in range(n):
@@ -545,10 +612,11 @@ def test_stacked_lmo_rows_equal_single_calls(k, radius, seed):
     assert empty.vertex.shape == x[:0].shape and len(empty.objective) == 0
 
 
-def test_stacked_lmo_sends_unbracketed_rows_to_the_single_call(monkeypatch):
+def test_stacked_lmo_brackets_the_near_boundary_corner():
     # x 1e-12 inside the boundary and w its outward normal tilted by
-    # 1e-6: F' keeps its sign across the grid bracket, and the row takes
-    # the single call's golden-section search, once
+    # 1e-6: F' at the wedge edge puts the peak on the inward side, and
+    # the row's answer, stacked among others or from a single call,
+    # beats the dense section grid
     k = Sphere(3)
     ball = GeodesicBall(k, k.base_point(), 0.3)
     x = k.exp(ball.center, (0.3 - 1e-12) * np.array([0.0, 1.0, 0.0]))
@@ -557,18 +625,11 @@ def test_stacked_lmo_sends_unbracketed_rows_to_the_single_call(monkeypatch):
     rng = np.random.default_rng(2)
     ws, xs = _oracle_rows(k, ball, rng, 6)
     ws, xs = np.vstack([ws, w]), np.vstack([xs, x])
-    calls = []
-    golden = rfw.balls.minimize_1d
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return golden(*args, **kwargs)
-    monkeypatch.setattr(rfw.balls, "minimize_1d", counted)
     rows = ball.lmo(ws, xs)
-    assert len(calls) == 1
     one = ball.lmo(w, x)
-    assert rows.phi[-1] == one.phi and rows.objective[-1] == one.objective
-    np.testing.assert_array_equal(rows.vertex[-1], one.vertex)
+    _, brute = lmo_brute_force(ball, w, x, 100_000)
+    assert one.objective >= brute - 1e-12 and one.objective > 0.0
+    assert abs(rows.objective[-1] - one.objective) <= 1e-15
     _assert_rows_equal_single_calls(ball, ws, xs, _row_tolerance(k, 0.3))
 
 
@@ -588,107 +649,3 @@ def test_stacked_lmo_checks_every_row_at_entry(cls):
         ball.lmo(k.project_tangent(far, w), far)
     with pytest.raises(ContractError, match="shape"):
         ball.lmo(w[0], x)
-
-
-# ---------------------------------------------------------------------------
-# the grid bracket against the sorted merge of both grids
-# ---------------------------------------------------------------------------
-
-BRACKET_BALLS = [(Sphere(3), 0.3), (Sphere(3), 1.2), (Sphere(3), 1.5),
-                 (Hyperboloid(3), 1.0), (Hyperboloid(3), 2.0)]
-
-
-def _bracket_rows(k, ball, rng):
-    """(w, x) rows on the bracket's corners: x at the center, and w
-    along +-log_x(center) (the wedge is the first grid where psi <= 0);
-    x on the boundary with w its outward normal, exact (F ties at 0
-    over every grid value where x is on the boundary to the last bit)
-    and tilted by 1e-12 to 1 (F is 0 over the run of outward rays); and
-    random interior rows."""
-    ws, xs = [k.random_unit_tangent(ball.center, rng)], [ball.center]
-    for _ in range(4):
-        x = ball.sample(rng)
-        g = k.log(x, ball.center)
-        ws += [g / k.norm(x, g), -g / k.norm(x, g)]
-        xs += [x, x]
-        for tilt in (0.0, 1e-12, 1e-6, 1e-2, 1.0):
-            x, w = _boundary_point_and_tilted_normal(k, ball, rng, tilt)
-            ws.append(w)
-            xs.append(x)
-    for _ in range(12):
-        xs.append(ball.sample(rng))
-        ws.append(k.random_unit_tangent(xs[-1], rng))
-    return np.array(ws), np.array(xs)
-
-
-def _assert_brackets_sorted(calls):
-    """Each (arguments, bracket) of _grid_bracket is the sorted
-    reference's, bit for bit: floats for a pair, arrays for rows."""
-    for args, (lo, hi) in calls:
-        ref = sorted_grid_bracket(*args)
-        if type(args[-1]) is float:
-            assert type(lo) is float and type(hi) is float
-            assert (lo, hi) == ref, (args, (lo, hi), ref)
-        else:
-            for got, want in zip((lo, hi), ref):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes(), np.flatnonzero(
-                    got != want)
-
-
-@pytest.mark.parametrize("k,radius", BRACKET_BALLS,
-                         ids=[f"{k.name}-{r:g}" for k, r in BRACKET_BALLS])
-def test_grid_bracket_is_the_sorted_merge(monkeypatch, k, radius):
-    # the bracket read from the two grids' argmaxes is the one the
-    # sorted merge of both grids gives, on stacked rows and on pairs
-    calls = []
-    grid_bracket = rfw.balls._grid_bracket
-
-    def spy(*args):
-        calls.append((args, grid_bracket(*args)))
-        return calls[-1][1]
-    monkeypatch.setattr(rfw.balls, "_grid_bracket", spy)
-    ball = GeodesicBall(k, k.random_point(np.random.default_rng(5)), radius)
-    w, x = _bracket_rows(k, ball, np.random.default_rng(6))
-    ball.lmo(w, x)
-    stacked = calls[0][0]
-    for i in range(len(x)):
-        ball.lmo(w[i], x[i])
-    _assert_brackets_sorted(calls)
-    # the rows reach two corners: a wedge that is the first grid, and F
-    # tied at its maximum over several grid values
-    grid, f = merged_objective(*stacked)
-    top = f == f.max(axis=-1, keepdims=True)
-    assert np.any(stacked[-1] - 0.5 * np.pi <= -0.5 * np.pi)
-    assert np.any([len(set(g[t])) > 1 for g, t in zip(grid, top)])
-
-
-MADE_UP_EXITS = {  # b = sin(phi): alpha is any function of phi
-    "zero": lambda a, b, c: 0.0 * b,
-    "zero-past-pi/6": lambda a, b, c: np.minimum(b - 0.5, 0.0),
-    "negative-at-pi/2": lambda a, b, c: np.where(b >= 1.0, -1.0, 0.0),
-    "wiggly": lambda a, b, c: np.sin(40.0 * b) + 2.0}
-
-
-@pytest.mark.parametrize("name", list(MADE_UP_EXITS))
-def test_grid_bracket_is_the_sorted_merge_on_made_up_exits(name):
-    # F = alpha cos(phi) with alpha a made-up function of b = sin(phi):
-    # ties over a run (the first grid value wins them, or the smaller
-    # phi across the grids), and the maximum at the last grid value
-    # where the wedge ends past pi/2 and cos(phi) < 0 there
-    exit_at = MADE_UP_EXITS[name]
-    rng = np.random.default_rng(7)
-    psi = np.concatenate(([0.0, 1e-300, 1e-16, np.pi, np.pi - 1e-15],
-                          rng.uniform(0.0, np.pi, 200)))
-    ones, zeros = np.ones(len(psi)), np.zeros(len(psi))
-    rows = (exit_at, ones, zeros, ones, 0.5, psi)
-    calls = [(rows, rfw.balls._grid_bracket(*rows))]
-    for p in psi.tolist():
-        one = (exit_at, 1.0, 0.0, 1.0, 0.5, p)
-        calls.append((one, rfw.balls._grid_bracket(*one)))
-    _assert_brackets_sorted(calls)
-    first = np.argmax(merged_objective(*rows)[1], axis=-1)
-    if name == "negative-at-pi/2":
-        assert np.any(first == 2 * rfw.balls.PHI_GRID - 1)
-    elif name.startswith("zero"):
-        assert np.any(first == 0) == (name == "zero")

@@ -192,3 +192,8 @@ def test_bench_ab_times_a_copy_of_a_tree_inside_its_null_band(tmp_path):
         low, high = case["null_band"]
         assert lo <= low <= case["null_ratio"] <= high <= hi
         assert case["inside_null_band"], (name, case["ratio"], low, high)
+        # beside the raw ratio, the ratio with the case's side bias taken
+        # out: inside the band, so inside the band over its null median
+        assert case["ratio_over_null"] == case["ratio"] / case["null_ratio"]
+        assert (low / case["null_ratio"] <= case["ratio_over_null"]
+                <= high / case["null_ratio"])

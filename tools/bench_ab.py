@@ -33,10 +33,13 @@ timing noise alone gives the case in this process; a change ratio
 outside it is more than noise.  The output names the two tree
 directories and holds each case's median ratio, its null-pass median
 and band, both sides' median seconds per call and whether the ratio
-lies inside the band, and, for reference, the overall band: the lowest
-and the highest per-round ratio of any case in the null pass.  BLAS is
-pinned to one thread, as in the benchmark.  This is evidence, not a
-gate: BENCHMARK.json and tools/bench_pairs.py are the gate.
+lies inside the band, the ratio divided by the null-pass median (a
+case whose two sides read apart on the same code carries that side
+bias in its raw ratio, not in this one), and, for reference, the
+overall band: the lowest and the highest per-round ratio of any case
+in the null pass.  BLAS is pinned to one thread, as in the benchmark.
+This is evidence, not a gate: BENCHMARK.json and tools/bench_pairs.py
+are the gate.
 """
 
 import os
@@ -179,8 +182,9 @@ def report(parent_tree, change_tree, rounds, batch_seconds):
     out = {}
     for name, (ratios, a, b) in ab.items():
         ratio, band = statistics.median(ratios), bands[name]
-        out[name] = {"ratio": ratio,
-                     "null_ratio": statistics.median(null[name][0]),
+        null_ratio = statistics.median(null[name][0])
+        out[name] = {"ratio": ratio, "null_ratio": null_ratio,
+                     "ratio_over_null": ratio / null_ratio,
                      "null_band": list(band),
                      "parent_s": statistics.median(a),
                      "change_s": statistics.median(b),
@@ -214,8 +218,9 @@ def main(argv=None):
     print(f"null band {lo:.3f}x .. {hi:.3f}x")
     for name, case in out["cases"].items():
         band = "{:.3f}-{:.3f}x".format(*case["null_band"])
-        print(f"{case['ratio']:7.3f}x  (null {case['null_ratio']:.3f}x in "
-              f"{band}, parent {case['parent_s'] * 1e6:9.1f} us)  {name}")
+        print(f"{case['ratio']:7.3f}x  (/null {case['ratio_over_null']:.3f}x, "
+              f"null {case['null_ratio']:.3f}x in {band}, "
+              f"parent {case['parent_s'] * 1e6:9.1f} us)  {name}")
     return 0
 
 

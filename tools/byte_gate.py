@@ -44,17 +44,18 @@ byte-identical outputs must leave no line different.  The grid:
 * estimate_alpha of every notion on a disk and on a cap;
 * per oracle ball, 40 oracle results (a quarter of them at boundary
   points), three on a degenerate search plane (x at the center, and w
-  along +-log_x(center)) and one at the edge of the refinement (x
-  1e-12 inside the boundary, w its outward normal tilted by 1e-6; on
-  the caps of radius 0.3 its F' keeps its sign across the grid
-  bracket), each from a single call, and all 44 (w, x) pairs again as
-  the rows of one stacked call;
-* the oracle's ties and duplicates (lmo-ties/ and lmo-ties-rows/): per
-  oracle ball, three times x at the center, w along log_x(center) at a
-  sampled x (both phi grids are the same values there) and a boundary
-  point with w its outward normal, exact and tilted by 1e-12, 1e-6 and
-  1e-2 (F ties at 0 over the outward rays), from default_rng(13), each
-  from a single call and all 18 again as the rows of one stacked call;
+  along +-log_x(center)) and one just inside the boundary (x 1e-12
+  inside it, w its outward normal tilted by 1e-6: F' at the wedge edge
+  decides the bracket's side), each from a single call, and all 44
+  (w, x) pairs again as the rows of one stacked call;
+* the oracle's bracket corners (lmo-ties/ and lmo-ties-rows/, named
+  for the ties of an earlier phi grid, kept so that trees compare):
+  per oracle ball, three times x at the center, w along log_x(center)
+  at a sampled x (the plane is a line, phi = 0) and a boundary point
+  with w its outward normal, exact and tilted by 1e-12, 1e-6 and 1e-2
+  (F is 0 over the outward rays, and the bracket is the inward
+  wedge), from default_rng(13), each from a single call and all 18
+  again as the rows of one stacked call;
 * the paper-desk trace CSV and summary for seeds 0 and 42;
 * draws (draws/): GeodesicBall.sample on each ball of the grid, around
   the base point and around random_point(default_rng(s)), from
@@ -408,11 +409,11 @@ def oracle_results(out):
 
 
 def tie_pairs(ball, rng):
-    """(tag, w, x) of the oracle's tie and duplicate rows on one ball:
-    three times x at the center, w along log_x(center) from a sampled x
-    (where psi <= 0 both phi grids are the same values) and a boundary
-    point with w its outward normal tilted by each of TIE_TILTS (F
-    ties at 0 over the outward rays)."""
+    """(tag, w, x) of the oracle's bracket corners on one ball: three
+    times x at the center, w along log_x(center) from a sampled x (the
+    plane is a line) and a boundary point with w its outward normal
+    tilted by each of TIE_TILTS (F is 0 over the outward rays, and the
+    bracket is the inward wedge)."""
     k, x0, r = ball.kernel, ball.center, ball.radius
     for i in range(3):
         yield f"center{i}", k.random_unit_tangent(x0, rng), x0
