@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfw import (ConfigError, ContractError, Euclidean, GeodesicBall,
+from rfw import (BracketError, ConfigError, ContractError, Euclidean,
+                 GeodesicBall,
                  Hyperboloid, NoIntersectionError, NumericsError, Spd,
                  Sphere, alpha_phi_sphere,
                  boundary_section_grid, lmo_brute_force,
@@ -631,6 +632,85 @@ def test_stacked_lmo_brackets_the_near_boundary_corner():
     assert one.objective >= brute - 1e-12 and one.objective > 0.0
     assert abs(rows.objective[-1] - one.objective) <= 1e-15
     _assert_rows_equal_single_calls(ball, ws, xs, _row_tolerance(k, 0.3))
+
+
+BRACKET_BALLS = [(Sphere(3), 0.3), (Sphere(3), 1.2), (Sphere(3), 1.5),
+                 (Hyperboloid(3), 1.0), (Hyperboloid(3), 2.0)]
+
+
+def _bracket_rows(k, ball, rng):
+    """(w, x) rows on the bracket's corners: x at the center (row 0), and
+    w along +-log_x(center) (rows 1 + 7j and 2 + 7j): the plane
+    degenerates to a line; x on the boundary with w its outward normal, exact (the exit
+    at the wedge edge is 0) and tilted by 1e-12 to 1; and random
+    interior rows."""
+    ws, xs = [k.random_unit_tangent(ball.center, rng)], [ball.center]
+    for _ in range(4):
+        x = ball.sample(rng)
+        g = k.log(x, ball.center)
+        ws += [g / k.norm(x, g), -g / k.norm(x, g)]
+        xs += [x, x]
+        for tilt in (0.0, 1e-12, 1e-6, 1e-2, 1.0):
+            x, w = _boundary_point_and_tilted_normal(k, ball, rng, tilt)
+            ws.append(w)
+            xs.append(x)
+    for _ in range(12):
+        xs.append(ball.sample(rng))
+        ws.append(k.random_unit_tangent(xs[-1], rng))
+    return np.array(ws), np.array(xs)
+
+
+@pytest.mark.parametrize("k,radius", BRACKET_BALLS,
+                         ids=[f"{k.name}-{r:g}" for k, r in BRACKET_BALLS])
+def test_lmo_on_the_bracket_corners(k, radius):
+    # each corner of the three-point bracket: a line row takes phi = 0
+    # exactly, and every row, as a single call and as a row of one
+    # stacked call, beats the dense section grid
+    ball = GeodesicBall(k, k.random_point(np.random.default_rng(5))
+                        if isinstance(k, Sphere) else k.base_point(), radius)
+    w, x = _bracket_rows(k, ball, np.random.default_rng(6))
+    rows = ball.lmo(w, x)
+    line = [0] + [1 + 7 * j + i for j in range(4) for i in (0, 1)]
+    for i in range(len(x)):
+        one = ball.lmo(w[i], x[i])
+        if i in line:
+            assert one.phi == 0.0 and rows.phi[i] == 0.0, i
+        _, grid = lmo_brute_force(ball, w[i], x[i], 20000)
+        bound = 1e-9 * max(1.0, abs(grid))
+        assert min(one.objective, rows.objective[i]) >= grid - bound, i
+    _assert_rows_equal_single_calls(ball, w, x, _row_tolerance(k, radius))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["pair", "rows"])
+@pytest.mark.parametrize("k,name", [
+    (Sphere(3), "alpha_phi_sphere"),
+    (Hyperboloid(3), "_alpha_phi_hyperboloid")],
+    ids=["sphere", "hyperboloid"])
+def test_lmo_raises_where_its_bracket_has_no_sign_change(monkeypatch, k,
+                                                         name, stacked):
+    # the bracket rests on F having one peak, which is not proven, so
+    # the oracle never guesses past it: under a made-up exit alpha = -1,
+    # F' = sin(phi) has one sign over [-pi/2, e] (e < 0) and over [e,
+    # pi/2] (e > 0), and every row off a line raises BracketError.  A
+    # line row has no sign test: phi = 0 is its root
+    def made_up(a, b, c, slope=False):
+        s = 0.0 * b - 1.0
+        return (s, 0.0 * b) if slope else s
+    monkeypatch.setattr(rfw.balls, name, made_up)
+    ball = GeodesicBall(k, k.base_point(), 1.0)
+    rng = np.random.default_rng(8)
+    line = (k.random_unit_tangent(ball.center, rng), ball.center)
+    w, x = _oracle_rows(k, ball, rng, 6)
+    if stacked:
+        assert ball.lmo(*map(np.array, zip(line, line))).phi.tolist() == [
+            0.0, 0.0]
+        with pytest.raises(BracketError, match=f"of {len(x)} rows"):
+            ball.lmo(w, x)
+    else:
+        assert ball.lmo(*line).phi == 0.0
+        for i in range(6):
+            with pytest.raises(BracketError, match="no sign change"):
+                ball.lmo(w[i], x[i])
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
