@@ -14,10 +14,14 @@ one peak on [-pi/2, pi/2], and the oracle brackets it with three angles
 every plane defines: -pi/2, the wedge edge e = max(psi - pi/2, -pi/2)
 (psi the angle of log_x(center) in the plane; from a boundary point
 only the wedge (e, pi/2] is feasible) and pi/2.  The sign of F' at e
-says which side holds the peak, and `bisect_root` finds the root of F'
-there, starting from F' at the bracket's ends, with alpha's b-derivative
-from implicit differentiation of the exit equation.  That F has one
-peak is not proven here: a hypothesis property test against
+says which side holds the peak.  A warm start then cuts that half: F'
+at the angle of the flat vertex center + r w/|w| seen from x, and at a
+step r^2/4 from it towards the peak, narrows the bracket to where F'
+changes sign.  `bisect_root` finds the root of F' there, starting from
+F' at the bracket's ends, with alpha's b-derivative from implicit
+differentiation of the exit equation.  Every root is bracketed by a
+measured sign change: the guess only narrows the bracket.  That F has
+one peak is not proven here: a hypothesis property test against
 `lmo_brute_force` is the evidence.  The oracle checks its entry once (w
 a nonzero finite tangent at x, x in the ball), not what it builds.  The
 references below the oracle (`lmo_brute_force`,
@@ -30,6 +34,7 @@ scalars are Python floats and `math`, rows are numpy arrays, and a row
 is the single call's answer up to the last bits of numpy's functions.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -114,11 +119,12 @@ class GeodesicBall:
     def _place(self, u, s):
         """exp_center(radius s^(1/dim) u) for a unit tangent u at the
         center and a uniform s on [0, 1), or for rows u and a list s.
-        The power is taken on Python floats; numpy's array power differs
-        from it in the last bit on a few percent of inputs."""
+        The power is libm's pow, as Python's float power takes it;
+        numpy's array power differs from it in the last bit on a few
+        percent of inputs."""
         p = 1.0 / self.kernel.dim
-        rho = (self.radius * s ** p if type(s) is float
-               else np.array([self.radius * t ** p for t in s]))
+        rho = self.radius * (s ** p if type(s) is float else np.fromiter(
+            map(math.pow, s, itertools.repeat(p)), float, len(s)))
         return self.kernel.exp(self.center,
                                _col(rho, len(self.kernel.point_shape)) * u)
 
@@ -134,10 +140,17 @@ class GeodesicBall:
         F(phi) = alpha(phi) cos(phi) is bracketed by three angles: -pi/2,
         the wedge edge e and pi/2.  A point on the (snapped) boundary,
         or one where F'(e) > 0, has its peak in [e, pi/2]; any other in
-        [-pi/2, e].  F' at e is shared by both, and `bisect_root` starts
-        from F' at the bracket's ends; a bracket whose ends show no sign
-        change raises `BracketError`.  Where the plane degenerates to a
-        line (x at the center, or w along log_x(center)) p = u1, phi = 0.
+        [-pi/2, e].  F' at e is shared by both; a bracket whose ends show
+        no sign change raises `BracketError`.  A warm start cuts the
+        bracket where phi0 = atan2(g2, g1 + r), the angle of the flat
+        vertex center + r u1 seen from x (g1, g2 the coordinates of
+        log_x(center)), lies strictly inside it and F' is >= 0 at its
+        start and <= 0 at its end: F'(phi0) says which side of phi0
+        holds the peak, and F' at phi0 + r^2/4 or phi0 - r^2/4 (clamped
+        into the bracket), on that side, cuts it again.  `bisect_root`
+        starts from F' at the cut bracket's ends.  Where the plane
+        degenerates to a line (x at the center, or w along
+        log_x(center)) p = u1, phi = 0.
 
         w and x may also be stacked rows of one shape, with a leading
         axis as the kernel maps take them.  Every row is checked at
@@ -166,17 +179,31 @@ class GeodesicBall:
         b1, b2 = product(x0, u1), product(x0, u2)
         slope = _phi_slope(exit_at, a, b1, b2, c)
         half = 0.5 * math.pi
-        edge = _atleast(m.atan2(k._inner(x, g, u2), g1) - half, -half)
+        g2 = k._inner(x, g, u2)
+        edge = _atleast(m.atan2(g2, g1) - half, -half)
         at_edge = slope(edge)
         inward = (a == c) | (at_edge > 0.0)
         far = _where(inward, half, -half)
         at_far = slope(far)
         # a line's bracket starts at its root, phi = 0
         lo = _where(line, 0.0, _where(inward, edge, far))
-        ends = (_where(line, 0.0, _where(inward, at_edge, at_far)),
-                _where(inward, at_far, at_edge))
-        phi = bisect_root(slope, lo, _where(inward, far, edge), tol=LMO_TOL,
-                          ends=ends)
+        hi = _where(inward, far, edge)
+        at_lo = _where(line, 0.0, _where(inward, at_edge, at_far))
+        at_hi = _where(inward, at_far, at_edge)
+        # the warm start; a line row's g2 is a zero, so its phi0, 0 or
+        # +-pi, never lies strictly inside its bracket
+        phi0 = m.atan2(g2, g1 + r)
+        warm = (lo < phi0) & (phi0 < hi) & (at_lo >= 0.0) & (at_hi <= 0.0)
+        probe = _where(warm, phi0, lo)
+        at_probe = slope(probe)
+        lo, hi, at_lo, at_hi = _cut(warm, probe, at_probe, lo, hi, at_lo,
+                                    at_hi)
+        step = 0.25 * r * r
+        probe = probe + _where(at_probe > 0.0, step, -step)
+        probe = _where(probe > hi, hi, _atleast(probe, lo))
+        lo, hi, at_lo, at_hi = _cut(warm, probe, slope(probe), lo, hi, at_lo,
+                                    at_hi)
+        phi = bisect_root(slope, lo, hi, tol=LMO_TOL, ends=(at_lo, at_hi))
         cp, sp = m.cos(phi), m.sin(phi)
         travel = exit_at(a, cp * b1 + sp * b2, c)
         v = k.exp(x, _col(travel) * (_col(cp) * u1 + _col(sp) * u2))
@@ -186,13 +213,13 @@ class GeodesicBall:
 
 class _Floats:
     """A pair's arithmetic: `math` on Python floats."""
-    sqrt, log, atan, atan2 = math.sqrt, math.log, math.atan, math.atan2
+    sqrt, log1p, atan, atan2 = math.sqrt, math.log1p, math.atan, math.atan2
     cos, sin, sinh, maximum = math.cos, math.sin, math.sinh, max
 
 
 class _Arrays:
     """Stacked rows' arithmetic: numpy, elementwise."""
-    sqrt, log, atan, atan2 = np.sqrt, np.log, np.arctan, np.arctan2
+    sqrt, log1p, atan, atan2 = np.sqrt, np.log1p, np.arctan, np.arctan2
     cos, sin, sinh, maximum = np.cos, np.sin, np.sinh, np.maximum
 
 
@@ -229,11 +256,13 @@ def alpha_phi_sphere(a, b, c, slope=False):
 def _alpha_phi_hyperboloid(a, b, c, slope=False):
     """Nonnegative root of a*cosh(s) - b*sinh(s) = c, a <= c, for numbers
     a and b or over arrays: t = e^s solves (a - b) t^2 - 2c t + (a +
-    b) = 0 with a - b > 0; t < 1 is roundoff on an outward ray from the
-    boundary.  With slope, the pair (s, ds/db) of _exit_slopes."""
+    b) = 0 with a - b > 0, and s = log1p(t - 1) with t - 1 = (c - a +
+    root + b) / (a - b) keeps a small exit's relative precision, which
+    log(t) of a t near 1 loses; t < 1 is roundoff on an outward ray from
+    the boundary.  With slope, the pair (s, ds/db) of _exit_slopes."""
     m = _arith(a, b)
     root = m.sqrt((c - a) * (c + a) + b * b)
-    s = m.log(m.maximum((c + root) / (a - b), 1.0))
+    s = m.log1p(m.maximum((c - a + root + b) / (a - b), 0.0))
     return _exit_slopes(s, m.sinh(s), root, c) if slope else s
 
 
@@ -291,6 +320,16 @@ def _section_frame(kernel, x, w, norm_w, g):
     flat = n_perp <= 1e-10 * _atleast(kernel._norm(x, g), 1.0)
     u2 = _fill(g_perp / _col(_where(flat, 1.0, n_perp)), flat, 0.0)
     return u1, u2, g1, flat
+
+
+def _cut(warm, p, at_p, lo, hi, at_lo, at_hi):
+    """The brackets [lo, hi] of F' (with F' at their ends) cut at p
+    inside them on the warm rows: [p, hi] where F'(p) > 0, else [lo, p],
+    which keeps F' >= 0 at lo and <= 0 at hi; a NaN F'(p) and the other
+    rows keep their bracket."""
+    up, down = warm & (at_p > 0.0), warm & (at_p <= 0.0)
+    return (_where(up, p, lo), _where(down, p, hi),
+            _where(up, at_p, at_lo), _where(down, at_p, at_hi))
 
 
 def _phi_slope(exit_at, a, b1, b2, c):

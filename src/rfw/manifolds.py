@@ -13,7 +13,7 @@ Every map also takes stacked rows: points and vectors with a leading
 axis, a single base point broadcast against them, and t an array of
 one time per row.  A single point is the one-row case of the same
 formula, and each row of a stacked call is bit for bit the single call
-on that row: dot products are stacked matmuls, which take np.dot's
+on that row: dot products are np.vecdot, which takes np.dot's
 arithmetic, clamps are selections that keep Python's max/min on signed
 zeros, and stacked LAPACK calls factor each matrix as a single call
 does.  A NaN is the exception: a stacked row is NaN where the single
@@ -55,11 +55,11 @@ _CUT_LOCUS = np.pi - 1e-6
 
 def _dot(a, b):
     """<a, b> over the last axis: a float for two vectors, an array over
-    the broadcast rows otherwise.  The stacked matmul takes np.dot's
-    arithmetic, so each row is bitwise its vectors' np.dot."""
+    the broadcast rows otherwise.  np.vecdot takes np.dot's arithmetic,
+    so each row is bitwise its vectors' np.dot."""
     if a.ndim == 1 and b.ndim == 1:
         return float(a.dot(b))
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _norms(a, ndim):

@@ -1,7 +1,12 @@
 """Shared fixtures-free utilities for the test suite."""
 
+import math
+
 import numpy as np
 
+from rfw.balls import (LMO_TOL, _alpha_phi_hyperboloid, _phi_slope,
+                       _section_frame, alpha_phi_sphere)
+from rfw.manifolds import Sphere
 from rfw.scalars import bisect_root
 
 
@@ -48,6 +53,34 @@ def alpha_phi_bisect(a, b, c):
         if vals[i] * vals[i + 1] <= 0.0:
             return float(bisect_root(f, grid[i], grid[i + 1], tol=1e-14))
     raise AssertionError("alpha_phi_sphere: no root located on (0, 2pi]")
+
+
+def cold_bracket_phi(ball, w, x):
+    """The oracle's phi for a pair (w, x) by `bisect_root` on its F' over
+    the whole half bracket, [e, pi/2] or [-pi/2, e] with e the wedge
+    edge, as the oracle took it before its warm start: no guess of the
+    root, a reference for the warm-started bracket.  0 where the search
+    plane is a line."""
+    k, x0, r = ball.kernel, ball.center, ball.radius
+    if isinstance(k, Sphere):
+        c = math.cos(r)
+        a = max(float(x0 @ x), c)
+        product, exit_at = np.dot, alpha_phi_sphere
+    else:
+        c = math.cosh(r)
+        a = -max(k.minkowski(x0, x), -c)
+        product, exit_at = k.minkowski, _alpha_phi_hyperboloid
+    g = k.log(x, x0)
+    u1, u2, g1, line = _section_frame(k, x, w, k.norm(x, w), g)
+    if line:
+        return 0.0
+    slope = _phi_slope(exit_at, a, float(product(x0, u1)),
+                       float(product(x0, u2)), c)
+    edge = max(math.atan2(k.inner(x, g, u2), g1) - 0.5 * math.pi,
+               -0.5 * math.pi)
+    if a == c or slope(edge) > 0.0:
+        return bisect_root(slope, edge, 0.5 * math.pi, tol=LMO_TOL)
+    return bisect_root(slope, -0.5 * math.pi, edge, tol=LMO_TOL)
 
 
 def fd_directional(kernel, value, x, u, h=1e-6):

@@ -12,10 +12,11 @@ from rfw import (BracketError, ConfigError, ContractError, Euclidean,
                  boundary_section_grid, lmo_brute_force,
                  random_boundary_best)
 import rfw.balls
-from rfw.balls import ORACLE_KERNELS, _section_frame, grid_objectives
+from rfw.balls import (LMO_TOL, ORACLE_KERNELS, _section_frame,
+                       grid_objectives)
 from rfw.scalars import bisect_root
 
-from helpers import alpha_phi_bisect
+from helpers import alpha_phi_bisect, cold_bracket_phi
 
 
 def sphere_ball(n=3, r=0.8, seed=0):
@@ -64,6 +65,21 @@ def test_spd_stacked_membership_answers_row_by_row():
         assert got.tolist() == [bool(ball.membership(x)) for x in stack]
     assert ball.membership(rows).tolist() == [True, False, False, True,
                                               False, True]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 50])
+def test_stacked_place_radii_are_the_single_calls_float_power(dim):
+    # on a Euclidean ball at the origin exp adds the tangent, so the
+    # first coordinate along e_1 is the radius r s^(1/dim) itself: a
+    # stacked call's radii are the single call's float power, bit for bit
+    k = Euclidean(dim)
+    ball = GeodesicBall(k, np.zeros(dim), 0.7)
+    s = np.random.default_rng(dim).random(400).tolist() + [0.0, 0.5]
+    u = np.zeros((len(s), dim))
+    u[:, 0] = 1.0
+    rows = ball._place(u, s)[:, 0]
+    assert rows.tolist() == [0.7 * t ** (1.0 / dim) for t in s]
+    assert rows.tolist() == [ball._place(u[0], t)[0] for t in s]
 
 
 def test_sphere_ball_radius_cap():
@@ -207,11 +223,11 @@ def test_lmo_finds_boundary_wedge(k, radius, seed, tilt):
 def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
     # every exit evaluation of a call is counted, a row-wise one once per
     # row: F' at the wedge edge and at the bracket's other end (the sign
-    # test, whose values the root finder starts from), one per step of
-    # the root finder and one for the vertex.  The root finder is
-    # superlinear: bisecting [-pi/2, pi/2] down to LMO_TOL alone would
-    # take ~42 steps.  A stacked call steps all its rows until the last
-    # is done
+    # test), at the warm start's two probes (the bracket's cuts, whose
+    # values the root finder starts from), one per step of the root
+    # finder and one for the vertex.  The root finder is superlinear:
+    # bisecting [-pi/2, pi/2] down to LMO_TOL alone would take ~42 steps.
+    # A stacked call steps all its rows until the last is done
     evals, steps = [0], [0]
     for name in ("alpha_phi_sphere", "_alpha_phi_hyperboloid"):
         exit_at = getattr(rfw.balls, name)
@@ -240,15 +256,35 @@ def test_lmo_exit_evaluations_per_call(monkeypatch, k, radius):
             w = k.random_unit_tangent(x, rng)
         evals[0] = steps[0] = 0
         ball.lmo(w, x)
-        assert evals[0] == 3 + steps[0]
+        assert evals[0] == 5 + steps[0]
         worst = max(worst, evals[0])
     assert 0 < worst <= 17
     for seed in range(4):
         w, x = _oracle_rows(k, ball, np.random.default_rng(seed), 100)
         evals[0] = steps[0] = 0
         ball.lmo(w, x)
-        assert steps[0] > 0 and evals[0] == len(x) * (3 + steps[0])
-        assert 3 + steps[0] <= 17
+        assert steps[0] > 0 and evals[0] == len(x) * (5 + steps[0])
+        assert 5 + steps[0] <= 17
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lmo_rows_on_the_certify_cap_take_few_evaluations(monkeypatch, seed):
+    # a 400-row call on the certify-sphere workload's Sphere(3) cap of
+    # radius 0.3 (x sampled in it, w a random unit tangent at x) steps
+    # until its slowest row is done: the warm start's cut brackets keep
+    # every row to at most 12 exit evaluations
+    evals = [0]
+
+    def counted(a, b, c, slope=False, exit_at=rfw.balls.alpha_phi_sphere):
+        evals[0] += np.size(b)
+        return exit_at(a, b, c, slope=slope)
+    monkeypatch.setattr(rfw.balls, "alpha_phi_sphere", counted)
+    k, rng = Sphere(3), np.random.default_rng(seed)
+    ball = GeodesicBall(k, k.random_point(rng), 0.3)
+    x = np.array([ball.sample(rng) for _ in range(400)])
+    w = np.array([k.random_unit_tangent(row, rng) for row in x])
+    ball.lmo(w, x)
+    assert evals[0] <= 12 * len(x)
 
 
 @pytest.mark.parametrize("cls", ORACLE_KERNELS, ids=lambda c: c.__name__)
@@ -463,7 +499,9 @@ def test_exit_slope_at_a_zero_exit_is_its_limit_from_inside(exit_at, c):
     # from a boundary point (a = c) a ray exits at 0 for b <= 0 and at
     # ~(2/c) b for a small b > 0: where the exit is 0 its b-slope is
     # that one-sided limit, the slope the oracle's F' at the wedge edge
-    # reads.  A pair and rows alike
+    # reads.  A small exit and its slope keep their relative digits (the
+    # log of a ratio near 1 would keep only ~1 ulp of 1 of the exit).  A
+    # pair and rows alike
     b = np.array([0.0, -1e-12, -0.3])
     s, ds = exit_at(np.full(3, c), b, c, slope=True)
     assert s.tolist() == [0.0] * 3 and ds.tolist() == [2.0 / c] * 3
@@ -471,6 +509,12 @@ def test_exit_slope_at_a_zero_exit_is_its_limit_from_inside(exit_at, c):
         assert exit_at(c, bi, c, slope=True) == (0.0, 2.0 / c)
     for h in (1e-5, 1e-7):
         assert abs(exit_at(c, h, c) / h - 2.0 / c) <= 1e-6
+    small = np.array([1e-12, 1e-9])
+    rows = zip(*exit_at(np.full(2, c), small, c, slope=True))
+    for h, row in zip(small.tolist(), rows):
+        for s, ds in (row, exit_at(c, h, c, slope=True)):
+            assert abs(s / h - 2.0 / c) <= 1e-9 * 2.0 / c
+            assert abs(ds - 2.0 / c) <= 1e-9 * 2.0 / c
 
 
 def test_alpha_phi_positive_wrap():
@@ -679,6 +723,24 @@ def test_lmo_on_the_bracket_corners(k, radius):
         bound = 1e-9 * max(1.0, abs(grid))
         assert min(one.objective, rows.objective[i]) >= grid - bound, i
     _assert_rows_equal_single_calls(ball, w, x, _row_tolerance(k, radius))
+
+
+@pytest.mark.parametrize("k,radius", BRACKET_BALLS,
+                         ids=[f"{k.name}-{r:g}" for k, r in BRACKET_BALLS])
+def test_warm_bracket_finds_the_cold_brackets_root(k, radius):
+    # the warm start only narrows the bracket: on the corner rows and on
+    # random interior rows, a single call and each row of a stacked call
+    # find the root that bisect_root finds over the whole half bracket
+    ball = GeodesicBall(k, k.random_point(np.random.default_rng(5))
+                        if isinstance(k, Sphere) else k.base_point(), radius)
+    w, x = _bracket_rows(k, ball, np.random.default_rng(6))
+    more_w, more_x = _oracle_rows(k, ball, np.random.default_rng(7), 40)
+    w, x = np.concatenate([w, more_w]), np.concatenate([x, more_x])
+    rows = ball.lmo(w, x).phi
+    for i in range(len(x)):
+        cold = cold_bracket_phi(ball, w[i], x[i])
+        assert abs(ball.lmo(w[i], x[i]).phi - cold) <= 2 * LMO_TOL, i
+        assert abs(rows[i] - cold) <= 2 * LMO_TOL, i
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["pair", "rows"])

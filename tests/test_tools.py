@@ -187,7 +187,8 @@ def test_bench_ab_times_a_copy_of_a_tree_inside_its_null_band(tmp_path):
             "wrapped/sphere(3)/r0.3/riemannian/a4",
             "lmo/sphere(3)/r0.3/single", "lmo/sphere(3)/r0.3/rows400",
             "lmo/hyperboloid(4)/r1/single",
-            "lmo/hyperboloid(4)/r1/rows400"} <= names
+            "lmo/hyperboloid(4)/r1/rows400", "lmo/sphere(50)/r1.2/single",
+            "lmo/sphere(50)/r1.2/rows400"} <= names
     for name, case in report["cases"].items():
         low, high = case["null_band"]
         assert lo <= low <= case["null_ratio"] <= high <= hi

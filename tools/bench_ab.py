@@ -18,8 +18,10 @@ package names in this process and times a fixed list of cases on both:
   sampler called once per point): a set that is not a ball;
 * one GeodesicBall.lmo call on a pair and one on 400 stacked pairs (x
   sampled in the ball, w a random unit tangent at x), on the
-  certify-sphere workload's Sphere(3) cap of radius 0.3 and on a
-  Hyperboloid(4) ball of radius 1.
+  certify-sphere workload's Sphere(3) cap of radius 0.3, on a
+  Hyperboloid(4) ball of radius 1 and on a Sphere(50) ball of radius
+  1.2, the solve regime, where the oracle's flat guess of its angle is
+  worst.
 
 Each side draws its own copy of every input and generator, so both make
 the same calls on the same numbers.  A round times each case once per
@@ -62,9 +64,11 @@ KERNELS = (("euclidean", 3, 1.0), ("sphere", 3, 0.3), ("hyperboloid", 4, 1.0),
            ("spd", 3, 1.0))  # kernel, size, radius of the sampled ball
 SEED = 0
 MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
-# the certify-sphere workload's cap and a hyperbolic ball: one oracle call
-# on a pair and one on ORACLE_ROWS stacked pairs, x sampled in the ball
-ORACLE_BALLS = (("sphere", 3, 0.3), ("hyperboloid", 4, 1.0))
+# the certify-sphere workload's cap, a hyperbolic ball and a wide cap in
+# many dimensions: one oracle call on a pair and one on ORACLE_ROWS
+# stacked pairs, x sampled in the ball
+ORACLE_BALLS = (("sphere", 3, 0.3), ("hyperboloid", 4, 1.0),
+                ("sphere", 50, 1.2))
 ORACLE_ROWS = 400
 
 
