@@ -167,45 +167,63 @@ def _members(cset, z):
                      for p in z], dtype=bool)
 
 
-def _clearances(cset, base, direction, required, offset=None):
+def _clearances(cset, base, direction, required, offset=None, start=None):
     """Margins, travel distance minus required[i], along the rays s ->
-    exp(base[i], offset[i] + s direction[i]) (offset 0 when None), as an
-    array with +inf for a row that cannot be the lowest; leaving the
-    exp domain counts as a violation.  A row's travel distance is that of a
-    bisection on membership: 0 from a start outside the set, else
-    [0, hi_cap] halved to the resolution, then hi_cap if a member there
-    and hi never moved, else the midpoint (exact when membership along
-    the ray is an initial interval, as for convex sets).  Every set is
-    raced on a slack, a member where it is >= 0 (_race): a ball's is
-    r + MEMBERSHIP_TOL - d(c, z), probed at hi_cap up front, any other
-    set's is +1 on a member and -1 elsewhere, unknown at hi_cap."""
+    exp(base[j], offset[j] + s direction[i]) from the rows j = start[i]
+    of base (j = i when start is None, offset 0 when None), as an array
+    with +inf for a row that cannot be the lowest; leaving the exp
+    domain counts as a violation.  Rays that share a start share its
+    row: the rays' exp factors base once (the kernel's _exp_rows), and
+    each row of base is probed once at s = 0, exp(base[j], offset[j]).
+    A ray's travel distance is that of a bisection on membership: 0
+    from a start outside the set, else [0, hi_cap] halved to the
+    resolution, then hi_cap if a member there and hi never moved, else
+    the midpoint (exact when membership along the ray is an initial
+    interval, as for convex sets).  Every set is raced on a slack, a
+    member where it is >= 0 (_race): a ball's is r + MEMBERSHIP_TOL -
+    d(c, z), probed at every start and at every ray's hi_cap in one
+    stacked call up front, any other set's is +1 on a member and -1
+    elsewhere, unknown at hi_cap."""
     k, n = cset.kernel, len(required)
+    nd = len(k.point_shape)
+    start = np.arange(n) if start is None else start
     cap = cset.diameter if cset.diameter is not None else 1.0
     # fmax: a NaN required leaves its cap at max(cap, 1e-9)
     hi_cap = np.fmax(np.fmax(cap, 2.0 * required), 1e-9)
     resolution = 1e-11 * np.fmax(1.0, hi_cap)
+    exp_rows = k._exp_rows(base)
+
+    def tangent(rows, s):
+        """The start rows of the rays rows, and their tangents at s."""
+        at = start[rows]
+        v = _col(s, nd) * direction[rows]
+        return at, v if offset is None else offset[at] + v
 
     def ray(rows, s):
-        v = _col(s, len(k.point_shape)) * direction[rows]
-        return k.exp(base[rows], v if offset is None else offset[rows] + v)
+        return exp_rows(*tangent(rows, s))
 
+    firsts = np.arange(len(base))  # each start, at s = 0
+    zero = np.zeros(base.shape) if offset is None else offset
     ball = _ball_of(cset.membership, GeodesicBall.membership)
     if ball is not None:
         slack = ball._slack
-        f1 = slack(ray(np.arange(n), hi_cap))
+        at, v = tangent(np.arange(n), hi_cap)
+        f = slack(exp_rows(np.concatenate((firsts, at)),
+                           np.concatenate((zero, v))))
+        f0, f1 = f[:len(base)], f[len(base):]
     else:
         def slack(z):
             return np.where(_members(cset, z), 1.0, -1.0)
-        f1 = np.full(n, np.nan)
-    return _race(slack, ray, required, hi_cap, resolution, f1)
+        f0, f1 = slack(exp_rows(firsts, zero)), np.full(n, np.nan)
+    return _race(slack, ray, required, hi_cap, resolution, f0[start], f1)
 
 
-def _race(slack, ray, required, hi_cap, resolution, f1):
+def _race(slack, ray, required, hi_cap, resolution, f0, f1):
     """_clearances' bisection margins in a few stacked probes of
-    slack(ray(rows, s)), f1 the slack at hi_cap, NaN where it is not
-    known (or a ray left the exp domain there).  One stacked call probes
-    every ray at 0: a start outside travels 0, as in the bisection, and
-    a member at hi_cap takes the bracket lo = hi = hi_cap.  Each other
+    slack(ray(rows, s)), f0 and f1 the slack at 0 and at hi_cap, NaN
+    where it is not known (or a ray left the exp domain there).  A
+    start outside travels 0, as in the bisection, and a member at
+    hi_cap takes the bracket lo = hi = hi_cap.  Each other
     row brackets its crossing, a member end lo and an outside end hi,
     by Chandrupatla's steps on the slack (rfw.scalars), the first a
     secant step where f1 is finite, one stacked probe per step on the
@@ -221,8 +239,6 @@ def _race(slack, ray, required, hi_cap, resolution, f1):
     flicker of membership about the crossing (a kernel's roundoff).
     The rows left replay the bisection (_replays), so each margin is
     the bisection's bit for bit."""
-    n = len(required)
-    f0 = slack(ray(np.arange(n), np.zeros(n)))
     start, far = f0 >= 0.0, f1 >= 0.0
     margin = np.where(start, np.inf, 0.0 - required)
     pending = start.copy()
@@ -355,14 +371,19 @@ class _Draws:
                                  dtype=float).reshape(shape)
             self.slots.append(block)
 
-    def points(self, slot):
+    def points(self, *slots):
+        """The points of the POINT slots, an array each.  On a
+        GeodesicBall they are made in one _unit_tangents and one _place
+        call over all their rows; a slot's rejected normals are drawn
+        again slot by slot, in slot order, as one call per slot would."""
         if self.ball is None:
-            return self.slots[slot]
-        g, s = self.slots[slot]
+            return [self.slots[j] for j in slots]
+        g = np.concatenate([self.slots[j][0] for j in slots])
+        u = self.kernel._unit_tangents(self.ball.center, g, self.rng,
+                                       len(slots))
         # _place takes its radius power on Python floats
-        return self.ball._place(
-            self.kernel._unit_tangents(self.ball.center, g, self.rng),
-            s.tolist())
+        s = [v for j in slots for v in self.slots[j][1].tolist()]
+        return np.split(self.ball._place(u, s), len(slots))
 
 
 def _rows(**rows):
@@ -415,7 +436,7 @@ def _double_geodesic(cset, alpha, distance, rng, n_samples):
     exp counts as failure).  The blocks are the same on every set."""
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, POINT, TIME, TANGENT))
-    x, y, t = draws.points(0), draws.points(1), draws.slots[2]
+    (x, y), t = draws.points(0, 1), draws.slots[2]
     d = k.dist(x, y) if distance is None else distance(k, x, y)
     m = k.geodesic(x, y, t)
     rho = alpha * t * (1.0 - t) * d * d
@@ -456,8 +477,8 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
     that won, z on a tie."""
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, POINT, POINT, TIME, TANGENT))
-    x = draws.points(0)
-    p, q = k.log(x, draws.points(1)), k.log(x, draws.points(2))
+    x, y1, y2 = draws.points(0, 1, 2)
+    p, q = k.log(x, y1), k.log(x, y2)
     t = draws.slots[3]
     pq, tc = p - q, _col(t, len(k.point_shape))
     rho = alpha * t * (1.0 - t) * k._inner(x, pq, pq)
@@ -470,9 +491,10 @@ def _riemannian(cset, alpha, distance, rng, n_samples):
         size = k._norm(x, v)
         out = np.flatnonzero(size > 1e-12)
         o = v[out] / _col(size[out], len(k.point_shape))
-    both = _clearances(cset, *(np.concatenate((a, b)) for a, b in (
-        (x, x[out]), (z, o), (rho, rho[out]), (combo, combo[out]))))
     n, direction = len(x), z.copy()
+    both = _clearances(cset, x, np.concatenate((z, o)),
+                       np.concatenate((rho, rho[out])), combo,
+                       np.concatenate((np.arange(n), out)))
     margins = both[:n]
     lower = both[n:] < margins[out]  # z kept on a tie
     margins[out[lower]] = both[n:][lower]
@@ -500,7 +522,7 @@ def _scaling(cset, alpha, distance, rng, n_samples, approx=False):
         raise ConfigError(f"{notion}: set has no oracle")
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, TANGENT))
-    x = draws.points(0)
+    x, = draws.points(0)
     w = k._unit_tangents(x, draws.slots[1], draws.rng)
     res = cset.lmo(w, x)
     v, lx = res.vertex, res.log
@@ -720,7 +742,7 @@ def check_smoothness_gradient_bound(fn, cset, n_samples, rng):
     sqrt(2 L (f(x) - fstar)) on the set."""
     if fn.fstar is None:
         raise ConfigError("check_smoothness_gradient_bound: fstar required")
-    x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
+    x, = _Draws(cset, rng, n_samples, (POINT,)).points(0)
     fx, gx = _value_grads(fn.value_grad, x)
     gap = fx - fn.fstar
     gap = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0), NaN kept
@@ -735,7 +757,7 @@ def check_gconvexity_of_function(fn, cset, n_samples, rng):
     reported, and a NaN in either makes the sample a violation."""
     k = cset.kernel
     draws = _Draws(cset, rng, n_samples, (POINT, POINT, TIME))
-    x, y, t = draws.points(0), draws.points(1), draws.slots[2]
+    (x, y), t = draws.points(0, 1), draws.slots[2]
     d, lxy = k.dist(x, y), k.log(x, y)
     mid = k.exp(x, _col(t, len(k.point_shape)) * lxy)  # geodesic's bits
     f, g = _value_grads(fn.value_grad, np.concatenate((x, y, mid)))
@@ -761,7 +783,7 @@ def min_gradient_norm(objective, cset, n_samples, rng):
     lower bound fed to the contraction check when the unconstrained
     optimum lies outside the set.  A NaN norm raises NumericsError: it
     would otherwise hide a sample and overstate the bound."""
-    x = _Draws(cset, rng, n_samples, (POINT,)).points(0)
+    x, = _Draws(cset, rng, n_samples, (POINT,)).points(0)
     norms = cset.kernel.norm(x, _value_grads(objective.value_grad, x)[1])
     if np.isnan(norms).any():
         raise NumericsError("min_gradient_norm: a gradient norm is NaN")

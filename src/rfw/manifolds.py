@@ -194,6 +194,12 @@ class Manifold:
     def exp(self, x, v):
         raise NotImplementedError
 
+    def _exp_rows(self, base):
+        """(rows, v) -> exp(base[rows], v), for a stack base and an index
+        array rows: the map of rays that start from rows of one stack,
+        bit for bit the stacked exp on the rows taken."""
+        return lambda rows, v: self.exp(base[rows], v)
+
     def log(self, x, y):
         raise NotImplementedError
 
@@ -260,25 +266,28 @@ class Manifold:
         ok = n > 1e-12
         return v / _col(_where(ok, n, 1.0), len(self.point_shape)), ok
 
-    def _unit_tangents(self, base, g, rng):
+    def _unit_tangents(self, base, g, rng, blocks=1):
         """Unit tangents at the rows of base (or at the one point base)
         from the normals g, stacked or one, which keeps those used.  The
         rows whose projection vanished draw again from rng, in row
-        order, pass after pass; 64 vanished normals are a ContractError."""
+        order, pass after pass; 64 vanished normals are a ContractError.
+        Stacked normals cut into blocks equal blocks redraw block after
+        block, each as a call of its own would."""
         u, ok = self._unit_tangent(base, g)
         if type(ok) is not np.ndarray:  # one normal, on floats
             return u if ok else self._unit_tangents(base, g[None], rng)[0]
         one = np.ndim(base) == len(self.point_shape)
-        tries = 1
-        while not ok.all():
-            if tries == 64:
-                raise ContractError(
-                    f"{self.name}: could not draw a unit tangent")
-            bad = np.flatnonzero(~ok)
-            g[bad] = rng.standard_normal((len(bad),) + self.point_shape)
-            u[bad], ok[bad] = self._unit_tangent(base if one else base[bad],
-                                                 g[bad])
-            tries += 1
+        for rows in np.arange(len(ok)).reshape(blocks, -1):
+            tries = 1
+            while not ok[rows].all():
+                if tries == 64:
+                    raise ContractError(
+                        f"{self.name}: could not draw a unit tangent")
+                bad = rows[~ok[rows]]
+                g[bad] = rng.standard_normal((len(bad),) + self.point_shape)
+                u[bad], ok[bad] = self._unit_tangent(
+                    base if one else base[bad], g[bad])
+                tries += 1
         return u
 
     def random_unit_tangent(self, x, rng):
@@ -589,23 +598,36 @@ class Spd(Manifold):
     def project_tangent(self, x, a):
         return _sym(np.asarray(a, dtype=float))
 
-    def _spectral(self, x, a, fun, bad, message):
-        """X^{1/2} fun(X^{-1/2} A X^{-1/2}) X^{1/2}, outside the domain
-        (_outside) on the rows where bad(w) holds for the eigenvalues w,
-        ascending, of the middle factor."""
-        s, si = self._sqrt_pair(x)
+    @staticmethod
+    def _spectral(pair, a, fun, bad, message):
+        """X^{1/2} fun(X^{-1/2} A X^{-1/2}) X^{1/2} from pair = (X^{1/2},
+        X^{-1/2}), outside the domain (_outside) on the rows where bad(w)
+        holds for the eigenvalues w, ascending, of the middle factor."""
+        s, si = pair
         w, q = _eig_rows(np.linalg.eigh, _sym(si @ a @ si))
         w = _outside(w, bad(w), lambda: message)
         return _sym(s @ ((q * _rowvec(fun(w))) @ _swap(q)) @ s)
 
     def exp(self, x, v):
+        return self._exp_at(self._sqrt_pair(x), v)
+
+    def _exp_at(self, pair, v):
         # as on the hyperboloid: exp overflows doubles long before this
         # is a sane request
-        return self._spectral(x, v, np.exp, lambda w: w[..., -1] > 300.0,
+        return self._spectral(pair, v, np.exp, lambda w: w[..., -1] > 300.0,
                               "spd exp: tangent too large for exp")
 
+    def _exp_rows(self, base):
+        """Manifold._exp_rows with base factored once: each call slices
+        its rows' pairs from _sqrt_pair(base), the pairs that factoring
+        base[rows] gives, as eigh factors each matrix of a stack as a
+        single call does."""
+        s, si = self._sqrt_pair(base)
+        return lambda rows, v: self._exp_at((s[rows], si[rows]), v)
+
     def log(self, x, y):
-        return self._spectral(x, y, np.log, lambda w: w[..., 0] <= 0.0,
+        return self._spectral(self._sqrt_pair(x), y, np.log,
+                              lambda w: w[..., 0] <= 0.0,
                               "spd log: target is not positive definite")
 
     def dist(self, x, y):

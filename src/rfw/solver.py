@@ -188,6 +188,18 @@ class ContractionReport:
     def passed(self):
         return len(self.violations) == 0
 
+    def to_dict(self):
+        """Plain types for strict JSON: a non-finite number (a NaN
+        max_ratio, the infinite threshold_dist2 of a check with no
+        burn-in) is written as None."""
+        return _finite_or_none({
+            "factor": self.factor, "threshold_dist2": self.threshold_dist2,
+            "checked": self.checked, "violations": self.violations,
+            "max_ratio": self.max_ratio, "passed": self.passed})
+
+    def to_json(self, **kwargs):
+        return json.dumps(self.to_dict(), allow_nan=False, **kwargs)
+
 
 def contraction_check(trace, alpha, c, L, fstar, diameter=None, c_tilde=0.0):
     """Verify the per-iteration contraction of h_t = f(x_t) - fstar

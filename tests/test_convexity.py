@@ -629,27 +629,57 @@ def test_batched_redraws_where_the_per_sample_loop_does(notion):
     cs = ball_set(GeodesicBall(k, k.base_point(), 1.2))
     # the slots that are made unit tangents: the points and the
     # direction, but for the geodesic notions, whose witness direction
-    # on a ball is the radial one
-    slots = {"riemannian": 4}.get(notion, 2)
+    # on a ball is the radial one; and the stacked calls that make them
+    # first, one for all the point slots and one for a direction
+    slots, first = {"riemannian": (4, 2), "scaling": (2, 2),
+                    "approx_scaling": (2, 2)}.get(notion, (2, 1))
     for alpha in (0.2, 3.0):
         rng = np.random.default_rng(4)
         k.calls = []
         cert = run_checker(notion, cs, alpha, 25, rng)
-        # one call per slot, then one per redraw pass: more passes than
-        # slots means that some row was rejected twice
-        assert len(k.calls) > 2 * slots
+        # the first calls, then one per slot per redraw pass: more
+        # passes than slots means that some row was rejected twice
+        assert len(k.calls) > first + slots
         ref_rng = np.random.default_rng(4)
         ref = reference_certificate(notion, cs, alpha, 25, ref_rng)
         assert cert.to_json() == ref.to_json()
         assert rng.random() == ref_rng.random()
 
 
+class _Stickier(Sphere):
+    """A sphere whose unit tangents reject every normal with a first
+    coordinate above 0.3 (~38% of draws)."""
+
+    def _unit_tangent(self, x, g):
+        u, ok = super()._unit_tangent(x, g)
+        return u, ok & ~(np.asarray(g)[..., 0] > 0.3)
+
+
+@pytest.mark.parametrize("notion", ["geodesic", "riemannian",
+                                    "double_geodesic"])
+def test_stacked_points_redraw_slot_by_slot(notion):
+    # a certificate places all its ball points in one stacked call, but
+    # each POINT slot's rejected normals are drawn again slot after slot,
+    # pass after pass, as the per-sample loop draws them: its JSON and
+    # the generator's next draw are the loop's on every seed.  Redrawing
+    # the rejected rows of all slots together would take other normals
+    k = _Stickier(3)
+    cs = ball_set(GeodesicBall(k, k.base_point(), 1.2))
+    for seed in range(60):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        cert = run_checker(notion, cs, 1.0, 20, rng)
+        ref = reference_certificate(notion, cs, 1.0, 20, ref_rng)
+        assert cert.to_json() == ref.to_json(), seed
+        assert rng.random() == ref_rng.random(), seed
+
+
 @pytest.mark.parametrize("notion", ["geodesic", "double_geodesic"])
 def test_ball_geodesic_notions_make_no_unit_tangent_at_their_midpoints(
         notion):
     # the TANGENT block is drawn, but on a ball the witness direction is
-    # the outward radial one: every unit tangent made is a ball point's,
-    # at the center, and none is made at the midpoints m
+    # the outward radial one: the only unit tangents made are the ball
+    # points', at the center, both slots in one call, and none is made
+    # at the midpoints m
     bases = []
 
     class Counted(Sphere):
@@ -663,7 +693,7 @@ def test_ball_geodesic_notions_make_no_unit_tangent_at_their_midpoints(
         bases.clear()
         cert = run_checker(notion, ball_set(ball), alpha, 25,
                            np.random.default_rng(6))
-        assert len(bases) == 2  # one per POINT slot, nothing redrawn
+        assert len(bases) == 1  # both POINT slots, nothing redrawn
         assert all(np.array_equal(b, ball.center) for b in bases)
         assert cert.witness["direction"].shape == (3,)
 
@@ -1030,6 +1060,49 @@ def test_race_takes_a_raising_exp_step_row_by_row(kernel, radius, far,
         np.testing.assert_array_equal(alone, full[one])
 
 
+@pytest.mark.parametrize("wrapped", [False, True], ids=["ball", "wrapped"])
+@pytest.mark.parametrize("with_offset", [False, True],
+                         ids=["ray", "offset"])
+@pytest.mark.parametrize("kernel, radius, far", RAY_BALLS,
+                         ids=[f"{type(k).__name__}-{r}"
+                              for k, r, _ in RAY_BALLS])
+def test_rays_that_share_a_start_take_the_margins_of_their_own_copies(
+        kernel, radius, far, with_offset, wrapped):
+    # three rays from each start of _ball_rays, in shuffled order: its
+    # own ray, the reverse ray and a random one, the last two with the
+    # required clearance of other rows, so that a start outside, a
+    # member at hi_cap, a NaN required and a required whose probes leave
+    # the exp domain (dist's on SPD) each meet several starts.  Every
+    # ray's margin is the one it gets with a copy of its start of its
+    # own, bit for bit, and with no start given the call is the copies'
+    k = kernel
+    cs = ball_set(GeodesicBall(k, k.base_point(), radius))
+    if wrapped:
+        ball = cs
+        cs = ConvexSet(k, lambda z: ball.membership(z), ball.sampler,
+                       diameter=ball.diameter)
+    rng = np.random.default_rng(1)
+    base, direction, offset, required = _ball_rays(
+        k, radius, far, with_offset, rng)
+    m = len(base)
+    start = rng.permutation(np.repeat(np.arange(m), 3))
+    rank = np.zeros(len(start), dtype=int)
+    for j in range(m):
+        rank[start == j] = np.arange(3)
+    rays = np.array([(direction[j], -direction[j],
+                      k.random_unit_tangent(base[j], rng))[r]
+                     for j, r in zip(start, rank)])
+    need = required[(start + 4 * rank) % m]
+    shared = _clearances(cs, base, rays, need, offset, start)
+    copies = (base[start], rays, need,
+              None if offset is None else offset[start])
+    assert shared.tobytes() == _clearances(cs, *copies).tobytes()
+    assert shared.tobytes() == _clearances(cs, *copies, None).tobytes()
+    outside = start == 7
+    assert (shared[outside] == -need[outside]).all()
+    assert np.isnan(shared[np.isnan(need)]).all()
+
+
 @pytest.mark.parametrize("crossing", [0.3, 1.0, 1.7, 2.0 - 1e-12, 3.0])
 def test_a_set_that_is_not_a_ball_is_probed_at_the_bisections_midpoints(
         crossing):
@@ -1108,8 +1181,8 @@ def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
     # calls the ball's membership.  riemannian's clearances read the
     # ball's slack (its stacked probes are counted below), and the
     # geodesic notions take the exact radial margin: no exp beyond the
-    # sample's three (the two ball points and the chords' geodesic) and
-    # one dist call beyond the chord distances
+    # sample's two (the two ball points' slots, placed in one call, and
+    # the chords' geodesic) and one dist call beyond the chord distances
     calls = []
     member = GeodesicBall.membership
 
@@ -1141,7 +1214,7 @@ def test_certify_spd_membership_calls_are_stacked(seed, monkeypatch):
         run_checker(notion, cs, alpha, 30, np.random.default_rng([seed, op]))
         assert len(calls) == 0, (notion, alpha)
         if notion != "riemannian":
-            assert (kernel_calls["exp"], kernel_calls["dist"]) == (3, 2), (
+            assert (kernel_calls["exp"], kernel_calls["dist"]) == (2, 2), (
                 notion, alpha)
 
 
@@ -1174,6 +1247,35 @@ def test_riemannian_clearances_take_few_stacked_probes(kernel, radius, n,
         run_checker("riemannian", cs, alpha, n,
                     np.random.default_rng([seed, op]))
         assert calls[0] <= 10, (alpha, calls[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certify_spd_riemannian_factors_its_base_points_once(seed,
+                                                             monkeypatch):
+    # the certify-spd benchmark's ball, cases and streams: a riemannian
+    # certificate takes its sample points' square roots once, for its
+    # logs at x, and its rays slice theirs from that stack, where each
+    # probe whose live rows changed factored them again (18-20 eigh
+    # calls).  Left: one eigh per placement, per log call and per probe
+    k = Spd(3)
+    cs = ball_set(GeodesicBall(k, k.random_point(np.random.default_rng(seed)),
+                               1.0))
+    eigh, calls = np.linalg.eigh, [0]
+
+    def counted(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cases = [(notion, alpha) for notion in ("geodesic", "riemannian",
+                                            "double_geodesic")
+             for alpha in (0.05, 2.0)]
+    for op in range(60):
+        notion, alpha = cases[op % len(cases)]
+        calls[0] = 0
+        run_checker(notion, cs, alpha, 30, np.random.default_rng([seed, op]))
+        if notion == "riemannian":
+            assert calls[0] <= 12, (op, calls[0])
 
 
 def test_approx_scaling_domain_error_is_a_violation():

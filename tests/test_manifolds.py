@@ -383,6 +383,40 @@ def test_spd_stack_of_base_points_is_factored_once(monkeypatch):
     assert calls[0] == 1 + 3  # the stack's square roots, one eigh per exp
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=kid)
+def test_exp_rows_is_the_stacked_exp_on_the_rows_taken(kernel, monkeypatch):
+    # rays that start from rows of one stack: each call is bit for bit
+    # exp on the rows it takes, repeated and in any order, with NaN on
+    # a row past the exp domain (none on flat space); SPD factors the
+    # stack once, whatever rows each call takes
+    rng = np.random.default_rng(7)
+    base = np.array([kernel.random_point(rng) for _ in range(5)])
+    picks = [np.array([3, 0, 3, 1]), np.array([4]), np.arange(5),
+             np.array([2, 2, 0, 4, 1, 3])]
+    vs = [np.array([rng.uniform(0.1, 2.0)
+                    * kernel.random_unit_tangent(base[j], rng) for j in rows])
+          for rows in picks]
+    # past every curved kernel's exp domain (on SPD, X^{-1/2} V X^{-1/2}
+    # = 400 I)
+    vs[2][1] = 400.0 * (base[1] if isinstance(kernel, Spd)
+                        else kernel.random_unit_tangent(base[1], rng))
+    want = [kernel.exp(base[rows], v) for rows, v in zip(picks, vs)]
+    calls = [0]
+
+    def counted(a, _eigh=np.linalg.eigh):
+        calls[0] += 1
+        return _eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    exp_rows = type(kernel)(kernel.n)._exp_rows(base)
+    got = [exp_rows(rows, v) for rows, v in zip(picks, vs)]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert np.isnan(got[2][1]).all() != isinstance(kernel, Euclidean)
+    if isinstance(kernel, Spd):
+        assert calls[0] == 1 + len(picks)  # base's pairs, one eigh per call
+
+
 def test_spd_membership_probe_factors_only_the_new_point(monkeypatch):
     k = Spd(3)
     ball = GeodesicBall(k, k.random_point(np.random.default_rng(0)), 1.0)

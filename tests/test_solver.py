@@ -158,6 +158,28 @@ def test_contraction_check_counts_a_nan_ratio_as_a_violation():
     assert not report.passed
 
 
+def test_contraction_report_json_is_strict():
+    # a NaN max_ratio and the infinite threshold of a check with no
+    # burn-in are written as null; finite numbers keep json's bytes
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    nan_trace, trace = RfwTrace(), RfwTrace()
+    for t, (bad, good) in enumerate(zip([1.0, 0.5, np.nan],
+                                        [1.0, 0.5, 0.25])):
+        nan_trace.append(t, bad, 1.0, 0.5, 0.1)
+        trace.append(t, good, 1.0, 0.5, 0.1)
+    report = contraction_check(nan_trace, 0.25, 1.0, 1.0, 0.0)
+    assert json.loads(report.to_json(), parse_constant=reject) == {
+        "factor": 0.875, "threshold_dist2": None, "checked": [0, 1],
+        "violations": [1], "max_ratio": None, "passed": False}
+    report = contraction_check(trace, 0.25, 1.0, 1.0, 0.0, diameter=2.0,
+                               c_tilde=1.0)
+    assert report.to_json() == json.dumps({
+        "factor": 0.875, "threshold_dist2": 0.0625, "checked": [0, 1],
+        "violations": [], "max_ratio": 0.5, "passed": True})
+
+
 @pytest.mark.parametrize("fstar", [np.nan, np.inf, -np.inf])
 def test_contraction_check_needs_a_finite_fstar(fstar):
     # fstar = NaN made every ratio NaN, and the check passed with rows

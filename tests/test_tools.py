@@ -189,6 +189,10 @@ def test_bench_ab_times_a_copy_of_a_tree_inside_its_null_band(tmp_path):
             "lmo/hyperboloid(4)/r1/single",
             "lmo/hyperboloid(4)/r1/rows400", "lmo/sphere(50)/r1.2/single",
             "lmo/sphere(50)/r1.2/rows400"} <= names
+    assert {f"{op}/{kernel}/{size}" for op in ("exp", "log", "dist")
+            for kernel in ("euclidean(3)", "sphere(3)", "hyperboloid(4)",
+                           "spd(3)")
+            for size in ("single", "rows400")} <= names
     for name, case in report["cases"].items():
         low, high = case["null_band"]
         assert lo <= low <= case["null_ratio"] <= high <= hi

@@ -21,15 +21,25 @@ package names in this process and times a fixed list of cases on both:
   certify-sphere workload's Sphere(3) cap of radius 0.3, on a
   Hyperboloid(4) ball of radius 1 and on a Sphere(50) ball of radius
   1.2, the solve regime, where the oracle's flat guess of its angle is
-  worst.
+  worst;
+* one exp, log and dist call on a pair and one on 400 stacked pairs,
+  per kernel, on the sampled balls above: x sampled in the ball, v
+  half the radius along a random unit tangent at x, y = exp_x(v).  A
+  case calls its map on the same pair again and again, so on SPD the
+  square-root memo holds its base point after the first call, as it
+  does in a certificate's stacked calls at one stack of base points.
 
 Each side draws its own copy of every input and generator, so both make
-the same calls on the same numbers.  A round times each case once per
-side, a batch of calls sized at the start to take --batch-seconds, the
-two sides in turn and the side that goes first alternating by round;
-a case's ratio is the median over the rounds of change / parent time
-per call.  A null pass runs first: the parent against itself, with
-fresh inputs on the second side.  A case's null band is the lowest and
+the same calls on the same numbers; but the kernel map cases' inputs
+are made once, and every side of both passes reads that copy (a call of
+a few microseconds reads where its arrays lie in memory, and copies of
+its own gave each side a bias of its own).  A round times each case
+once per side, a batch of calls sized at the start to take
+--batch-seconds, the two sides in turn and the side that goes first
+alternating by round; a case's ratio is the median over the rounds of
+change / parent time per call.  A null pass runs first: the parent
+against itself, with fresh inputs on the second side but for the
+kernel maps.  A case's null band is the lowest and
 the highest of its own per-round ratios in that pass, the spread that
 timing noise alone gives the case in this process; a change ratio
 outside it is more than noise.  The output names the two tree
@@ -70,6 +80,7 @@ MEMBERSHIP = ("geodesic", "riemannian", "double_geodesic")
 ORACLE_BALLS = (("sphere", 3, 0.3), ("hyperboloid", 4, 1.0),
                 ("sphere", 50, 1.2))
 ORACLE_ROWS = 400
+KERNEL_MAPS = ("exp", "log", "dist")
 
 
 def import_tree(tree, name):
@@ -92,8 +103,9 @@ def certify_workloads():
     return [w for w in module.WORKLOADS.values() if hasattr(w, "cases")]
 
 
-def cases(rfw, workloads):
-    """{case name: a call taking no argument} on the package rfw."""
+def cases(rfw, workloads, maps):
+    """{case name: a call taking no argument} on the package rfw, the
+    kernel map cases on maps (map_inputs)."""
     out = {}
     for kernel, n, radius in KERNELS:
         k = rfw.make_manifold(kernel, n)
@@ -128,7 +140,7 @@ def cases(rfw, workloads):
         out[f"wrapped/{s3.name}/r0.3/{notion}/a{alpha:g}"] = (
             lambda notion=notion, alpha=alpha, i=i: rfw.run_checker(
                 notion, wrapped, alpha, 200, np.random.default_rng([SEED, i])))
-    return out | oracle_cases(rfw)
+    return out | oracle_cases(rfw) | kernel_cases(rfw, maps)
 
 
 def oracle_cases(rfw):
@@ -144,6 +156,38 @@ def oracle_cases(rfw):
             lambda ball=ball, w=w[0], x=x[0]: ball.lmo(w, x))
         out[f"lmo/{k.name}/r{radius:g}/rows{ORACLE_ROWS}"] = (
             lambda ball=ball, w=w, x=x: ball.lmo(w, x))
+    return out
+
+
+def map_inputs(rfw):
+    """{kernel name: (x, v, y)} of the kernel map cases, made once for
+    every side of both passes."""
+    out = {}
+    for kernel, n, radius in KERNELS:
+        k = rfw.make_manifold(kernel, n)
+        rng = np.random.default_rng(SEED)
+        ball = rfw.GeodesicBall(k, k.random_point(rng), radius)
+        x = np.array([ball.sample(rng) for _ in range(ORACLE_ROWS)])
+        v = np.array([0.5 * radius * k.random_unit_tangent(row, rng)
+                      for row in x])
+        out[k.name] = x, v, k.exp(x, v)
+    return out
+
+
+def kernel_cases(rfw, maps):
+    """{case name: a call taking no argument} of the kernel map cases on
+    maps, from map_inputs."""
+    out = {}
+    for kernel, n, _ in KERNELS:
+        k = rfw.make_manifold(kernel, n)
+        x, v, y = maps[k.name]
+        args = {"exp": (x, v), "log": (x, y), "dist": (x, y)}
+        for op in KERNEL_MAPS:
+            fn, (a, b) = getattr(k, op), args[op]
+            out[f"{op}/{k.name}/single"] = (
+                lambda fn=fn, a=a[0], b=b[0]: fn(a, b))
+            out[f"{op}/{k.name}/rows{ORACLE_ROWS}"] = (
+                lambda fn=fn, a=a, b=b: fn(a, b))
     return out
 
 
@@ -178,11 +222,12 @@ def report(parent_tree, change_tree, rounds, batch_seconds):
     workloads = certify_workloads()
     parent = import_tree(parent_tree, "rfw_ab_parent")
     change = import_tree(change_tree, "rfw_ab_change")
-    null = compare(cases(parent, workloads), cases(parent, workloads),
-                   rounds, batch_seconds)
+    maps = map_inputs(parent)
+    null = compare(cases(parent, workloads, maps),
+                   cases(parent, workloads, maps), rounds, batch_seconds)
     bands = {name: (min(r), max(r)) for name, (r, _, _) in null.items()}
-    ab = compare(cases(parent, workloads), cases(change, workloads),
-                 rounds, batch_seconds)
+    ab = compare(cases(parent, workloads, maps),
+                 cases(change, workloads, maps), rounds, batch_seconds)
     out = {}
     for name, (ratios, a, b) in ab.items():
         ratio, band = statistics.median(ratios), bands[name]
