@@ -23,8 +23,9 @@ time, a ball's point as its normals and then its uniforms.  The
 geometry (sample points, chords, midpoints, unit tangents, required
 clearances, the approx_scaling residual) is then computed over all
 rows at once, and only what the check reads, with stacked kernel
-calls that give each row's bits; a unit tangent whose projection
-vanished is drawn again there, after all the blocks.  The margins come
+calls that give each row's bits (a ball's points of every point slot
+in one); a unit tangent whose projection vanished is drawn again
+there, after all the blocks, slot by slot.  The margins come
 out as one float array, a row each, +inf for a row with nothing to
 certify; one argmin over it (_worst_case) then keeps the first lowest
 margin and its witness, so the certificate is bit for bit that of a
@@ -41,14 +42,16 @@ minimizing within the ball, so the margin is the ball's radius less
 the distance from its center, less the required travel (one stacked
 dist call).  Elsewhere, and for riemannian everywhere, it is that of a
 bisection on membership, for all rows at once, by one routine on every
-set (_clearances): the crossings are bracketed by stacked
-Chandrupatla steps on a slack (a ball's signed clearance, or +-1 on
-any other set, where each step is the bisection's own midpoint), rows
-that cannot be the lowest leave early, and the rows left replay the
-bisection on floats, its guesses confirmed by one stacked probe, so
-the certificate is that of refining every row, bit for bit.  The
-scaling notions make one oracle call on all the rows stacked and have
-analytic margins.  A NaN margin is a violation.
+set (_clearances), on rays given as starts plus directions (riemannian's
+drawn and outward rays share their sample points: the kernel factors
+them once, and each is probed at 0 once).  The crossings are bracketed
+by stacked Chandrupatla steps on a slack (a ball's signed clearance, or
++-1 on any other set, where each step is the bisection's own
+midpoint), rows that cannot be the lowest leave early, and the rows
+left replay the bisection on floats, its guesses confirmed by one
+stacked probe, so the certificate is that of refining every row, bit
+for bit.  The scaling notions make one oracle call on all the rows
+stacked and have analytic margins.  A NaN margin is a violation.
 run_checker is the entry point; the function-class checks return the
 same ConvexityCertificate with alpha_tested None.  Every certificate
 passes when its worst margin is at least -DEFAULT_CERT_TOL.

@@ -33,7 +33,12 @@ raises no numpy warning.
 
 The SPD kernel memoizes (X^{1/2}, X^{-1/2}) of its last two base points
 or stacks of them, keyed by their bytes, so outputs are bit for bit
-those of recomputing the pair; every other kernel is stateless.
+those of recomputing the pair; every other kernel is stateless.  Rays
+that start from rows of one stack of base points take their exp from
+the kernel's _exp_rows(base), exp on the rows each call names: SPD's
+factors the stack once and slices the rows' pairs from it, which are
+the pairs of factoring those rows, since LAPACK factors each matrix of
+a stack as a single call does.
 """
 
 import math
@@ -565,12 +570,16 @@ class Spd(Manifold):
 
     def _sqrt_pair(self, x):
         """(X^{1/2}, X^{-1/2}) by eigh, read-only, for a matrix or a
-        stack.  A membership bisection factors the ball's center and
-        the stack of its rays' base points step after step, so the
-        pairs of the last two are kept, keyed by their bytes: a hit
-        returns the arrays that eigh would give, and a matrix or stack
-        changed in place is factored afresh.  One that is not positive
-        definite is never kept, and raises every time."""
+        stack.  A certificate factors the ball's center at every
+        membership probe and its sample points for each log at them,
+        and its rays' exp (_exp_rows) asks for the points' stack once
+        more, so the pairs of the last two are kept, keyed by their
+        bytes: a hit returns the arrays that eigh would give, and a
+        matrix or stack changed in place is factored afresh.  The memo
+        holds whole stacks: a row subset of a stack is another key,
+        which is why rays slice their rows from the stack's pairs
+        rather than ask for them.  One that is not positive definite is
+        never kept, and raises every time."""
         key = (x.dtype.str, x.shape, x.tobytes())
         recent = self._sqrt_memo
         for k, pair in recent:

@@ -1230,8 +1230,9 @@ def test_riemannian_clearances_take_few_stacked_probes(kernel, radius, n,
                                                         alphas, seed,
                                                         monkeypatch):
     # a riemannian certificate brackets its rows' clearances in a few
-    # stacked probes, each one exp and one dist call: 7 here, where a
-    # bisection of every row to the resolution made 37-38
+    # stacked probes, each one exp and one dist call: 5-6 here (the start
+    # probe shares the far probe's call), where a bisection of every row to
+    # the resolution made 37-38
     k = kernel
     cs = ball_set(GeodesicBall(k, k.random_point(np.random.default_rng(seed)),
                                radius))
