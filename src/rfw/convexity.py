@@ -348,10 +348,10 @@ class _Draws:
     method draws a normal and then a uniform, and is placed in stage 2;
     any other set's POINT is its sampler called n times, in the slot's
     turn.  Stage 2, in each check's own body, reads each slot at most
-    once: a TIME as slots[j], a POINT through points, a TANGENT through
-    the kernel's _unit_tangents on the rows it reads, with this
-    sample's rng: a unit tangent whose projection vanished is drawn
-    again then, after all the blocks."""
+    once: a TIME as slots[j], the POINTs through one points call, a
+    TANGENT through the kernel's _unit_tangents on the rows it reads,
+    with this sample's rng: a unit tangent whose projection vanished is
+    drawn again then, after all the blocks."""
 
     def __init__(self, cset, rng, n, layout):
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
